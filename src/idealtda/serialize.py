@@ -50,11 +50,16 @@ def parse_distance_csv(text: str, origin: str = "<input>") -> list[list[float]]:
         row = []
         for colno, cell in enumerate(line.split(","), start=1):
             try:
-                row.append(float(cell.strip()))
+                value = float(cell.strip())
             except ValueError:
                 raise InputError(
                     f"{origin}:{lineno}:{colno}: not a number: {cell.strip()!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise InputError(
+                    f"{origin}:{lineno}:{colno}: not a finite number: {cell.strip()!r}"
+                )
+            row.append(value)
         rows.append(row)
     if not rows:
         raise InputError(f"{origin}: empty distance matrix")
@@ -88,6 +93,7 @@ def parse_points_json(data, origin: str = "<input>") -> list[list[float]]:
     if not isinstance(points, list) or not points:
         raise InputError(f"{origin}: 'points' must be a nonempty list")
     dim = None
+    out = []
     for i, p in enumerate(points, start=1):
         if not isinstance(p, list) or not all(isinstance(c, (int, float)) for c in p):
             raise InputError(f"{origin}: point {i} is not a list of numbers")
@@ -95,7 +101,17 @@ def parse_points_json(data, origin: str = "<input>") -> list[list[float]]:
             dim = len(p)
         elif len(p) != dim:
             raise InputError(f"{origin}: point {i} has {len(p)} coordinates, expected {dim}")
-    return [list(map(float, p)) for p in points]
+        coords = []
+        for k, c in enumerate(p, start=1):
+            try:
+                x = float(c)
+            except OverflowError:
+                x = math.inf
+            if not math.isfinite(x):
+                raise InputError(f"{origin}: point {i} coordinate {k} is not finite: {c!r}")
+            coords.append(x)
+        out.append(coords)
+    return out
 
 
 def complex_to_dict(K: SimplicialComplex) -> dict:

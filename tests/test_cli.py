@@ -194,3 +194,21 @@ def test_verify_quick_and_fault_injection(tmp_path, capsys):
 def test_verify_degenerate_single_vertex(capsys):
     assert main(["verify", "--trials", "3", "--seed", "0", "--max-n", "1"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_barcodes_rejects_non_finite_csv(tmp_path, capsys, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,1\n{cell},0\n")
+    assert main(["barcodes", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.csv:2:1: not a finite number: '{cell}'" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_barcodes_rejects_non_finite_points(tmp_path, capsys, token):
+    path = tmp_path / "pts.json"
+    path.write_text('{"points": [[0, 0], [1, %s]]}' % token)
+    argv = ["barcodes", "--input", str(path), "--format", "points-json", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "point 2 coordinate 2 is not finite" in capsys.readouterr().err

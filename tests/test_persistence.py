@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from idealtda import persistence
 from idealtda.complexes import Filtration, SimplicialComplex, vr_filtration
 from idealtda.ideals import sr_associated_primes
 from idealtda.linalg import GF2, QQ, PrimeField
@@ -90,6 +91,63 @@ def test_step_associated_primes_matches_transversal_oracle():
         per_step = step_associated_primes(f, "SR")
         for (t, K), ass in zip(f.steps, per_step):
             assert ass == minimal_primes_squarefree(stanley_reisner(K))
+
+
+def _assert_closed_forms_match_per_step_route(f):
+    for kind in ("SR", "EDGE"):
+        oracle = _intervals_from_runs(step_associated_primes(f, kind), f.params(), kind)
+        assert prime_barcode(f, kind).intervals == oracle, kind
+
+
+def test_closed_form_barcodes_match_per_step_route_on_vr():
+    rng = random.Random(6)
+    for trial in range(48):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            # integer distances: many tied births
+            dist = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist[i][j] = dist[j][i] = float(rng.randint(1, 3))
+        else:
+            dist = random_metric(rng, n)
+        _assert_closed_forms_match_per_step_route(
+            vr_filtration(dist, (None, 0, 1, 2)[trial % 4])
+        )
+
+
+def test_closed_form_barcodes_match_per_step_route_from_births():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+        K = SimplicialComplex.from_faces(n, gens, close=True)
+        births: dict[int, float] = {}
+        # subfaces first, so every face is born no earlier than its subfaces
+        for m in sorted(K.face_masks, key=int.bit_count):
+            subs = [births[m ^ (1 << v)] for v in range(n) if m >> v & 1 and m ^ (1 << v)]
+            births[m] = max([float(rng.randint(1, 4))] + subs)
+        # forced parameters before the first birth and between births
+        params = [float(rng.randint(-1, 5)) for _ in range(rng.randint(1, 3))]
+        _assert_closed_forms_match_per_step_route(Filtration.from_births(n, births, params))
+
+
+def test_closed_form_barcodes_on_empty_complexes():
+    for n in (0, 3):
+        f = Filtration.single(SimplicialComplex(n, frozenset()), t=0.5)
+        _assert_closed_forms_match_per_step_route(f)
+        for kind in ("SR", "EDGE"):
+            (iv,) = prime_barcode(f, kind).intervals
+            assert (iv.birth, iv.death) == (0.5, None)
+        assert prime_barcode(f, "SR").intervals[0].prime == LinearPrime(tuple(range(1, n + 1)))
+        assert prime_barcode(f, "EDGE").intervals[0].prime == LinearPrime(())
+
+
+def test_prime_barcode_final_step_assertion(three_point_filtration, monkeypatch):
+    monkeypatch.setattr(persistence, "step_associated_primes", lambda f, kind: [frozenset()])
+    for kind in ("SR", "EDGE"):
+        with pytest.raises(AssertionError, match="final decomposition"):
+            prime_barcode(three_point_filtration, kind)
 
 
 def test_custom_ideal_family_hook(three_point_filtration):
@@ -212,6 +270,12 @@ def test_every_betti_jump_has_witness():
         for i in range(1, len(f.steps)):
             if prof.betti[i] != prof.betti[i - 1]:
                 assert witness_between_steps(f, i) is not None
+
+
+def test_witness_between_equal_steps_is_none():
+    f = Filtration.from_births(2, {0b01: 0.0, 0b10: 0.0}, params=[0.0, 1.0])
+    assert f.steps[0][1] == f.steps[1][1]
+    assert witness_between_steps(f, 1) is None
 
 
 def test_coverage_report_fixtures(three_point_dist, three_point_filtration):
