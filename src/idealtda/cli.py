@@ -18,8 +18,6 @@ from .labelled import (
     EvaluationPoint,
     boundary_matrices,
     chain_condition_check,
-    classical_betti,
-    classical_boundary_ranks,
     diag_relation_check,
     evaluate_chain,
     fraction_field_ranks,
@@ -28,7 +26,13 @@ from .labelled import (
     slice_iso_check,
 )
 from .linalg import QQ, parse_field
-from .persistence import coverage_report, ph_barcode, prime_barcode
+from .persistence import (
+    classical_betti,
+    classical_boundary_ranks,
+    coverage_report,
+    ph_barcode,
+    prime_barcode,
+)
 from .serialize import (
     InputError,
     barcodes_svg,

@@ -12,6 +12,7 @@ package use this order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -283,13 +284,7 @@ class Filtration:
 
     def index_at(self, t: float) -> int:
         """Index of the last step with parameter <= t; -1 if before the first."""
-        idx = -1
-        for i, (p, _) in enumerate(self.steps):
-            if p <= t:
-                idx = i
-            else:
-                break
-        return idx
+        return bisect_right(self.params(), t) - 1
 
     def complex_at(self, t: float) -> SimplicialComplex:
         idx = self.index_at(t)

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from .complexes import Face, SimplicialComplex, boundary_entries, face_mask, full_subcomplex, mask_face
 from .linalg import QQ, Polynomial, bareiss_rank, rank_dense
 from .monomials import AtomTable, FactoredElement
+from .persistence import _boundary_dense, betti_from_ranks, classical_betti, classical_boundary_ranks
 
 __all__ = [
     "LabelledComplex",
@@ -231,15 +232,12 @@ def diag_relation_check(LC: LabelledComplex) -> bool:
     labels = LC.face_labels
     for cm in bm.matrices:
         _, _, classical = boundary_entries(LC.complex, cm.k, reduced=LC.reduced)
-        dense_classical = [[0] * len(cm.cols) for _ in cm.rows]
-        for (i, j), s in classical.items():
-            dense_classical[i][j] = s
         for i, tau in enumerate(cm.rows):
             m_tau = Polynomial.monomial(natoms, labels[face_mask(tau)].exps)
             for j, sigma in enumerate(cm.cols):
                 m_sigma = Polynomial.monomial(natoms, labels[face_mask(sigma)].exps)
                 lhs = cm.entries[i][j] * m_tau
-                rhs = m_sigma * dense_classical[i][j]
+                rhs = m_sigma * classical.get((i, j), 0)
                 if lhs != rhs:
                     return False
     return True
@@ -297,11 +295,7 @@ class EvaluatedChain:
         return out
 
     def betti(self) -> dict[int, int]:
-        ranks = self.ranks()
-        out = {}
-        for k, count in self.ncells.items():
-            out[k] = count - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        return out
+        return betti_from_ranks(self.ncells, self.ranks())
 
 
 def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> EvaluatedChain:
@@ -373,33 +367,6 @@ def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     return out
 
 
-def classical_boundary_ranks(K: SimplicialComplex, field=QQ, reduced: bool = False) -> dict[int, int]:
-    """Field ranks of the classical boundary matrices of a complex."""
-    out = {}
-    start = 0 if reduced else 1
-    for k in range(start, K.max_dim + 1):
-        rows, cols, entries = boundary_entries(K, k, reduced=reduced)
-        if not rows or not cols:
-            continue
-        dense = [[field.zero] * len(cols) for _ in rows]
-        for (i, j), s in entries.items():
-            dense[i][j] = field.from_int(s)
-        out[k] = rank_dense(dense, field)
-    return out
-
-
-def classical_betti(K: SimplicialComplex, field=QQ, reduced: bool = False) -> dict[int, int]:
-    """Betti numbers of a complex as a dimension-indexed dict."""
-    ranks = classical_boundary_ranks(K, field, reduced)
-    out = {}
-    if reduced:
-        out[-1] = 1 - ranks.get(0, 0)
-    top = K.max_dim if not K.is_empty else -1
-    for k in range(0, top + 1):
-        out[k] = len(K.masks_of_dim(k)) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-    return out
-
-
 def local_subcomplex(
     LC: LabelledComplex,
     point: EvaluationPoint | None = None,
@@ -467,10 +434,7 @@ class GradedSlice:
             k: rank_dense([list(r) for r in mat], QQ) if mat else 0
             for k, mat in self.matrix_map.items()
         }
-        out = {}
-        for k, basis in self.bases:
-            out[k] = len(basis) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        return out
+        return betti_from_ranks({k: len(basis) for k, basis in self.bases}, ranks)
 
 
 def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
@@ -538,18 +502,8 @@ def slice_iso_check(LC: LabelledComplex, alpha: Sequence[int]) -> bool:
             continue
         if [f for f, _ in basis] != sub.faces_of_dim(k):
             return False
-    start = 0
-    top = sub.max_dim if not sub.is_empty else -1
-    for k in range(start, top + 1):
-        rows, cols, entries = boundary_entries(sub, k, reduced=True)
-        dense = [[Fraction(0)] * len(cols) for _ in rows]
-        for (i, j), s in entries.items():
-            dense[i][j] = Fraction(s)
+    for k in range(sub.max_dim + 1):
         got = sl.matrix_map.get(k)
-        if not cols:
-            if got:
-                return False
-            continue
-        if got is None or [list(r) for r in got] != dense:
+        if got is None or [list(r) for r in got] != _boundary_dense(sub, k, QQ, True):
             return False
     return True

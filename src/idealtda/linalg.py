@@ -10,7 +10,7 @@ homology computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "PrimeField",
@@ -21,7 +21,6 @@ __all__ = [
     "Polynomial",
     "rank_dense",
     "rank_kernel",
-    "rank_gf2_columns",
     "bareiss_rank",
     "persistence_reduce",
 ]
@@ -422,22 +421,6 @@ def rank_kernel(rows: Sequence[Sequence], ncols: int | None = None, field=QQ) ->
         ncols = len(rows[0])
     rank = rank_dense(rows, field) if rows else 0
     return rank, ncols - rank
-
-
-def rank_gf2_columns(columns: Iterable[int]) -> int:
-    """Rank over GF(2) of a matrix given as column bitmasks (bit i = row i)."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = col
-                rank += 1
-                break
-            col ^= other
-    return rank
 
 
 def _domain_exact_div(num, den):

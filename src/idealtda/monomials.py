@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .complexes import _iter_bits
 from .linalg import Polynomial
 
 __all__ = [
@@ -345,13 +346,6 @@ def membership(m: FactoredElement, ideal: MonomialIdeal) -> bool:
     return any(g.divides(m) for g in ideal.generators)
 
 
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
-
-
 def _antichain_min(masks: Iterable[int]) -> list[int]:
     """Inclusion-minimal elements of a set of bitmasks."""
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
@@ -387,7 +381,7 @@ def minimal_transversals(supports: Sequence[int]) -> list[int]:
             found.append(chosen)
             return
         rest = tuple(s for s in remaining if not (s & chosen))
-        for bit in _bits(first):
+        for bit in _iter_bits(first):
             rec(chosen | bit, rest)
 
     rec(0, tuple(sets))

@@ -22,17 +22,29 @@ decomposition of the final complex.  The per-step route, one
 decomposition per critical parameter (:func:`step_associated_primes`),
 stays as the test oracle and computes barcodes for custom ``ass_fn``
 families, asserting there that no prime resurrects.
+
+Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
+column reduction over a prime field or Q, and :func:`betti_profile` reads
+b_k(t) off it as the number of k-bars alive at t (Zomorodian-Carlsson
+2005); reduced mode adds b_{-1} = 1 while the complex is empty and
+subtracts 1 from b_0 after.  The exact rank route,
+:func:`classical_boundary_ranks` and :func:`classical_betti` (with
+:func:`betti_numbers` as their list view), computes the Betti numbers of
+one complex from dense boundary ranks; it serves the labelled-complex
+checks and is the oracle for the profile.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import Filtration, SimplicialComplex, _iter_bits, boundary_entries, mask_face
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
-from .linalg import GF2, PrimeField, persistence_reduce, rank_dense, rank_gf2_columns
+from .linalg import GF2, QQ, persistence_reduce, rank_dense
 from .monomials import LinearPrime
 
 __all__ = [
@@ -45,6 +57,9 @@ __all__ = [
     "NoResurrectionError",
     "step_associated_primes",
     "prime_barcode",
+    "betti_from_ranks",
+    "classical_boundary_ranks",
+    "classical_betti",
     "betti_numbers",
     "betti_profile",
     "ph_barcode",
@@ -110,10 +125,7 @@ class BettiProfile:
     reduced: bool
 
     def at(self, t: float, k: int) -> int:
-        idx = -1
-        for i, p in enumerate(self.params):
-            if p <= t:
-                idx = i
+        idx = bisect_right(self.params, t) - 1
         if idx < 0:
             raise ValueError(f"parameter {t} precedes the filtration")
         row = self.betti[idx]
@@ -308,45 +320,37 @@ def prime_barcode(
     return PrimeBarcode(kind, _sorted_intervals(intervals), params)
 
 
-def _betti_gf2(K: SimplicialComplex, reduced: bool, top: int) -> list[int]:
-    ranks = []
-    for k in range(top + 2):
-        rows, cols, entries = boundary_entries(K, k, reduced=reduced)
-        if not rows or not cols:
-            ranks.append(0)
-            continue
-        col_masks = [0] * len(cols)
-        for (i, j), _ in entries.items():
-            col_masks[j] |= 1 << i
-        ranks.append(rank_gf2_columns(col_masks))
-    counts = [len(K.masks_of_dim(k)) for k in range(top + 1)]
-    out = []
-    if reduced:
-        # the empty face spans one dimension in degree -1
-        out.append(1 - ranks[0])
-    for k in range(top + 1):
-        out.append(counts[k] - ranks[k] - ranks[k + 1])
-    return out
+def _boundary_dense(K: SimplicialComplex, k: int, field, reduced: bool) -> list[list]:
+    """Dense field matrix of the classical boundary map in dimension k."""
+    rows, cols, entries = boundary_entries(K, k, reduced=reduced)
+    dense = [[field.zero] * len(cols) for _ in rows]
+    for (i, j), s in entries.items():
+        dense[i][j] = field.from_int(s)
+    return dense
 
 
-def _betti_field(K: SimplicialComplex, field, reduced: bool, top: int) -> list[int]:
-    ranks = []
-    for k in range(top + 2):
-        rows, cols, entries = boundary_entries(K, k, reduced=reduced)
-        if not rows or not cols:
-            ranks.append(0)
-            continue
-        dense = [[field.zero] * len(cols) for _ in rows]
-        for (i, j), s in entries.items():
-            dense[i][j] = field.from_int(s)
-        ranks.append(rank_dense(dense, field))
-    counts = [len(K.masks_of_dim(k)) for k in range(top + 1)]
-    out = []
-    if reduced:
-        out.append(1 - ranks[0])
-    for k in range(top + 1):
-        out.append(counts[k] - ranks[k] - ranks[k + 1])
-    return out
+def betti_from_ranks(ncells: Mapping[int, int], ranks: Mapping[int, int]) -> dict[int, int]:
+    """b_k = (number of k-cells) - rank d_k - rank d_{k+1} for every k in ncells."""
+    return {k: count - ranks.get(k, 0) - ranks.get(k + 1, 0) for k, count in ncells.items()}
+
+
+def classical_boundary_ranks(K: SimplicialComplex, field=QQ, reduced: bool = False) -> dict[int, int]:
+    """Field ranks of the classical boundary matrices of a complex."""
+    start = 0 if reduced else 1
+    return {
+        k: rank_dense(_boundary_dense(K, k, field, reduced), field)
+        for k in range(start, K.max_dim + 1)
+    }
+
+
+def classical_betti(K: SimplicialComplex, field=QQ, reduced: bool = False) -> dict[int, int]:
+    """Betti numbers of a complex as a dimension-indexed dict.
+
+    The exact rank route; it is the oracle for the PH-derived profiles.
+    """
+    ncells = {-1: 1} if reduced else {}  # the empty face spans degree -1
+    ncells.update((k, len(K.masks_of_dim(k))) for k in range(K.max_dim + 1))
+    return betti_from_ranks(ncells, classical_boundary_ranks(K, field, reduced))
 
 
 def betti_numbers(
@@ -355,19 +359,38 @@ def betti_numbers(
     """Betti numbers b_0..b_top of one complex (b_{-1} prepended if reduced)."""
     if top is None:
         top = max(K.max_dim, 0)
-    if isinstance(field, PrimeField) and field.p == 2:
-        return _betti_gf2(K, reduced, top)
-    return _betti_field(K, field, reduced, top)
+    # b_0..b_top depend only on the (top+1)-skeleton
+    skeleton = SimplicialComplex(K.n, frozenset(m for m in K.face_masks if m.bit_count() <= top + 2))
+    betti = classical_betti(skeleton, field, reduced)
+    return [betti.get(k, 0) for k in range(-1 if reduced else 0, top + 1)]
 
 
 def betti_profile(
     f: Filtration, field=GF2, reduced: bool = False, top: int | None = None
 ) -> BettiProfile:
-    """Betti vectors at every critical parameter, via exact ranks."""
+    """Betti vectors at every critical parameter: b_k(t) is the number of
+    k-bars of :func:`ph_barcode` alive at t."""
     if top is None:
         top = max(f.final().max_dim, 0)
-    rows = tuple(tuple(betti_numbers(K, field, reduced, top)) for _, K in f.steps)
-    return BettiProfile(f.params(), rows, field.name, reduced)
+    params = f.params()
+    index = {t: i for i, t in enumerate(params)}
+    # delta[k][i]: k-bars born minus k-bars dying at step i
+    delta = [[0] * len(params) for _ in range(top + 1)]
+    for k, bars in ph_barcode(f, field, top).bars:
+        for birth, death in bars:
+            delta[k][index[birth]] += 1
+            if death is not None:
+                delta[k][index[death]] -= 1
+    alive = [list(accumulate(d)) for d in delta]
+    rows = [[a[i] for a in alive] for i in range(len(params))]
+    if reduced:
+        first = min(f.birth_map.values(), default=None)
+        for t, row in zip(params, rows):
+            nonempty = first is not None and first <= t
+            if row:  # empty when top < 0
+                row[0] -= nonempty
+            row.insert(0, 1 - nonempty)
+    return BettiProfile(params, tuple(tuple(row) for row in rows), field.name, reduced)
 
 
 def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcode:

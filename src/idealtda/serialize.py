@@ -95,7 +95,9 @@ def parse_points_json(data, origin: str = "<input>") -> list[list[float]]:
     dim = None
     out = []
     for i, p in enumerate(points, start=1):
-        if not isinstance(p, list) or not all(isinstance(c, (int, float)) for c in p):
+        if not isinstance(p, list) or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in p
+        ):
             raise InputError(f"{origin}: point {i} is not a list of numbers")
         if dim is None:
             dim = len(p)
@@ -114,6 +116,20 @@ def parse_points_json(data, origin: str = "<input>") -> list[list[float]]:
     return out
 
 
+def _json_int(value, where: str) -> int:
+    """An integer read from JSON; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} is not an integer: {json.dumps(value)}")
+    return value
+
+
+def _json_faces(raw) -> list[tuple[int, ...]]:
+    return [
+        tuple(_json_int(v, f"face {i} vertex {j}") for j, v in enumerate(face, start=1))
+        for i, face in enumerate(raw, start=1)
+    ]
+
+
 def complex_to_dict(K: SimplicialComplex) -> dict:
     """Complexes serialize by their maximal faces; closure restores the rest."""
     faces = sorted(maximal_faces(K), key=lambda f: (len(f), f))
@@ -122,8 +138,8 @@ def complex_to_dict(K: SimplicialComplex) -> dict:
 
 def complex_from_dict(data, origin: str = "<input>") -> SimplicialComplex:
     try:
-        n = int(data["n"])
-        faces = [tuple(int(v) for v in f) for f in data["faces"]]
+        n = _json_int(data["n"], "'n'")
+        faces = _json_faces(data["faces"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed complex JSON ({exc})") from None
     try:
@@ -169,15 +185,23 @@ def ideal_from_dict(data, origin: str = "<input>") -> MonomialIdeal:
 
 def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
     terms = {}
-    for item in raw:
+    for t, item in enumerate(raw, start=1):
         try:
             coeff, exps = item
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(_json_int(e, f"term {t} exponent {k}") for k, e in enumerate(exps, start=1))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: malformed atom expansion term ({exc})") from None
+        try:
+            if isinstance(coeff, bool):
+                raise TypeError
+            coeff = Fraction(coeff)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise InputError(
+                f"{origin}: expansion term {t} coefficient is not a rational number: {json.dumps(coeff)}"
+            ) from None
         if len(exps) != nvars:
             raise InputError(f"{origin}: expansion term arity {len(exps)} != {nvars}")
-        terms[exps] = terms.get(exps, 0) + Fraction(coeff)
+        terms[exps] = terms.get(exps, 0) + coeff
     return Polynomial(nvars, terms)
 
 
@@ -193,16 +217,21 @@ def _expansion_to_json(poly: Polynomial) -> list:
 def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> LabelledComplex:
     """Labelled complex JSON: n, faces, atoms, labels, optional atom_polys."""
     try:
-        n = int(data["n"])
-        faces = [tuple(int(v) for v in f) for f in data["faces"]]
+        n = _json_int(data["n"], "'n'")
+        faces = _json_faces(data["faces"])
         atoms = tuple(str(a) for a in data["atoms"])
         labels_raw = data["labels"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed labelled-complex JSON ({exc})") from None
     atom_polys = data.get("atom_polys", {})
+    if not isinstance(atom_polys, dict):
+        raise InputError(f"{origin}: 'atom_polys' must be an object, found {json.dumps(atom_polys)}")
     nvars = len([a for a in atoms if a not in atom_polys])
     expansions = tuple(
-        sorted((name, _expansion_from_json(raw, nvars, origin)) for name, raw in atom_polys.items())
+        sorted(
+            (name, _expansion_from_json(raw, nvars, f"{origin}: atom {name}"))
+            for name, raw in atom_polys.items()
+        )
     )
     try:
         table = AtomTable(atoms, expansions)
@@ -213,7 +242,8 @@ def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> 
     labels = []
     for i, exps in enumerate(labels_raw, start=1):
         try:
-            labels.append(FactoredElement(table, tuple(int(e) for e in exps)))
+            exps = tuple(_json_int(e, f"exponent {k}") for k, e in enumerate(exps, start=1))
+            labels.append(FactoredElement(table, exps))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: bad label for vertex {i} ({exc})") from None
     try:

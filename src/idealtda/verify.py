@@ -23,8 +23,6 @@ from .ideals import (
 from .labelled import (
     EvaluationPoint,
     LabelledComplex,
-    classical_betti,
-    classical_boundary_ranks,
     evaluate_chain,
     evaluation_ranks,
     fraction_field_ranks,
@@ -36,6 +34,8 @@ from .linalg import GF2, PrimeField, QQ
 from .monomials import AtomTable, FactoredElement, minimal_primes_squarefree
 from .persistence import (
     betti_profile,
+    classical_betti,
+    classical_boundary_ranks,
     coverage_report,
     prime_barcode,
     step_associated_primes,

@@ -212,3 +212,53 @@ def test_barcodes_rejects_non_finite_points(tmp_path, capsys, token):
     argv = ["barcodes", "--input", str(path), "--format", "points-json", "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "point 2 coordinate 2 is not finite" in capsys.readouterr().err
+
+
+_LABELLED = '"atoms": ["x1"], "labels": [[1], [1]]'
+_EXPANDED = '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "s"], "labels": [[1, 0, 0], [0, 0, 1]], %s}'
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("points-json", '{"points": [[0, 0], [true, 2]]}', "point 2 is not a list of numbers"),
+        ("complex-json", '{"n": 3, "faces": [[1.7, 2]]}', "face 1 vertex 1 is not an integer: 1.7"),
+        ("complex-json", '{"n": 3, "faces": [[1], [2, true]]}', "face 2 vertex 2 is not an integer: true"),
+        ("complex-json", '{"n": 3, "faces": [["3", 2]]}', 'face 1 vertex 1 is not an integer: "3"'),
+        ("complex-json", '{"n": Infinity, "faces": [[1, 2]]}', "'n' is not an integer: Infinity"),
+        ("labelled-json", '{"n": 2, "faces": [[1, 2.0]], %s}' % _LABELLED, "face 1 vertex 2 is not an integer: 2.0"),
+        ("labelled-json", '{"n": Infinity, "faces": [[1, 2]], %s}' % _LABELLED, "'n' is not an integer: Infinity"),
+        (
+            "labelled-json",
+            '{"n": 2, "faces": [[1, 2]], "atoms": ["x1"], "labels": [[1], [true]]}',
+            "bad label for vertex 2 (exponent 1 is not an integer: true)",
+        ),
+        (
+            "labelled-json",
+            '{"n": 2, "faces": [[1, 2]], "atoms": ["x1"], "labels": [[1], ["1"]]}',
+            'bad label for vertex 2 (exponent 1 is not an integer: "1")',
+        ),
+        (
+            "labelled-json",
+            _EXPANDED % '"atom_polys": {"s": [[1, [1, 0]], [1, [0, 1.5]]]}',
+            "atom s: malformed atom expansion term (term 2 exponent 2 is not an integer: 1.5)",
+        ),
+        (
+            "labelled-json",
+            _EXPANDED % '"atom_polys": {"s": [[1, [1, 0]], [Infinity, [0, 1]]]}',
+            "atom s: expansion term 2 coefficient is not a rational number: Infinity",
+        ),
+        (
+            "labelled-json",
+            _EXPANDED % '"atom_polys": {"s": [[true, [1, 0]], [1, [0, 1]]]}',
+            "atom s: expansion term 1 coefficient is not a rational number: true",
+        ),
+        ("labelled-json", _EXPANDED % '"atom_polys": []', "'atom_polys' must be an object, found []"),
+    ],
+)
+def test_json_inputs_reject_non_integers(tmp_path, capsys, fmt, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    command = "labelled" if fmt == "labelled-json" else "barcodes"
+    assert main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err

@@ -1,0 +1,19 @@
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import idealtda
+
+MODULES = ["idealtda"] + [
+    f"idealtda.{m.name}" for m in pkgutil.iter_modules(idealtda.__path__) if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

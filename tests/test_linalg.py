@@ -14,7 +14,6 @@ from idealtda.linalg import (
     parse_field,
     persistence_reduce,
     rank_dense,
-    rank_gf2_columns,
     rank_kernel,
 )
 
@@ -140,16 +139,6 @@ def test_rank_agreement_large_prime_vs_rationals():
         rq = rank_dense([[Fraction(v) for v in row] for row in m], QQ)
         rp = rank_dense([[big.from_int(v) for v in row] for row in m], big)
         assert rq == rp
-
-
-def test_rank_gf2_columns_matches_dense():
-    rng = random.Random(11)
-    for _ in range(30):
-        rows = rng.randint(1, 7)
-        cols = rng.randint(1, 7)
-        m = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        masks = [sum(m[i][j] << i for i in range(rows)) for j in range(cols)]
-        assert rank_gf2_columns(masks) == rank_dense(m, GF2)
 
 
 def test_bareiss_rank_polynomial_fixture():

@@ -174,6 +174,8 @@ def test_betti_profile_three_points(three_point_filtration):
     assert prof.at(5.0, 1) == 0
     # contractible from t=1 onward: all higher betti vanish
     assert prof.betti[-1] == (1, 0, 0)
+    with pytest.raises(ValueError, match="precedes the filtration"):
+        prof.at(-0.5, 0)
 
 
 def test_betti_isolated_vertices_and_hollow_triangle():
@@ -225,6 +227,8 @@ def test_ph_bar_counts_match_betti_profile():
         for t in f.params():
             for k in range(top + 1):
                 assert ph.count_at(t, k) == prof.at(t, k)
+        for (_, K), row in zip(f.steps, prof.betti):
+            assert list(row) == betti_numbers(K, GF2, top=top)
 
 
 def test_ph_bar_counts_match_betti_profile_over_gf5():
@@ -234,9 +238,44 @@ def test_ph_bar_counts_match_betti_profile_over_gf5():
         f = vr_filtration(random_metric(rng, rng.randint(2, 5)))
         ph = ph_barcode(f, f5)
         prof = betti_profile(f, f5)
+        top = f.final().max_dim
         for t in f.params():
-            for k in range(f.final().max_dim + 1):
+            for k in range(top + 1):
                 assert ph.count_at(t, k) == prof.at(t, k)
+        for (_, K), row in zip(f.steps, prof.betti):
+            assert list(row) == betti_numbers(K, f5, top=top)
+
+
+RP2_TRIANGLES = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+
+
+def _profile_cases(rng):
+    for max_dim in (None, 0, 1, 2):
+        for _ in range(3):
+            yield vr_filtration(random_metric(rng, rng.randint(1, 6)), max_dim)
+    yield Filtration.single(SimplicialComplex(3, frozenset()), 0.5)
+    # vertices 1 and 2 and their edge, with two forced steps before the first birth
+    yield Filtration.from_births(3, {0b001: 1.0, 0b010: 2.0, 0b011: 2.0}, params=[-1.0, 0.0, 3.0])
+    # the 6-vertex projective plane, one dimension per step: H_1 has 2-torsion,
+    # so its Betti numbers over GF(2) differ from those over Q and GF(5)
+    rp2 = SimplicialComplex.from_faces(6, RP2_TRIANGLES, close=True)
+    yield Filtration.from_births(6, {m: float(m.bit_count()) for m in rp2.face_masks})
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
+@pytest.mark.parametrize("top", [None, 3])
+def test_betti_profile_matches_rank_route(reduced, field, top):
+    rng = random.Random(41)
+    for f in _profile_cases(rng):
+        prof = betti_profile(f, field, reduced, top)
+        want_top = max(f.final().max_dim, 0) if top is None else top
+        assert prof.params == f.params()
+        for (_, K), row in zip(f.steps, prof.betti, strict=True):
+            assert list(row) == betti_numbers(K, field, reduced, want_top)
 
 
 def test_jump_witness_three_points(three_point_filtration):
