@@ -137,7 +137,7 @@ def cmd_barcodes(args) -> int:
     }
     out = _outdir(args.out)
     (out / "barcodes.json").write_text(dumps_json(payload), encoding="utf-8")
-    report = {"params": list(filtration.params())}
+    report = {"params": list(filtration.params)}
     if dist is not None:
         cov = coverage_report(dist, sr)
         report["coverage"] = {

@@ -211,20 +211,21 @@ class Graph:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Monotone sequence of complexes at strictly increasing parameters."""
+    """Filtered complex: the birth of every face (face mask -> parameter)
+    and the strictly increasing critical parameters, which contain every
+    birth and may add parameters where the complex does not change."""
 
     n: int
-    steps: tuple[tuple[float, SimplicialComplex], ...]
+    birth_map: Mapping[int, float]
+    params: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.steps:
+        if not self.params:
             raise ValueError("a filtration needs at least one step")
-        params = [t for t, _ in self.steps]
-        if any(b <= a for a, b in zip(params, params[1:])):
+        if any(b <= a for a, b in zip(self.params, self.params[1:])):
             raise ValueError("filtration parameters must be strictly increasing")
-        for (_, a), (_, b) in zip(self.steps, self.steps[1:]):
-            if not a.is_subcomplex_of(b):
-                raise ValueError("filtration is not monotone")
+        if not set(self.birth_map.values()) <= set(self.params):
+            raise ValueError("every birth must be a critical parameter")
 
     @classmethod
     def from_births(
@@ -233,7 +234,7 @@ class Filtration:
         births: Mapping[int, float],
         params: Sequence[float] | None = None,
     ) -> "Filtration":
-        """Build steps from a face-mask -> birth-time map.
+        """Filtration of a face-mask -> birth-time map.
 
         Every face must be born no earlier than its subfaces.  Extra
         ``params`` may be supplied to force steps at parameters where the
@@ -247,50 +248,38 @@ class Filtration:
                         raise ValueError(
                             f"face {mask_face(m)} born at {t} before subface {mask_face(sub)}"
                         )
-        crit = set(births.values())
-        if params is not None:
-            crit.update(params)
-        ordered = sorted(crit)
-        by_birth = sorted(births.items(), key=lambda kv: kv[1])
-        steps = []
-        acc: set[int] = set()
-        pos = 0
-        for t in ordered:
-            while pos < len(by_birth) and by_birth[pos][1] <= t:
-                acc.add(by_birth[pos][0])
-                pos += 1
-            steps.append((t, SimplicialComplex(n, frozenset(acc))))
-        return cls(n, tuple(steps))
+        crit = set(births.values()).union(params or ())
+        f = cls(n, dict(births), tuple(sorted(crit)))
+        f.final()  # rejects the zero mask and vertices outside 1..n
+        return f
 
     @classmethod
     def single(cls, complex_: SimplicialComplex, t: float = 0.0) -> "Filtration":
-        return cls(complex_.n, ((t, complex_),))
-
-    def params(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.steps)
-
-    def final(self) -> SimplicialComplex:
-        return self.steps[-1][1]
+        f = cls(complex_.n, dict.fromkeys(complex_.face_masks, t), (t,))
+        f.__dict__["_final"] = complex_  # already validated
+        return f
 
     @cached_property
-    def birth_map(self) -> dict[int, float]:
-        """Face mask -> first parameter at which the face is present."""
-        births: dict[int, float] = {}
-        for t, complex_ in self.steps:
-            for m in complex_.face_masks:
-                if m not in births:
-                    births[m] = t
-        return births
+    def _final(self) -> SimplicialComplex:
+        return SimplicialComplex(self.n, frozenset(self.birth_map))
+
+    def final(self) -> SimplicialComplex:
+        return self._final
+
+    @cached_property
+    def steps(self) -> tuple[tuple[float, SimplicialComplex], ...]:
+        """(parameter, complex) pairs, built on first access for the per-step oracles."""
+        return tuple((t, self.complex_at(t)) for t in self.params)
 
     def index_at(self, t: float) -> int:
         """Index of the last step with parameter <= t; -1 if before the first."""
-        return bisect_right(self.params(), t) - 1
+        return bisect_right(self.params, t) - 1
 
     def complex_at(self, t: float) -> SimplicialComplex:
-        idx = self.index_at(t)
-        if idx < 0:
-            return SimplicialComplex(self.n, frozenset())
-        return self.steps[idx][1]
+        """Complex of the faces born at or before t."""
+        if t >= self.params[-1]:
+            return self.final()
+        return SimplicialComplex(self.n, frozenset(m for m, b in self.birth_map.items() if b <= t))
 
 
 def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:

@@ -20,8 +20,9 @@ Every prime therefore carries exactly one interval.  As a check, the
 primes whose bar never ends are compared at assembly time with the
 decomposition of the final complex.  The per-step route, one
 decomposition per critical parameter (:func:`step_associated_primes`),
-stays as the test oracle and computes barcodes for custom ``ass_fn``
-families, asserting there that no prime resurrects.
+builds its step complexes from the birth map on demand; it stays as the
+test oracle and computes barcodes for custom ``ass_fn`` families,
+asserting there that no prime resurrects.
 
 Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
 column reduction over a prime field or Q, and :func:`betti_profile` reads
@@ -238,7 +239,7 @@ def _complement_prime(mask: int, full: int) -> LinearPrime:
     return LinearPrime(mask_face(full & ~mask))
 
 
-def _sr_intervals(f: Filtration, params: Sequence[float]) -> list[PrimeInterval]:
+def _sr_intervals(f: Filtration) -> list[PrimeInterval]:
     """Bars [b(sigma), min_v b(sigma + v)) of the primes P_{[n] minus sigma}."""
     births = f.birth_map
     full = (1 << f.n) - 1
@@ -254,19 +255,19 @@ def _sr_intervals(f: Filtration, params: Sequence[float]) -> list[PrimeInterval]
         if d is None or b < d:
             out.append(PrimeInterval(_complement_prime(m, full), b, d, KIND_SR))
     first = min(births.values(), default=None)
-    if first is None or first > params[0]:
+    if first is None or first > f.params[0]:
         # the empty complex has the single prime P_[n]
-        out.append(PrimeInterval(_complement_prime(0, full), params[0], first, KIND_SR))
+        out.append(PrimeInterval(_complement_prime(0, full), f.params[0], first, KIND_SR))
     return out
 
 
-def _edge_intervals(f: Filtration, params: Sequence[float]) -> list[PrimeInterval]:
+def _edge_intervals(f: Filtration) -> list[PrimeInterval]:
     """Bars of the complements of the maximal independent sets, one pass
     over the edge insertions."""
     births = f.birth_map
     full = (1 << f.n) - 1
     adj = [0] * f.n  # adj[v] is the neighbour mask of the vertex with bit 1 << v
-    live = {full: params[0]}  # maximal independent set -> birth
+    live = {full: f.params[0]}  # maximal independent set -> birth
     out = []
     edges = sorted((t, m) for m, t in births.items() if m.bit_count() == 2)
     for t, e in edges:
@@ -300,14 +301,14 @@ def prime_barcode(
     the closed forms of the module docstring; a custom ``ass_fn`` is
     decomposed step by step.
     """
-    params = f.params()
+    params = f.params
     if ass_fn is not None:
         ass_per_step = step_associated_primes(f, kind, ass_fn)
         return PrimeBarcode("CUSTOM", _intervals_from_runs(ass_per_step, params, "CUSTOM"), params)
     if kind == KIND_SR:
-        intervals = _sr_intervals(f, params)
+        intervals = _sr_intervals(f)
     elif kind == KIND_EDGE:
-        intervals = _edge_intervals(f, params)
+        intervals = _edge_intervals(f)
     else:
         raise ValueError(f"unknown barcode kind {kind!r}")
     final = step_associated_primes(Filtration.single(f.final(), params[-1]), kind)[0]
@@ -372,7 +373,7 @@ def betti_profile(
     k-bars of :func:`ph_barcode` alive at t."""
     if top is None:
         top = max(f.final().max_dim, 0)
-    params = f.params()
+    params = f.params
     index = {t: i for i, t in enumerate(params)}
     # delta[k][i]: k-bars born minus k-bars dying at step i
     delta = [[0] * len(params) for _ in range(top + 1)]
@@ -406,10 +407,8 @@ def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcod
     for m in order:
         col: dict[int, int] = {}
         if m.bit_count() > 1:
-            verts = [v + 1 for v in range(f.n) if m >> v & 1]
-            for u, v in enumerate(verts, start=1):
-                sub = m ^ (1 << (v - 1))
-                col[index[sub]] = -1 if u % 2 else 1
+            for u, bit in enumerate(_iter_bits(m), start=1):
+                col[index[m ^ bit]] = -1 if u % 2 else 1
         columns.append(col)
     pairs, unpaired = persistence_reduce(columns, field)
     top = max(f.final().max_dim, 0) if max_dim is None else max_dim
@@ -442,9 +441,9 @@ def witness_between_steps(f: Filtration, i: int) -> JumpWitness | None:
     mean equal maximal faces, hence equal complexes and ideals, so no
     prime indicator of any kind changes.
     """
-    if not 1 <= i < len(f.steps):
+    if not 1 <= i < len(f.params):
         raise ValueError(f"step index {i} out of range")
-    K_lo, K_hi = f.steps[i - 1][1], f.steps[i][1]
+    K_lo, K_hi = f.complex_at(f.params[i - 1]), f.complex_at(f.params[i])
     ass_lo, ass_hi = sr_associated_primes(K_lo), sr_associated_primes(K_hi)
     changed = sorted(ass_lo ^ ass_hi, key=LinearPrime.sort_key)
     if changed:
@@ -458,14 +457,14 @@ def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | 
     t0 must lie strictly between the first and last critical parameters.
     Returns None when the Betti number is continuous at t0.
     """
-    params = f.params()
+    params = f.params
     if not (params[0] < t0 < params[-1]):
         raise ValueError(f"t0={t0} is not strictly between {params[0]} and {params[-1]}")
     hi = f.index_at(t0)
     lo = hi - 1 if params[hi] == t0 else hi
     if lo == hi:
         return None
-    K_lo, K_hi = f.steps[lo][1], f.steps[hi][1]
+    K_lo, K_hi = f.complex_at(params[lo]), f.complex_at(params[hi])
     top = max(k0, 0)
     b_lo = betti_numbers(K_lo, field, top=top)
     b_hi = betti_numbers(K_hi, field, top=top)

@@ -35,7 +35,12 @@ __all__ = [
     "ph_barcode_to_dict",
     "dumps_json",
     "barcodes_svg",
+    "MAX_N",
 ]
+
+# Largest vertex count a JSON input may declare: the EDGE check of a barcode
+# recurses once per vertex (Bron-Kerbosch) and Python's limit is near 1000.
+MAX_N = 512
 
 
 class InputError(ValueError):
@@ -116,10 +121,13 @@ def parse_points_json(data, origin: str = "<input>") -> list[list[float]]:
     return out
 
 
-def _json_int(value, where: str) -> int:
-    """An integer read from JSON; booleans, floats and strings are refused."""
+def _json_int(value, where: str, most: int | None = None) -> int:
+    """An integer read from JSON, at most ``most`` if given; booleans,
+    floats and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where} is not an integer: {json.dumps(value)}")
+    if most is not None and value > most:
+        raise ValueError(f"{where} exceeds the supported maximum of {most}")
     return value
 
 
@@ -138,7 +146,7 @@ def complex_to_dict(K: SimplicialComplex) -> dict:
 
 def complex_from_dict(data, origin: str = "<input>") -> SimplicialComplex:
     try:
-        n = _json_int(data["n"], "'n'")
+        n = _json_int(data["n"], "'n'", MAX_N)
         faces = _json_faces(data["faces"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed complex JSON ({exc})") from None
@@ -155,7 +163,7 @@ def factored_to_dict(m: FactoredElement) -> dict:
 def factored_from_dict(data, table: AtomTable | None = None, origin: str = "<input>") -> FactoredElement:
     try:
         atoms = tuple(data["atoms"])
-        exps = tuple(int(e) for e in data["exp"])
+        exps = tuple(_json_int(e, f"exponent {k}") for k, e in enumerate(data["exp"], start=1))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed factored element ({exc})") from None
     if table is None:
@@ -174,7 +182,7 @@ def ideal_to_dict(I: MonomialIdeal) -> dict:
 
 def ideal_from_dict(data, origin: str = "<input>") -> MonomialIdeal:
     try:
-        n = int(data["ambient_n"])
+        n = _json_int(data["ambient_n"], "'ambient_n'", MAX_N)
         gens_raw = data["generators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed ideal JSON ({exc})") from None
@@ -217,7 +225,7 @@ def _expansion_to_json(poly: Polynomial) -> list:
 def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> LabelledComplex:
     """Labelled complex JSON: n, faces, atoms, labels, optional atom_polys."""
     try:
-        n = _json_int(data["n"], "'n'")
+        n = _json_int(data["n"], "'n'", MAX_N)
         faces = _json_faces(data["faces"])
         atoms = tuple(str(a) for a in data["atoms"])
         labels_raw = data["labels"]

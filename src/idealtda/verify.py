@@ -191,11 +191,11 @@ def suite_betti_jump_witness(rng: random.Random, trials: int, nmax: int = 7) -> 
     for t in range(trials):
         _, f = _random_vr(rng, nmax)
         profile = betti_profile(f, GF2)
-        for i in range(1, len(f.steps)):
+        for i in range(1, len(f.params)):
             if profile.betti[i] == profile.betti[i - 1]:
                 continue
             if witness_between_steps(f, i) is None:
-                res.note(f"trial {t}: jump at step {i} of {f.params()} has no witness")
+                res.note(f"trial {t}: jump at step {i} of {f.params} has no witness")
     return res
 
 

@@ -215,6 +215,8 @@ def test_barcodes_rejects_non_finite_points(tmp_path, capsys, token):
 
 
 _LABELLED = '"atoms": ["x1"], "labels": [[1], [1]]'
+_HUGE = "1" + "0" * 20
+_TOO_MANY = "'n' exceeds the supported maximum of 512"
 _EXPANDED = '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "s"], "labels": [[1, 0, 0], [0, 0, 1]], %s}'
 
 
@@ -254,6 +256,10 @@ _EXPANDED = '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "s"], "labels": [
             "atom s: expansion term 1 coefficient is not a rational number: true",
         ),
         ("labelled-json", _EXPANDED % '"atom_polys": []', "'atom_polys' must be an object, found []"),
+        ("complex-json", '{"n": %s, "faces": [[1, 2]]}' % _HUGE, _TOO_MANY),
+        ("complex-json", '{"n": 513, "faces": [[1, 2]]}', _TOO_MANY),
+        ("labelled-json", '{"n": %s, "faces": [[1, 2]], %s}' % (_HUGE, _LABELLED), _TOO_MANY),
+        ("labelled-json", '{"n": 513, "faces": [[1, 2]], %s}' % _LABELLED, _TOO_MANY),
     ],
 )
 def test_json_inputs_reject_non_integers(tmp_path, capsys, fmt, text, message):

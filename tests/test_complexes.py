@@ -198,7 +198,7 @@ def test_distance_matrix_validation():
 def test_vr_filtration_three_point_fixture(three_point_dist):
     f = vr_filtration(three_point_dist, max_dim=2)
     root2 = math.sqrt(2.0)
-    assert f.params() == (0.0, 1.0, root2)
+    assert f.params == (0.0, 1.0, root2)
     step0, step1, step2 = (K for _, K in f.steps)
     assert set(step0.faces()) == {(1,), (2,), (3,)}
     assert set(step1.faces()) == {(1,), (2,), (3,), (1, 2), (1, 3)}
@@ -210,14 +210,14 @@ def test_vr_filtration_three_point_fixture(three_point_dist):
 
 def test_vr_filtration_single_point():
     f = vr_filtration([[0.0]])
-    assert f.params() == (0.0,)
+    assert f.params == (0.0,)
     assert set(f.final().faces()) == {(1,)}
 
 
 def test_vr_filtration_duplicate_points_merge_at_zero():
     dist = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     f = vr_filtration(dist)
-    assert f.params() == (0.0, 0.5)
+    assert f.params == (0.0, 0.5)
     assert f.steps[0][1].has_face((1, 2))
 
 
@@ -257,14 +257,24 @@ def test_vr_equals_clique_complex_of_threshold_graph(three_point_dist):
 
 
 def test_filtration_validation():
-    K1 = SimplicialComplex.from_faces(2, [(1,)], close=True)
-    K2 = SimplicialComplex.from_faces(2, [(1, 2)], close=True)
+    births = {face_mask((1,)): 0.0, face_mask((2,)): 0.0, face_mask((1, 2)): 1.0}
     with pytest.raises(ValueError, match="strictly increasing"):
-        Filtration(2, ((0.0, K1), (0.0, K2)))
-    with pytest.raises(ValueError, match="monotone"):
-        Filtration(2, ((0.0, K2), (1.0, K1)))
+        Filtration(2, births, (0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Filtration(2, births, (1.0, 0.0))
+    with pytest.raises(ValueError, match="at least one step"):
+        Filtration(2, {}, ())
+    with pytest.raises(ValueError, match="critical parameter"):
+        Filtration(2, births, (0.0,))
     with pytest.raises(ValueError, match="subface"):
         Filtration.from_births(2, {face_mask((1, 2)): 0.0, face_mask((1,)): 1.0, face_mask((2,)): 0.0})
+    with pytest.raises(ValueError, match="outside"):
+        Filtration.from_births(2, {face_mask((3,)): 0.0})
+    with pytest.raises(ValueError, match="empty face"):
+        Filtration.from_births(2, {0: 0.0, face_mask((1,)): 0.0})
+    f = Filtration(2, births, (0.0, 1.0))
+    assert f.complex_at(0.5).faces() == [(1,), (2,)]
+    assert f.final().faces() == [(1,), (2,), (1, 2)]
 
 
 def test_filtration_helpers(three_point_dist):
@@ -275,7 +285,7 @@ def test_filtration_helpers(three_point_dist):
     assert f.complex_at(-1.0).is_empty
     assert f.complex_at(100.0) == f.final()
     single = Filtration.single(f.final())
-    assert single.params() == (0.0,)
+    assert single.params == (0.0,)
 
 
 def test_boundary_entries_hollow_triangle_signs():

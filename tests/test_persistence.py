@@ -95,7 +95,7 @@ def test_step_associated_primes_matches_transversal_oracle():
 
 def _assert_closed_forms_match_per_step_route(f):
     for kind in ("SR", "EDGE"):
-        oracle = _intervals_from_runs(step_associated_primes(f, kind), f.params(), kind)
+        oracle = _intervals_from_runs(step_associated_primes(f, kind), f.params, kind)
         assert prime_barcode(f, kind).intervals == oracle, kind
 
 
@@ -224,7 +224,7 @@ def test_ph_bar_counts_match_betti_profile():
         ph = ph_barcode(f)
         prof = betti_profile(f, GF2)
         top = f.final().max_dim
-        for t in f.params():
+        for t in f.params:
             for k in range(top + 1):
                 assert ph.count_at(t, k) == prof.at(t, k)
         for (_, K), row in zip(f.steps, prof.betti):
@@ -239,7 +239,7 @@ def test_ph_bar_counts_match_betti_profile_over_gf5():
         ph = ph_barcode(f, f5)
         prof = betti_profile(f, f5)
         top = f.final().max_dim
-        for t in f.params():
+        for t in f.params:
             for k in range(top + 1):
                 assert ph.count_at(t, k) == prof.at(t, k)
         for (_, K), row in zip(f.steps, prof.betti):
@@ -273,7 +273,7 @@ def test_betti_profile_matches_rank_route(reduced, field, top):
     for f in _profile_cases(rng):
         prof = betti_profile(f, field, reduced, top)
         want_top = max(f.final().max_dim, 0) if top is None else top
-        assert prof.params == f.params()
+        assert prof.params == f.params
         for (_, K), row in zip(f.steps, prof.betti, strict=True):
             assert list(row) == betti_numbers(K, field, reduced, want_top)
 
@@ -315,6 +315,20 @@ def test_witness_between_equal_steps_is_none():
     f = Filtration.from_births(2, {0b01: 0.0, 0b10: 0.0}, params=[0.0, 1.0])
     assert f.steps[0][1] == f.steps[1][1]
     assert witness_between_steps(f, 1) is None
+
+
+def test_production_path_builds_no_step_complexes():
+    f = vr_filtration(random_metric(random.Random(8), 7), max_dim=2)
+    prime_barcode(f, "SR")
+    prime_barcode(f, "EDGE")
+    ph_barcode(f)
+    betti_profile(f, GF2, reduced=True)
+    witness_between_steps(f, len(f.params) - 1)
+    jump_witness(f, 0, f.params[1])
+    assert "steps" not in vars(f)
+    # the lazy view agrees with the birth map
+    for t, K in f.steps:
+        assert K.face_masks == {m for m, b in f.birth_map.items() if b <= t}
 
 
 def test_coverage_report_fixtures(three_point_dist, three_point_filtration):

@@ -10,6 +10,7 @@ from idealtda.complexes import vr_filtration
 from idealtda.monomials import AtomTable, FactoredElement, MonomialIdeal
 from idealtda.persistence import ph_barcode, prime_barcode
 from idealtda.serialize import (
+    MAX_N,
     InputError,
     barcodes_svg,
     complex_from_dict,
@@ -85,6 +86,26 @@ def test_factored_and_ideal_roundtrip():
     )
     round_tripped = ideal_from_dict(ideal_to_dict(ideal))
     assert round_tripped == ideal
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, True, "1", None])
+def test_factored_and_ideal_from_dict_reject_non_integers(value):
+    table = AtomTable.for_variables(2)
+    with pytest.raises(InputError, match="exponent 2 is not an integer"):
+        factored_from_dict({"atoms": ["x1", "x2"], "exp": [1, value]}, table)
+    with pytest.raises(InputError, match="'ambient_n' is not an integer"):
+        ideal_from_dict({"ambient_n": value, "generators": []})
+    gen = {"atoms": ["x1", "x2"], "exp": [value, 0]}
+    with pytest.raises(InputError, match="exponent 1 is not an integer"):
+        ideal_from_dict({"ambient_n": 2, "generators": [gen]})
+
+
+def test_vertex_count_bound():
+    assert complex_from_dict({"n": MAX_N, "faces": [[1, MAX_N]]}).n == MAX_N
+    with pytest.raises(InputError, match="'n' exceeds the supported maximum"):
+        complex_from_dict({"n": MAX_N + 1, "faces": [[1, 2]]})
+    with pytest.raises(InputError, match="'ambient_n' exceeds the supported maximum"):
+        ideal_from_dict({"ambient_n": MAX_N + 1, "generators": []})
 
 
 def test_labelled_roundtrip_with_expansions(poly_labelled):
