@@ -96,6 +96,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer literal beyond Python's digit limit
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _outdir(path: str) -> Path:

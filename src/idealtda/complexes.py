@@ -430,24 +430,27 @@ def boundary_entries(
 
 def maximal_clique_masks(g: Graph) -> list[int]:
     """All maximal cliques of g as bitmasks (Bron-Kerbosch with pivoting)."""
-    adj = g.adjacency
-    out: list[int] = []
-    all_mask = (1 << g.n) - 1
+    return _maximal_cliques(g.n, g.adjacency)
 
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
+
+def _maximal_cliques(n: int, adj: Sequence[int]) -> list[int]:
+    """Sorted maximal cliques of the graph on 1..n whose vertex v has the
+    neighbour mask adj[v], by Bron-Kerbosch with pivoting on an explicit
+    stack, so clique size is not bounded by the recursion limit."""
+    out: list[int] = []
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        pool = p | x
+        if not pool:
             if r:
                 out.append(r)
-            return
-        pool = p | x
+            continue
         u = (pool & -pool).bit_length()
         # branch only on vertices not adjacent to the pivot u
         for bit in _iter_bits(p & ~adj[u]):
             v = bit.bit_length()
-            bk(r | bit, p & adj[v], x & adj[v])
+            stack.append((r | bit, p & adj[v], x & adj[v]))
             p ^= bit
             x |= bit
-
-    if g.n:
-        bk(0, all_mask, 0)
     return sorted(out)

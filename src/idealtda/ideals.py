@@ -15,9 +15,9 @@ from itertools import combinations
 from .complexes import (
     Graph,
     SimplicialComplex,
+    _maximal_cliques,
     face_mask,
     mask_face,
-    maximal_clique_masks,
     maximal_faces,
     minimal_nonfaces,
 )
@@ -107,11 +107,14 @@ def minimal_vertex_covers(g: Graph) -> frozenset[LinearPrime]:
     """All inclusion-minimal vertex covers of g, as linear primes.
 
     Combinatorial route: complements of the maximal independent sets,
-    i.e. of the maximal cliques of the complement graph.
+    i.e. of the maximal cliques of the complement graph, searched on its
+    neighbour masks without listing its edges.
     """
     full = (1 << g.n) - 1
+    adj = g.adjacency
+    complement = [0] + [full ^ adj[v] ^ (1 << (v - 1)) for v in range(1, g.n + 1)]
     covers = set()
-    for clique in maximal_clique_masks(complement_graph(g)):
+    for clique in _maximal_cliques(g.n, complement):
         covers.add(LinearPrime(mask_face(full & ~clique)))
     if g.n == 0:
         covers.add(LinearPrime(()))

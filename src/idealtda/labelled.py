@@ -9,20 +9,24 @@ facet by the exact label quotient:
 with u counting the removed vertex's position from 1 (so removing the
 smallest vertex carries sign -1, and in reduced mode d({i}) = -m_i * 0).
 
-Boundary entries are kept as polynomials in the atom ring (atoms treated
-as independent symbols), which is exact for the formal identities here;
-fraction-field ranks substitute composite atoms by their expansions and
-run fraction-free elimination over the genuine polynomial ring.
+Every nonzero entry is a signed monomial in the atoms, so each boundary
+is stored as sparse columns of (row, sign, exponent vector of
+m_sigma / m_tau) and built once per labelled complex.  The chain and
+diagonal checks are exponent arithmetic on those entries (atoms treated
+as independent symbols, which is exact for these formal identities);
+evaluation, fraction-field ranks (composite atoms expanded, fraction-free
+elimination over the genuine polynomial ring) and graded slices densify
+the same columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, boundary_entries, face_mask, full_subcomplex, mask_face
+from .complexes import Face, SimplicialComplex, _iter_bits, boundary_entries, face_mask, full_subcomplex, mask_face
 from .linalg import QQ, Polynomial, bareiss_rank, rank_dense
 from .monomials import AtomTable, FactoredElement
 from .persistence import _boundary_dense, betti_from_ranks, classical_betti, classical_boundary_ranks
@@ -108,6 +112,31 @@ class LabelledComplex:
             full_subcomplex(self.complex, W), self.table, self.vertex_labels, self.reduced
         )
 
+    @cached_property
+    def _boundary(self) -> "BoundaryMatrices":
+        """The boundary matrices as sparse signed-monomial columns (see
+        :func:`boundary_matrices`); signs follow the lowest-vertex-first order."""
+        labels = self.face_labels
+        out = []
+        for k in range(0 if self.reduced else 1, self.complex.max_dim + 1):
+            col_masks = self.complex.masks_of_dim(k)
+            if not col_masks:
+                continue
+            row_masks = [0] if k == 0 else self.complex.masks_of_dim(k - 1)
+            row_index = {m: i for i, m in enumerate(row_masks)}
+            columns = []
+            for cm in col_masks:
+                m_sigma = labels[cm].exps
+                col = []
+                for u, bit in enumerate(_iter_bits(cm), start=1):
+                    sub = cm ^ bit
+                    quotient = tuple(a - b for a, b in zip(m_sigma, labels[sub].exps))
+                    col.append((row_index[sub], -1 if u % 2 else 1, quotient))
+                columns.append(tuple(col))
+            rows = tuple(mask_face(m) for m in row_masks)
+            out.append(ChainMatrix(k, rows, tuple(mask_face(m) for m in col_masks), tuple(columns)))
+        return BoundaryMatrices(tuple(out))
+
 
 def make_labelled(
     K: SimplicialComplex,
@@ -125,16 +154,26 @@ class ChainMatrix:
     """Matrix of the boundary map in one dimension, canonical bases.
 
     Rows are the (k-1)-faces, columns the k-faces, both in colex order;
-    in reduced degree 0 the single row is the empty face ().
+    in reduced degree 0 the single row is the empty face ().  Column j
+    lists its nonzeros as (row index, sign, exponent vector of the
+    quotient m_sigma / m_tau).
     """
 
     k: int
     rows: tuple[Face, ...]
     cols: tuple[Face, ...]
-    entries: tuple[tuple[Polynomial, ...], ...]
+    columns: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
+
+    def dense(self, entry: Callable[[int, tuple[int, ...]], object], zero) -> list[list]:
+        """Dense matrix with entry(sign, exps) at each nonzero and zero elsewhere."""
+        out = [[zero] * len(self.cols) for _ in self.rows]
+        for j, col in enumerate(self.columns):
+            for i, sign, exps in col:
+                out[i][j] = entry(sign, exps)
+        return out
 
     def render(self, names: Sequence[str]) -> list[list[str]]:
-        return [[e.render(names) for e in row] for row in self.entries]
+        return self.dense(lambda s, e: Polynomial.monomial(len(e), e, s).render(names), "0")
 
 
 @dataclass(frozen=True)
@@ -151,95 +190,60 @@ class BoundaryMatrices:
         return [m.k for m in self.matrices]
 
 
-def _quotient_poly(num: FactoredElement, den: FactoredElement, sign: int) -> Polynomial:
-    q = num.over(den)
-    return Polynomial.monomial(len(q.table.atoms), q.exps, sign)
-
-
 def boundary_matrices(LC: LabelledComplex) -> BoundaryMatrices:
     """All boundary matrices of the labelled chain complex.
 
     Dimensions run from 1 (or 0 in reduced mode) to the top dimension;
-    entries are signed atom-ring monomials m_sigma / m_tau.
+    entries are signed atom-ring monomials m_sigma / m_tau.  Built once
+    per labelled complex and cached on it.
     """
-    K = LC.complex
-    natoms = len(LC.table.atoms)
-    labels = LC.face_labels
-    out = []
-    start = 0 if LC.reduced else 1
-    for k in range(start, K.max_dim + 1):
-        col_masks = K.masks_of_dim(k)
-        if not col_masks:
-            continue
-        if k == 0:
-            rows: tuple[Face, ...] = ((),)
-            row_index = {0: 0}
-            row_masks = [0]
-        else:
-            row_masks = K.masks_of_dim(k - 1)
-            rows = tuple(mask_face(m) for m in row_masks)
-            row_index = {m: i for i, m in enumerate(row_masks)}
-        zero = Polynomial.zero(natoms)
-        dense = [[zero] * len(col_masks) for _ in row_masks]
-        for j, cm in enumerate(col_masks):
-            verts = mask_face(cm)
-            for u, v in enumerate(verts, start=1):
-                sub = cm ^ (1 << (v - 1))
-                sign = -1 if u % 2 else 1
-                dense[row_index[sub]][j] = _quotient_poly(labels[cm], labels[sub], sign)
-        out.append(
-            ChainMatrix(
-                k,
-                rows,
-                tuple(mask_face(m) for m in col_masks),
-                tuple(tuple(r) for r in dense),
-            )
-        )
-    return BoundaryMatrices(tuple(out))
+    return LC._boundary
+
+
+def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def chain_condition_check(LC: LabelledComplex) -> bool:
     """Verify d_{k-1} o d_k = 0 symbolically in the atom ring."""
     bm = boundary_matrices(LC)
-    natoms = len(LC.table.atoms)
-    zero = Polynomial.zero(natoms)
     for upper in bm.matrices:
         lower = bm.matrix(upper.k - 1)
         if lower is None:
             continue
-        for i in range(len(lower.rows)):
-            for j in range(len(upper.cols)):
-                acc = zero
-                for t in range(len(upper.rows)):
-                    a = lower.entries[i][t]
-                    b = upper.entries[t][j]
-                    if a and b:
-                        acc = acc + a * b
-                if acc:
-                    return False
+        for col in upper.columns:
+            coeffs: dict[tuple[int, tuple[int, ...]], int] = {}
+            for t, s1, e1 in col:
+                for i, s2, e2 in lower.columns[t]:
+                    key = (i, _add(e1, e2))
+                    coeffs[key] = coeffs.get(key, 0) + s1 * s2
+            if any(coeffs.values()):
+                return False
     return True
 
 
 def diag_relation_check(LC: LabelledComplex) -> bool:
     """Entrywise identity D~_k = diag(1/m_row) D_k diag(m_col) over Frac(R).
 
-    Checked by cross multiplication in the atom ring: for every entry,
-    D~[t, s] * m_t must equal D[t, s] * m_s, where D is the classical
-    signed boundary matrix built independently.
+    For every entry, D~[t, s] * m_t must equal D[t, s] * m_s, where D is
+    the classical signed boundary matrix built independently: the
+    nonzeros sit at the same positions with the same signs, and each
+    quotient exponent vector plus that of m_t is the one of m_s.
     """
     bm = boundary_matrices(LC)
-    natoms = len(LC.table.atoms)
     labels = LC.face_labels
     for cm in bm.matrices:
         _, _, classical = boundary_entries(LC.complex, cm.k, reduced=LC.reduced)
-        for i, tau in enumerate(cm.rows):
-            m_tau = Polynomial.monomial(natoms, labels[face_mask(tau)].exps)
-            for j, sigma in enumerate(cm.cols):
-                m_sigma = Polynomial.monomial(natoms, labels[face_mask(sigma)].exps)
-                lhs = cm.entries[i][j] * m_tau
-                rhs = m_sigma * classical.get((i, j), 0)
-                if lhs != rhs:
+        row_labels = [labels[face_mask(tau)].exps for tau in cm.rows]
+        nonzeros = set()
+        for j, (sigma, col) in enumerate(zip(cm.cols, cm.columns)):
+            m_sigma = labels[face_mask(sigma)].exps
+            for i, sign, exps in col:
+                nonzeros.add((i, j))
+                if classical.get((i, j)) != sign or _add(exps, row_labels[i]) != m_sigma:
                     return False
+        if nonzeros != classical.keys():
+            return False
     return True
 
 
@@ -272,12 +276,22 @@ class EvaluationPoint:
         return [poly.evaluate(var_values) for poly in table.atom_polynomials()]
 
     def label_value(self, label: FactoredElement) -> Fraction:
-        values = self.atom_values(label.table)
-        out = Fraction(1)
-        for v, e in zip(values, label.exps):
-            if e:
-                out *= v**e
-        return out
+        return _monomial_value(self.atom_values(label.table), label.exps)
+
+
+def _monomial_value(values: Sequence[Fraction], exps: Sequence[int]) -> Fraction:
+    out = Fraction(1)
+    for v, e in zip(values, exps):
+        if e:
+            out *= v**e
+    return out
+
+
+def _to_field(field, q: Fraction):
+    try:
+        return field.from_fraction(q)
+    except ZeroDivisionError:
+        raise ValueError(f"coordinate denominators are not invertible in {field.name}") from None
 
 
 @dataclass
@@ -306,34 +320,18 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
     :class:`InadmissiblePointError` lists the vanishing vertex labels.
     """
     values = point.atom_values(LC.table)
-
-    def to_field(q: Fraction):
-        try:
-            return field.from_fraction(q)
-        except ZeroDivisionError:
-            raise ValueError(
-                f"coordinate denominators are not invertible in {field.name}"
-            ) from None
-
     vanishing = []
     for v in sorted(LC.complex.vertices()):
         label = LC.vertex_labels[v - 1]
-        val = Fraction(1)
-        for x, e in zip(values, label.exps):
-            if e:
-                val *= x**e
-        if to_field(val) == field.zero:
+        if _to_field(field, _monomial_value(values, label.exps)) == field.zero:
             vanishing.append((v, str(label)))
     if vanishing:
         raise InadmissiblePointError(vanishing)
-    bm = boundary_matrices(LC)
     ncells = {k: LC.ncells(k) for k in LC.dims()}
-    matrices: dict[int, list[list]] = {}
-    for cm in bm.matrices:
-        dense = []
-        for row in cm.entries:
-            dense.append([to_field(e.evaluate(values)) for e in row])
-        matrices[cm.k] = dense
+    matrices = {
+        cm.k: cm.dense(lambda s, e: _to_field(field, s * _monomial_value(values, e)), field.zero)
+        for cm in boundary_matrices(LC).matrices
+    }
     return EvaluatedChain(field, ncells, matrices)
 
 
@@ -342,29 +340,21 @@ def evaluation_ranks(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> d
     return evaluate_chain(LC, point, field).ranks()
 
 
-def _expanded_matrix(cm: ChainMatrix, table: AtomTable) -> list[list[Polynomial]]:
-    atoms = table.atom_polynomials()
-    nv = len(table.variables)
-    cache: dict[Polynomial, Polynomial] = {}
-
-    def expand(p: Polynomial) -> Polynomial:
-        if p not in cache:
-            cache[p] = p.substitute(atoms, nv)
-        return cache[p]
-
-    return [[expand(e) for e in row] for row in cm.entries]
-
-
 def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     """Rank of every boundary matrix over the fraction field of the ring.
 
     Composite atoms are substituted by their polynomial expansions and the
     rank is computed by exact fraction-free elimination.
     """
-    out = {}
-    for cm in boundary_matrices(LC).matrices:
-        out[cm.k] = bareiss_rank(_expanded_matrix(cm, LC.table))
-    return out
+    atoms = LC.table.atom_polynomials()
+    nvars = len(LC.table.variables)
+
+    @cache
+    def expand(sign: int, exps: tuple[int, ...]) -> Polynomial:
+        return Polynomial.monomial(len(atoms), exps, sign).substitute(atoms, nvars)
+
+    zero = Polynomial.zero(nvars)
+    return {cm.k: bareiss_rank(cm.dense(expand, zero)) for cm in boundary_matrices(LC).matrices}
 
 
 def local_subcomplex(
@@ -385,13 +375,7 @@ def local_subcomplex(
     W = []
     if point is not None:
         for v in range(1, LC.complex.n + 1):
-            try:
-                value = field.from_fraction(point.label_value(LC.vertex_labels[v - 1]))
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"coordinate denominators are not invertible in {field.name}"
-                ) from None
-            if value != field.zero:
+            if _to_field(field, point.label_value(LC.vertex_labels[v - 1])) != field.zero:
                 W.append(v)
     else:
         allowed = set(allowed_atoms)
@@ -451,43 +435,20 @@ def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
     if len(alpha) != len(LC.table.atoms):
         raise ValueError("alpha length must match the number of variables")
     m_alpha = FactoredElement.from_exponents(LC.table, alpha)
-    labels = LC.face_labels
-    sub_masks = frozenset(
-        m for m in LC.complex.face_masks if labels[m].divides(m_alpha)
+    # a face label divides x^alpha exactly when all its vertex labels do
+    window = LC.restrict(
+        v for v in range(1, LC.complex.n + 1) if LC.vertex_labels[v - 1].divides(m_alpha)
     )
-    sub = SimplicialComplex(LC.complex.n, sub_masks)
-    dims = [-1] + (list(range(sub.max_dim + 1)) if sub_masks else [])
-    bases: dict[int, list[tuple[Face, FactoredElement]]] = {}
-    order: dict[int, dict[int, int]] = {}
-    for k in dims:
-        masks = [0] if k == -1 else sub.masks_of_dim(k)
-        order[k] = {m: i for i, m in enumerate(masks)}
-        bases[k] = [(mask_face(m), m_alpha.over(labels[m])) for m in masks]
-    matrices: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
-    for k in dims:
-        if k == -1 or not bases[k]:
-            continue
-        rows = bases[k - 1]
-        dense = [[Fraction(0)] * len(bases[k]) for _ in rows]
-        for j, (sigma, _) in enumerate(bases[k]):
-            cm = face_mask(sigma)
-            for u, v in enumerate(sigma, start=1):
-                sub_mask = cm ^ (1 << (v - 1))
-                sign = -1 if u % 2 else 1
-                # slice coefficient: sign * (m_sigma/m_tau) * cofactor ratio, a unit
-                ratio = labels[cm].over(labels[sub_mask])
-                cof = m_alpha.over(labels[cm]).times(ratio)
-                if cof.exps != m_alpha.over(labels[sub_mask]).exps:
-                    raise AssertionError("slice coefficient is not a unit")
-                dense[order[k - 1][sub_mask]][j] = Fraction(sign)
-        matrices[k] = tuple(tuple(r) for r in dense)
-    return GradedSlice(
-        tuple(alpha),
-        m_alpha,
-        sub,
-        tuple((k, tuple(bases[k])) for k in dims),
-        tuple(sorted(matrices.items())),
+    labels = window.face_labels
+    bases = []
+    for k in window.dims():
+        masks = [0] if k == -1 else window.complex.masks_of_dim(k)
+        bases.append((k, tuple((mask_face(m), m_alpha.over(labels[m])) for m in masks)))
+    matrices = tuple(
+        (cm.k, tuple(map(tuple, cm.dense(lambda s, e: Fraction(s), Fraction(0)))))
+        for cm in boundary_matrices(window).matrices
     )
+    return GradedSlice(tuple(alpha), m_alpha, window.complex, tuple(bases), matrices)
 
 
 def slice_iso_check(LC: LabelledComplex, alpha: Sequence[int]) -> bool:

@@ -178,20 +178,6 @@ class FactoredElement:
     def squarefree_part(self) -> "FactoredElement":
         return FactoredElement(self.table, tuple(1 if e else 0 for e in self.exps))
 
-    def atom_polynomial(self) -> Polynomial:
-        """Single-term polynomial in the atom ring (atoms as variables)."""
-        return Polynomial.monomial(len(self.table.atoms), self.exps)
-
-    def expanded_polynomial(self) -> Polynomial:
-        """Polynomial over the variable atoms, composite atoms expanded."""
-        atoms = self.table.atom_polynomials()
-        nv = len(self.table.variables)
-        out = Polynomial.const(nv, 1)
-        for poly, e in zip(atoms, self.exps):
-            if e:
-                out = out * poly**e
-        return out
-
     def __str__(self) -> str:
         if self.is_unit:
             return "1"

@@ -104,9 +104,6 @@ class PrimeBarcode:
     def primes(self) -> frozenset[LinearPrime]:
         return frozenset(iv.prime for iv in self.intervals)
 
-    def intervals_for(self, prime: LinearPrime) -> tuple[PrimeInterval, ...]:
-        return tuple(iv for iv in self.intervals if iv.prime == prime)
-
     def finite_endpoints(self) -> list[float]:
         out = []
         for iv in self.intervals:

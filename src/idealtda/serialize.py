@@ -38,8 +38,9 @@ __all__ = [
     "MAX_N",
 ]
 
-# Largest vertex count a JSON input may declare: the EDGE check of a barcode
-# recurses once per vertex (Bron-Kerbosch) and Python's limit is near 1000.
+# Largest vertex count a JSON input may declare.  Cost grows fast with n even
+# for a tiny complex: `barcodes` on {"n": N, "faces": [[1, 2]]} took 0.36 s and
+# 45 MiB at N=512 and 1.3 s and 113 MiB at N=900 (CPython 3.11, 2-vCPU VM).
 MAX_N = 512
 
 

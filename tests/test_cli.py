@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -173,6 +174,42 @@ def test_labelled_unit_labels_all_trivial(tmp_path):
     assert report["evaluation"]["equal"] is True
 
 
+_POLY_LABELLED = {
+    "n": 3,
+    "faces": [[1, 2, 3]],
+    "atoms": ["x1", "x2", "x1+x2"],
+    "atom_polys": {"x1+x2": [[1, [1, 0]], [1, [0, 1]]]},
+    "labels": [[0, 0, 1], [1, 0, 0], [1, 1, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "data, flags, digest",
+    [
+        (
+            None,
+            ["--alpha", "0,1,1,1", "--point", "x1=1,x2=2,x3=1/2,x4=-3"],
+            "9f3847186d88f9b22932310d2815b08320d05967fb4b2f7eab42a8fc32a6ce61",
+        ),
+        (
+            _POLY_LABELLED,
+            ["--point", "x1=1,x2=-1"],
+            "8b217ae13e33cdf52db81093d8e6236db13a3d452d5168651e8c51fad33e6275",
+        ),
+    ],
+    ids=["worked-alpha-point", "composite-inadmissible-point"],
+)
+def test_labelled_report_bytes(tmp_path, worked_json, data, flags, digest):
+    # pins report.json byte for byte: matrices, verdicts, ranks, evaluation, slice
+    path = worked_json
+    if data is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+    out = tmp_path / "rep"
+    assert main(["labelled", "--input", str(path), "--out", str(out)] + flags) == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+
+
 def test_labelled_bad_flags(worked_json, tmp_path, capsys):
     assert main(["labelled", "--input", str(worked_json), "--alpha", "1,a", "--out", str(tmp_path / "o")]) == 2
     assert main(["labelled", "--input", str(worked_json), "--point", "x1", "--out", str(tmp_path / "o")]) == 2
@@ -268,3 +305,20 @@ def test_json_inputs_reject_non_integers(tmp_path, capsys, fmt, text, message):
     command = "labelled" if fmt == "labelled-json" else "barcodes"
     assert main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["complex-json", "labelled-json"])
+def test_json_inputs_reject_overlong_integers(tmp_path, capsys, fmt):
+    # beyond 4300 digits json.load raises a plain ValueError, not a JSONDecodeError
+    path = tmp_path / "in.json"
+    path.write_text('{"n": 1%s, "faces": [[1, 2]], %s}' % ("0" * 5000, _LABELLED))
+    command = "labelled" if fmt == "labelled-json" else "barcodes"
+    assert main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {path}: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
+def test_json_decode_errors_keep_their_position(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text('{"n": 3,\n "faces": [[1, 2]')
+    assert main(["barcodes", "--input", str(path), "--format", "complex-json", "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {path}:2:" in capsys.readouterr().err

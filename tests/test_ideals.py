@@ -148,6 +148,12 @@ def test_minimal_vertex_covers_fixtures():
     }
 
 
+def test_minimal_vertex_covers_large_sparse_graph():
+    # the independent sets have 1199 vertices: deeper than the recursion limit
+    g = Graph.from_edges(1200, [(1, 2)])
+    assert minimal_vertex_covers(g) == {LinearPrime((1,)), LinearPrime((2,))}
+
+
 def test_minimal_vertex_covers_exhaustive_predicate_oracle():
     rng = random.Random(2)
     for _ in range(40):

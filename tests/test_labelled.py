@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -399,3 +400,46 @@ def test_restrict_and_dims(worked_labelled):
     restricted = worked_labelled.restrict((1, 4))
     assert set(restricted.complex.faces()) == {(1,), (4,), (1, 4)}
     assert restricted.reduced
+
+
+def test_boundary_matrices_built_once(worked_labelled):
+    assert boundary_matrices(worked_labelled) is boundary_matrices(worked_labelled)
+
+
+def _tampered(bm, k, j, edit):
+    """Copy of bm with column j of d_k replaced by edit(column)."""
+    mats = []
+    for cm in bm.matrices:
+        if cm.k == k:
+            columns = list(cm.columns)
+            columns[j] = edit(columns[j])
+            cm = dataclasses.replace(cm, columns=tuple(columns))
+        mats.append(cm)
+    return dataclasses.replace(bm, matrices=tuple(mats))
+
+
+def _flip_sign(col):
+    (i, s, e), *rest = col
+    return ((i, -s, e), *rest)
+
+
+def _bump_exponent(col):
+    (i, s, e), *rest = col
+    return ((i, s, (e[0] + 1,) + e[1:]), *rest)
+
+
+def _drop_nonzero(col):
+    return col[1:]
+
+
+@pytest.mark.parametrize("edit", [_flip_sign, _bump_exponent, _drop_nonzero])
+@pytest.mark.parametrize("k", [1, 2])
+def test_checks_reject_tampered_boundaries(monkeypatch, worked_labelled, edit, k):
+    import idealtda.labelled as labelled
+
+    LC = worked_labelled
+    assert chain_condition_check(LC) and diag_relation_check(LC)
+    bad = _tampered(boundary_matrices(LC), k, 0, edit)
+    monkeypatch.setattr(labelled, "boundary_matrices", lambda _: bad)
+    assert not diag_relation_check(LC)
+    assert not chain_condition_check(LC)
