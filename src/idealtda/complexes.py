@@ -8,6 +8,13 @@ increasing tuple of vertices.
 Canonical basis order: within each dimension, faces are sorted by their
 bitmask value, i.e. colexicographically.  All boundary matrices in the
 package use this order.
+
+One clique walk, ``_cliques``, enumerates both clique complexes and
+Vietoris-Rips complexes (the cliques of the complete graph).  It lists a
+clique right after the clique without its highest vertex, so VR births
+are built along it from earlier births instead of from all vertex pairs
+of every face.  The walk and the downward closure of input faces stop
+with a ``ValueError`` beyond ``MAX_FACES`` faces.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -33,9 +39,16 @@ __all__ = [
     "validate_distance_matrix",
     "boundary_entries",
     "maximal_clique_masks",
+    "MAX_FACES",
 ]
 
 Face = tuple[int, ...]
+
+# Largest number of faces a complex may have; time and memory grow about
+# linearly in the faces.  `barcodes --format points-json --svg` on full VR of
+# 2-d clouds took 0.4 s / 23 MiB at n=13 (8191 faces), 3.3 s / 73 MiB at n=16
+# (65535) and 7.7 s / 130 MiB at n=17 (131071) (CPython 3.11, 2-vCPU VM).
+MAX_FACES = 1 << 16
 
 
 def face_mask(face: Iterable[int]) -> int:
@@ -70,6 +83,11 @@ def _iter_bits(mask: int):
         mask ^= bit
 
 
+def _check_face_budget(count: int) -> None:
+    if count > MAX_FACES:
+        raise ValueError(f"the complex has more than {MAX_FACES} faces, the supported maximum")
+
+
 def _downward_closure(masks: Iterable[int]) -> frozenset[int]:
     closed: set[int] = set()
     stack = [m for m in masks if m]
@@ -78,6 +96,7 @@ def _downward_closure(masks: Iterable[int]) -> frozenset[int]:
         if m in closed:
             continue
         closed.add(m)
+        _check_face_budget(len(closed))
         if m.bit_count() > 1:
             for bit in _iter_bits(m):
                 sub = m ^ bit
@@ -282,31 +301,32 @@ class Filtration:
         return SimplicialComplex(self.n, frozenset(m for m, b in self.birth_map.items() if b <= t))
 
 
+def _cliques(n: int, adj: Sequence[int], max_size: int) -> list[int]:
+    """Cliques of at most max_size vertices of the graph on 1..n where v has
+    the neighbour mask adj[v], depth-first on a stack of (clique, common
+    neighbours above its top vertex).  A clique is listed after the clique
+    without its top vertex and after that clique's other extensions."""
+    out: list[int] = []
+    stack = [(0, (1 << n) - 1)]
+    while stack:
+        mask, cand = stack.pop()
+        grow = mask.bit_count() + 1 < max_size
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            out.append(mask | bit)
+            if grow and (common := cand & adj[bit.bit_length()]):
+                stack.append((mask | bit, common))
+        _check_face_budget(len(out))
+    return out
+
+
 def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
     """Complex of all cliques of g with dimension <= max_dim (default n-1)."""
     max_size = g.n if max_dim is None else max_dim + 1
     if max_size < 1:
         raise ValueError("max_dim must be nonnegative")
-    adj = g.adjacency
-    cliques: set[int] = set()
-
-    def grow(mask: int, cand: int, size: int) -> None:
-        cliques.add(mask)
-        if size == max_size:
-            return
-        rest = cand
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length()
-            grow(mask | bit, rest & adj[v], size + 1)
-
-    above = 0
-    for v in range(g.n, 0, -1):
-        bit = 1 << (v - 1)
-        grow(bit, above & adj[v], 1)
-        above |= bit
-    return SimplicialComplex(g.n, frozenset(cliques))
+    return SimplicialComplex(g.n, frozenset(_cliques(g.n, g.adjacency, max_size)))
 
 
 def full_subcomplex(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex:
@@ -386,20 +406,20 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
         max_dim = n - 1
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    half = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            half[(i + 1, j + 1)] = dist[i][j] / 2.0
+    half = [[d / 2.0 for d in row] for row in dist]
+    full = (1 << n) - 1
     births: dict[int, float] = {}
-    verts = range(1, n + 1)
-    for size in range(1, min(max_dim + 1, n) + 1):
-        for comb in combinations(verts, size):
-            if size == 1:
-                t = 0.0
-            else:
-                t = max(half[(a, b)] for a, b in combinations(comb, 2))
-            births[face_mask(comb)] = t
-    params = [0.0] + list(half.values())
+    for m in _cliques(n, [0] + [full ^ (1 << v) for v in range(n)], max_dim + 1):
+        top = m.bit_length() - 1
+        rest = m ^ (1 << top)
+        second = rest.bit_length() - 1
+        if second < 0:
+            births[m] = 0.0
+        elif rest == 1 << second:
+            births[m] = half[second][top]
+        else:  # pairs of m - top, of m - second, and {second, top}; ties keep b(m - top)
+            births[m] = max(births[rest], births[m ^ (1 << second)], half[second][top])
+    params = [0.0] + [half[i][j] for i in range(n) for j in range(i + 1, n)]
     return Filtration.from_births(n, births, params=params)
 
 

@@ -36,12 +36,21 @@ __all__ = [
     "dumps_json",
     "barcodes_svg",
     "MAX_N",
+    "MAX_EXPONENT",
 ]
 
 # Largest vertex count a JSON input may declare.  Cost grows fast with n even
 # for a tiny complex: `barcodes` on {"n": N, "faces": [[1, 2]]} took 0.36 s and
 # 45 MiB at N=512 and 1.3 s and 113 MiB at N=900 (CPython 3.11, 2-vCPU VM).
 MAX_N = 512
+
+# Largest exponent in a label, a factored element or an atom expansion term.
+# Expanding composite atoms costs a power of the exponent: `labelled --point`
+# on one edge labelled (x1+x2)^E took 0.26 s at E=200 and 1.4 s at E=500, and
+# on a triangle with three composite atoms, expansion and label exponents all
+# E, 1.0 s / 46 MiB at E=32, 4.2 s / 127 MiB at E=50 and 39 s / 909 MiB at
+# E=100 (CPython 3.11, 2-vCPU VM).
+MAX_EXPONENT = 32
 
 
 class InputError(ValueError):
@@ -164,7 +173,9 @@ def factored_to_dict(m: FactoredElement) -> dict:
 def factored_from_dict(data, table: AtomTable | None = None, origin: str = "<input>") -> FactoredElement:
     try:
         atoms = tuple(data["atoms"])
-        exps = tuple(_json_int(e, f"exponent {k}") for k, e in enumerate(data["exp"], start=1))
+        exps = tuple(
+            _json_int(e, f"exponent {k}", MAX_EXPONENT) for k, e in enumerate(data["exp"], start=1)
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed factored element ({exc})") from None
     if table is None:
@@ -197,7 +208,9 @@ def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
     for t, item in enumerate(raw, start=1):
         try:
             coeff, exps = item
-            exps = tuple(_json_int(e, f"term {t} exponent {k}") for k, e in enumerate(exps, start=1))
+            exps = tuple(
+                _json_int(e, f"term {t} exponent {k}", MAX_EXPONENT) for k, e in enumerate(exps, start=1)
+            )
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: malformed atom expansion term ({exc})") from None
         try:
@@ -251,7 +264,7 @@ def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> 
     labels = []
     for i, exps in enumerate(labels_raw, start=1):
         try:
-            exps = tuple(_json_int(e, f"exponent {k}") for k, e in enumerate(exps, start=1))
+            exps = tuple(_json_int(e, f"exponent {k}", MAX_EXPONENT) for k, e in enumerate(exps, start=1))
             labels.append(FactoredElement(table, exps))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: bad label for vertex {i} ({exc})") from None

@@ -33,6 +33,8 @@ from .labelled import (
 from .linalg import GF2, PrimeField, QQ
 from .monomials import AtomTable, FactoredElement, minimal_primes_squarefree
 from .persistence import (
+    NoResurrectionError,
+    _intervals_from_runs,
     betti_profile,
     classical_betti,
     classical_boundary_ranks,
@@ -158,14 +160,11 @@ def suite_clique_complement_identity(rng: random.Random, trials: int, nmax: int 
     return res
 
 
-def _contiguous(idxs: list[int]) -> bool:
-    return idxs[-1] - idxs[0] + 1 == len(idxs)
-
-
 def suite_prime_interval_uniqueness(
     rng: random.Random, trials: int, nmax: int = 7, inject_fault: bool = False
 ) -> SuiteResult:
-    """Every prime is associated along one contiguous run of steps."""
+    """Every prime is associated along one contiguous run of steps, and
+    those runs are the closed-form bars of ``prime_barcode``."""
     res = SuiteResult("prime interval uniqueness", trials)
     for t in range(trials):
         _, f = _random_vr(rng, nmax)
@@ -175,13 +174,13 @@ def suite_prime_interval_uniqueness(
                 victim = sorted(ass[0], key=lambda p: p.sort_key())[0]
                 ass[len(ass) // 2].discard(victim)
                 ass[-1].add(victim)
-            present: dict = {}
-            for i, step in enumerate(ass):
-                for p in step:
-                    present.setdefault(p, []).append(i)
-            for p, idxs in present.items():
-                if not _contiguous(idxs):
-                    res.note(f"trial {t}: {kind} prime {p} resurrects at steps {idxs}")
+            try:
+                runs = _intervals_from_runs(ass, f.params, kind)
+            except NoResurrectionError as exc:
+                res.note(f"trial {t}: {exc}")
+                continue
+            if prime_barcode(f, kind).intervals != runs:
+                res.note(f"trial {t}: {kind} closed-form bars differ from the per-step runs")
     return res
 
 

@@ -3,11 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from idealtda.cli import main
+from idealtda.complexes import MAX_FACES
+from idealtda.serialize import MAX_EXPONENT
 
 
 @pytest.fixture
@@ -54,6 +57,48 @@ def test_barcodes_deterministic(three_csv, tmp_path):
     assert main(["barcodes", "--input", str(three_csv), "--out", str(a)]) == 0
     assert main(["barcodes", "--input", str(three_csv), "--out", str(b)]) == 0
     assert (a / "barcodes.json").read_bytes() == (b / "barcodes.json").read_bytes()
+
+
+# six points in four places (1 = 3 and 2 = 6), integer ties, and -0 cells that
+# reach barcodes.json as -0.0 births
+_TIED_CSV = "0,1,-0,2,1,1\n1,0,1,2,2,-0\n0,1,0,2,1,1\n2,2,2,0,1,2\n1,2,1,1,0,2\n1,-0,1,2,2,0\n"
+_SEVEN_POINTS = '{"points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0.5], [0.5, 2], [1.5, 1.5]]}'
+
+
+@pytest.mark.parametrize(
+    "name, text, fmt, digests",
+    [
+        (
+            "in.csv",
+            _TIED_CSV,
+            "dist-csv",
+            (
+                "9738c21822789ce80d0890895fa9594ba1441ba2a009236e8b2ce980d717b283",
+                "8994d94741327a0749ab73c43533329486b608ef0cd5c5b2774a3472e9cb373a",
+                "b13570325989c057ca305467e156e20cd9485d117c89ef26ce86b94867d8a4c4",
+            ),
+        ),
+        (
+            "in.json",
+            _SEVEN_POINTS,
+            "points-json",
+            (
+                "d92cf5df2e7adf3ba157124e2462e6c7b954f11434ece359a7b1fac94a789a6f",
+                "89b2216d8f4e99da8a5cd4af682f98507b1078396ffb39b5509ddcd8e2e95e41",
+                "08bfdf12e56213b9e546e59f294944f0f31f93cd3fdf3531276c9e96994323e4",
+            ),
+        ),
+    ],
+    ids=["tied-signed-zero-csv", "seven-points-full-vr"],
+)
+def test_barcodes_output_bytes(tmp_path, monkeypatch, name, text, fmt, digests):
+    # pins barcodes.json, report.json and barcodes.svg byte for byte; relative
+    # paths, because the input path is recorded in the metadata
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert main(["barcodes", "--input", name, "--format", fmt, "--out", "out", "--svg"]) == 0
+    for file, digest in zip(("barcodes.json", "report.json", "barcodes.svg"), digests):
+        assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file
 
 
 def test_barcodes_points_and_complex_formats(tmp_path):
@@ -322,3 +367,54 @@ def test_json_decode_errors_keep_their_position(tmp_path, capsys):
     path.write_text('{"n": 3,\n "faces": [[1, 2]')
     assert main(["barcodes", "--input", str(path), "--format", "complex-json", "--out", str(tmp_path / "o")]) == 2
     assert f"error: {path}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, fmt, text",
+    [
+        ("barcodes", "dist-csv", "\n".join(",".join("0" if i == j else "1" for j in range(25)) for i in range(25))),
+        ("barcodes", "complex-json", '{"n": 40, "faces": [%s]}' % list(range(1, 41))),
+        (
+            "labelled",
+            "labelled-json",
+            '{"n": 40, "faces": [%s], "atoms": ["x1"], "labels": %s}' % (list(range(1, 41)), [[1]] * 40),
+        ),
+    ],
+    ids=["full-vr-25-points", "complex-40-vertex-face", "labelled-40-vertex-face"],
+)
+def test_face_budget_exits_2(tmp_path, capsys, command, fmt, text):
+    # 2^25 and 2^40 faces: the walk and the closure stop at MAX_FACES
+    path = tmp_path / "in"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 20
+    assert f"the complex has more than {MAX_FACES} faces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, point, message",
+    [
+        (
+            '{"n": 2, "faces": [[1, 2]], "atoms": ["x1"], "labels": [[%d], [1]]}',
+            "x1=3",
+            "bad label for vertex 1 (exponent 1 exceeds the supported maximum of %d)",
+        ),
+        (
+            _EXPANDED % '"atom_polys": {"s": [[1, [%d, 0]], [1, [0, 1]]]}',
+            "x1=3,x2=1",
+            "atom s: malformed atom expansion term (term 1 exponent 1 exceeds the supported maximum of %d)",
+        ),
+    ],
+    ids=["label", "expansion-term"],
+)
+def test_exponent_bound(tmp_path, capsys, text, point, message):
+    path = tmp_path / "in.json"
+    argv = ["labelled", "--input", str(path), "--point", point, "--out", str(tmp_path / "o")]
+    path.write_text(text % MAX_EXPONENT)
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 5
+    path.write_text(text % (MAX_EXPONENT + 1))
+    assert main(argv) == 2
+    assert message % MAX_EXPONENT in capsys.readouterr().err

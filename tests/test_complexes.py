@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from itertools import combinations
 
 import pytest
 
+from idealtda import complexes
 from idealtda.complexes import (
     Filtration,
     Graph,
@@ -90,12 +92,14 @@ def test_clique_complex_matches_predicate_oracle():
         n = rng.randint(1, 7)
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5]
         g = Graph.from_edges(n, edges)
-        K = clique_complex(g)
-        # oracle: a subset is a face iff every pair is an edge
-        for size in range(1, n + 1):
-            for comb in combinations(range(1, n + 1), size):
-                is_clique = all(g.has_edge(a, b) for a, b in combinations(comb, 2))
-                assert K.has_face(comb) == is_clique
+        for max_dim in (None, 0, 1):
+            K = clique_complex(g, max_dim)
+            top = n if max_dim is None else max_dim + 1
+            # oracle: a subset is a face iff every pair is an edge
+            for size in range(1, n + 1):
+                for comb in combinations(range(1, n + 1), size):
+                    is_clique = all(g.has_edge(a, b) for a, b in combinations(comb, 2))
+                    assert K.has_face(comb) == (is_clique and size <= top)
 
 
 def test_full_subcomplex_triangle():
@@ -221,15 +225,24 @@ def test_vr_filtration_duplicate_points_merge_at_zero():
     assert f.steps[0][1].has_face((1, 2))
 
 
+def _oracle_metric(rng, n, kind):
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "uniform":
+                dist[i][j] = dist[j][i] = rng.uniform(0.2, 2.0)
+            elif kind == "ties":
+                dist[i][j] = dist[j][i] = rng.randint(1, 3)
+            else:  # zeros of either sign, chosen apart on each side of the diagonal
+                dist[i][j], dist[j][i] = rng.choice([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 1.0)])
+    return dist
+
+
 def test_vr_filtration_brute_force_oracle():
     rng = random.Random(5)
     for _ in range(10):
         n = 5
-        dist = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = rng.uniform(0.2, 2.0)
-                dist[i][j] = dist[j][i] = d
+        dist = _oracle_metric(rng, n, "uniform")
         f = vr_filtration(dist, max_dim=2)
         for t, K in f.steps:
             want = set()
@@ -241,6 +254,37 @@ def test_vr_filtration_brute_force_oracle():
         # monotone steps
         for (_, a), (_, b) in zip(f.steps, f.steps[1:]):
             assert a.is_subcomplex_of(b)
+    # births bit for bit, -0.0 included: the first maximum over the pairs in
+    # lexicographic order, read from the upper triangle
+    bits = struct.Struct(">d").pack
+    for n in range(1, 10):
+        for kind in ("uniform", "ties", "zeros"):
+            dist = _oracle_metric(rng, n, kind)
+            for max_dim in (None, 0, 1, 2):
+                top = n if max_dim is None else min(max_dim + 1, n)
+                want = {}
+                for size in range(1, top + 1):
+                    for comb in combinations(range(1, n + 1), size):
+                        halves = [dist[a - 1][b - 1] / 2.0 for a, b in combinations(comb, 2)]
+                        want[face_mask(comb)] = bits(max(halves) if halves else 0.0)
+                got = vr_filtration(dist, max_dim).birth_map
+                assert {m: bits(t) for m, t in got.items()} == want
+
+
+def test_face_budget(monkeypatch):
+    triangle = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    builds = (
+        lambda: vr_filtration(triangle).birth_map,
+        lambda: clique_complex(Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])).face_masks,
+        lambda: SimplicialComplex.from_faces(3, [(1, 2, 3)], close=True).face_masks,
+    )
+    monkeypatch.setattr(complexes, "MAX_FACES", 7)
+    for build in builds:
+        assert len(build()) == 7
+    monkeypatch.setattr(complexes, "MAX_FACES", 6)
+    for build in builds:
+        with pytest.raises(ValueError, match="more than 6 faces"):
+            build()
 
 
 def test_vr_equals_clique_complex_of_threshold_graph(three_point_dist):

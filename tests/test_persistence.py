@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -164,6 +165,21 @@ def test_no_resurrection_error_raised_on_corrupt_runs():
     ]
     with pytest.raises(NoResurrectionError):
         _intervals_from_runs(ass, (0.0, 1.0, 2.0), "SR")
+
+
+def test_interval_suite_checks_closed_forms_against_runs(monkeypatch):
+    from idealtda import verify
+
+    real = verify.prime_barcode
+    monkeypatch.setattr(
+        verify, "prime_barcode", lambda f, kind: dataclasses.replace(real(f, kind), intervals=())
+    )
+    res = verify.suite_prime_interval_uniqueness(random.Random(0), 3)
+    assert res.failures == 6
+    assert "SR closed-form bars differ from the per-step runs" in res.detail[0]
+    faulty = verify.suite_prime_interval_uniqueness(random.Random(0), 3, inject_fault=True)
+    assert faulty.failures == 6
+    assert "resurrects" in faulty.detail[0]
 
 
 def test_betti_profile_three_points(three_point_filtration):

@@ -10,6 +10,7 @@ from idealtda.complexes import vr_filtration
 from idealtda.monomials import AtomTable, FactoredElement, MonomialIdeal
 from idealtda.persistence import ph_barcode, prime_barcode
 from idealtda.serialize import (
+    MAX_EXPONENT,
     MAX_N,
     InputError,
     barcodes_svg,
@@ -106,6 +107,13 @@ def test_vertex_count_bound():
         complex_from_dict({"n": MAX_N + 1, "faces": [[1, 2]]})
     with pytest.raises(InputError, match="'ambient_n' exceeds the supported maximum"):
         ideal_from_dict({"ambient_n": MAX_N + 1, "generators": []})
+
+
+def test_factored_exponent_bound():
+    table = AtomTable.for_variables(2)
+    assert factored_from_dict({"atoms": ["x1", "x2"], "exp": [MAX_EXPONENT, 0]}, table).exps == (MAX_EXPONENT, 0)
+    with pytest.raises(InputError, match="exponent 2 exceeds the supported maximum"):
+        factored_from_dict({"atoms": ["x1", "x2"], "exp": [0, MAX_EXPONENT + 1]}, table)
 
 
 def test_labelled_roundtrip_with_expansions(poly_labelled):
