@@ -5,12 +5,23 @@ sparse multivariate polynomials over the rationals, fraction-free
 (Bareiss) elimination over integral domains, and the column reduction
 used for persistence pairing.  No floating point enters any rank or
 homology computation.
+
+:func:`persistence_reduce` takes face masks in filtration order and builds
+each boundary column from the mask itself, so the columns form a simplicial
+boundary (d o d = 0, column dimension = vertex count - 1).  Over GF(2) a
+column is an int bitmask over the filtration positions, reduced with
+``^``, dimensions from the top down, skipping every column whose face is
+already a pivot row (clearing).  Other fields reduce signed dict columns,
+the route that also serves as the GF(2) test oracle.  Both return the
+pairs sorted by death position and the unpaired positions ascending.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+from .complexes import _iter_bits
 
 __all__ = [
     "PrimeField",
@@ -473,16 +484,35 @@ def bareiss_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def persistence_reduce(
+def _boundary_columns(order: Sequence[int]) -> list[dict[int, int]]:
+    """Signed boundary columns of face masks listed in filtration order.
+
+    Column j maps the position of each facet of ``order[j]`` to
+    (-1)^u, u counting the vertices from 1, lowest first; vertices have empty
+    columns.  Raises ValueError when a facet is missing or comes later.
+    """
+    index: dict[int, int] = {}
+    columns: list[dict[int, int]] = []
+    for j, m in enumerate(order):
+        col: dict[int, int] = {}
+        if m.bit_count() > 1:
+            for u, bit in enumerate(_iter_bits(m), start=1):
+                i = index.get(m ^ bit)
+                if i is None:
+                    raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
+                col[i] = -1 if u % 2 else 1
+        index[m] = j
+        columns.append(col)
+    return columns
+
+
+def _reduce_columns(
     columns: Sequence[Mapping[int, object]], field=GF2
 ) -> tuple[list[tuple[int, int]], list[int]]:
-    """Standard persistence column reduction over a prime field.
+    """Standard column reduction of general sparse columns over a field.
 
-    ``columns[j]`` maps row indices (< j) to nonzero coefficients; columns
-    must be listed in a filtration-compatible total order (every face
-    before its cofaces).  Returns (pairs, unpaired) where pairs are
-    (birth index, death index) and unpaired indices are creators of
-    essential classes.
+    ``columns[j]`` maps row indices (< j) to nonzero coefficients.  Pairs
+    come out sorted by death index, unpaired indices ascending.
     """
     reduced: dict[int, dict[int, object]] = {}
     low_to_col: dict[int, int] = {}
@@ -516,4 +546,58 @@ def persistence_reduce(
             pairs.append((low, j))
     killed = {i for i, _ in pairs}
     unpaired = [j for j in range(len(columns)) if j not in reduced and j not in killed]
+    return pairs, unpaired
+
+
+def persistence_reduce(order: Sequence[int], field=GF2) -> tuple[list[tuple[int, int]], list[int]]:
+    """Persistence pairing of face masks listed in filtration order.
+
+    ``order`` lists every face once, each after all of its facets
+    (ValueError otherwise).  Returns (pairs, unpaired): pairs are (birth
+    position, death position) sorted by death, unpaired positions are the
+    creators of essential classes, ascending.  The pivot pairing of a
+    fixed total order is unique, so both routes below agree.
+
+    Over GF(2) column j is an int with bit i set for each facet at
+    position i: the pivot is the top bit and adding a column is ``^``.
+    Dimensions are reduced from the top down, and a face that is already a
+    pivot row is a creator whose reduced column is zero, so its column is
+    never built (clearing; Chen-Kerber 2011).  Other fields reduce the
+    signed dict columns of :func:`_boundary_columns`.
+    """
+    if field != GF2:
+        return _reduce_columns(_boundary_columns(order), field)
+    index: dict[int, int] = {}
+    by_dim: list[list[int]] = [[]]  # positions of the faces of each dimension >= 1
+    for j, m in enumerate(order):
+        dim = m.bit_count() - 1
+        if dim > 0:
+            for bit in _iter_bits(m):
+                if m ^ bit not in index:
+                    raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
+            while len(by_dim) <= dim:
+                by_dim.append([])
+            by_dim[dim].append(j)
+        index[m] = j
+    pivots: dict[int, int] = {}  # pivot row -> reduced column
+    pairs: list[tuple[int, int]] = []
+    for dim in range(len(by_dim) - 1, 0, -1):
+        for j in by_dim[dim]:
+            if j in pivots:
+                continue
+            m = order[j]
+            col = 0
+            for bit in _iter_bits(m):
+                col |= 1 << index[m ^ bit]
+            while col:
+                low = col.bit_length() - 1
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    pairs.append((low, j))
+                    break
+                col ^= other
+    pairs.sort(key=lambda p: p[1])
+    deaths = {j for _, j in pairs}
+    unpaired = [j for j in range(len(order)) if j not in pivots and j not in deaths]
     return pairs, unpaired

@@ -25,10 +25,11 @@ test oracle and computes barcodes for custom ``ass_fn`` families,
 asserting there that no prime resurrects.
 
 Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
-column reduction over a prime field or Q, and :func:`betti_profile` reads
-b_k(t) off it as the number of k-bars alive at t (Zomorodian-Carlsson
-2005); reduced mode adds b_{-1} = 1 while the complex is empty and
-subtracts 1 from b_0 after.  The exact rank route,
+column reduction over a prime field or Q (over GF(2) with bitmask columns,
+top dimension first, with clearing), and :func:`betti_profile` reads b_k(t)
+off it as the number of k-bars alive at t (Zomorodian-Carlsson 2005);
+reduced mode adds b_{-1} = 1 while the complex is empty and subtracts 1
+from b_0 after.  The exact rank route,
 :func:`classical_boundary_ranks` and :func:`classical_betti` (with
 :func:`betti_numbers` as their list view), computes the Betti numbers of
 one complex from dense boundary ranks; it serves the labelled-complex
@@ -37,7 +38,7 @@ checks and is the oracle for the profile.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -392,23 +393,19 @@ def betti_profile(
 
 
 def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcode:
-    """Persistence barcode by column reduction over a prime field.
+    """Persistence barcode by column reduction over a prime field or Q.
 
-    Simplices are ordered by (birth, dimension, colex); zero-length bars
-    are dropped, unpaired creators yield infinite bars.
+    Simplices are ordered by (birth, dimension, colex) and paired by
+    :func:`persistence_reduce`; only faces up to dimension max_dim + 1
+    enter it.  Zero-length bars are dropped, unpaired creators yield
+    infinite bars.
     """
     births = f.birth_map
-    order = sorted(births, key=lambda m: (births[m], m.bit_count(), m))
-    index = {m: i for i, m in enumerate(order)}
-    columns: list[dict[int, int]] = []
-    for m in order:
-        col: dict[int, int] = {}
-        if m.bit_count() > 1:
-            for u, bit in enumerate(_iter_bits(m), start=1):
-                col[index[m ^ bit]] = -1 if u % 2 else 1
-        columns.append(col)
-    pairs, unpaired = persistence_reduce(columns, field)
     top = max(f.final().max_dim, 0) if max_dim is None else max_dim
+    # the k-pairs come from the (k+1)-columns: bars up to top need faces up to top+1
+    faces = [m for m in births if m.bit_count() <= top + 2]
+    order = sorted(faces, key=lambda m: (births[m], m.bit_count(), m))
+    pairs, unpaired = persistence_reduce(order, field)
     bars: dict[int, list[tuple[float, float | None]]] = {}
     for i, j in pairs:
         dim = order[i].bit_count() - 1
@@ -473,8 +470,13 @@ def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | 
 def coverage_report(
     dist: Sequence[Sequence[float]], barcode: PrimeBarcode, tol: float = 1e-12
 ) -> CoverageReport:
-    """Check every half-distance h_ij/2 appears among barcode endpoints."""
-    endpoints = barcode.finite_endpoints()
+    """Check every half-distance h_ij/2 appears among barcode endpoints.
+
+    A target is covered when some endpoint e has abs(e - target) <= tol.
+    Float subtraction is monotone, so the smallest abs(e - target) is at
+    one of the two sorted endpoints around the target's bisection point.
+    """
+    endpoints = sorted(barcode.finite_endpoints())
     violations = []
     n = len(dist)
     pairs = 0
@@ -482,6 +484,7 @@ def coverage_report(
         for j in range(i + 1, n):
             pairs += 1
             target = dist[i][j] / 2.0
-            if not any(abs(e - target) <= tol for e in endpoints):
+            k = bisect_left(endpoints, target)
+            if not any(abs(e - target) <= tol for e in endpoints[max(k - 1, 0) : k + 1]):
                 violations.append((i + 1, j + 1, target))
     return CoverageReport(pairs, tuple(violations))

@@ -37,6 +37,7 @@ __all__ = [
     "barcodes_svg",
     "MAX_N",
     "MAX_EXPONENT",
+    "MAX_LABELLED_FACES",
 ]
 
 # Largest vertex count a JSON input may declare.  Cost grows fast with n even
@@ -51,6 +52,13 @@ MAX_N = 512
 # E, 1.0 s / 46 MiB at E=32, 4.2 s / 127 MiB at E=50 and 39 s / 909 MiB at
 # E=100 (CPython 3.11, 2-vCPU VM).
 MAX_EXPONENT = 32
+
+# Largest face count of a labelled complex.  Its ranks are dense Bareiss
+# eliminations over the polynomial ring, whose cost grows steeply with the
+# faces: `labelled --point` on one 7-vertex simplex (127 faces) took 0.4 s
+# with monomial labels and 4.6 s with two composite atoms, and on the
+# 8-vertex simplex (255 faces) 2.0 s and 70 s (CPython 3.11, 2-vCPU VM).
+MAX_LABELLED_FACES = 128
 
 
 class InputError(ValueError):
@@ -270,9 +278,15 @@ def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> 
             raise InputError(f"{origin}: bad label for vertex {i} ({exc})") from None
     try:
         K = SimplicialComplex.from_faces(n, faces, close=True)
-        return make_labelled(K, labels, reduced=reduced)
+        LC = make_labelled(K, labels, reduced=reduced)
     except ValueError as exc:
         raise InputError(f"{origin}: {exc}") from None
+    if len(K.face_masks) > MAX_LABELLED_FACES:
+        raise InputError(
+            f"{origin}: the labelled complex has {len(K.face_masks)} faces, "
+            f"more than the supported maximum {MAX_LABELLED_FACES}"
+        )
+    return LC
 
 
 def labelled_to_dict(LC: LabelledComplex) -> dict:

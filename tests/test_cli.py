@@ -10,7 +10,7 @@ import pytest
 
 from idealtda.cli import main
 from idealtda.complexes import MAX_FACES
-from idealtda.serialize import MAX_EXPONENT
+from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES
 
 
 @pytest.fixture
@@ -66,12 +66,13 @@ _SEVEN_POINTS = '{"points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0.5], [0.5, 2],
 
 
 @pytest.mark.parametrize(
-    "name, text, fmt, digests",
+    "name, text, fmt, flags, digests",
     [
         (
             "in.csv",
             _TIED_CSV,
             "dist-csv",
+            [],
             (
                 "9738c21822789ce80d0890895fa9594ba1441ba2a009236e8b2ce980d717b283",
                 "8994d94741327a0749ab73c43533329486b608ef0cd5c5b2774a3472e9cb373a",
@@ -82,21 +83,34 @@ _SEVEN_POINTS = '{"points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0.5], [0.5, 2],
             "in.json",
             _SEVEN_POINTS,
             "points-json",
+            [],
             (
                 "d92cf5df2e7adf3ba157124e2462e6c7b954f11434ece359a7b1fac94a789a6f",
                 "89b2216d8f4e99da8a5cd4af682f98507b1078396ffb39b5509ddcd8e2e95e41",
                 "08bfdf12e56213b9e546e59f294944f0f31f93cd3fdf3531276c9e96994323e4",
             ),
         ),
+        (
+            # the whole 5-simplex reaches PH, which reduces only the faces up to dimension 2
+            "in.json",
+            '{"n": 6, "faces": [[1, 2, 3, 4, 5, 6]]}',
+            "complex-json",
+            ["--max-dim", "1"],
+            (
+                "5df8ae38b087b3b5c627d028db8a012133ced417c75dde091e54b0b0b0871b16",
+                "051336eba5f216c5db3bf85aa8bfc55923c7d9fec567567c50f6be96b2ac8083",
+                "85380a7ede746f36b8e31327ed86ff2480afd2994b29c7b96bc33e19f5ef790f",
+            ),
+        ),
     ],
-    ids=["tied-signed-zero-csv", "seven-points-full-vr"],
+    ids=["tied-signed-zero-csv", "seven-points-full-vr", "simplex-complex-max-dim-1"],
 )
-def test_barcodes_output_bytes(tmp_path, monkeypatch, name, text, fmt, digests):
+def test_barcodes_output_bytes(tmp_path, monkeypatch, name, text, fmt, flags, digests):
     # pins barcodes.json, report.json and barcodes.svg byte for byte; relative
     # paths, because the input path is recorded in the metadata
     monkeypatch.chdir(tmp_path)
     (tmp_path / name).write_text(text)
-    assert main(["barcodes", "--input", name, "--format", fmt, "--out", "out", "--svg"]) == 0
+    assert main(["barcodes", "--input", name, "--format", fmt, "--out", "out", "--svg"] + flags) == 0
     for file, digest in zip(("barcodes.json", "report.json", "barcodes.svg"), digests):
         assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file
 
@@ -390,6 +404,26 @@ def test_face_budget_exits_2(tmp_path, capsys, command, fmt, text):
     assert main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 20
     assert f"the complex has more than {MAX_FACES} faces" in capsys.readouterr().err
+
+
+def test_labelled_face_bound(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    argv = ["labelled", "--input", str(path), "--point", "x1=3", "--out", str(tmp_path / "o")]
+
+    def write(count):
+        # the 7-vertex simplex (127 faces) plus isolated vertices: count faces
+        n = count - 120
+        faces = [list(range(1, 8))] + [[v] for v in range(8, n + 1)]
+        path.write_text(json.dumps({"n": n, "faces": faces, "atoms": ["x1"], "labels": [[1]] * n}))
+
+    write(MAX_LABELLED_FACES)
+    assert main(argv) == 0
+    write(MAX_LABELLED_FACES + 1)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert f"error: {path}: the labelled complex has {MAX_LABELLED_FACES + 1} faces" in err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from idealtda import linalg
+from idealtda.complexes import _iter_bits
 from idealtda.linalg import (
     GF2,
     QQ,
@@ -224,15 +227,44 @@ def test_bareiss_rank_fuzz_known_rank_products():
 def test_persistence_reduce_empty_and_fixture():
     assert persistence_reduce([], GF2) == ([], [])
     # three vertices, then edges {1,2},{1,3}: pairs kill two components
-    columns = [{}, {}, {}, {0: 1, 1: 1}, {0: 1, 2: 1}]
-    pairs, unpaired = persistence_reduce(columns, GF2)
+    pairs, unpaired = persistence_reduce([0b001, 0b010, 0b100, 0b011, 0b101], GF2)
     assert pairs == [(1, 3), (2, 4)]
     assert unpaired == [0]
 
 
 def test_persistence_reduce_rejects_bad_order():
     with pytest.raises(ValueError):
-        persistence_reduce([{0: 1}, {}], GF2)
+        persistence_reduce([0b011, 0b001, 0b010], GF2)  # an edge before its vertices
+    with pytest.raises(ValueError):
+        persistence_reduce([0b001, 0b011], GF2)  # vertex 2 is missing
+
+
+def test_persistence_reduce_rejects_bad_order_over_other_fields():
+    for field in (QQ, PrimeField(5)):
+        with pytest.raises(ValueError):
+            persistence_reduce([0b011, 0b001, 0b010], field)
+        with pytest.raises(ValueError):
+            persistence_reduce([0b001, 0b011], field)
+
+
+def test_persistence_reduce_never_builds_cleared_columns(monkeypatch):
+    # every face's bits are read once by the order check; a face that is
+    # already a pivot row when its dimension is reduced is a creator, so its
+    # column is never built and its bits are not read again
+    reads = Counter()
+
+    def counting_iter_bits(mask):
+        reads[mask] += 1
+        return _iter_bits(mask)
+
+    monkeypatch.setattr(linalg, "_iter_bits", counting_iter_bits)
+    order = sorted(range(1, 1 << 5), key=lambda m: (m.bit_count(), m))  # the 4-simplex
+    pairs, unpaired = persistence_reduce(order, GF2)
+    assert unpaired == [0]
+    creators = {order[i] for i, _ in pairs}
+    for m in order:
+        if m.bit_count() > 1:
+            assert reads[m] == (1 if m in creators else 2), m
 
 
 def test_persistence_reduce_tie_shuffle_invariance():
@@ -261,16 +293,7 @@ def test_persistence_reduce_tie_shuffle_invariance():
             group = classes[key][:]
             rng.shuffle(group)
             shuffled.extend(group)
-        index = {m: i for i, m in enumerate(shuffled)}
-        columns = []
-        for m in shuffled:
-            col = {}
-            if m.bit_count() > 1:
-                verts = [v + 1 for v in range(n) if m >> v & 1]
-                for u, v in enumerate(verts, start=1):
-                    col[index[m ^ (1 << (v - 1))]] = 1
-            columns.append(col)
-        pairs, unpaired = persistence_reduce(columns, GF2)
+        pairs, unpaired = persistence_reduce(shuffled, GF2)
         bars: dict[int, list] = {}
         for i, j in pairs:
             dim = shuffled[i].bit_count() - 1

@@ -9,10 +9,11 @@ import pytest
 from idealtda import persistence
 from idealtda.complexes import Filtration, SimplicialComplex, vr_filtration
 from idealtda.ideals import sr_associated_primes
-from idealtda.linalg import GF2, QQ, PrimeField
+from idealtda.linalg import GF2, QQ, PrimeField, _boundary_columns, _reduce_columns
 from idealtda.monomials import LinearPrime, minimal_primes_squarefree
 from idealtda.persistence import (
     NoResurrectionError,
+    PrimeBarcode,
     PrimeInterval,
     betti_numbers,
     betti_profile,
@@ -281,6 +282,37 @@ def _profile_cases(rng):
     yield Filtration.from_births(6, {m: float(m.bit_count()) for m in rp2.face_masks})
 
 
+def _reduce_cases():
+    rng = random.Random(17)
+    for n in range(1, 11):
+        for max_dim in (None, 0, 1, 2, 3):
+            for tie_prob in (0.0, 0.5):
+                yield vr_filtration(random_metric(rng, n, tie_prob), max_dim)
+    yield Filtration.single(SimplicialComplex.simplex(6, range(1, 7)))
+    rp2 = SimplicialComplex.from_faces(6, RP2_TRIANGLES, close=True)
+    yield Filtration.from_births(6, {m: float(m.bit_count()) for m in rp2.face_masks})
+
+
+def test_persistence_reduce_gf2_matches_dict_route():
+    # the bitmask route with clearing against the dict reduction of the signed columns
+    for f in _reduce_cases():
+        births = f.birth_map
+        order = sorted(births, key=lambda m: (births[m], m.bit_count(), m))
+        want = _reduce_columns(_boundary_columns(order), GF2)
+        assert persistence.persistence_reduce(order, GF2) == want
+
+
+@pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
+def test_ph_barcode_max_dim_keeps_low_bars(field):
+    # faces above max_dim + 1 never enter the reduction; the low bars stay
+    rng = random.Random(23)
+    for _ in range(12):
+        f = vr_filtration(random_metric(rng, rng.randint(1, 7), 0.5))
+        full = ph_barcode(f, field)
+        for k in range(4):
+            assert ph_barcode(f, field, k).bars == tuple((d, b) for d, b in full.bars if d <= k)
+
+
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
 @pytest.mark.parametrize("top", [None, 3])
@@ -366,6 +398,48 @@ def test_coverage_report_random_and_violation_detection():
     fake = prime_barcode(vr_filtration([[0.0, 2.0], [2.0, 0.0]]), "SR")
     bad = coverage_report([[0.0, 9.0], [9.0, 0.0]], fake)
     assert not bad.ok and bad.violations == ((1, 2, 4.5),)
+
+
+def _endpoint_barcode(endpoints):
+    # a barcode whose finite endpoints are exactly the given values
+    intervals = tuple(PrimeInterval(LinearPrime((1,)), e, None, "SR") for e in endpoints)
+    return PrimeBarcode("SR", intervals, tuple(sorted(set(endpoints))))
+
+
+def test_coverage_report_tolerance_boundary():
+    two = [[0.0, 2.0], [2.0, 0.0]]  # one target, 1.0
+    tol = 0.25  # a power of two, so 1.0 +- tol is exact
+    assert coverage_report(two, _endpoint_barcode([0.5, 1.0, 3.0]), tol).ok
+    assert coverage_report(two, _endpoint_barcode([1.25]), tol).ok
+    assert coverage_report(two, _endpoint_barcode([0.0, 0.75]), tol).ok
+    just_over = math.nextafter(1.25, 2.0)
+    rep = coverage_report(two, _endpoint_barcode([0.0, just_over]), tol)
+    assert rep.violations == ((1, 2, 1.0),)
+    rep = coverage_report(two, _endpoint_barcode([math.nextafter(0.75, 0.0), just_over]), tol)
+    assert rep.violations == ((1, 2, 1.0),)
+    # duplicate endpoints on either side of the target
+    assert coverage_report(two, _endpoint_barcode([1.0, 1.0, 1.0]), tol).ok
+    assert coverage_report(two, _endpoint_barcode([0.5, 0.5, 1.25, 1.25]), tol).ok
+    assert not coverage_report(two, _endpoint_barcode([0.5, 0.5, 2.0, 2.0]), tol).ok
+
+
+def test_coverage_report_matches_scan_of_all_endpoints():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        dist = random_metric(rng, n, 0.5)
+        ends = [dist[i][j] / 2.0 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
+        ends = [e + rng.choice((0.0, 1e-12, -1e-12, 3e-13, -3e-13)) for e in ends]
+        ends += [rng.uniform(0.0, 1.0) for _ in range(rng.randint(0, 3))]
+        rep = coverage_report(dist, _endpoint_barcode(ends))
+        want = tuple(
+            (i + 1, j + 1, dist[i][j] / 2.0)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not any(abs(e - dist[i][j] / 2.0) <= 1e-12 for e in ends)
+        )
+        assert rep.pairs_checked == n * (n - 1) // 2
+        assert rep.violations == want
 
 
 def test_prime_interval_alive_at():
