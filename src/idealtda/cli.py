@@ -27,6 +27,7 @@ from .labelled import (
 )
 from .linalg import QQ, parse_field
 from .persistence import (
+    betti_from_ranks,
     classical_betti,
     classical_boundary_ranks,
     coverage_report,
@@ -177,7 +178,10 @@ def _parse_point(text: str) -> EvaluationPoint:
 def cmd_labelled(args) -> int:
     field = parse_field(args.field)
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
+    point = _parse_point(args.point) if args.point is not None else None
     LC = labelled_from_dict(_load_json(args.input), reduced=alpha is not None, origin=args.input)
+    if point is not None:
+        point.atom_values(LC.table)  # a missing coordinate fails before any rank work
     names = LC.table.atoms
     bm = boundary_matrices(LC)
     ff = fraction_field_ranks(LC)
@@ -202,12 +206,14 @@ def cmd_labelled(args) -> int:
             "equal": ff == cl,
         },
     }
-    if args.point is not None:
-        point = _parse_point(args.point)
+    if point is not None:
         try:
             ev = evaluate_chain(LC, point, field)
             got = ev.betti()
-            want = classical_betti(LC.complex, field, reduced=LC.reduced)
+            if field is QQ:  # the classical QQ ranks are already in the report
+                want = betti_from_ranks(ev.ncells, cl)
+            else:
+                want = classical_betti(LC.complex, field, reduced=LC.reduced)
             report["evaluation"] = {
                 "admissible": True,
                 "betti": {str(k): v for k, v in sorted(got.items())},
@@ -241,7 +247,7 @@ def cmd_labelled(args) -> int:
             "matrices": {
                 str(k): [[str(e) for e in row] for row in mat] for k, mat in sl.matrices
             },
-            "iso": slice_iso_check(LC, alpha),
+            "iso": slice_iso_check(sl),
             "betti": {str(k): v for k, v in sorted(got.items())},
             "subcomplex_betti": {str(k): v for k, v in sorted(want.items())},
         }

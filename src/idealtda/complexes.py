@@ -66,17 +66,12 @@ def face_mask(face: Iterable[int]) -> int:
 
 def mask_face(mask: int) -> Face:
     """Strictly increasing vertex tuple of a bitmask."""
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(map(int.bit_length, _iter_bits(mask)))
 
 
 def _iter_bits(mask: int):
+    """The set bits of a mask, lowest first, each as a one-bit mask; the
+    one bit-iteration helper of the package."""
     while mask:
         bit = mask & -mask
         yield bit
@@ -335,32 +330,35 @@ def full_subcomplex(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex
     return SimplicialComplex(K.n, frozenset(m for m in K.face_masks if m & ~w == 0))
 
 
-def maximal_faces(K: SimplicialComplex) -> frozenset[Face]:
-    """Faces of K with no proper superface in K."""
+def _maximal_masks(K: SimplicialComplex) -> list[int]:
+    """Masks of the faces of K that no vertex of K extends to a face.
+
+    The probe stops at the first superface, which in a dense complex is
+    almost always the lowest vertex outside the face."""
+    faces, vertices = K.face_masks, K.vertex_mask
     out = []
-    for m in K.face_masks:
-        for v in range(1, K.n + 1):
-            bit = 1 << (v - 1)
-            if not (m & bit) and (m | bit) in K.face_masks:
+    for m in faces:
+        for bit in _iter_bits(vertices & ~m):
+            if m | bit in faces:
                 break
         else:
             out.append(m)
-    return frozenset(mask_face(m) for m in out)
+    return out
+
+
+def maximal_faces(K: SimplicialComplex) -> frozenset[Face]:
+    """Faces of K with no proper superface in K."""
+    return frozenset(mask_face(m) for m in _maximal_masks(K))
 
 
 def minimal_nonfaces(K: SimplicialComplex) -> frozenset[Face]:
     """Subsets of [n] outside K all of whose proper nonempty subsets lie in K."""
-    out: set[int] = set()
-    for v in range(1, K.n + 1):
-        bit = 1 << (v - 1)
-        if bit not in K.face_masks:
-            out.add(bit)
+    vertices = K.vertex_mask
+    out = set(_iter_bits(((1 << K.n) - 1) & ~vertices))
     seen: set[int] = set()
     for m in K.face_masks:
-        for v in range(1, K.n + 1):
-            bit = 1 << (v - 1)
-            if m & bit:
-                continue
+        # a larger minimal non-face is a face plus one vertex of K
+        for bit in _iter_bits(vertices & ~m):
             cand = m | bit
             if cand in K.face_masks or cand in seen:
                 continue

@@ -10,24 +10,16 @@ test and verification suites.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .complexes import (
     Graph,
     SimplicialComplex,
+    _check_face_budget,
+    _iter_bits,
     _maximal_cliques,
-    face_mask,
-    mask_face,
-    maximal_faces,
+    _maximal_masks,
     minimal_nonfaces,
 )
-from .monomials import (
-    AtomTable,
-    FactoredElement,
-    LinearPrime,
-    MonomialIdeal,
-    membership,
-)
+from .monomials import AtomTable, FactoredElement, LinearPrime, MonomialIdeal
 
 __all__ = [
     "stanley_reisner",
@@ -70,7 +62,9 @@ def complex_of_squarefree_ideal(ideal: MonomialIdeal, n: int) -> SimplicialCompl
     """The complex whose face ideal is the given square-free proper ideal.
 
     Faces are the nonempty subsets sigma with x_sigma outside the ideal;
-    inverse of :func:`stanley_reisner`.
+    inverse of :func:`stanley_reisner`.  They are walked from each face to
+    the faces with one more vertex above its top vertex, so the work grows
+    with the faces, not with 2^n, and stops beyond ``MAX_FACES`` faces.
     """
     if not ideal.is_squarefree:
         raise ValueError("only square-free ideals correspond to complexes")
@@ -79,11 +73,18 @@ def complex_of_squarefree_ideal(ideal: MonomialIdeal, n: int) -> SimplicialCompl
     table = ideal.table
     if len(table.atoms) != n:
         raise ValueError(f"ideal lives over {len(table.atoms)} variables, not {n}")
-    masks = set()
-    for size in range(1, n + 1):
-        for comb in combinations(range(1, n + 1), size):
-            if not membership(FactoredElement.from_support(table, comb), ideal):
-                masks.add(face_mask(comb))
+    supports = [g.support_mask() for g in ideal.generators]
+    full = (1 << n) - 1
+    masks: list[int] = []
+    stack = [0]
+    while stack:
+        m = stack.pop()
+        for bit in _iter_bits(full & ~((1 << m.bit_length()) - 1)):  # above the top of m
+            face = m | bit
+            if not any(s & face == s for s in supports):
+                masks.append(face)
+                _check_face_budget(len(masks))
+                stack.append(face)
     return SimplicialComplex(n, frozenset(masks))
 
 
@@ -94,12 +95,9 @@ def sr_associated_primes(K: SimplicialComplex) -> frozenset[LinearPrime]:
     variables of the complementary vertex set.
     """
     full = (1 << K.n) - 1
-    out = set()
-    for f in maximal_faces(K):
-        comp = full & ~face_mask(f)
-        out.add(LinearPrime(mask_face(comp)))
+    out = {LinearPrime(full & ~m) for m in _maximal_masks(K)}
     if K.is_empty:
-        out.add(LinearPrime(tuple(range(1, K.n + 1))))
+        out.add(LinearPrime(full))
     return frozenset(out)
 
 
@@ -113,11 +111,9 @@ def minimal_vertex_covers(g: Graph) -> frozenset[LinearPrime]:
     full = (1 << g.n) - 1
     adj = g.adjacency
     complement = [0] + [full ^ adj[v] ^ (1 << (v - 1)) for v in range(1, g.n + 1)]
-    covers = set()
-    for clique in _maximal_cliques(g.n, complement):
-        covers.add(LinearPrime(mask_face(full & ~clique)))
+    covers = {LinearPrime(full & ~clique) for clique in _maximal_cliques(g.n, complement)}
     if g.n == 0:
-        covers.add(LinearPrime(()))
+        covers.add(LinearPrime(0))
     return frozenset(covers)
 
 

@@ -451,10 +451,10 @@ def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
     return GradedSlice(tuple(alpha), m_alpha, window.complex, tuple(bases), matrices)
 
 
-def slice_iso_check(LC: LabelledComplex, alpha: Sequence[int]) -> bool:
-    """Verify the slice equals the reduced classical complex of the
-    divisibility subcomplex, dimension by dimension, on the nose."""
-    sl = graded_slice(LC, alpha)
+def slice_iso_check(sl: GradedSlice) -> bool:
+    """Verify a slice of :func:`graded_slice` equals the reduced classical
+    complex of its divisibility subcomplex, dimension by dimension, on the
+    nose."""
     sub = sl.subcomplex
     for k, basis in sl.bases:
         if k == -1:

@@ -8,7 +8,9 @@ vectors, and no polynomial factorization is ever needed.
 
 Prime decomposition is implemented for square-free monomial ideals only:
 the associated primes are the minimal transversals of the generator
-supports, each encoded as a :class:`LinearPrime`.
+supports, each encoded as a :class:`LinearPrime`.  A linear prime is a
+vertex bitmask like a face: bit v-1 stands for x_v, and its variable
+tuple is derived from the mask on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .complexes import _iter_bits
+from .complexes import _iter_bits, face_mask, mask_face
 from .linalg import Polynomial
 
 __all__ = [
@@ -191,37 +193,31 @@ class FactoredElement:
         return "*".join(parts)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LinearPrime:
-    """The linear prime ideal generated by the variables indexed by ``vars``.
+    """The linear prime ideal generated by the variables x_v whose bit v-1
+    is set in ``mask``.
 
-    The empty tuple encodes the zero ideal, which is prime in a domain.
+    The zero mask encodes the zero ideal, which is prime in a domain.
     """
 
-    vars: tuple[int, ...]
-
-    def __post_init__(self):
-        if list(self.vars) != sorted(set(self.vars)):
-            raise ValueError("variable indices must be strictly increasing")
-        if any(v < 1 for v in self.vars):
-            raise ValueError("variable indices are 1-based")
+    mask: int
 
     @classmethod
-    def of(cls, vars_: Iterable[int]) -> "LinearPrime":
-        return cls(tuple(sorted(set(vars_))))
+    def of(cls, vertices: Iterable[int]) -> "LinearPrime":
+        """The prime of distinct positive variable indices, in any order."""
+        return cls(face_mask(vertices))
+
+    @property
+    def vars(self) -> tuple[int, ...]:
+        return mask_face(self.mask)
 
     @property
     def is_zero_ideal(self) -> bool:
-        return not self.vars
+        return not self.mask
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.vars), self.vars)
-
-    def mask(self) -> int:
-        m = 0
-        for v in self.vars:
-            m |= 1 << (v - 1)
-        return m
+        return (self.mask.bit_count(), self.vars)
 
     def __str__(self) -> str:
         if self.is_zero_ideal:
@@ -393,21 +389,14 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> frozenset[LinearPrime]:
     if not ideal.is_squarefree:
         raise ValueError("ideal is not square-free; apply radical_generators first")
     if ideal.is_zero:
-        return frozenset({LinearPrime(())})
-    gens = minimal_basis(ideal.generators)
-    supports = [g.support_mask() for g in gens]
-    out = []
-    for w in minimal_transversals(supports):
-        out.append(LinearPrime(tuple(i + 1 for i in range(ideal.ambient_n) if w >> i & 1)))
-    return frozenset(out)
+        return frozenset({LinearPrime(0)})
+    supports = [g.support_mask() for g in minimal_basis(ideal.generators)]
+    return frozenset(LinearPrime(w) for w in minimal_transversals(supports))
 
 
 def prime_contains(prime: LinearPrime, m: FactoredElement) -> bool:
     """Monomial membership in a linear prime: some supporting atom is in W."""
-    if prime.is_zero_ideal:
-        return False
-    w = set(prime.vars)
-    return any(v in w for v in m.support())
+    return bool(prime.mask & m.support_mask())
 
 
 def ideal_in_prime(ideal: MonomialIdeal, prime: LinearPrime) -> bool:

@@ -3,7 +3,9 @@
 A prime barcode gives each linear prime associated to a step's ideal
 (face ideal for kind ``SR``, edge ideal for kind ``EDGE``) the half-open
 interval of parameters during which it stays associated.  The built-in
-kinds read the filtration's birth map once, through two closed forms:
+kinds read the filtration's birth map once, through two closed forms, and
+build each prime straight from its vertex mask, the complement of a face
+or of an independent set:
 
 * ``SR``: the prime P_{[n] minus sigma} is associated exactly while sigma
   is a maximal face (Miller-Sturmfels, Thm 1.7), so every face sigma
@@ -14,7 +16,9 @@ kinds read the filtration's birth map once, through two closed forms:
   sets of the graph.  Edges are inserted in (birth, mask) order; an
   insertion of {i,j} kills exactly the live sets containing both ends,
   and the only sets it creates are I - {i} and I - {j} for a killed I,
-  each kept when it is still maximal (Tsukiyama et al. 1977).
+  each kept when it is still maximal (Tsukiyama et al. 1977).  Only the
+  neighbours of the removed end outside I can lose their last neighbour
+  in the set, so the maximality test reads just those.
 
 Every prime therefore carries exactly one interval.  As a check, the
 primes whose bar never ends are compared at assembly time with the
@@ -44,7 +48,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Filtration, SimplicialComplex, _iter_bits, boundary_entries, mask_face
+from .complexes import Filtration, SimplicialComplex, _iter_bits, boundary_entries
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
 from .linalg import GF2, QQ, persistence_reduce, rank_dense
 from .monomials import LinearPrime
@@ -233,10 +237,6 @@ def _sorted_intervals(intervals: list[PrimeInterval]) -> tuple[PrimeInterval, ..
     return tuple(intervals)
 
 
-def _complement_prime(mask: int, full: int) -> LinearPrime:
-    return LinearPrime(mask_face(full & ~mask))
-
-
 def _sr_intervals(f: Filtration) -> list[PrimeInterval]:
     """Bars [b(sigma), min_v b(sigma + v)) of the primes P_{[n] minus sigma}."""
     births = f.birth_map
@@ -251,11 +251,11 @@ def _sr_intervals(f: Filtration) -> list[PrimeInterval]:
     for m, b in births.items():
         d = death.get(m)
         if d is None or b < d:
-            out.append(PrimeInterval(_complement_prime(m, full), b, d, KIND_SR))
+            out.append(PrimeInterval(LinearPrime(full & ~m), b, d, KIND_SR))
     first = min(births.values(), default=None)
     if first is None or first > f.params[0]:
         # the empty complex has the single prime P_[n]
-        out.append(PrimeInterval(_complement_prime(0, full), f.params[0], first, KIND_SR))
+        out.append(PrimeInterval(LinearPrime(full), f.params[0], first, KIND_SR))
     return out
 
 
@@ -264,25 +264,27 @@ def _edge_intervals(f: Filtration) -> list[PrimeInterval]:
     over the edge insertions."""
     births = f.birth_map
     full = (1 << f.n) - 1
-    adj = [0] * f.n  # adj[v] is the neighbour mask of the vertex with bit 1 << v
+    adj = [0] * (f.n + 1)  # adj[v] is the neighbour mask of vertex v
     live = {full: f.params[0]}  # maximal independent set -> birth
     out = []
     edges = sorted((t, m) for m, t in births.items() if m.bit_count() == 2)
     for t, e in edges:
         lo = e & -e
         hi = e ^ lo
-        adj[lo.bit_length() - 1] |= hi
-        adj[hi.bit_length() - 1] |= lo
+        adj[lo.bit_length()] |= hi
+        adj[hi.bit_length()] |= lo
         for I in [I for I in live if I & e == e]:
             b = live.pop(I)
             if b < t:
-                out.append(PrimeInterval(_complement_prime(I, full), b, t, KIND_EDGE))
-            outside = [adj[bit.bit_length() - 1] for bit in _iter_bits(full & ~I)]
-            for J in (I ^ lo, I ^ hi):
-                if all(nbrs & J for nbrs in outside):
+                out.append(PrimeInterval(LinearPrime(full & ~I), b, t, KIND_EDGE))
+            # every vertex outside I has a neighbour in I, so I - {x} is
+            # maximal unless a neighbour of x outside I has no other one
+            for x in (lo, hi):
+                J = I ^ x
+                if all(adj[u.bit_length()] & J for u in _iter_bits(adj[x.bit_length()] & ~I)):
                     live[J] = t
     for I, b in live.items():
-        out.append(PrimeInterval(_complement_prime(I, full), b, None, KIND_EDGE))
+        out.append(PrimeInterval(LinearPrime(full & ~I), b, None, KIND_EDGE))
     return out
 
 

@@ -31,7 +31,7 @@ from .labelled import (
     slice_iso_check,
 )
 from .linalg import GF2, PrimeField, QQ
-from .monomials import AtomTable, FactoredElement, minimal_primes_squarefree
+from .monomials import AtomTable, FactoredElement, LinearPrime, minimal_primes_squarefree
 from .persistence import (
     NoResurrectionError,
     _intervals_from_runs,
@@ -139,6 +139,10 @@ def _probe_point(rng: random.Random, LC: LabelledComplex) -> EvaluationPoint:
     return EvaluationPoint.of(
         {v: rng.randint(1, _PROBE_FIELD.p - 1) for v in LC.table.variables}
     )
+
+
+def _primes_text(primes) -> str:
+    return "{" + ", ".join(str(p) for p in sorted(primes, key=LinearPrime.sort_key)) + "}"
 
 
 def _random_vr(rng: random.Random, nmax: int) -> tuple[list[list[float]], Filtration]:
@@ -267,7 +271,7 @@ def suite_graded_slice_homology(
             want = {k: want.get(k, 0) for k in got}
             if got != want:
                 res.note(f"trial {t}: alpha {alpha}: slice betti {got} != {want}")
-            if not slice_iso_check(LC, alpha):
+            if not slice_iso_check(sl):
                 res.note(f"trial {t}: alpha {alpha}: slice chain map mismatch")
     return res
 
@@ -281,7 +285,7 @@ def suite_associated_prime_oracles(rng: random.Random, trials: int, nmax: int = 
         combinatorial = sr_associated_primes(K)
         transversal = minimal_primes_squarefree(stanley_reisner(K))
         if combinatorial != transversal:
-            res.note(f"trial {t}: {sorted(combinatorial)} != {sorted(transversal)}")
+            res.note(f"trial {t}: {_primes_text(combinatorial)} != {_primes_text(transversal)}")
     return res
 
 
@@ -294,7 +298,7 @@ def suite_vertex_cover_oracles(rng: random.Random, trials: int, nmax: int = 8) -
         combinatorial = minimal_vertex_covers(g)
         transversal = minimal_primes_squarefree(edge_ideal(g))
         if combinatorial != transversal:
-            res.note(f"trial {t}: {sorted(combinatorial)} != {sorted(transversal)}")
+            res.note(f"trial {t}: {_primes_text(combinatorial)} != {_primes_text(transversal)}")
     return res
 
 

@@ -48,7 +48,7 @@ def test_01_three_point_cloud_prime_deaths(three_point_dist):
     ph_hits_root2 = any(abs(e - ROOT2) <= 1e-12 for e in ph.finite_endpoints())
     elapsed = time.perf_counter() - start
     ok = (
-        primes_at_root2 == {LinearPrime((2,)), LinearPrime((3,))}
+        primes_at_root2 == {LinearPrime.of((2,)), LinearPrime.of((3,))}
         and not ph_hits_root2
         and elapsed < 1.0
     )
@@ -115,7 +115,7 @@ def test_06_worked_example_matrix_fixtures(worked_labelled):
     slice_ok = (
         [list(r) for r in mats[1]] == [[1], [-1], [0]]
         and [list(r) for r in mats[0]] == [[-1, -1, -1]]
-        and slice_iso_check(worked_labelled, (0, 1, 1, 1))
+        and slice_iso_check(graded_slice(worked_labelled, (0, 1, 1, 1)))
     )
     elapsed = time.perf_counter() - start
     _report(6, "worked labelled example: exact matrices and graded slice", d1_ok and d2_ok and slice_ok and elapsed < 1.0)

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from idealtda import cli
 from idealtda.cli import main
 from idealtda.complexes import MAX_FACES
 from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES
@@ -273,6 +274,22 @@ def test_labelled_bad_flags(worked_json, tmp_path, capsys):
     assert main(["labelled", "--input", str(worked_json), "--alpha", "1,a", "--out", str(tmp_path / "o")]) == 2
     assert main(["labelled", "--input", str(worked_json), "--point", "x1", "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [("x1", "bad --point entry 'x1'"), ("x1=3", "missing coordinates for variables: x2")],
+    ids=["malformed", "missing-variable"],
+)
+def test_labelled_point_checked_before_rank_work(tmp_path, capsys, monkeypatch, point, message):
+    def no_rank_work(LC):
+        raise AssertionError("rank work started before the point was checked")
+
+    monkeypatch.setattr(cli, "fraction_field_ranks", no_rank_work)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_POLY_LABELLED))
+    assert main(["labelled", "--input", str(path), "--point", point, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_quick_and_fault_injection(tmp_path, capsys):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from idealtda.complexes import Graph, SimplicialComplex, clique_complex, full_subcomplex
+from idealtda.complexes import MAX_FACES, Graph, SimplicialComplex, clique_complex, full_subcomplex
 from idealtda.ideals import (
     complement_graph,
     complex_of_squarefree_ideal,
@@ -99,6 +100,23 @@ def test_complex_of_squarefree_ideal_rejections():
         complex_of_squarefree_ideal(MonomialIdeal.zero(X4), 5)
 
 
+def test_complex_of_squarefree_ideal_walks_only_faces():
+    # every x_i*x_j on 40 variables: 2^40 subsets, but only the 40 vertices are faces
+    n = 40
+    table = AtomTable.for_variables(n)
+    pairs = [FactoredElement.from_support(table, e) for e in combinations(range(1, n + 1), 2)]
+    start = time.perf_counter()
+    K = complex_of_squarefree_ideal(MonomialIdeal.from_generators(table, pairs), n)
+    assert time.perf_counter() - start < 1
+    assert K == SimplicialComplex.from_faces(n, [(v,) for v in range(1, n + 1)])
+
+
+def test_complex_of_squarefree_ideal_face_budget():
+    # the zero ideal on 17 variables gives the full simplex, 2^17 - 1 faces
+    with pytest.raises(ValueError, match=f"more than {MAX_FACES} faces"):
+        complex_of_squarefree_ideal(MonomialIdeal.zero(AtomTable.for_variables(17)), 17)
+
+
 def test_sr_roundtrip_on_random_complexes():
     rng = random.Random(0)
     for _ in range(30):
@@ -111,21 +129,21 @@ def test_sr_roundtrip_on_random_complexes():
 
 def test_sr_associated_primes_demo(demo_clique_complex):
     assert sr_associated_primes(demo_clique_complex) == {
-        LinearPrime((4,)),
-        LinearPrime((1, 2)),
+        LinearPrime.of((4,)),
+        LinearPrime.of((1, 2)),
     }
 
 
 def test_sr_associated_primes_simplex_and_path():
     S = SimplicialComplex.simplex(3, (1, 2, 3))
-    assert sr_associated_primes(S) == {LinearPrime(())}
+    assert sr_associated_primes(S) == {LinearPrime.of(())}
     path = SimplicialComplex.from_faces(3, [(1, 2), (1, 3)], close=True)
-    assert sr_associated_primes(path) == {LinearPrime((2,)), LinearPrime((3,))}
+    assert sr_associated_primes(path) == {LinearPrime.of((2,)), LinearPrime.of((3,))}
 
 
 def test_sr_associated_primes_degenerate_empty_complex():
     empty = SimplicialComplex(3, frozenset())
-    assert sr_associated_primes(empty) == {LinearPrime((1, 2, 3))}
+    assert sr_associated_primes(empty) == {LinearPrime.of((1, 2, 3))}
     assert sr_associated_primes(empty) == minimal_primes_squarefree(stanley_reisner(empty))
 
 
@@ -138,20 +156,20 @@ def test_sr_associated_primes_agree_with_transversal_route():
 
 def test_minimal_vertex_covers_fixtures():
     path = Graph.from_edges(3, [(1, 2), (2, 3)])
-    assert minimal_vertex_covers(path) == {LinearPrime((2,)), LinearPrime((1, 3))}
-    assert minimal_vertex_covers(Graph.from_edges(3, [])) == {LinearPrime(())}
+    assert minimal_vertex_covers(path) == {LinearPrime.of((2,)), LinearPrime.of((1, 3))}
+    assert minimal_vertex_covers(Graph.from_edges(3, [])) == {LinearPrime.of(())}
     k3 = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     assert minimal_vertex_covers(k3) == {
-        LinearPrime((1, 2)),
-        LinearPrime((1, 3)),
-        LinearPrime((2, 3)),
+        LinearPrime.of((1, 2)),
+        LinearPrime.of((1, 3)),
+        LinearPrime.of((2, 3)),
     }
 
 
 def test_minimal_vertex_covers_large_sparse_graph():
     # the independent sets have 1199 vertices: deeper than the recursion limit
     g = Graph.from_edges(1200, [(1, 2)])
-    assert minimal_vertex_covers(g) == {LinearPrime((1,)), LinearPrime((2,))}
+    assert minimal_vertex_covers(g) == {LinearPrime.of((1,)), LinearPrime.of((2,))}
 
 
 def test_minimal_vertex_covers_exhaustive_predicate_oracle():
@@ -171,7 +189,7 @@ def test_minimal_vertex_covers_exhaustive_predicate_oracle():
             if is_cover(set(comb))
         ]
         want = {
-            LinearPrime(tuple(sorted(w)))
+            LinearPrime.of(tuple(sorted(w)))
             for w in covers
             if not any(c < w for c in covers)
         }

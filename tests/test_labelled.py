@@ -279,7 +279,7 @@ def test_graded_slice_worked(worked_labelled):
     mats = sl.matrix_map
     assert [list(r) for r in mats[1]] == [[1], [-1], [0]]
     assert [list(r) for r in mats[0]] == [[-1, -1, -1]]
-    assert slice_iso_check(worked_labelled, (0, 1, 1, 1))
+    assert slice_iso_check(graded_slice(worked_labelled, (0, 1, 1, 1)))
     assert sl.betti() == {-1: 0, 0: 1, 1: 0}
 
 
@@ -288,7 +288,7 @@ def test_graded_slice_zero_degree(worked_labelled):
     assert sl.subcomplex.is_empty
     assert sl.basis_map == {-1: (((), FactoredElement.unit(worked_labelled.table)),)}
     assert sl.betti() == {-1: 1}
-    assert slice_iso_check(worked_labelled, (0, 0, 0, 0))
+    assert slice_iso_check(graded_slice(worked_labelled, (0, 0, 0, 0)))
 
 
 def test_graded_slice_full_degree_recovers_whole_complex(worked_labelled):
@@ -310,7 +310,7 @@ def test_graded_slice_indicator_labels_select_windows():
         alpha = tuple(1 if v in W else 0 for v in range(1, 5))
         sl = graded_slice(LC, alpha)
         assert sl.subcomplex == full_subcomplex(K, W)
-        assert slice_iso_check(LC, alpha)
+        assert slice_iso_check(graded_slice(LC, alpha))
 
 
 def test_graded_slice_random_alphas():
@@ -326,7 +326,7 @@ def test_graded_slice_random_alphas():
             want = classical_betti(sl.subcomplex, QQ, reduced=True)
             got = sl.betti()
             assert got == {k: want.get(k, 0) for k in got}
-            assert slice_iso_check(LC, alpha)
+            assert slice_iso_check(graded_slice(LC, alpha))
 
 
 def test_graded_slice_preconditions(worked_labelled, poly_labelled):
@@ -390,7 +390,7 @@ def test_equivalences_hold_along_a_labelled_filtration():
         LC = make_labelled(K, labels, reduced=True)
         assert evaluate_chain(LC, point).betti() == classical_betti(K, QQ, reduced=True)
         assert fraction_field_ranks(LC) == classical_boundary_ranks(K, QQ, reduced=True)
-        assert slice_iso_check(LC, alpha)
+        assert slice_iso_check(graded_slice(LC, alpha))
 
 
 def test_restrict_and_dims(worked_labelled):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from idealtda.complexes import mask_face
 from idealtda.linalg import Polynomial
 from idealtda.monomials import (
     AtomTable,
@@ -169,12 +170,12 @@ def test_ideal_canonicalization_and_equality():
 def test_minimal_primes_fixtures():
     table3 = AtomTable.for_variables(3)
     I = MonomialIdeal.from_generators(table3, [FactoredElement.from_support(table3, (2, 3))])
-    assert minimal_primes_squarefree(I) == {LinearPrime((2,)), LinearPrime((3,))}
+    assert minimal_primes_squarefree(I) == {LinearPrime.of((2,)), LinearPrime.of((3,))}
 
-    assert minimal_primes_squarefree(MonomialIdeal.zero(X4)) == {LinearPrime(())}
+    assert minimal_primes_squarefree(MonomialIdeal.zero(X4)) == {LinearPrime.of(())}
 
     I2 = MonomialIdeal.from_generators(X4, [sf(1, 4), sf(2, 4)])
-    assert minimal_primes_squarefree(I2) == {LinearPrime((4,)), LinearPrime((1, 2))}
+    assert minimal_primes_squarefree(I2) == {LinearPrime.of((4,)), LinearPrime.of((1, 2))}
 
 
 def test_minimal_primes_rejections():
@@ -210,7 +211,7 @@ def test_minimal_primes_intersection_and_uniqueness():
         # agreement with the exhaustive transversal oracle
         supports = [g.support_mask() for g in I.minimal_basis().generators]
         want = {
-            LinearPrime(tuple(i + 1 for i in range(n) if w >> i & 1))
+            LinearPrime.of(tuple(i + 1 for i in range(n) if w >> i & 1))
             for w in minimal_transversals_exhaustive(supports, n)
         }
         assert primes == want
@@ -233,19 +234,33 @@ def test_minimal_transversals_match_exhaustive():
 
 def test_ideal_in_prime_is_support_hitting():
     I = MonomialIdeal.from_generators(X4, [sf(1, 4), sf(2, 4)])
-    assert ideal_in_prime(I, LinearPrime((4,)))
-    assert ideal_in_prime(I, LinearPrime((1, 2)))
-    assert not ideal_in_prime(I, LinearPrime((1,)))
-    assert ideal_in_prime(MonomialIdeal.zero(X4), LinearPrime(()))
+    assert ideal_in_prime(I, LinearPrime.of((4,)))
+    assert ideal_in_prime(I, LinearPrime.of((1, 2)))
+    assert not ideal_in_prime(I, LinearPrime.of((1,)))
+    assert ideal_in_prime(MonomialIdeal.zero(X4), LinearPrime.of(()))
 
 
 def test_linear_prime_basics():
-    assert LinearPrime(()).is_zero_ideal
-    assert str(LinearPrime(())) == "<0>"
-    assert str(LinearPrime((1, 3))) == "<x1,x3>"
-    assert LinearPrime((1, 3)).mask() == 0b101
-    assert LinearPrime((2,)).sort_key() < LinearPrime((1, 2)).sort_key()
+    assert LinearPrime.of(()).is_zero_ideal
+    assert str(LinearPrime.of(())) == "<0>"
+    assert str(LinearPrime.of((1, 3))) == "<x1,x3>"
+    assert LinearPrime.of((1, 3)).mask == 0b101
+    assert LinearPrime.of((2,)).sort_key() < LinearPrime.of((1, 2)).sort_key()
     with pytest.raises(ValueError):
-        LinearPrime((2, 1))
-    with pytest.raises(ValueError):
-        LinearPrime((0,))
+        LinearPrime.of((0,))
+
+
+def test_linear_prime_is_its_vertex_mask():
+    rng = random.Random(8)
+    masks = [0] + [rng.getrandbits(rng.randint(1, 12)) for _ in range(300)]
+    vertices = {m: tuple(v for v in range(1, 13) if m >> (v - 1) & 1) for m in masks}
+    for m in masks:
+        assert LinearPrime(m).vars == mask_face(m) == vertices[m]
+        assert LinearPrime.of(mask_face(m)) == LinearPrime(m)
+        assert LinearPrime.of(reversed(vertices[m])) == LinearPrime(m)
+    primes = [LinearPrime(m) for m in masks]
+    by_tuple = sorted(primes, key=lambda p: (len(vertices[p.mask]), vertices[p.mask]))
+    assert sorted(primes, key=LinearPrime.sort_key) == by_tuple
+    for bad in [(0,), (1, 0), (-2,), (1.0,), ("1",), (2, 2), (1, 3, 1)]:
+        with pytest.raises(ValueError):
+            LinearPrime.of(bad)

@@ -3,11 +3,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from itertools import permutations
 
 import pytest
 
 from idealtda import persistence
-from idealtda.complexes import Filtration, SimplicialComplex, vr_filtration
+from idealtda.complexes import Filtration, SimplicialComplex, face_mask, vr_filtration
 from idealtda.ideals import sr_associated_primes
 from idealtda.linalg import GF2, QQ, PrimeField, _boundary_columns, _reduce_columns
 from idealtda.monomials import LinearPrime, minimal_primes_squarefree
@@ -39,29 +40,29 @@ def three_point_filtration(three_point_dist):
 def test_sr_prime_barcode_three_points(three_point_filtration):
     bc = prime_barcode(three_point_filtration, "SR")
     by_prime = {iv.prime: iv for iv in bc.intervals}
-    assert by_prime[LinearPrime((2,))].birth == 1.0
-    assert by_prime[LinearPrime((2,))].death == ROOT2
-    assert by_prime[LinearPrime((3,))].death == ROOT2
+    assert by_prime[LinearPrime.of((2,))].birth == 1.0
+    assert by_prime[LinearPrime.of((2,))].death == ROOT2
+    assert by_prime[LinearPrime.of((3,))].death == ROOT2
     # the three vertex-epoch primes die when the first edges arrive
     for pair in [(1, 2), (1, 3), (2, 3)]:
-        assert by_prime[LinearPrime(pair)].birth == 0.0
-        assert by_prime[LinearPrime(pair)].death == 1.0
+        assert by_prime[LinearPrime.of(pair)].birth == 0.0
+        assert by_prime[LinearPrime.of(pair)].death == 1.0
     # full-simplex epoch is emitted and flagged
-    zero = by_prime[LinearPrime(())]
+    zero = by_prime[LinearPrime.of(())]
     assert zero.birth == ROOT2 and zero.death is None
     assert zero.is_zero_ideal_epoch
     # exactly those two primes die at sqrt(2)
     dying = {iv.prime for iv in bc.intervals if iv.death == ROOT2}
-    assert dying == {LinearPrime((2,)), LinearPrime((3,))}
+    assert dying == {LinearPrime.of((2,)), LinearPrime.of((3,))}
 
 
 def test_edge_prime_barcode_three_points(three_point_filtration):
     bc = prime_barcode(three_point_filtration, "EDGE")
     by_prime = {iv.prime: iv for iv in bc.intervals}
-    assert by_prime[LinearPrime(())].death == 1.0  # edgeless epoch
-    assert by_prime[LinearPrime((1,))].birth == 1.0
-    assert by_prime[LinearPrime((1,))].death == ROOT2
-    assert by_prime[LinearPrime((2, 3))].death is None
+    assert by_prime[LinearPrime.of(())].death == 1.0  # edgeless epoch
+    assert by_prime[LinearPrime.of((1,))].birth == 1.0
+    assert by_prime[LinearPrime.of((1,))].death == ROOT2
+    assert by_prime[LinearPrime.of((2, 3))].death is None
 
 
 def test_single_step_barcode_is_all_infinite(demo_clique_complex):
@@ -134,6 +135,22 @@ def test_closed_form_barcodes_match_per_step_route_from_births():
         _assert_closed_forms_match_per_step_route(Filtration.from_births(n, births, params))
 
 
+def test_edge_closed_form_when_an_outside_vertex_hangs_on_the_removed_end():
+    # on a path and a star (vertex 6 isolated) an insertion often kills a set I
+    # with a vertex outside I adjacent to the removed end only, so I - {x} is
+    # not maximal; every insertion order, with distinct and with paired births
+    n = 6
+    path = [(1, 2), (2, 3), (3, 4), (4, 5)]
+    star = [(1, 2), (1, 3), (1, 4), (1, 5)]
+    for edges in (path, star):
+        for order in permutations(edges):
+            for tie in (1, 2):
+                births = {1 << v: 0.0 for v in range(n)}
+                for t, e in enumerate(order, start=1):
+                    births[face_mask(e)] = float((t + tie - 1) // tie)
+                _assert_closed_forms_match_per_step_route(Filtration.from_births(n, births))
+
+
 def test_closed_form_barcodes_on_empty_complexes():
     for n in (0, 3):
         f = Filtration.single(SimplicialComplex(n, frozenset()), t=0.5)
@@ -141,8 +158,8 @@ def test_closed_form_barcodes_on_empty_complexes():
         for kind in ("SR", "EDGE"):
             (iv,) = prime_barcode(f, kind).intervals
             assert (iv.birth, iv.death) == (0.5, None)
-        assert prime_barcode(f, "SR").intervals[0].prime == LinearPrime(tuple(range(1, n + 1)))
-        assert prime_barcode(f, "EDGE").intervals[0].prime == LinearPrime(())
+        assert prime_barcode(f, "SR").intervals[0].prime == LinearPrime.of(tuple(range(1, n + 1)))
+        assert prime_barcode(f, "EDGE").intervals[0].prime == LinearPrime.of(())
 
 
 def test_prime_barcode_final_step_assertion(three_point_filtration, monkeypatch):
@@ -160,9 +177,9 @@ def test_custom_ideal_family_hook(three_point_filtration):
 
 def test_no_resurrection_error_raised_on_corrupt_runs():
     ass = [
-        frozenset({LinearPrime((1,))}),
+        frozenset({LinearPrime.of((1,))}),
         frozenset(),
-        frozenset({LinearPrime((1,))}),
+        frozenset({LinearPrime.of((1,))}),
     ]
     with pytest.raises(NoResurrectionError):
         _intervals_from_runs(ass, (0.0, 1.0, 2.0), "SR")
@@ -330,7 +347,7 @@ def test_jump_witness_three_points(three_point_filtration):
     w = jump_witness(three_point_filtration, 0, 1.0)
     assert w is not None
     assert w.level == "associated"
-    assert w.prime == LinearPrime((2,))
+    assert w.prime == LinearPrime.of((2,))
     # witness at a non-critical interior parameter: nothing changes
     assert jump_witness(three_point_filtration, 0, 0.5) is None
 
@@ -402,7 +419,7 @@ def test_coverage_report_random_and_violation_detection():
 
 def _endpoint_barcode(endpoints):
     # a barcode whose finite endpoints are exactly the given values
-    intervals = tuple(PrimeInterval(LinearPrime((1,)), e, None, "SR") for e in endpoints)
+    intervals = tuple(PrimeInterval(LinearPrime.of((1,)), e, None, "SR") for e in endpoints)
     return PrimeBarcode("SR", intervals, tuple(sorted(set(endpoints))))
 
 
@@ -443,8 +460,8 @@ def test_coverage_report_matches_scan_of_all_endpoints():
 
 
 def test_prime_interval_alive_at():
-    iv = PrimeInterval(LinearPrime((1,)), 1.0, 2.0, "SR")
+    iv = PrimeInterval(LinearPrime.of((1,)), 1.0, 2.0, "SR")
     assert iv.alive_at(1.0) and iv.alive_at(1.5)
     assert not iv.alive_at(2.0) and not iv.alive_at(0.5)
-    forever = PrimeInterval(LinearPrime((1,)), 1.0, None, "SR")
+    forever = PrimeInterval(LinearPrime.of((1,)), 1.0, None, "SR")
     assert forever.alive_at(100.0)
