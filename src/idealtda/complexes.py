@@ -51,11 +51,16 @@ Face = tuple[int, ...]
 MAX_FACES = 1 << 16
 
 
+def _is_vertex(v) -> bool:
+    """A vertex is a positive int; booleans are not vertices."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def face_mask(face: Iterable[int]) -> int:
     """Bitmask of a vertex collection; validates vertices are positive ints."""
     mask = 0
     for v in face:
-        if not isinstance(v, int) or v < 1:
+        if not _is_vertex(v):
             raise ValueError(f"vertex {v!r} is not a positive integer")
         bit = 1 << (v - 1)
         if mask & bit:
@@ -193,8 +198,8 @@ class Graph:
     def __post_init__(self):
         for e in self.edges:
             i, j = e
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad edge {e}: need 1 <= i < j <= {self.n}")
+            if not (_is_vertex(i) and _is_vertex(j) and i < j <= self.n):
+                raise ValueError(f"bad edge {e}: need integers 1 <= i < j <= {self.n}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> "Graph":

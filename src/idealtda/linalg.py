@@ -6,6 +6,14 @@ sparse multivariate polynomials over the rationals, fraction-free
 used for persistence pairing.  No floating point enters any rank or
 homology computation.
 
+A field is a normal form and an inverse.  Its elements are plain Python
+numbers that are zero exactly when falsy: ints in 0..p-1 over GF(p), and
+ints or Fractions, never floats, over Q.  ``norm`` brings the result of
+``+``, ``-`` and ``*`` back to an element (``% p`` over GF(p), the identity
+over Q); ``inv`` is exact and raises ZeroDivisionError on zero;
+``from_fraction`` maps a rational into the field.  So an elimination is the
+arithmetic it does, ``norm(a - f * b)``.
+
 :func:`persistence_reduce` takes face masks in filtration order and builds
 each boundary column from the mask itself, so the columns form a simplicial
 boundary (d o d = 0, column dimension = vertex count - 1).  Over GF(2) a
@@ -31,7 +39,6 @@ __all__ = [
     "parse_field",
     "Polynomial",
     "rank_dense",
-    "rank_kernel",
     "bareiss_rank",
     "persistence_reduce",
 ]
@@ -50,47 +57,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic of GF(p); elements are plain ints in 0..p-1."""
+# Largest prime modulus accepted; primality is checked by trial division,
+# about 23k steps at this bound.  The largest modulus in use is 1000003.
+MAX_MODULUS = 2**31 - 1
 
-    __slots__ = ("p", "zero", "one")
+
+class PrimeField:
+    """GF(p); elements are plain ints in 0..p-1."""
+
+    __slots__ = ("p",)
+    zero = 0
 
     def __init__(self, p: int):
+        if p > MAX_MODULUS:
+            raise ValueError(f"modulus {p} exceeds the largest supported modulus {MAX_MODULUS}")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
 
     @property
     def name(self) -> str:
         return "f2" if self.p == 2 else f"fp:{self.p}"
 
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
-    def from_fraction(self, q: Fraction) -> int:
-        return (q.numerator % self.p) * self.inv(q.denominator % self.p) % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
+    def norm(self, a: int) -> int:
+        return a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+    def from_fraction(self, q: Fraction) -> int:
+        return q.numerator * self.inv(q.denominator) % self.p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -103,43 +101,23 @@ class PrimeField:
 
 
 class RationalField:
-    """Arithmetic of Q via fractions.Fraction."""
+    """Q; elements are ints or Fractions, never floats, so they are exact
+    as they stand."""
 
     zero = Fraction(0)
-    one = Fraction(1)
     name = "q"
 
     @staticmethod
-    def from_int(n: int) -> Fraction:
-        return Fraction(n)
+    def norm(a):
+        return a
+
+    @staticmethod
+    def inv(a) -> Fraction:
+        return Fraction(1) / a
 
     @staticmethod
     def from_fraction(q: Fraction) -> Fraction:
         return q
-
-    @staticmethod
-    def add(a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    @staticmethod
-    def sub(a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    @staticmethod
-    def mul(a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    @staticmethod
-    def neg(a: Fraction) -> Fraction:
-        return -a
-
-    @staticmethod
-    def inv(a: Fraction) -> Fraction:
-        return 1 / a
-
-    @staticmethod
-    def div(a: Fraction, b: Fraction) -> Fraction:
-        return a / b
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -393,17 +371,17 @@ def _as_rows(rows: Sequence[Sequence]) -> list[list]:
 
 
 def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
-    """Rank of a dense matrix over a field, by Gaussian elimination."""
+    """Rank of a dense matrix of field elements, by Gaussian elimination."""
     m = _as_rows(rows)
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    zero = field.zero
+    norm = field.norm
     rank = 0
     r = 0
     for c in range(nc):
         piv = None
         for i in range(r, nr):
-            if m[i][c] != zero:
+            if m[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -411,27 +389,17 @@ def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
         m[r], m[piv] = m[piv], m[r]
         inv_p = field.inv(m[r][c])
         for i in range(r + 1, nr):
-            if m[i][c] == zero:
+            if not m[i][c]:
                 continue
-            f = field.mul(m[i][c], inv_p)
+            f = norm(m[i][c] * inv_p)
             row_i, row_r = m[i], m[r]
             for j in range(c, nc):
-                row_i[j] = field.sub(row_i[j], field.mul(f, row_r[j]))
+                row_i[j] = norm(row_i[j] - f * row_r[j])
         r += 1
         rank += 1
         if r == nr:
             break
     return rank
-
-
-def rank_kernel(rows: Sequence[Sequence], ncols: int | None = None, field=QQ) -> tuple[int, int]:
-    """(rank, kernel dimension) of a matrix over a field; rank + kdim = ncols."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for a matrix with no rows")
-        ncols = len(rows[0])
-    rank = rank_dense(rows, field) if rows else 0
-    return rank, ncols - rank
 
 
 def _domain_exact_div(num, den):
@@ -517,14 +485,14 @@ def _reduce_columns(
     reduced: dict[int, dict[int, object]] = {}
     low_to_col: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
-    zero = field.zero
+    norm = field.norm
     for j, raw in enumerate(columns):
         col: dict[int, object] = {}
         for i, c in raw.items():
             if i >= j:
                 raise ValueError(f"column {j} references row {i}: subfaces must precede faces")
-            c = field.from_int(c) if isinstance(c, int) else c
-            if c != zero:
+            c = norm(c)
+            if c:
                 col[i] = c
         while col:
             low = max(col)
@@ -532,13 +500,13 @@ def _reduce_columns(
             if k is None:
                 break
             other = reduced[k]
-            f = field.div(col[low], other[low])
+            f = norm(col[low] * field.inv(other[low]))
             for i, c in other.items():
-                v = field.sub(col.get(i, zero), field.mul(f, c))
-                if v == zero:
-                    col.pop(i, None)
-                else:
+                v = norm(col.get(i, 0) - f * c)
+                if v:
                     col[i] = v
+                else:
+                    col.pop(i, None)
         if col:
             reduced[j] = col
             low = max(col)

@@ -326,7 +326,7 @@ def _boundary_dense(K: SimplicialComplex, k: int, field, reduced: bool) -> list[
     rows, cols, entries = boundary_entries(K, k, reduced=reduced)
     dense = [[field.zero] * len(cols) for _ in rows]
     for (i, j), s in entries.items():
-        dense[i][j] = field.from_int(s)
+        dense[i][j] = field.norm(s)
     return dense
 
 

@@ -11,6 +11,7 @@ import pytest
 from idealtda import cli
 from idealtda.cli import main
 from idealtda.complexes import MAX_FACES
+from idealtda.linalg import MAX_MODULUS
 from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES
 
 
@@ -150,6 +151,18 @@ def test_barcodes_input_errors(tmp_path, capsys):
     asym.write_text("0,1\n2,0\n")
     assert main(["barcodes", "--input", str(asym), "--out", str(tmp_path / "w")]) == 2
     assert "symmetric" in capsys.readouterr().err
+
+
+def test_barcodes_field_modulus_bound(three_csv, tmp_path, capsys):
+    # trial division on a 19-digit prime would run for minutes: refused at once
+    argv = ["barcodes", "--input", str(three_csv), "--out", str(tmp_path / "o")]
+    start = time.perf_counter()
+    assert main(argv + ["--field", "fp:1000000000000000003"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert str(MAX_MODULUS) in capsys.readouterr().err
+    assert main(argv + ["--field", "fp:1000003"]) == 0
+    payload = json.loads((tmp_path / "o" / "barcodes.json").read_text())
+    assert payload["meta"]["field"] == "fp:1000003"
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -40,6 +40,11 @@ def test_face_mask_roundtrip_and_validation():
         face_mask((0,))
     with pytest.raises(ValueError):
         face_mask((2, 2))
+    for bad in [(1.0,), ("1",), (True, 2), (False,)]:
+        with pytest.raises(ValueError, match="not a positive integer"):
+            face_mask(bad)
+    with pytest.raises(ValueError, match="True"):
+        SimplicialComplex.from_faces(2, [(True, 2)], close=True)
 
 
 def test_from_faces_rejects_non_closed():
@@ -382,3 +387,6 @@ def test_graph_validation():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(1, 3)])
+    for bad in [(True, 3), (1.5, 3), (1, 3.0)]:
+        with pytest.raises(ValueError, match="bad edge"):
+            Graph.from_edges(3, [bad])

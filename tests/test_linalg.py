@@ -10,6 +10,7 @@ from idealtda import linalg
 from idealtda.complexes import _iter_bits
 from idealtda.linalg import (
     GF2,
+    MAX_MODULUS,
     QQ,
     Polynomial,
     PrimeField,
@@ -17,7 +18,6 @@ from idealtda.linalg import (
     parse_field,
     persistence_reduce,
     rank_dense,
-    rank_kernel,
 )
 
 
@@ -31,15 +31,35 @@ def test_parse_field():
 
 def test_prime_field_ops():
     f5 = PrimeField(5)
-    assert f5.add(3, 4) == 2
-    assert f5.mul(3, 4) == 2
+    assert [f5.norm(a) for a in (-7, -1, 0, 4, 5, 13)] == [3, 4, 0, 4, 0, 3]
     assert f5.inv(2) == 3
-    assert f5.div(1, 2) == 3
     assert f5.from_fraction(Fraction(1, 2)) == 3
+    assert f5.from_fraction(Fraction(-3, 7)) == 1  # -3 * 7^-1 = 2 * 3 in GF(5)
+    for field, zero in ((f5, 0), (f5, 10), (QQ, 0), (QQ, Fraction(0))):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
     with pytest.raises(ZeroDivisionError):
-        f5.inv(0)
+        f5.from_fraction(Fraction(1, 10))
+    assert QQ.norm(Fraction(2, 3)) == Fraction(2, 3)
+    assert QQ.inv(49) == Fraction(1, 49)
+    assert QQ.from_fraction(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def test_fields_expose_only_the_elimination_contract():
+    public = {"name", "zero", "norm", "inv", "from_fraction"}
+    assert {a for a in dir(PrimeField(5)) if not a.startswith("_")} == public | {"p"}
+    assert {a for a in dir(QQ) if not a.startswith("_")} == public
+
+
+def test_prime_field_refuses_moduli_over_the_bound():
+    assert PrimeField(MAX_MODULUS).p == MAX_MODULUS  # 2^31 - 1 is prime
+    for p in (MAX_MODULUS + 2, 10000000000000061, 1000000000000000003):
+        with pytest.raises(ValueError, match=str(MAX_MODULUS)):
+            PrimeField(p)
+    with pytest.raises(ValueError, match=str(MAX_MODULUS)):
+        parse_field("fp:1000000000000000003")
 
 
 def test_polynomial_basic_arithmetic():
@@ -124,12 +144,33 @@ def test_rank_dense_hollow_triangle():
         [Fraction(0), Fraction(-1), Fraction(-1)],
     ]
     assert rank_dense(m, QQ) == 2
-    assert rank_kernel(m, field=QQ) == (2, 1)
 
 
 def test_rank_zero_matrix():
     assert rank_dense([[Fraction(0)] * 3 for _ in range(2)], QQ) == 0
-    assert rank_kernel([], ncols=5, field=QQ) == (0, 5)
+    assert rank_dense([], QQ) == 0
+
+
+def test_rank_dense_over_q_is_exact_on_ints():
+    # 98 * (1/49) is 1.9999999999999998 in floating point; over Q it is 2
+    assert rank_dense([[49, 1], [98, 2]]) == 1
+    assert rank_dense([[49, 1], [98, 2]], QQ) == 1
+    for a in range(2, 200):
+        for k in range(2, 20):
+            assert rank_dense([[a, 1], [k * a, k]], QQ) == 1, (a, k)
+
+
+def test_rank_dense_over_q_matches_bareiss_on_int_matrices():
+    # a row [a, 1, ...] and k times it: a float 1/a leaves k - k*a*(1/a) != 0
+    # for about one pair (a, k) in twenty
+    rng = random.Random(29)
+    for _ in range(300):
+        a, k = rng.randrange(2, 200), rng.randrange(2, 20)
+        top = [a, 1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        m = [top, [k * x for x in top]]
+        m += [[rng.randint(-9, 9) for _ in top] for _ in range(rng.randint(0, 2))]
+        rng.shuffle(m)
+        assert rank_dense(m, QQ) == bareiss_rank(m), m
 
 
 def test_rank_agreement_large_prime_vs_rationals():
@@ -140,7 +181,7 @@ def test_rank_agreement_large_prime_vs_rationals():
         cols = rng.randint(1, 6)
         m = [[rng.choice([-1, 0, 1]) for _ in range(cols)] for _ in range(rows)]
         rq = rank_dense([[Fraction(v) for v in row] for row in m], QQ)
-        rp = rank_dense([[big.from_int(v) for v in row] for row in m], big)
+        rp = rank_dense([[big.norm(v) for v in row] for row in m], big)
         assert rq == rp
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from idealtda.complexes import mask_face
+from idealtda.complexes import MAX_FACES, mask_face
 from idealtda.linalg import Polynomial
 from idealtda.monomials import (
     AtomTable,
@@ -232,6 +232,15 @@ def test_minimal_transversals_match_exhaustive():
         minimal_transversals([0])
 
 
+def test_minimal_transversals_exhaustive_budget():
+    # 2^16 = MAX_FACES subsets are scanned; more are refused before the scan,
+    # which would otherwise run for hours at n = 30
+    assert minimal_transversals_exhaustive([1 << 15], 16) == [1 << 15]
+    for n in (17, 30, 1000):
+        with pytest.raises(ValueError, match=str(MAX_FACES)):
+            minimal_transversals_exhaustive([1], n)
+
+
 def test_ideal_in_prime_is_support_hitting():
     I = MonomialIdeal.from_generators(X4, [sf(1, 4), sf(2, 4)])
     assert ideal_in_prime(I, LinearPrime.of((4,)))
@@ -261,6 +270,6 @@ def test_linear_prime_is_its_vertex_mask():
     primes = [LinearPrime(m) for m in masks]
     by_tuple = sorted(primes, key=lambda p: (len(vertices[p.mask]), vertices[p.mask]))
     assert sorted(primes, key=LinearPrime.sort_key) == by_tuple
-    for bad in [(0,), (1, 0), (-2,), (1.0,), ("1",), (2, 2), (1, 3, 1)]:
+    for bad in [(0,), (1, 0), (-2,), (1.0,), ("1",), (True, 3), (2, 2), (1, 3, 1)]:
         with pytest.raises(ValueError):
             LinearPrime.of(bad)
