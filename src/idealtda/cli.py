@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--max-n", type=int, default=8)
-    v.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     v.add_argument("--out", default=None, help="optional directory for report.json")
     return parser
 
@@ -257,12 +256,7 @@ def cmd_labelled(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(
-        seed=args.seed,
-        trials=args.trials,
-        nmax=args.max_n,
-        inject_fault=args.inject_fault,
-    )
+    results = run_all(seed=args.seed, trials=args.trials, nmax=args.max_n)
     for res in results:
         print(res.line())
         for note in res.detail:

@@ -3,7 +3,8 @@
 Vertices are integers 1..n.  Faces are stored internally as bitmasks
 (bit v-1 set iff vertex v belongs to the face), which makes subset and
 superset queries cheap; the public face representation is the strictly
-increasing tuple of vertices.
+increasing tuple of vertices.  A graph is stored the same way, as one
+neighbour mask per vertex.
 
 Canonical basis order: within each dimension, faces are sorted by their
 bitmask value, i.e. colexicographically.  All boundary matrices in the
@@ -190,42 +191,55 @@ class SimplicialComplex:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n."""
+    """Simple undirected graph on vertices 1..n, stored as neighbour masks
+    like faces and primes: adjacency[v] has bit u-1 set iff {u, v} is an
+    edge, and adjacency[0] is 0."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: tuple[int, ...]
 
     def __post_init__(self):
-        for e in self.edges:
-            i, j = e
-            if not (_is_vertex(i) and _is_vertex(j) and i < j <= self.n):
-                raise ValueError(f"bad edge {e}: need integers 1 <= i < j <= {self.n}")
+        adj, n = self.adjacency, self.n
+        if n < 0 or len(adj) != n + 1 or adj[0]:
+            raise ValueError(f"a graph on 1..{n} needs n + 1 neighbour masks, the first 0")
+        universe = (1 << n) - 1
+        # Every set bit is a neighbour of one vertex, so if each vertex is a
+        # neighbour of all its neighbours, or of none of its non-neighbours,
+        # the masks are symmetric; walk the sparser of the two.
+        dense = 2 * sum(m.bit_count() for m in adj) > n * (n - 1)
+        for v in range(1, n + 1):
+            bit = 1 << (v - 1)
+            if adj[v] & ~universe:
+                raise ValueError(f"vertex {v} has neighbours outside 1..{n}")
+            if adj[v] & bit:
+                raise ValueError(f"loop at vertex {v} is not allowed")
+            for u in _iter_bits(universe ^ bit ^ adj[v] if dense else adj[v]):
+                if bool(adj[u.bit_length()] & bit) == dense:
+                    raise ValueError(f"adjacency is not symmetric at vertices {u.bit_length()} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> "Graph":
-        norm = set()
+        adj = [0] * (n + 1)
         for e in edges:
-            i, j = sorted(e)
-            if i == j:
-                raise ValueError(f"loop at vertex {i} is not allowed")
-            norm.add((i, j))
-        return cls(n, frozenset(norm))
-
-    @cached_property
-    def adjacency(self) -> list[int]:
-        """adjacency[v] is the neighbor bitmask of vertex v (index 0 unused)."""
-        adj = [0] * (self.n + 1)
-        for i, j in self.edges:
+            pair = tuple(e)
+            if not (len(pair) == 2 and pair[0] != pair[1] and all(_is_vertex(v) and v <= n for v in pair)):
+                raise ValueError(f"bad edge {pair}: need two distinct integers in 1..{n}")
+            i, j = pair
             adj[i] |= 1 << (j - 1)
             adj[j] |= 1 << (i - 1)
-        return adj
+        return cls(n, tuple(adj))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (i, j) with i < j."""
+        return frozenset(
+            (u.bit_length(), v)
+            for v in range(2, self.n + 1)
+            for u in _iter_bits(self.adjacency[v] & ((1 << (v - 1)) - 1))
+        )
 
     def has_edge(self, i: int, j: int) -> bool:
-        a, b = min(i, j), max(i, j)
-        return (a, b) in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return bool(self.adjacency[i] >> (j - 1) & 1)
 
 
 @dataclass(frozen=True)
@@ -301,13 +315,14 @@ class Filtration:
         return SimplicialComplex(self.n, frozenset(m for m, b in self.birth_map.items() if b <= t))
 
 
-def _cliques(n: int, adj: Sequence[int], max_size: int) -> list[int]:
-    """Cliques of at most max_size vertices of the graph on 1..n where v has
-    the neighbour mask adj[v], depth-first on a stack of (clique, common
-    neighbours above its top vertex).  A clique is listed after the clique
-    without its top vertex and after that clique's other extensions."""
+def _cliques(g: Graph, max_size: int) -> list[int]:
+    """Cliques of g with at most max_size vertices, depth-first on a stack
+    of (clique, common neighbours above its top vertex).  A clique is listed
+    after the clique without its top vertex and after that clique's other
+    extensions."""
+    adj = g.adjacency
     out: list[int] = []
-    stack = [(0, (1 << n) - 1)]
+    stack = [(0, (1 << g.n) - 1)]
     while stack:
         mask, cand = stack.pop()
         grow = mask.bit_count() + 1 < max_size
@@ -326,7 +341,7 @@ def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
     max_size = g.n if max_dim is None else max_dim + 1
     if max_size < 1:
         raise ValueError("max_dim must be nonnegative")
-    return SimplicialComplex(g.n, frozenset(_cliques(g.n, g.adjacency, max_size)))
+    return SimplicialComplex(g.n, frozenset(_cliques(g, max_size)))
 
 
 def full_subcomplex(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex:
@@ -412,7 +427,8 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
     half = [[d / 2.0 for d in row] for row in dist]
     full = (1 << n) - 1
     births: dict[int, float] = {}
-    for m in _cliques(n, [0] + [full ^ (1 << v) for v in range(n)], max_dim + 1):
+    complete = Graph(n, (0,) + tuple(full ^ (1 << v) for v in range(n)))
+    for m in _cliques(complete, max_dim + 1):
         top = m.bit_length() - 1
         rest = m ^ (1 << top)
         second = rest.bit_length() - 1
@@ -452,16 +468,12 @@ def boundary_entries(
 
 
 def maximal_clique_masks(g: Graph) -> list[int]:
-    """All maximal cliques of g as bitmasks (Bron-Kerbosch with pivoting)."""
-    return _maximal_cliques(g.n, g.adjacency)
-
-
-def _maximal_cliques(n: int, adj: Sequence[int]) -> list[int]:
-    """Sorted maximal cliques of the graph on 1..n whose vertex v has the
-    neighbour mask adj[v], by Bron-Kerbosch with pivoting on an explicit
-    stack, so clique size is not bounded by the recursion limit."""
+    """Sorted maximal cliques of g as bitmasks, by Bron-Kerbosch with
+    pivoting on an explicit stack, so clique size is not bounded by the
+    recursion limit."""
+    adj = g.adjacency
     out: list[int] = []
-    stack = [(0, (1 << n) - 1, 0)]
+    stack = [(0, (1 << g.n) - 1, 0)]
     while stack:
         r, p, x = stack.pop()
         pool = p | x

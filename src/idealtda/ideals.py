@@ -6,6 +6,10 @@ face ideals of complexes, complements of maximal independent sets for
 edge ideals) and the generic minimal-transversal decomposition from
 :mod:`idealtda.monomials`.  They are cross-checked permanently in the
 test and verification suites.
+
+Graphs are neighbour masks (see :class:`idealtda.complexes.Graph`):
+``complement_graph`` is the one complement computation, and the vertex
+covers are the complements of the maximal cliques of the complement.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from .complexes import (
     SimplicialComplex,
     _check_face_budget,
     _iter_bits,
-    _maximal_cliques,
     _maximal_masks,
+    maximal_clique_masks,
     minimal_nonfaces,
 )
 from .monomials import AtomTable, FactoredElement, LinearPrime, MonomialIdeal
@@ -49,12 +53,9 @@ def stanley_reisner(K: SimplicialComplex) -> MonomialIdeal:
 
 def edge_ideal(obj: SimplicialComplex | Graph) -> MonomialIdeal:
     """Ideal generated by x_i*x_j over the edges (1-faces) of the input."""
-    if isinstance(obj, Graph):
-        n, edges = obj.n, obj.sorted_edges()
-    else:
-        n, edges = obj.n, obj.faces_of_dim(1)
-    table = _variable_table(n)
-    gens = [FactoredElement.from_support(table, e) for e in edges]
+    g = obj if isinstance(obj, Graph) else one_skeleton(obj)
+    table = _variable_table(g.n)
+    gens = [FactoredElement.from_support(table, e) for e in g.edges]
     return MonomialIdeal.from_generators(table, gens)
 
 
@@ -105,13 +106,10 @@ def minimal_vertex_covers(g: Graph) -> frozenset[LinearPrime]:
     """All inclusion-minimal vertex covers of g, as linear primes.
 
     Combinatorial route: complements of the maximal independent sets,
-    i.e. of the maximal cliques of the complement graph, searched on its
-    neighbour masks without listing its edges.
+    i.e. of the maximal cliques of the complement graph.
     """
     full = (1 << g.n) - 1
-    adj = g.adjacency
-    complement = [0] + [full ^ adj[v] ^ (1 << (v - 1)) for v in range(1, g.n + 1)]
-    covers = {LinearPrime(full & ~clique) for clique in _maximal_cliques(g.n, complement)}
+    covers = {LinearPrime(full & ~clique) for clique in maximal_clique_masks(complement_graph(g))}
     if g.n == 0:
         covers.add(LinearPrime(0))
     return frozenset(covers)
@@ -119,15 +117,16 @@ def minimal_vertex_covers(g: Graph) -> frozenset[LinearPrime]:
 
 def complement_graph(g: Graph) -> Graph:
     """Graph with edge {i,j} present exactly when absent from g."""
-    edges = [
-        (i, j)
-        for i in range(1, g.n + 1)
-        for j in range(i + 1, g.n + 1)
-        if not g.has_edge(i, j)
-    ]
-    return Graph.from_edges(g.n, edges)
+    full = (1 << g.n) - 1
+    return Graph(g.n, (0,) + tuple(full ^ nb ^ (1 << v) for v, nb in enumerate(g.adjacency[1:])))
 
 
 def one_skeleton(K: SimplicialComplex) -> Graph:
     """Underlying graph of a complex: its vertices and 1-faces."""
-    return Graph.from_edges(K.n, K.faces_of_dim(1))
+    adj = [0] * (K.n + 1)
+    for m in K.face_masks:
+        if m.bit_count() == 2:
+            low = m & -m
+            adj[low.bit_length()] |= m ^ low
+            adj[m.bit_length()] |= low
+    return Graph(K.n, tuple(adj))

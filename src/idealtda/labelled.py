@@ -186,9 +186,6 @@ class BoundaryMatrices:
                 return m
         return None
 
-    def dims(self) -> list[int]:
-        return [m.k for m in self.matrices]
-
 
 def boundary_matrices(LC: LabelledComplex) -> BoundaryMatrices:
     """All boundary matrices of the labelled chain complex.

@@ -381,7 +381,7 @@ def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
     for c in range(nc):
         piv = None
         for i in range(r, nr):
-            if m[i][c]:
+            if norm(m[i][c]):
                 piv = i
                 break
         if piv is None:

@@ -61,6 +61,8 @@ class AtomTable:
                 raise ValueError(f"expansion given for unknown atom {name!r}")
             if poly.nvars != len(self.variables):
                 raise ValueError(f"expansion of {name!r} has wrong variable arity")
+            if not poly:
+                raise ValueError(f"atom {name!r} expands to the zero polynomial, which is not irreducible")
 
     @classmethod
     def for_variables(cls, n: int, prefix: str = "x") -> "AtomTable":
@@ -341,32 +343,28 @@ def _antichain_min(masks: Iterable[int]) -> list[int]:
 def minimal_transversals(supports: Sequence[int]) -> list[int]:
     """Inclusion-minimal hitting sets of a family of nonempty bitmasks.
 
-    Branch and bound: recurse on the first unhit support, branching over
-    its elements; branches dominated by an already found transversal are
-    pruned, and a final antichain filter removes non-minimal stragglers.
+    Branch and bound, depth-first on an explicit stack, so the depth is
+    not bounded by the recursion limit: branch over the elements of the
+    first unhit support, lowest first; branches dominated by an already
+    found transversal are pruned, and a final antichain filter removes
+    non-minimal stragglers.
     """
     sets = sorted(set(supports), key=lambda m: m.bit_count())
     if any(s == 0 for s in sets):
         raise ValueError("empty support cannot be hit")
     found: list[int] = []
-
-    def rec(chosen: int, remaining: tuple[int, ...]) -> None:
+    stack = [(0, tuple(sets))]
+    while stack:
+        chosen, remaining = stack.pop()
         for t in found:
             if t & chosen == t:
-                return
-        first = None
-        for s in remaining:
-            if not (s & chosen):
-                first = s
                 break
-        if first is None:
-            found.append(chosen)
-            return
-        rest = tuple(s for s in remaining if not (s & chosen))
-        for bit in _iter_bits(first):
-            rec(chosen | bit, rest)
-
-    rec(0, tuple(sets))
+        else:
+            rest = tuple(s for s in remaining if not s & chosen)
+            if rest:
+                stack.extend([(chosen | bit, rest) for bit in _iter_bits(rest[0])][::-1])
+            else:
+                found.append(chosen)
     return _antichain_min(found)
 
 

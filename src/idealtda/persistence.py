@@ -411,8 +411,6 @@ def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcod
     bars: dict[int, list[tuple[float, float | None]]] = {}
     for i, j in pairs:
         dim = order[i].bit_count() - 1
-        if dim > top:
-            continue
         birth, death = births[order[i]], births[order[j]]
         if birth == death:
             continue

@@ -164,9 +164,7 @@ def suite_clique_complement_identity(rng: random.Random, trials: int, nmax: int 
     return res
 
 
-def suite_prime_interval_uniqueness(
-    rng: random.Random, trials: int, nmax: int = 7, inject_fault: bool = False
-) -> SuiteResult:
+def suite_prime_interval_uniqueness(rng: random.Random, trials: int, nmax: int = 7) -> SuiteResult:
     """Every prime is associated along one contiguous run of steps, and
     those runs are the closed-form bars of ``prime_barcode``."""
     res = SuiteResult("prime interval uniqueness", trials)
@@ -174,10 +172,6 @@ def suite_prime_interval_uniqueness(
         _, f = _random_vr(rng, nmax)
         for kind in ("SR", "EDGE"):
             ass = [set(a) for a in step_associated_primes(f, kind)]
-            if inject_fault and len(ass) >= 3:
-                victim = sorted(ass[0], key=lambda p: p.sort_key())[0]
-                ass[len(ass) // 2].discard(victim)
-                ass[-1].add(victim)
             try:
                 runs = _intervals_from_runs(ass, f.params, kind)
             except NoResurrectionError as exc:
@@ -302,17 +296,12 @@ def suite_vertex_cover_oracles(rng: random.Random, trials: int, nmax: int = 8) -
     return res
 
 
-def run_all(
-    seed: int = 0,
-    trials: int = 20,
-    nmax: int = 8,
-    inject_fault: bool = False,
-) -> list[SuiteResult]:
+def run_all(seed: int = 0, trials: int = 20, nmax: int = 8) -> list[SuiteResult]:
     """Run every suite with its own derived seed; order is fixed."""
     nmax_f = min(nmax, 7)
     suites = [
         lambda r: suite_clique_complement_identity(r, trials, nmax),
-        lambda r: suite_prime_interval_uniqueness(r, trials, nmax_f, inject_fault),
+        lambda r: suite_prime_interval_uniqueness(r, trials, nmax_f),
         lambda r: suite_betti_jump_witness(r, trials, nmax_f),
         lambda r: suite_half_distance_coverage(r, trials, nmax_f),
         lambda r: suite_evaluation_equivalence(r, trials, nmax_f),

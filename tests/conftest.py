@@ -9,7 +9,7 @@ import pytest
 from idealtda.complexes import Graph, SimplicialComplex, clique_complex
 from idealtda.labelled import make_labelled
 from idealtda.linalg import Polynomial
-from idealtda.monomials import AtomTable, FactoredElement
+from idealtda.monomials import AtomTable, FactoredElement, LinearPrime
 
 
 @pytest.fixture
@@ -17,6 +17,25 @@ def three_point_dist() -> list[list[float]]:
     """Isoceles right triangle: d(1,2) = d(1,3) = 2, d(2,3) = 2*sqrt(2)."""
     s = 2.0 * math.sqrt(2.0)
     return [[0.0, 2.0, 2.0], [2.0, 0.0, s], [2.0, s, 0.0]]
+
+
+@pytest.fixture
+def inject_prime_fault(monkeypatch):
+    """Call to corrupt the per-step primes the verify suites see: a prime of
+    the first step vanishes mid-run and comes back at the last step."""
+    from idealtda import verify
+
+    real = verify.step_associated_primes
+
+    def faulty(f, kind):
+        ass = [set(a) for a in real(f, kind)]
+        if len(ass) >= 3:
+            victim = min(ass[0], key=LinearPrime.sort_key)
+            ass[len(ass) // 2].discard(victim)
+            ass[-1].add(victim)
+        return ass
+
+    return lambda: monkeypatch.setattr(verify, "step_associated_primes", faulty)
 
 
 @pytest.fixture

@@ -224,6 +224,28 @@ def test_labelled_admissible_point_report(tmp_path, worked_json):
     assert report["evaluation"]["equal"] is True
 
 
+# the 6-vertex real projective plane: 6 vertices, 15 edges, 10 triangles
+_RP2 = [
+    [1, 2, 4], [1, 2, 6], [1, 3, 5], [1, 3, 6], [1, 4, 5],
+    [2, 3, 4], [2, 3, 5], [2, 5, 6], [3, 4, 6], [4, 5, 6],
+]
+
+
+@pytest.mark.parametrize(
+    "field, betti",
+    [("f2", {"0": 1, "1": 1, "2": 1}), ("q", {"0": 1, "1": 0, "2": 0})],
+)
+def test_labelled_admissible_point_over_each_field(tmp_path, field, betti):
+    labels = [[1, 0], [0, 1], [1, 1], [2, 0], [0, 2], [0, 0]]
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps({"n": 6, "faces": _RP2, "atoms": ["x1", "x2"], "labels": labels}))
+    out = tmp_path / "rep"
+    argv = ["labelled", "--input", str(path), "--field", field, "--point", "x1=1,x2=3", "--out", str(out)]
+    assert main(argv) == 0
+    ev = json.loads((out / "report.json").read_text())["evaluation"]
+    assert ev == {"admissible": True, "betti": betti, "classical_betti": betti, "equal": True}
+
+
 def test_labelled_unit_labels_all_trivial(tmp_path):
     data = {
         "n": 3,
@@ -305,7 +327,7 @@ def test_labelled_point_checked_before_rank_work(tmp_path, capsys, monkeypatch, 
     assert message in capsys.readouterr().err
 
 
-def test_verify_quick_and_fault_injection(tmp_path, capsys):
+def test_verify_quick_and_fault_injection(tmp_path, capsys, inject_prime_fault):
     out = tmp_path / "v"
     assert main(["verify", "--trials", "4", "--seed", "3", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
@@ -313,7 +335,8 @@ def test_verify_quick_and_fault_injection(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert all(s["failures"] == 0 for s in report["suites"])
 
-    assert main(["verify", "--trials", "4", "--seed", "3", "--inject-fault"]) == 1
+    inject_prime_fault()
+    assert main(["verify", "--trials", "4", "--seed", "3"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -382,6 +405,12 @@ _EXPANDED = '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "s"], "labels": [
             "atom s: expansion term 1 coefficient is not a rational number: true",
         ),
         ("labelled-json", _EXPANDED % '"atom_polys": []', "'atom_polys' must be an object, found []"),
+        ("labelled-json", _EXPANDED % '"atom_polys": {"s": []}', "atom 's' expands to the zero polynomial"),
+        (
+            "labelled-json",
+            _EXPANDED % '"atom_polys": {"s": [[1, [1, 0]], [-1, [1, 0]]]}',
+            "atom 's' expands to the zero polynomial",
+        ),
         ("complex-json", '{"n": %s, "faces": [[1, 2]]}' % _HUGE, _TOO_MANY),
         ("complex-json", '{"n": 513, "faces": [[1, 2]]}', _TOO_MANY),
         ("labelled-json", '{"n": %s, "faces": [[1, 2]], %s}' % (_HUGE, _LABELLED), _TOO_MANY),

@@ -387,6 +387,24 @@ def test_graph_validation():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(1, 3)])
-    for bad in [(True, 3), (1.5, 3), (1, 3.0)]:
+    for bad in [(True, 3), (1.5, 3), (1, 3.0), ("1", 3), (1, 2, 3)]:
         with pytest.raises(ValueError, match="bad edge"):
             Graph.from_edges(3, [bad])
+
+
+def test_graph_is_neighbour_masks():
+    g = Graph.from_edges(4, [(2, 1), (3, 4)])
+    assert g.adjacency == (0, 0b0010, 0b0001, 0b1000, 0b0100)
+    assert g.edges == frozenset({(1, 2), (3, 4)})
+    assert g.has_edge(2, 1) and not g.has_edge(1, 3)
+    assert Graph(3, (0, 0b110, 0b101, 0b011)) == Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    for n, adjacency, message in [
+        (2, (0, 0), "n \\+ 1 neighbour masks"),
+        (2, (1, 0, 0), "n \\+ 1 neighbour masks"),
+        (2, (0, 0b100, 0), "outside 1..2"),
+        (2, (0, 0b01, 0), "loop at vertex 1"),
+        (3, (0, 0b110, 0b001, 0), "not symmetric"),  # sparse: 3 misses 1
+        (3, (0, 0b110, 0b101, 0b001), "not symmetric"),  # dense: 3 misses 2
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Graph(n, adjacency)

@@ -173,6 +173,17 @@ def test_rank_dense_over_q_matches_bareiss_on_int_matrices():
         assert rank_dense(m, QQ) == bareiss_rank(m), m
 
 
+def test_rank_dense_normalises_gf_p_pivots():
+    # 5 is 0 in GF(5): not a pivot
+    assert rank_dense([[5, 1]], PrimeField(5)) == 1
+    rng = random.Random(31)
+    for _ in range(200):
+        field = PrimeField(rng.choice([2, 3, 5, 7]))
+        cols = rng.randint(1, 5)
+        m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+        assert rank_dense(m, field) == rank_dense([[field.norm(v) for v in row] for row in m], field), m
+
+
 def test_rank_agreement_large_prime_vs_rationals():
     rng = random.Random(3)
     big = PrimeField(1000003)

@@ -40,6 +40,11 @@ def test_atom_table_validation():
         AtomTable(("x1", "x1"))
     with pytest.raises(ValueError):
         AtomTable(("x1",), (("y", Polynomial.zero(1)),))
+    # a zero expansion is not an irreducible, however it is spelled
+    x1 = Polynomial.variable(1, 0)
+    for zero in (Polynomial.zero(1), x1 - x1):
+        with pytest.raises(ValueError, match="atom 's' expands to the zero polynomial"):
+            AtomTable(("x1", "s"), (("s", zero),))
     table = AtomTable(("x1", "x2", "x1+x2"), (("x1+x2", Polynomial(2, {(1, 0): 1, (0, 1): 1})),))
     assert table.variables == ("x1", "x2")
     assert not table.is_pure_variables
@@ -230,6 +235,11 @@ def test_minimal_transversals_match_exhaustive():
         )
     with pytest.raises(ValueError):
         minimal_transversals([0])
+
+
+def test_minimal_transversals_deeper_than_the_recursion_limit():
+    # one vertex is chosen per level: 2000 levels
+    assert minimal_transversals([1 << i for i in range(2000)]) == [(1 << 2000) - 1]
 
 
 def test_minimal_transversals_exhaustive_budget():

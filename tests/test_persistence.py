@@ -185,7 +185,7 @@ def test_no_resurrection_error_raised_on_corrupt_runs():
         _intervals_from_runs(ass, (0.0, 1.0, 2.0), "SR")
 
 
-def test_interval_suite_checks_closed_forms_against_runs(monkeypatch):
+def test_interval_suite_checks_closed_forms_against_runs(monkeypatch, inject_prime_fault):
     from idealtda import verify
 
     real = verify.prime_barcode
@@ -195,7 +195,8 @@ def test_interval_suite_checks_closed_forms_against_runs(monkeypatch):
     res = verify.suite_prime_interval_uniqueness(random.Random(0), 3)
     assert res.failures == 6
     assert "SR closed-form bars differ from the per-step runs" in res.detail[0]
-    faulty = verify.suite_prime_interval_uniqueness(random.Random(0), 3, inject_fault=True)
+    inject_prime_fault()
+    faulty = verify.suite_prime_interval_uniqueness(random.Random(0), 3)
     assert faulty.failures == 6
     assert "resurrects" in faulty.detail[0]
 
