@@ -14,9 +14,15 @@ is stored as sparse columns of (row, sign, exponent vector of
 m_sigma / m_tau) and built once per labelled complex.  The chain and
 diagonal checks are exponent arithmetic on those entries (atoms treated
 as independent symbols, which is exact for these formal identities);
-evaluation, fraction-field ranks (composite atoms expanded, fraction-free
-elimination over the genuine polynomial ring) and graded slices densify
-the same columns.
+evaluation, fraction-field ranks and graded slices densify the same
+columns.
+
+The entries make each boundary a diagonal similarity of the classical
+one: D_k = L_{k-1}^{-1} d_k L_k, with L_j the diagonal of the j-face
+labels.  So the fraction-field rank is the rank of D_k evaluated at any
+point where no vertex label vanishes; it is read off one such integer
+point, found variable by variable, by fraction-free elimination.  No
+rank is probabilistic and no entry is expanded into a polynomial.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ __all__ = [
     "diag_relation_check",
     "evaluate_chain",
     "evaluation_ranks",
+    "admissible_point",
     "fraction_field_ranks",
     "classical_boundary_ranks",
     "classical_betti",
@@ -337,21 +344,48 @@ def evaluation_ranks(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> d
     return evaluate_chain(LC, point, field).ranks()
 
 
+def admissible_point(LC: LabelledComplex) -> EvaluationPoint:
+    """The admissible integer point that :func:`fraction_field_ranks` uses.
+
+    Coordinates are fixed one variable at a time, in table order: each is
+    the smallest positive integer that keeps every atom used by a vertex
+    label of the complex a nonzero polynomial in the remaining variables.
+    Setting x = a zeroes a nonzero f exactly when (x - a) divides f, so a
+    variable needs at most (the sum of those atoms' degrees in it) + 1
+    tries.  The all-ones point comes out whenever it is admissible.
+    """
+    polys = LC.table.atom_polynomials()
+    used = {i for v in LC.complex.vertices() for i in LC.vertex_labels[v - 1].support()}
+    atoms = [polys[i - 1] for i in sorted(used)]
+    coords = {}
+    for x, name in enumerate(LC.table.variables):
+        a = 1
+        while not all(f.specialize(x, a) for f in atoms):
+            a += 1
+        atoms = [f.specialize(x, a) for f in atoms]
+        coords[name] = a
+    return EvaluationPoint.of(coords)
+
+
 def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     """Rank of every boundary matrix over the fraction field of the ring.
 
-    Composite atoms are substituted by their polynomial expansions and the
-    rank is computed by exact fraction-free elimination.
+    Every labelled boundary is the similarity D_k = L_{k-1}^{-1} d_k L_k,
+    with L_j the diagonal of the j-face labels and d_k the classical
+    boundary.  At a point a where no vertex label vanishes, D_k(a) is the
+    same similarity over Q, so rank_Q D_k(a) is the fraction-field rank,
+    exactly and for every such a.  The point is :func:`admissible_point`;
+    its matrices are ranked by fraction-free elimination, on ints wherever
+    an entry is integral.
     """
-    atoms = LC.table.atom_polynomials()
-    nvars = len(LC.table.variables)
+    values = admissible_point(LC).atom_values(LC.table)
 
     @cache
-    def expand(sign: int, exps: tuple[int, ...]) -> Polynomial:
-        return Polynomial.monomial(len(atoms), exps, sign).substitute(atoms, nvars)
+    def entry(sign: int, exps: tuple[int, ...]):
+        q = sign * _monomial_value(values, exps)
+        return q.numerator if q.denominator == 1 else q
 
-    zero = Polynomial.zero(nvars)
-    return {cm.k: bareiss_rank(cm.dense(expand, zero)) for cm in boundary_matrices(LC).matrices}
+    return {cm.k: bareiss_rank(cm.dense(entry, 0)) for cm in boundary_matrices(LC).matrices}
 
 
 def local_subcomplex(

@@ -286,6 +286,14 @@ class Polynomial:
             total += term
         return total
 
+    def specialize(self, i: int, value) -> "Polynomial":
+        """Set variable i to a constant; the arity stays the same."""
+        out: dict[tuple, Fraction] = {}
+        for exps, c in self.terms.items():
+            e = exps[:i] + (0,) + exps[i + 1 :]
+            out[e] = out.get(e, 0) + c * value ** exps[i]
+        return Polynomial(self.nvars, out)
+
     def substitute(self, targets: Sequence["Polynomial"], nvars_out: int) -> "Polynomial":
         """Ring homomorphism sending variable i to ``targets[i]``."""
         if len(targets) != self.nvars:
@@ -417,15 +425,22 @@ def bareiss_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the fraction field of an integral domain.
 
     Entries may be Polynomial, Fraction or int.  Fraction-free one-step
-    Bareiss elimination: every division is by the previous pivot and is
-    exact by the Sylvester determinant identity.
+    Bareiss elimination (Bareiss 1968): every division is by the previous
+    pivot and is exact by the Sylvester determinant identity.
+
+    A one-step Bareiss step only rescales a row whose pivot-column entry is
+    zero: the row becomes p_t / p_{t-1} times itself.  So each row records
+    the step it was last brought to and is left alone until it next has a
+    nonzero in the pivot column; then it is brought up to date in one go,
+    times P[t] and exactly divided by P[s].  Entries that are zero in both
+    rows are skipped.  The entries are the minors of eager Bareiss.
     """
     m = _as_rows(rows)
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank = 0
+    pivots = [1]  # pivots[t]: pivot of step t, counting from 1; pivots[0] = 1
+    level = [0] * nr  # the step each row was last brought to
     r = 0
-    prev = None
     for c in range(nc):
         piv = None
         for i in range(r, nr):
@@ -435,21 +450,37 @@ def bareiss_rank(rows: Sequence[Sequence]) -> int:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        zero = p - p
+        level[r], level[piv] = level[piv], level[r]
+        prev = pivots[r]
+        row_r = _catch_up(m[r], c, level[r], pivots, r)
+        p = row_r[c]
         for i in range(r + 1, nr):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
+            if not m[i][c]:
+                continue
+            row_i = _catch_up(m[i], c, level[i], pivots, r)
+            mic = row_i[c]
             for j in range(c + 1, nc):
-                num = p * row_i[j] - mic * row_r[j]
-                row_i[j] = _domain_exact_div(num, prev) if prev is not None else num
-            row_i[c] = zero
-        prev = p
+                a, b = row_i[j], row_r[j]
+                if a or b:
+                    num = p * a - mic * b
+                    row_i[j] = _domain_exact_div(num, prev) if r else num
+            level[i] = r + 1
+        pivots.append(p)
         r += 1
-        rank += 1
         if r == nr:
             break
-    return rank
+    return r
+
+
+def _catch_up(row: list, c: int, s: int, pivots: Sequence, t: int) -> list:
+    """Bring a row last touched at step s to step t: times P[t] / P[s] from
+    column c on (earlier columns are never read again)."""
+    if s < t:
+        up, down = pivots[t], pivots[s]
+        for j in range(c, len(row)):
+            if row[j]:
+                row[j] = _domain_exact_div(row[j] * up, down) if s else row[j] * up
+    return row
 
 
 def _boundary_columns(order: Sequence[int]) -> list[dict[int, int]]:

@@ -383,9 +383,10 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> frozenset[LinearPrime]:
     """Associated primes of a proper square-free monomial ideal.
 
     These are the minimal linear primes over the ideal, computed as the
-    minimal transversals of the minimal-basis generator supports; their
-    intersection recovers the ideal.  The zero ideal yields the zero
-    prime alone.
+    minimal transversals of the generator supports; their intersection
+    recovers the ideal.  Square-free generators divide each other exactly
+    when their supports nest, so the minimal basis is the inclusion-minimal
+    support masks.  The zero ideal yields the zero prime alone.
     """
     if not ideal.is_proper:
         raise ValueError("the unit ideal has no prime decomposition")
@@ -393,7 +394,7 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> frozenset[LinearPrime]:
         raise ValueError("ideal is not square-free; apply radical_generators first")
     if ideal.is_zero:
         return frozenset({LinearPrime(0)})
-    supports = [g.support_mask() for g in minimal_basis(ideal.generators)]
+    supports = _antichain_min(g.support_mask() for g in ideal.generators)
     return frozenset(LinearPrime(w) for w in minimal_transversals(supports))
 
 

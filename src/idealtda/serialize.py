@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -53,12 +54,16 @@ MAX_N = 512
 # E=100 (CPython 3.11, 2-vCPU VM).
 MAX_EXPONENT = 32
 
-# Largest face count of a labelled complex.  Its ranks are dense Bareiss
-# eliminations over the polynomial ring, whose cost grows steeply with the
-# faces: `labelled --point` on one 7-vertex simplex (127 faces) took 0.4 s
-# with monomial labels and 4.6 s with two composite atoms, and on the
-# 8-vertex simplex (255 faces) 2.0 s and 70 s (CPython 3.11, 2-vCPU VM).
-MAX_LABELLED_FACES = 128
+# Largest face count of a labelled complex.  Its ranks are dense eliminations
+# (Bareiss on the evaluated labelled boundaries, Gaussian over Q for the
+# classical and evaluated ranks), whose cost grows steeply with the faces:
+# `labelled --point` on one full simplex with two composite atoms took 0.06 s
+# at 7 vertices (127 faces), 0.22 s at 255 faces, 1.2 s / 23 MiB at 511 and
+# 5.9 s / 37 MiB at 1023 (CPython 3.11, 2-vCPU VM).
+MAX_LABELLED_FACES = 512
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class InputError(ValueError):
@@ -221,11 +226,13 @@ def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
             )
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: malformed atom expansion term ({exc})") from None
+        # ints and "p/q" strings, as _expansion_to_json writes them: a JSON
+        # float is binary, so 0.1 would stand for 3602879701896397/2^55
         try:
-            if isinstance(coeff, bool):
-                raise TypeError
+            if not (type(coeff) is int or isinstance(coeff, str) and _RATIONAL.fullmatch(coeff)):
+                raise ValueError
             coeff = Fraction(coeff)
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):
             raise InputError(
                 f"{origin}: expansion term {t} coefficient is not a rational number: {json.dumps(coeff)}"
             ) from None

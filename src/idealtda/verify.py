@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .complexes import Filtration, Graph, SimplicialComplex, clique_complex, vr_filtration
 from .ideals import (
@@ -23,14 +24,14 @@ from .ideals import (
 from .labelled import (
     EvaluationPoint,
     LabelledComplex,
+    boundary_matrices,
     evaluate_chain,
-    evaluation_ranks,
     fraction_field_ranks,
     graded_slice,
     make_labelled,
     slice_iso_check,
 )
-from .linalg import GF2, PrimeField, QQ
+from .linalg import GF2, QQ, Polynomial, bareiss_rank
 from .monomials import AtomTable, FactoredElement, LinearPrime, minimal_primes_squarefree
 from .persistence import (
     NoResurrectionError,
@@ -51,6 +52,7 @@ __all__ = [
     "random_metric",
     "random_monomial_labelled",
     "random_admissible_point",
+    "polynomial_ranks",
     "suite_clique_complement_identity",
     "suite_prime_interval_uniqueness",
     "suite_betti_jump_witness",
@@ -62,9 +64,6 @@ __all__ = [
     "suite_vertex_cover_oracles",
     "run_all",
 ]
-
-_PROBE_FIELD = PrimeField(1000003)
-
 
 @dataclass
 class SuiteResult:
@@ -133,12 +132,6 @@ def random_admissible_point(rng: random.Random, LC: LabelledComplex) -> Evaluati
         q = Fraction(rng.randint(1, 9), rng.randint(1, 5))
         coords[v] = -q if rng.random() < 0.5 else q
     return EvaluationPoint.of(coords)
-
-
-def _probe_point(rng: random.Random, LC: LabelledComplex) -> EvaluationPoint:
-    return EvaluationPoint.of(
-        {v: rng.randint(1, _PROBE_FIELD.p - 1) for v in LC.table.variables}
-    )
 
 
 def _primes_text(primes) -> str:
@@ -224,25 +217,36 @@ def suite_evaluation_equivalence(
     return res
 
 
+def polynomial_ranks(LC: LabelledComplex) -> dict[int, int]:
+    """Fraction-field ranks the long way: composite atoms are substituted
+    by their expansions and each boundary is ranked by fraction-free
+    elimination over the polynomial ring."""
+    atoms = LC.table.atom_polynomials()
+    nvars = len(LC.table.variables)
+
+    @cache
+    def expand(sign: int, exps: tuple[int, ...]) -> Polynomial:
+        return Polynomial.monomial(len(atoms), exps, sign).substitute(atoms, nvars)
+
+    zero = Polynomial.zero(nvars)
+    return {cm.k: bareiss_rank(cm.dense(expand, zero)) for cm in boundary_matrices(LC).matrices}
+
+
 def suite_fraction_field_ranks(
     rng: random.Random, trials: int, nmax: int = 7, tvars: int = 4
 ) -> SuiteResult:
-    """Fraction-field ranks of labelled boundaries equal classical ranks."""
+    """Fraction-field ranks at an admissible point equal the polynomial-ring
+    ranks and the classical ranks."""
     res = SuiteResult("fraction-field rank equality", trials)
     for t in range(trials):
         n = rng.randint(1, nmax)
         reduced = rng.random() < 0.5
         LC = random_monomial_labelled(rng, n, rng.randint(1, tvars), reduced=reduced)
         ff = fraction_field_ranks(LC)
+        poly = polynomial_ranks(LC)
         cl = classical_boundary_ranks(LC.complex, QQ, reduced=reduced)
-        if ff != cl:
-            res.note(f"trial {t}: fraction-field ranks {ff} != classical {cl}")
-            continue
-        probe = evaluation_ranks(LC, _probe_point(rng, LC), _PROBE_FIELD)
-        if probe != ff:
-            probe = evaluation_ranks(LC, _probe_point(rng, LC), _PROBE_FIELD)
-            if probe != ff:
-                res.note(f"trial {t}: rank probe {probe} != symbolic {ff}")
+        if not ff == poly == cl:
+            res.note(f"trial {t}: fraction-field ranks {ff}, polynomial {poly}, classical {cl}")
     return res
 
 

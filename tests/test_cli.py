@@ -404,6 +404,16 @@ _EXPANDED = '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "s"], "labels": [
             _EXPANDED % '"atom_polys": {"s": [[true, [1, 0]], [1, [0, 1]]]}',
             "atom s: expansion term 1 coefficient is not a rational number: true",
         ),
+        (
+            "labelled-json",
+            _EXPANDED % '"atom_polys": {"s": [[0.1, [1, 0]], [1, [0, 1]]]}',
+            "atom s: expansion term 1 coefficient is not a rational number: 0.1",
+        ),
+        (
+            "labelled-json",
+            _EXPANDED % '"atom_polys": {"s": [[1, [1, 0]], ["1e999999999", [0, 1]]]}',
+            'atom s: expansion term 2 coefficient is not a rational number: "1e999999999"',
+        ),
         ("labelled-json", _EXPANDED % '"atom_polys": []', "'atom_polys' must be an object, found []"),
         ("labelled-json", _EXPANDED % '"atom_polys": {"s": []}', "atom 's' expands to the zero polynomial"),
         (
@@ -483,6 +493,28 @@ def test_labelled_face_bound(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert f"error: {path}: the labelled complex has {MAX_LABELLED_FACES + 1} faces" in err
+
+
+def test_labelled_simplex_with_composite_atoms(tmp_path):
+    # the 8-vertex simplex (255 faces) with the atoms x1+x2 and x1^2-x2+1/2
+    labels = [[[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]][v % 4] for v in range(8)]
+    data = {
+        "n": 8,
+        "faces": [list(range(1, 9))],
+        "atoms": ["x1", "x2", "s", "t"],
+        "labels": labels,
+        "atom_polys": {"s": [[1, [1, 0]], [1, [0, 1]]], "t": [[1, [2, 0]], [-1, [0, 1]], ["1/2", [0, 0]]]},
+    }
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["labelled", "--input", str(path), "--point", "x1=3,x2=5", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 10
+    report = json.loads((out / "report.json").read_text())
+    assert report["ranks"]["equal"] is True
+    assert report["ranks"]["fraction_field"] == {"1": 7, "2": 21, "3": 35, "4": 35, "5": 21, "6": 7, "7": 1}
+    assert report["evaluation"]["equal"] is True
 
 
 @pytest.mark.parametrize(

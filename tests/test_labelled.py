@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from idealtda.complexes import SimplicialComplex, full_subcomplex
 from idealtda.labelled import (
     EvaluationPoint,
     InadmissiblePointError,
+    admissible_point,
     boundary_matrices,
     chain_condition_check,
     classical_betti,
@@ -23,9 +25,9 @@ from idealtda.labelled import (
     make_labelled,
     slice_iso_check,
 )
-from idealtda.linalg import QQ, PrimeField
+from idealtda.linalg import QQ, Polynomial, PrimeField
 from idealtda.monomials import AtomTable, FactoredElement
-from idealtda.verify import random_admissible_point, random_monomial_labelled
+from idealtda.verify import polynomial_ranks, random_admissible_point, random_complex, random_monomial_labelled
 
 X4 = AtomTable.for_variables(4)
 
@@ -227,6 +229,67 @@ def test_fraction_field_ranks_random_and_probe():
             {v: rng.randint(1, probe_field.p - 1) for v in LC.table.variables}
         )
         assert evaluation_ranks(LC, point, probe_field) == ff
+
+
+def _composite_table() -> AtomTable:
+    # x1 - x2 and x1*x2 - 1 vanish at the all-ones point, x1 + x2 - 3 at (1, 2)
+    x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
+    expansions = {
+        "x1-x2": x1 - x2,
+        "x1+x2-3": x1 + x2 - 3,
+        "x1*x2-1": x1 * x2 - 1,
+        "x3^2+x1/2": x3**2 + Fraction(1, 2) * x1,
+        "2": Polynomial.const(3, 2),
+    }
+    return AtomTable(("x1", "x2", "x3") + tuple(expansions), tuple(expansions.items()))
+
+
+def test_fraction_field_ranks_match_polynomial_bareiss_with_composite_atoms():
+    rng = random.Random(47)
+    table = _composite_table()
+    for t in range(30):
+        n = rng.randint(1, 5)
+        labels = [
+            FactoredElement(table, tuple(rng.choice((0, 0, 0, 1, 2)) for _ in table.atoms)) for _ in range(n)
+        ]
+        reduced = t % 2 == 1
+        LC = make_labelled(random_complex(rng, n), labels, reduced=reduced)
+        ff = fraction_field_ranks(LC)
+        assert ff == polynomial_ranks(LC) == classical_boundary_ranks(LC.complex, QQ, reduced=reduced)
+
+
+def test_admissible_point_skips_vanishing_atoms():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    table = AtomTable(("x1", "x2", "x1-x2"), (("x1-x2", x1 - x2),))
+    K = SimplicialComplex.from_faces(3, [(1, 2, 3)], close=True)
+    labels = [FactoredElement(table, e) for e in ((0, 0, 1), (1, 0, 1), (0, 1, 0))]
+    LC = make_labelled(K, labels)
+    assert admissible_point(LC).coords == (("x1", Fraction(1)), ("x2", Fraction(2)))
+    assert fraction_field_ranks(LC) == classical_boundary_ranks(K, QQ) == {1: 2, 2: 1}
+    # unused atoms do not constrain the point, and all ones comes out when admissible
+    assert admissible_point(LC.restrict((2, 3))).coords == (("x1", Fraction(1)), ("x2", Fraction(2)))
+    assert admissible_point(LC.restrict((3,))).coords == (("x1", Fraction(1)), ("x2", Fraction(1)))
+    table = _composite_table()
+    LC = make_labelled(K, [FactoredElement(table, (1,) * len(table.atoms))] * 3)
+    assert admissible_point(LC).coords == (
+        ("x1", Fraction(1)), ("x2", Fraction(3)), ("x3", Fraction(1))
+    )
+
+
+def test_admissible_point_search_is_bounded():
+    # x1 - 1, ..., x1 - 30 over 40 variables: x1 = 31 after 31 tries
+    variables = [Polynomial.variable(40, i) for i in range(40)]
+    roots = {f"x1-{r}": variables[0] - r for r in range(1, 31)}
+    table = AtomTable(tuple(f"x{i}" for i in range(1, 41)) + tuple(roots), tuple(roots.items()))
+    K = SimplicialComplex.from_faces(30, [(v, v % 30 + 1) for v in range(1, 31)], close=True)
+    labels = [FactoredElement.from_support(table, (40 + v,)) for v in range(1, 31)]
+    LC = make_labelled(K, labels)
+    start = time.perf_counter()
+    point = admissible_point(LC)
+    ranks = fraction_field_ranks(LC)
+    assert time.perf_counter() - start < 5
+    assert point.coord_map["x1"] == 31 and set(point.coord_map.values()) == {1, 31}
+    assert ranks == classical_boundary_ranks(K, QQ) == {1: 29}
 
 
 def test_local_subcomplex_point_form(poly_labelled):

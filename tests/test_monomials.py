@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -220,6 +221,33 @@ def test_minimal_primes_intersection_and_uniqueness():
             for w in minimal_transversals_exhaustive(supports, n)
         }
         assert primes == want
+
+
+def test_minimal_primes_match_the_minimal_basis_route():
+    # the support antichain stands in for minimal_basis on square-free ideals
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        table = AtomTable.for_variables(n)
+        gens = [
+            FactoredElement.from_support(table, [v for v in range(1, n + 1) if rng.random() < 0.3])
+            for _ in range(rng.randint(1, 8))
+        ]
+        I = MonomialIdeal.from_generators(table, gens)
+        if not I.is_proper:
+            continue
+        supports = [g.support_mask() for g in minimal_basis(I.generators)]
+        assert minimal_primes_squarefree(I) == {LinearPrime(w) for w in minimal_transversals(supports)}
+
+
+def test_minimal_primes_of_many_singletons():
+    # 1099 singleton generators: one prime, all of them
+    table = AtomTable.for_variables(1100)
+    I = MonomialIdeal.from_generators(table, [FactoredElement.from_support(table, (v,)) for v in range(2, 1101)])
+    start = time.perf_counter()
+    primes = minimal_primes_squarefree(I)
+    assert time.perf_counter() - start < 2
+    assert primes == {LinearPrime.of(range(2, 1101))}
 
 
 def test_minimal_transversals_match_exhaustive():

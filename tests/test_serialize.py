@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,19 @@ def test_labelled_roundtrip_with_expansions(poly_labelled):
     assert back.complex == poly_labelled.complex
     assert back.vertex_labels == poly_labelled.vertex_labels
     assert back.table == poly_labelled.table
+
+
+def test_labelled_roundtrip_rational_coefficient():
+    data = {
+        "n": 2,
+        "faces": [[1, 2]],
+        "atoms": ["x1", "x2", "s"],
+        "atom_polys": {"s": [["-1/2", [0, 1]], [3, [1, 0]]]},
+        "labels": [[1, 0, 0], [0, 0, 1]],
+    }
+    LC = labelled_from_dict(data)
+    assert LC.table.expansion_map["s"].terms == {(0, 1): Fraction(-1, 2), (1, 0): 3}
+    assert labelled_to_dict(LC) == data
 
 
 def test_labelled_roundtrip_plain(worked_labelled):
