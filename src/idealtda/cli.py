@@ -35,6 +35,7 @@ from .persistence import (
     prime_barcode,
 )
 from .serialize import (
+    _RATIONAL,
     InputError,
     barcodes_svg,
     complex_from_dict,
@@ -164,13 +165,19 @@ def _parse_alpha(text: str) -> tuple[int, ...]:
 def _parse_point(text: str) -> EvaluationPoint:
     coords = {}
     for piece in text.split(","):
-        name, eq, value = piece.partition("=")
-        if not eq:
+        name, eq, value = (part.strip() for part in piece.partition("="))
+        if not eq or not name:
             raise InputError(f"bad --point entry {piece!r}: expected name=value")
+        if name in coords:
+            raise InputError(f"bad --point entry {piece!r}: {name} is given twice")
+        # an integer or p/q: Fraction would also read decimal exponents such
+        # as 1e1000000, whose digits no bound limits
         try:
-            coords[name.strip()] = Fraction(value.strip())
+            if not _RATIONAL.fullmatch(value):
+                raise ValueError
+            coords[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad --point value {value!r}") from None
+            raise InputError(f"bad --point value {value!r}: expected an integer or p/q") from None
     return EvaluationPoint.of(coords)
 
 
@@ -179,8 +186,12 @@ def cmd_labelled(args) -> int:
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
     point = _parse_point(args.point) if args.point is not None else None
     LC = labelled_from_dict(_load_json(args.input), reduced=alpha is not None, origin=args.input)
-    if point is not None:
-        point.atom_values(LC.table)  # a missing coordinate fails before any rank work
+    if point is not None:  # a bad coordinate fails before any rank work
+        variables = LC.table.variables
+        unknown = [name for name, _ in point.coords if name not in variables]
+        if unknown:
+            raise InputError(f"--point names unknown variables: {', '.join(unknown)}")
+        point.atom_values(LC.table)
     names = LC.table.atoms
     bm = boundary_matrices(LC)
     ff = fraction_field_ranks(LC)

@@ -340,7 +340,9 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
 
 
 def evaluation_ranks(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> dict[int, int]:
-    """Ranks of the evaluated boundary matrices (probabilistic rank probe)."""
+    """Exact ranks over ``field`` of the boundary matrices evaluated at an
+    admissible point: each is a diagonal similarity of the classical
+    boundary, so they are its ranks."""
     return evaluate_chain(LC, point, field).ranks()
 
 

@@ -1,18 +1,23 @@
 """Exact linear algebra kernels.
 
 Everything here is exact: arbitrary-precision rationals, prime fields,
-sparse multivariate polynomials over the rationals, fraction-free
-(Bareiss) elimination over integral domains, and the column reduction
-used for persistence pairing.  No floating point enters any rank or
-homology computation.
+sparse multivariate polynomials over the rationals, one dense rank kernel
+and the column reduction used for persistence pairing.  No floating point
+enters any rank or homology computation.
 
 A field is a normal form and an inverse.  Its elements are plain Python
 numbers that are zero exactly when falsy: ints in 0..p-1 over GF(p), and
 ints or Fractions, never floats, over Q.  ``norm`` brings the result of
 ``+``, ``-`` and ``*`` back to an element (``% p`` over GF(p), the identity
 over Q); ``inv`` is exact and raises ZeroDivisionError on zero;
-``from_fraction`` maps a rational into the field.  So an elimination is the
-arithmetic it does, ``norm(a - f * b)``.
+``from_fraction`` maps a rational into the field.
+
+Every dense rank is lazy one-step fraction-free (Bareiss) elimination,
+:func:`_bareiss`, given the exact division of its domain.
+:func:`bareiss_rank` runs it over ints, Fractions or Polynomials;
+:func:`rank_dense` runs it over Q on ints, each row scaled by the lcm of
+its denominators, and over GF(p) on normal forms, dividing by multiplying
+with an inverse.
 
 :func:`persistence_reduce` takes face masks in filtration order and builds
 each boundary column from the mask itself, so the columns form a simplicial
@@ -27,6 +32,7 @@ pairs sorted by death position and the unpaired positions ascending.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .complexes import _iter_bits
@@ -374,59 +380,52 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _as_rows(rows: Sequence[Sequence]) -> list[list]:
-    return [list(r) for r in rows]
-
-
 def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
-    """Rank of a dense matrix of field elements, by Gaussian elimination."""
-    m = _as_rows(rows)
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    norm = field.norm
-    rank = 0
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if norm(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = field.inv(m[r][c])
-        for i in range(r + 1, nr):
-            if not m[i][c]:
-                continue
-            f = norm(m[i][c] * inv_p)
-            row_i, row_r = m[i], m[r]
-            for j in range(c, nc):
-                row_i[j] = norm(row_i[j] - f * row_r[j])
-        r += 1
-        rank += 1
-        if r == nr:
-            break
-    return rank
+    """Rank of a dense matrix of field elements, by :func:`_bareiss`.
+
+    Over Q each row is scaled by the lcm of its entries' denominators, a
+    nonzero constant that keeps the rank, and ranked on ints.  Over GF(p)
+    the entries are normal forms and the exact division multiplies by an
+    inverse.
+    """
+    if field == QQ:
+        m = []
+        for row in rows:
+            scale = lcm(*(v.denominator for v in row))
+            m.append([v.numerator * (scale // v.denominator) for v in row])
+        return _bareiss(m, _domain_exact_div)
+    norm, inv = field.norm, field.inv
+    return _bareiss([[norm(v) for v in row] for row in rows], lambda a, b: norm(a * inv(b)))
 
 
 def _domain_exact_div(num, den):
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        if r:
+            raise ValueError("inexact integer division in fraction-free elimination")
+        return q
     if isinstance(num, Polynomial):
-        return num.exact_div(den)
-    if isinstance(num, Fraction) or isinstance(den, Fraction):
-        return Fraction(num) / Fraction(den)
-    q, r = divmod(num, den)
-    if r:
-        raise ValueError("inexact integer division in fraction-free elimination")
-    return q
+        return num if den == 1 else num.exact_div(den)  # pivots[0] is 1
+    return Fraction(num) / Fraction(den)
 
 
 def bareiss_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the fraction field of an integral domain.
 
-    Entries may be Polynomial, Fraction or int.  Fraction-free one-step
-    Bareiss elimination (Bareiss 1968): every division is by the previous
-    pivot and is exact by the Sylvester determinant identity.
+    Entries may be Polynomial, Fraction or int; :func:`_bareiss` runs on a
+    copy of the rows.
+    """
+    return _bareiss([list(r) for r in rows], _domain_exact_div)
+
+
+def _bareiss(m: list[list], div) -> int:
+    """Rank of the rows ``m``, which it overwrites, by lazy one-step Bareiss.
+
+    Fraction-free one-step Bareiss elimination (Bareiss 1968): ``div(a, b)``
+    is the exact quotient a / b in the domain of the entries, and every
+    division is by the previous pivot, exact by the Sylvester determinant
+    identity.  Each new entry goes through ``div``, at the first step too,
+    so over GF(p) every entry stays a normal form, zero exactly when falsy.
 
     A one-step Bareiss step only rescales a row whose pivot-column entry is
     zero: the row becomes p_t / p_{t-1} times itself.  So each row records
@@ -435,52 +434,42 @@ def bareiss_rank(rows: Sequence[Sequence]) -> int:
     times P[t] and exactly divided by P[s].  Entries that are zero in both
     rows are skipped.  The entries are the minors of eager Bareiss.
     """
-    m = _as_rows(rows)
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = [1]  # pivots[t]: pivot of step t, counting from 1; pivots[0] = 1
     level = [0] * nr  # the step each row was last brought to
     r = 0
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         level[r], level[piv] = level[piv], level[r]
         prev = pivots[r]
-        row_r = _catch_up(m[r], c, level[r], pivots, r)
-        p = row_r[c]
-        for i in range(r + 1, nr):
-            if not m[i][c]:
+        for i in range(r, nr):
+            row = m[i]
+            if not row[c]:
                 continue
-            row_i = _catch_up(m[i], c, level[i], pivots, r)
-            mic = row_i[c]
+            s = level[i]
+            if s < r:  # bring the row up from step s; earlier columns are never read again
+                down = pivots[s]
+                for j in range(c, nc):
+                    if row[j]:
+                        row[j] = div(row[j] * prev, down)
+            if i == r:
+                pivot_row, p = row, row[c]
+                continue
+            mic = row[c]
             for j in range(c + 1, nc):
-                a, b = row_i[j], row_r[j]
+                a, b = row[j], pivot_row[j]
                 if a or b:
-                    num = p * a - mic * b
-                    row_i[j] = _domain_exact_div(num, prev) if r else num
+                    row[j] = div(p * a - mic * b, prev)
             level[i] = r + 1
         pivots.append(p)
         r += 1
         if r == nr:
             break
     return r
-
-
-def _catch_up(row: list, c: int, s: int, pivots: Sequence, t: int) -> list:
-    """Bring a row last touched at step s to step t: times P[t] / P[s] from
-    column c on (earlier columns are never read again)."""
-    if s < t:
-        up, down = pivots[t], pivots[s]
-        for j in range(c, len(row)):
-            if row[j]:
-                row[j] = _domain_exact_div(row[j] * up, down) if s else row[j] * up
-    return row
 
 
 def _boundary_columns(order: Sequence[int]) -> list[dict[int, int]]:

@@ -36,8 +36,10 @@ reduced mode adds b_{-1} = 1 while the complex is empty and subtracts 1
 from b_0 after.  The exact rank route,
 :func:`classical_boundary_ranks` and :func:`classical_betti` (with
 :func:`betti_numbers` as their list view), computes the Betti numbers of
-one complex from dense boundary ranks; it serves the labelled-complex
-checks and is the oracle for the profile.
+one complex from dense boundary ranks, by the one dense kernel of
+:mod:`idealtda.linalg` (lazy Bareiss on ints over Q, on normal forms over
+GF(p)); it serves the labelled-complex checks and is the oracle for the
+profile.
 """
 
 from __future__ import annotations

@@ -54,12 +54,12 @@ MAX_N = 512
 # E=100 (CPython 3.11, 2-vCPU VM).
 MAX_EXPONENT = 32
 
-# Largest face count of a labelled complex.  Its ranks are dense eliminations
-# (Bareiss on the evaluated labelled boundaries, Gaussian over Q for the
-# classical and evaluated ranks), whose cost grows steeply with the faces:
-# `labelled --point` on one full simplex with two composite atoms took 0.06 s
-# at 7 vertices (127 faces), 0.22 s at 255 faces, 1.2 s / 23 MiB at 511 and
-# 5.9 s / 37 MiB at 1023 (CPython 3.11, 2-vCPU VM).
+# Largest face count of a labelled complex.  Its ranks (fraction-field,
+# classical and evaluated) all run one dense kernel, lazy fraction-free
+# Bareiss, whose cost grows steeply with the faces: `labelled --point` on one
+# full simplex with two composite atoms took 0.045 s at 7 vertices (127
+# faces), 0.11 s at 255 faces, 0.45 s / 23 MiB at 511 and 1.3 s / 38 MiB at
+# 1023 (median of three, one run at 1023; CPython 3.11, 2-vCPU VM).
 MAX_LABELLED_FACES = 512
 
 

@@ -313,8 +313,16 @@ def test_labelled_bad_flags(worked_json, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "point, message",
-    [("x1", "bad --point entry 'x1'"), ("x1=3", "missing coordinates for variables: x2")],
-    ids=["malformed", "missing-variable"],
+    [
+        ("x1", "bad --point entry 'x1'"),
+        ("x1=3", "missing coordinates for variables: x2"),
+        ("x1=1e100000,x2=1", "bad --point value '1e100000'"),
+        ("x1=1e1000000,x2=1", "bad --point value '1e1000000'"),
+        ("x1=1,x2=1,x9=5", "--point names unknown variables: x9"),
+        ("x1=1,x2=1,x1=2", "bad --point entry 'x1=2': x1 is given twice"),
+        (" =1,x1=1,x2=1", "bad --point entry ' =1'"),
+    ],
+    ids=["malformed", "missing-variable", "exponent", "large-exponent", "unknown-variable", "repeated", "empty-name"],
 )
 def test_labelled_point_checked_before_rank_work(tmp_path, capsys, monkeypatch, point, message):
     def no_rank_work(LC):

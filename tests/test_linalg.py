@@ -138,6 +138,16 @@ def test_polynomial_render():
     assert Polynomial.zero(2).render() == "0"
 
 
+def _reduction_rank(m, field):
+    # independent oracle: the dict column reduction, with the rows at
+    # positions 0..nr-1 and column j at position nr+j; each pair is a pivot
+    nr = len(m)
+    columns = [{} for _ in range(nr)]
+    columns += [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(len(m[0]) if nr else 0)]
+    pairs, _ = linalg._reduce_columns(columns, field)
+    return len(pairs)
+
+
 def test_rank_dense_hollow_triangle():
     # columns {1,2},{1,3},{2,3}; rows {1},{2},{3}; signs per boundary rule
     m = [
@@ -172,7 +182,7 @@ def test_rank_dense_over_q_matches_bareiss_on_int_matrices():
         m = [top, [k * x for x in top]]
         m += [[rng.randint(-9, 9) for _ in top] for _ in range(rng.randint(0, 2))]
         rng.shuffle(m)
-        assert rank_dense(m, QQ) == bareiss_rank(m), m
+        assert rank_dense(m, QQ) == bareiss_rank(m) == _reduction_rank(m, QQ), m
 
 
 def test_rank_dense_normalises_gf_p_pivots():
@@ -195,7 +205,45 @@ def test_rank_agreement_large_prime_vs_rationals():
         m = [[rng.choice([-1, 0, 1]) for _ in range(cols)] for _ in range(rows)]
         rq = rank_dense([[Fraction(v) for v in row] for row in m], QQ)
         rp = rank_dense([[big.norm(v) for v in row] for row in m], big)
-        assert rq == rp
+        assert rq == rp == _reduction_rank(m, QQ) == _reduction_rank(m, big)
+
+
+def test_rank_dense_over_q_scales_rows_with_mixed_denominators():
+    # a row is scaled to ints by the lcm of its denominators; truncating
+    # the entries instead loses the rank
+    assert rank_dense([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]], QQ) == 1
+    rng = random.Random(47)
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        m = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.6 else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.choice(m), rng.choice(m)
+            s, t = Fraction(rng.randint(-5, 5), rng.randint(1, 7)), Fraction(rng.randint(1, 5), rng.randint(1, 7))
+            m.append([s * x + t * y for x, y in zip(a, b)])
+        rng.shuffle(m)
+        assert rank_dense(m, QQ) == _reduction_rank(m, QQ), m
+
+
+def test_rank_dense_over_gf_p_on_sparse_stale_rows():
+    # entries are not normal forms, pivots are not 1, and a product of two
+    # entries can be a nonzero multiple of p, so every new entry must be
+    # reduced, at the first step too: 2*3 - 1*1 = 5 is 0 in GF(5)
+    assert rank_dense([[2, 1], [1, 3]], PrimeField(5)) == 1
+    rng = random.Random(53)
+    for _ in range(400):
+        field = PrimeField(rng.choice([2, 3, 5, 7, 11]))
+        nr, nc = rng.randint(2, 8), rng.randint(2, 8)
+        density = rng.uniform(0.2, 0.7)
+        m = [[rng.randint(-20, 20) if rng.random() < density else 0 for _ in range(nc)] for _ in range(nr)]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(m, 2)
+            s, t = rng.randint(-9, 9), rng.randint(-9, 9)
+            m.append([s * x + t * y for x, y in zip(a, b)])
+        m.sort(key=lambda row: next((j for j, x in enumerate(row) if field.norm(x)), nc))
+        assert rank_dense(m, field) == _reduction_rank(m, field), (field, m)
 
 
 def test_bareiss_rank_polynomial_fixture():
@@ -229,7 +277,7 @@ def test_bareiss_agrees_with_field_rank_on_constant_matrices():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        assert bareiss_rank(m) == rank_dense([[Fraction(v) for v in r] for r in m], QQ)
+        assert bareiss_rank(m) == _reduction_rank([[Fraction(v) for v in r] for r in m], QQ)
 
 
 def test_bareiss_matches_classical_rank_on_diag_conjugates():
@@ -243,7 +291,7 @@ def test_bareiss_matches_classical_rank_on_diag_conjugates():
             [left[i] * right[j] * sign[i][j] for j in range(n)]
             for i in range(n)
         ]
-        classical = rank_dense([[Fraction(v) for v in row] for row in sign], QQ)
+        classical = _reduction_rank([[Fraction(v) for v in row] for row in sign], QQ)
         assert bareiss_rank(conj) == classical
 
 
@@ -262,7 +310,7 @@ def test_bareiss_rank_matches_rank_over_q_on_sparse_stale_rows():
             s, t = rng.choice(entries), rng.choice(entries)
             m.append([s * x + t * y for x, y in zip(a, b)])
         m.sort(key=lambda row: next((j for j, x in enumerate(row) if x), nc))
-        assert bareiss_rank(m) == rank_dense(m, QQ), m
+        assert bareiss_rank(m) == rank_dense(m, QQ) == _reduction_rank(m, QQ), m
 
 
 def test_bareiss_rank_on_polynomial_diag_conjugates_of_boundaries():
@@ -277,7 +325,7 @@ def test_bareiss_rank_on_polynomial_diag_conjugates_of_boundaries():
             left = [rng.choice(factors) ** rng.randint(0, 2) for _ in d]
             right = [rng.choice(factors) ** rng.randint(0, 2) for _ in d[0]]
             conj = [[left[i] * right[j] * d[i][j] for j in range(len(d[0]))] for i in range(len(d))]
-            assert bareiss_rank(conj) == rank_dense(d, QQ), (K, k)
+            assert bareiss_rank(conj) == _reduction_rank(d, QQ), (K, k)
 
 
 def test_bareiss_rank_fuzz_known_rank_products():
