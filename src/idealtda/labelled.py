@@ -33,7 +33,7 @@ from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import Face, SimplicialComplex, _iter_bits, boundary_entries, face_mask, full_subcomplex, mask_face
-from .linalg import QQ, Polynomial, bareiss_rank, rank_dense
+from .linalg import QQ, Polynomial, _integral_rows, bareiss_rank, rank_dense
 from .monomials import AtomTable, FactoredElement
 from .persistence import _boundary_dense, betti_from_ranks, classical_betti, classical_boundary_ranks
 
@@ -377,17 +377,23 @@ def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     boundary.  At a point a where no vertex label vanishes, D_k(a) is the
     same similarity over Q, so rank_Q D_k(a) is the fraction-field rank,
     exactly and for every such a.  The point is :func:`admissible_point`;
-    its matrices are ranked by fraction-free elimination, on ints wherever
-    an entry is integral.
+    its matrices are ranked by fraction-free elimination on ints, each row
+    scaled by the lcm of its denominators where an atom value is not an
+    integer.
     """
     values = admissible_point(LC).atom_values(LC.table)
+    integral = all(v.denominator == 1 for v in values)  # then every entry is an int
 
     @cache
     def entry(sign: int, exps: tuple[int, ...]):
         q = sign * _monomial_value(values, exps)
         return q.numerator if q.denominator == 1 else q
 
-    return {cm.k: bareiss_rank(cm.dense(entry, 0)) for cm in boundary_matrices(LC).matrices}
+    ranks = {}
+    for cm in boundary_matrices(LC).matrices:
+        rows = cm.dense(entry, 0)
+        ranks[cm.k] = bareiss_rank(rows if integral else _integral_rows(rows))
+    return ranks
 
 
 def local_subcomplex(

@@ -389,13 +389,27 @@ def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
     inverse.
     """
     if field == QQ:
-        m = []
-        for row in rows:
-            scale = lcm(*(v.denominator for v in row))
-            m.append([v.numerator * (scale // v.denominator) for v in row])
-        return _bareiss(m, _domain_exact_div)
+        return _bareiss(_integral_rows(rows), _domain_exact_div)
     norm, inv = field.norm, field.inv
-    return _bareiss([[norm(v) for v in row] for row in rows], lambda a, b: norm(a * inv(b)))
+    inverses = {}  # one inverse per pivot: every division is by a pivot
+
+    def div(a, b):
+        ib = inverses.get(b)
+        if ib is None:
+            ib = inverses[b] = inv(b)
+        return norm(a * ib)
+
+    return _bareiss([[norm(v) for v in row] for row in rows], div)
+
+
+def _integral_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """The rational rows, each scaled to ints by the lcm of its entries'
+    denominators: a nonzero constant per row, so the rank is kept."""
+    m = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    return m
 
 
 def _domain_exact_div(num, den):

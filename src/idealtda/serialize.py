@@ -10,6 +10,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Mapping, Sequence
 
 from .complexes import SimplicialComplex, maximal_faces
@@ -338,9 +339,66 @@ def ph_barcode_to_dict(barcode: PHBarcode) -> dict:
     return {"kind": "PH", "intervals": intervals}
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    if x != x or x in (math.inf, -math.inf):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return _JSON_CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(o, pad: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)``
+    writes it, nested under the indent ``pad``."""
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None or o is True or o is False:
+        return _JSON_CONSTANTS[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(v) is int for v in o):
+            body = sep.join(map(int.__repr__, o))
+        else:
+            body = sep.join([_json(v, inner) for v in o])
+        return "".join(("[\n", inner, body, "\n", pad, "]"))
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        body = sep.join([f"{_json_str(_json_key(k))}: {_json(v, inner)}" for k, v in sorted(o.items())])
+        return "".join(("{\n", inner, body, "\n", pad, "}"))
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def dumps_json(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    Byte for byte ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"``, with the same exceptions, built directly:
+    with an indent the standard library runs its pure-Python encoder.
+    """
+    return _json(obj, "") + "\n"
 
 
 def _svg_escape(text: str) -> str:
@@ -352,25 +410,18 @@ def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
 
     ``groups`` holds (kind, intervals) pairs where intervals are the JSON
     dicts produced above.  Infinite deaths are drawn to the right margin
-    with an arrow head.
+    with an arrow head.  Each bar is one string; a prime's vertices are
+    ints, so its label is written already escaped.
     """
     bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
     span = 520.0
-    finite: list[float] = []
-    total = 0
-    for _, intervals in groups:
-        total += len(intervals)
-        for iv in intervals:
-            finite.append(iv["birth"])
-            if iv["death"] != "inf":
-                finite.append(iv["death"])
-    tmax = max(finite, default=1.0)
+    total = sum(len(intervals) for _, intervals in groups)
+    tmax = max(
+        (t for _, intervals in groups for iv in intervals for t in (iv["birth"], iv["death"]) if t != "inf"),
+        default=1.0,
+    )
     if tmax <= 0:
         tmax = 1.0
-
-    def x(t: float) -> float:
-        return left + span * t / tmax
-
     height = top * 2 + total * (bar_h + gap) + len(groups) * 24
     width = left + span + right_pad
     lines = [
@@ -379,10 +430,14 @@ def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
         f'<line x1="{left}" y1="{top - 10}" x2="{left}" y2="{height - 10}" '
         'stroke="#888" stroke-width="1"/>',
     ]
+    ax = left + span + right_pad / 2  # infinite bars end here, at their arrow
+    ax_s, ax9_s = f"{ax:.1f}", f"{ax + 9:.1f}"
     y = top
     palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
     for kind, intervals in groups:
         color = palette.get(kind, "#555555")
+        rect_tail = f'" height="{bar_h:.1f}" fill="{color}"/>'
+        arrow_tail = f' Z" fill="{color}"/>'
         lines.append(f'<g id="group-{_svg_escape(kind)}">')
         lines.append(
             f'<text x="8" y="{y + 10:.1f}" font-size="13" font-family="monospace">'
@@ -390,28 +445,23 @@ def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
         )
         y += 24
         for iv in intervals:
-            x0 = x(iv["birth"])
-            infinite = iv["death"] == "inf"
-            x1 = left + span + right_pad / 2 if infinite else x(iv["death"])
-            if iv["prime"] is not None:
-                label = "<0>" if not iv["prime"] else "<" + ",".join(f"x{v}" for v in iv["prime"]) + ">"
-            else:
+            x0 = left + span * iv["birth"] / tmax
+            prime = iv["prime"]
+            if prime is None:
                 label = f"dim {iv['dim']}"
+            elif prime:
+                label = "&lt;x" + ",x".join(map(str, prime)) + "&gt;"
+            else:
+                label = "&lt;0&gt;"
+            if iv["death"] == "inf":
+                w, ay = ax - x0, y + bar_h / 2
+                arrow = f'\n<path d="M {ax_s} {ay - 5:.1f} L {ax9_s} {ay:.1f} L {ax_s} {ay + 5:.1f}{arrow_tail}'
+            else:
+                w, arrow = left + span * iv["death"] / tmax - x0, ""
             lines.append(
-                f'<text x="12" y="{y + bar_h - 3:.1f}" font-size="11" '
-                f'font-family="monospace">{_svg_escape(label)}</text>'
+                f'<text x="12" y="{y + bar_h - 3:.1f}" font-size="11" font-family="monospace">{label}</text>\n'
+                f'<rect class="bar" x="{x0:.3f}" y="{y:.1f}" width="{max(w, 1.0):.3f}{rect_tail}{arrow}'
             )
-            lines.append(
-                f'<rect class="bar" x="{x0:.3f}" y="{y:.1f}" '
-                f'width="{max(x1 - x0, 1.0):.3f}" height="{bar_h:.1f}" fill="{color}"/>'
-            )
-            if infinite:
-                ax = left + span + right_pad / 2
-                ay = y + bar_h / 2
-                lines.append(
-                    f'<path d="M {ax:.1f} {ay - 5:.1f} L {ax + 9:.1f} {ay:.1f} '
-                    f'L {ax:.1f} {ay + 5:.1f} Z" fill="{color}"/>'
-                )
             y += bar_h + gap
         lines.append("</g>")
     lines.append(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import time
 import xml.etree.ElementTree as ET
 
@@ -67,6 +68,16 @@ _TIED_CSV = "0,1,-0,2,1,1\n1,0,1,2,2,-0\n0,1,0,2,1,1\n2,2,2,0,1,2\n1,2,1,1,0,2\n
 _SEVEN_POINTS = '{"points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0.5], [0.5, 2], [1.5, 1.5]]}'
 
 
+def _seeded_csv(n: int, seed: int) -> str:
+    """A random metric on n points, distances rounded to three decimals."""
+    rng = random.Random(seed)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = round(rng.uniform(0.1, 2.0), 3)
+    return "".join(",".join(repr(x) for x in row) + "\n" for row in dist)
+
+
 @pytest.mark.parametrize(
     "name, text, fmt, flags, digests",
     [
@@ -104,8 +115,19 @@ _SEVEN_POINTS = '{"points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0.5], [0.5, 2],
                 "85380a7ede746f36b8e31327ed86ff2480afd2994b29c7b96bc33e19f5ef790f",
             ),
         ),
+        (
+            "in.csv",
+            _seeded_csv(9, 9),
+            "dist-csv",
+            ["--max-dim", "2"],
+            (
+                "555e39238998ea4bc70639534653879c3584d0ec6ac6882e4708cafcdad58260",
+                "a701451832511d6c3f2d83584b594afc7187b9b9305f3b956f103a02d86ec55e",
+                "30221780e324118a1d51e83383e58ef7eb7330acd9ca02305cee68337696fb44",
+            ),
+        ),
     ],
-    ids=["tied-signed-zero-csv", "seven-points-full-vr", "simplex-complex-max-dim-1"],
+    ids=["tied-signed-zero-csv", "seven-points-full-vr", "simplex-complex-max-dim-1", "seeded-nine-points-max-dim-2"],
 )
 def test_barcodes_output_bytes(tmp_path, monkeypatch, name, text, fmt, flags, digests):
     # pins barcodes.json, report.json and barcodes.svg byte for byte; relative

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from idealtda import labelled
 from idealtda.complexes import SimplicialComplex, full_subcomplex
 from idealtda.labelled import (
     EvaluationPoint,
     InadmissiblePointError,
+    LabelledComplex,
     admissible_point,
     boundary_matrices,
     chain_condition_check,
@@ -25,7 +27,7 @@ from idealtda.labelled import (
     make_labelled,
     slice_iso_check,
 )
-from idealtda.linalg import QQ, Polynomial, PrimeField
+from idealtda.linalg import QQ, Polynomial, PrimeField, bareiss_rank
 from idealtda.monomials import AtomTable, FactoredElement
 from idealtda.verify import polynomial_ranks, random_admissible_point, random_complex, random_monomial_labelled
 
@@ -256,6 +258,61 @@ def test_fraction_field_ranks_match_polynomial_bareiss_with_composite_atoms():
         LC = make_labelled(random_complex(rng, n), labels, reduced=reduced)
         ff = fraction_field_ranks(LC)
         assert ff == polynomial_ranks(LC) == classical_boundary_ranks(LC.complex, QQ, reduced=reduced)
+
+
+def _rational_table(rng: random.Random) -> AtomTable:
+    """Two variables and two composite atoms with rational coefficients."""
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    expansions = {
+        "a": x1 * x1 - x2 + Fraction(rng.randint(1, 5), rng.randint(2, 7)),
+        "b": Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 9)) * x1 + x2,
+    }
+    return AtomTable(("x1", "x2") + tuple(expansions), tuple(expansions.items()))
+
+
+def test_fraction_field_ranks_with_rational_atoms_rank_ints(monkeypatch):
+    entries = []
+
+    def recording_rank(rows):
+        entries.extend(type(v) for row in rows for v in row)
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(labelled, "bareiss_rank", recording_rank)
+    rng = random.Random(14)
+    for t in range(30):
+        table = _rational_table(rng)
+        n = rng.randint(1, 6)
+        labels = [FactoredElement(table, tuple(rng.choice((0, 0, 1, 2)) for _ in table.atoms)) for _ in range(n)]
+        reduced = t % 2 == 1
+        LC = make_labelled(random_complex(rng, n), labels, reduced=reduced)
+        assert fraction_field_ranks(LC) == polynomial_ranks(LC) == classical_boundary_ranks(
+            LC.complex, QQ, reduced=reduced
+        )
+    assert entries and set(entries) == {int}
+
+
+def _simplex_with_atom(constant) -> LabelledComplex:
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    table = AtomTable(("x1", "x2", "a"), (("a", x1 * x1 - x2 + constant),))
+    K = SimplicialComplex.from_faces(9, [tuple(range(1, 10))], close=True)
+    return make_labelled(K, [FactoredElement(table, (v % 3, (v // 3) % 3, v % 2 + 1)) for v in range(1, 10)])
+
+
+def test_fraction_field_ranks_cost_no_more_with_a_rational_coefficient():
+    # the 511-face simplex with a = x1^2 - x2 + c, a(1, 1) = c: ranked on
+    # Fractions, c = 1/2 took about six times as long as c = 1
+    def best(LC):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            ranks = fraction_field_ranks(LC)
+            times.append(time.perf_counter() - start)
+        return min(times), ranks
+
+    rational, ranks = best(_simplex_with_atom(Fraction(1, 2)))
+    integral, want = best(_simplex_with_atom(1))
+    assert ranks == want
+    assert rational < 3 * integral, (rational, integral)
 
 
 def test_admissible_point_skips_vanishing_atoms():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from idealtda import linalg
-from idealtda.complexes import _iter_bits
+from idealtda.complexes import SimplicialComplex, _iter_bits
 from idealtda.linalg import (
     GF2,
     MAX_MODULUS,
@@ -194,6 +194,39 @@ def test_rank_dense_normalises_gf_p_pivots():
         cols = rng.randint(1, 5)
         m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
         assert rank_dense(m, field) == rank_dense([[field.norm(v) for v in row] for row in m], field), m
+
+
+class _CountingField(PrimeField):
+    """GF(p) that counts its inverses."""
+
+    def __init__(self, p: int):
+        super().__init__(p)
+        self.inverses = 0
+
+    def inv(self, a: int) -> int:
+        self.inverses += 1
+        return super().inv(a)
+
+
+def test_rank_dense_inverts_each_pivot_once_over_gf_p():
+    # the classical boundaries of the 511-face simplex: 255 pivots, and once
+    # 32840 inverses, one per updated entry
+    K = SimplicialComplex.from_faces(9, [tuple(range(1, 10))], close=True)
+    field = _CountingField(1000003)
+    for k in range(1, K.max_dim + 1):
+        m = _boundary_dense(K, k, field, False)
+        field.inverses = 0
+        rank = rank_dense(m, field)
+        assert rank == rank_dense(_boundary_dense(K, k, QQ, False), QQ)
+        assert field.inverses <= rank + 1, (k, rank, field.inverses)
+    rng = random.Random(14)
+    for _ in range(100):
+        field = _CountingField(rng.choice([3, 7, 1000003]))
+        cols = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+        rank = rank_dense(m, field)
+        assert field.inverses <= rank + 1
+        assert rank == rank_dense(m, PrimeField(field.p))
 
 
 def test_rank_agreement_large_prime_vs_rationals():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from idealtda.serialize import (
     points_to_distances,
     prime_barcode_to_dict,
 )
+from idealtda.verify import random_metric
 
 
 def test_parse_distance_csv_good():
@@ -202,3 +204,179 @@ def test_svg_degenerate_single_vertex():
     groups = [("PH", ph_barcode_to_dict(ph_barcode(f))["intervals"])]
     root = ET.fromstring(barcodes_svg(groups))
     assert len([e for e in root.iter() if e.tag.endswith("rect")]) == 1
+
+
+# --- the writers against their oracles ---------------------------------------
+
+_SCALARS = [
+    0, -1, 7, 10**30, -(10**30), 2**64,
+    -0.0, 0.0, 1e-05, 1e16, 5e-324, 0.1, 1.5, -2.75, 1e300,
+    True, False, None,
+    "", "a", "inf", "<x1,x2>", 'say "hi"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f",
+    "café ☃ \U0001f600",
+]
+_KEYS = {
+    "str": ["a", "b", "birth", "", 'q"uote', "\\", "\n", "üß", "\U0001f600"],
+    "num": [0, 1, -3, 10**20, 0.5, -2.25, 1e16, 5e-324, True, False],
+    "none": [None],
+}
+
+
+def _payload(rng: random.Random, depth: int):
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        return rng.choice(_SCALARS)
+    if r < 0.5:  # all ints, as a prime's vertices
+        return [rng.randrange(-(10 ** rng.randrange(1, 31)), 10 ** rng.randrange(1, 31)) for _ in range(rng.randrange(6))]
+    if r < 0.75:
+        items = [_payload(rng, depth - 1) for _ in range(rng.randrange(5))]
+        return items if rng.random() < 0.7 else tuple(items)
+    # keys of one family, so the standard library can sort them
+    keys = _KEYS[rng.choice(("str", "str", "num", "none"))]
+    return {rng.choice(keys): _payload(rng, depth - 1) for _ in range(rng.randrange(5))}
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_dumps_json_matches_the_standard_library_on_random_payloads():
+    rng = random.Random(14)
+    for _ in range(500):
+        obj = _payload(rng, rng.randrange(5))
+        assert dumps_json(obj) == _stdlib_json(obj), obj
+    for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [1, [2, [3]]], ([1, 2], (3,)), _SCALARS, _KEYS):
+        assert dumps_json(obj) == _stdlib_json(obj), obj
+
+
+def test_dumps_json_matches_the_standard_library_on_a_barcode_payload(three_point_dist):
+    f = vr_filtration(three_point_dist, max_dim=2)
+    payload = {
+        "meta": {"input": "in.csv", "max_dim": 2, "seed": 0},
+        "barcodes": [
+            prime_barcode_to_dict(prime_barcode(f, "SR")),
+            prime_barcode_to_dict(prime_barcode(f, "EDGE")),
+            ph_barcode_to_dict(ph_barcode(f)),
+        ],
+    }
+    assert dumps_json(payload) == _stdlib_json(payload)
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        ([1, {"a": -math.inf}], ValueError),
+        ({math.nan: 1}, ValueError),
+        ({1, 2}, TypeError),
+        ([Fraction(1, 2)], TypeError),
+        ({"a": object()}, TypeError),
+        ({(1, 2): 3}, TypeError),
+        ({"a": 1, 2: 3}, TypeError),  # keys the standard library cannot sort
+    ],
+)
+def test_dumps_json_refuses_what_the_standard_library_refuses(obj, error):
+    with pytest.raises(error):
+        _stdlib_json(obj)
+    with pytest.raises(error):
+        dumps_json(obj)
+
+
+def _svg_oracle(groups) -> str:
+    """The dict-walking SVG writer that barcodes_svg replaced, kept as its oracle."""
+    bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
+    span = 520.0
+    finite: list[float] = []
+    total = 0
+    for _, intervals in groups:
+        total += len(intervals)
+        for iv in intervals:
+            finite.append(iv["birth"])
+            if iv["death"] != "inf":
+                finite.append(iv["death"])
+    tmax = max(finite, default=1.0)
+    if tmax <= 0:
+        tmax = 1.0
+
+    def x(t: float) -> float:
+        return left + span * t / tmax
+
+    def escape(text: str) -> str:
+        return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+    height = top * 2 + total * (bar_h + gap) + len(groups) * 24
+    width = left + span + right_pad
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<line x1="{left}" y1="{top - 10}" x2="{left}" y2="{height - 10}" '
+        'stroke="#888" stroke-width="1"/>',
+    ]
+    y = top
+    palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
+    for kind, intervals in groups:
+        color = palette.get(kind, "#555555")
+        lines.append(f'<g id="group-{escape(kind)}">')
+        lines.append(
+            f'<text x="8" y="{y + 10:.1f}" font-size="13" font-family="monospace">'
+            f"{escape(kind)}</text>"
+        )
+        y += 24
+        for iv in intervals:
+            x0 = x(iv["birth"])
+            infinite = iv["death"] == "inf"
+            x1 = left + span + right_pad / 2 if infinite else x(iv["death"])
+            if iv["prime"] is not None:
+                label = "<0>" if not iv["prime"] else "<" + ",".join(f"x{v}" for v in iv["prime"]) + ">"
+            else:
+                label = f"dim {iv['dim']}"
+            lines.append(
+                f'<text x="12" y="{y + bar_h - 3:.1f}" font-size="11" '
+                f'font-family="monospace">{escape(label)}</text>'
+            )
+            lines.append(
+                f'<rect class="bar" x="{x0:.3f}" y="{y:.1f}" '
+                f'width="{max(x1 - x0, 1.0):.3f}" height="{bar_h:.1f}" fill="{color}"/>'
+            )
+            if infinite:
+                ax = left + span + right_pad / 2
+                ay = y + bar_h / 2
+                lines.append(
+                    f'<path d="M {ax:.1f} {ay - 5:.1f} L {ax + 9:.1f} {ay:.1f} '
+                    f'L {ax:.1f} {ay + 5:.1f} Z" fill="{color}"/>'
+                )
+            y += bar_h + gap
+        lines.append("</g>")
+    lines.append(
+        f'<text x="{left}" y="{height - 2:.0f}" font-size="10" font-family="monospace">0</text>'
+    )
+    lines.append(
+        f'<text x="{left + span - 20:.0f}" y="{height - 2:.0f}" font-size="10" '
+        f'font-family="monospace">{tmax:.4g}</text>'
+    )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def test_barcodes_svg_matches_its_oracle_on_seeded_filtrations():
+    rng = random.Random(14)
+    seen = {"zero prime": False, "infinite bar": False, "tmax <= 0": False}
+    for n in range(1, 10):
+        for max_dim in (1, 2):
+            for _ in range(3):
+                f = vr_filtration(random_metric(rng, n, 0.3), max_dim)
+                sr = prime_barcode_to_dict(prime_barcode(f, "SR"))["intervals"]
+                groups = [
+                    ("SR", sr),
+                    ("EDGE", prime_barcode_to_dict(prime_barcode(f, "EDGE"))["intervals"]),
+                    ("PH", ph_barcode_to_dict(ph_barcode(f))["intervals"]),
+                    ("<other & kind>", sr[:2]),
+                ]
+                assert barcodes_svg(groups) == _svg_oracle(groups)
+                bars = [iv for _, intervals in groups for iv in intervals]
+                seen["zero prime"] |= any(iv["prime"] == [] for iv in bars)
+                seen["infinite bar"] |= any(iv["death"] == "inf" for iv in bars)
+                seen["tmax <= 0"] |= all(t == "inf" or t <= 0 for iv in bars for t in (iv["birth"], iv["death"]))
+    assert all(seen.values()), seen
+    assert barcodes_svg([]) == _svg_oracle([])
