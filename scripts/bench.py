@@ -1,21 +1,23 @@
 """Record one BENCH_<LABEL>.json: the size ladder and one benchmark run per workload.
 
-    python3 scripts/bench.py LABEL [--seconds 20]
+    python3 scripts/bench.py LABEL
 
 Standard library only; it imports idealtda from the ``src/`` next to this
 directory and writes ``BENCH_<LABEL>.json`` at the root of the repository.
 The file holds the Python version and the platform, then:
 
-* ``ladder``: one row per n of the random metric
-  ``verify.random_metric(Random(n), n, 0.0)`` truncated at ``max_dim`` 2,
-  each row measured in a fresh interpreter so that its peak RSS is its
-  own.  A row holds the faces, steps and bars, the seconds of every stage
-  of ``barcodes`` (filtration, SR, EDGE, PH, the ``*_to_dict`` calls,
-  ``dumps_json``, ``barcodes_svg``), the output sizes and SHA-256 digests,
-  and the peak RSS;
+* ``ladder``: one row per n, each measured in a fresh interpreter so that
+  its peak RSS is its own.  A row runs the command
+  ``barcodes --format dist-csv --max-dim 2 --svg`` on the random metric
+  ``verify.random_metric(Random(n), n, 0.0)`` through ``cli.main`` and
+  records the faces, steps and bars, the seconds of the whole command and
+  of each stage it calls (found by rebinding the ``idealtda.cli``
+  attributes, as the traced benchmark does), the size and SHA-256 digest
+  of each output file, and the peak RSS;
 * ``workloads``: the end-to-end metrics of one
   ``perfbench/run.py --seed 0 --seconds S --trace 0`` run per workload,
-  with its pass/fail count.
+  where S is the ``run_seconds`` of ``BENCHMARK.json``, with its
+  pass/fail count.
 
 Nothing under ``perfbench/`` is edited; runs go in a temporary directory.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import random
 import resource
@@ -37,8 +40,26 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 RUN = ROOT / "perfbench" / "run.py"
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 LADDER = (20, 30, 40)
+MAX_DIM = 2
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
+OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
+
+# idealtda.cli attribute -> stage; prime_barcode is split by its kind
+STAGES = {
+    "load_distance_csv": "parse",
+    "vr_filtration": "vr_filtration",
+    "prime_barcode": None,
+    "ph_barcode": "ph_barcode",
+    "prime_barcode_to_dict": "to_dict",
+    "ph_barcode_to_dict": "to_dict",
+    "dumps_json": "dumps_json",
+    "coverage_report": "coverage_report",
+    "barcodes_svg": "barcodes_svg",
+}
+# results the row reads; the command holds them until it ends anyway
+KEPT = ("vr_filtration", "prime_barcode_to_dict", "ph_barcode_to_dict")
 
 
 def _peak_rss_mib() -> float:
@@ -46,46 +67,67 @@ def _peak_rss_mib() -> float:
     return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
-def ladder_row(n: int, max_dim: int = 2) -> dict:
-    """Time every stage of ``barcodes --svg`` on the seeded n-point metric."""
-    from idealtda.complexes import vr_filtration
-    from idealtda.linalg import GF2
-    from idealtda.persistence import ph_barcode, prime_barcode
-    from idealtda.serialize import barcodes_svg, dumps_json, ph_barcode_to_dict, prime_barcode_to_dict
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def ladder_row(n: int) -> dict:
+    """Run and time ``barcodes --svg`` on the seeded n-point metric."""
+    from idealtda import cli
     from idealtda.verify import random_metric
 
     dist = random_metric(random.Random(n), n, 0.0)
-    seconds = {}
+    seconds: dict[str, float] = {}
+    returned: dict[str, list] = {}
 
-    def timed(name, fn, *args):
-        start = perf_counter()
-        out = fn(*args)
-        seconds[name] = seconds.get(name, 0.0) + perf_counter() - start
-        return out
+    def timed(attr, fn):
+        def wrapper(*args, **kwargs):
+            start = perf_counter()
+            out = fn(*args, **kwargs)
+            stage = STAGES[attr] or str(args[1]).lower()
+            seconds[stage] = seconds.get(stage, 0.0) + perf_counter() - start
+            if attr in KEPT:
+                returned.setdefault(attr, []).append(out)
+            return out
 
-    f = timed("vr_filtration", vr_filtration, dist, max_dim)
-    sr = timed("sr", prime_barcode, f, "SR")
-    edge = timed("edge", prime_barcode, f, "EDGE")
-    ph = timed("ph_barcode", ph_barcode, f, GF2, max_dim)
-    groups = [
-        timed("to_dict", prime_barcode_to_dict, sr),
-        timed("to_dict", prime_barcode_to_dict, edge),
-        timed("to_dict", ph_barcode_to_dict, ph),
-    ]
-    meta = {"input": f"n{n}.csv", "format": "dist-csv", "max_dim": max_dim, "field": GF2.name, "seed": 0}
-    text = timed("dumps_json", dumps_json, {"meta": meta, "barcodes": groups}).encode()
-    svg = timed("barcodes_svg", barcodes_svg, [(g["kind"], g["intervals"]) for g in groups]).encode()
+        return wrapper
+
+    saved = {attr: getattr(cli, attr) for attr in STAGES}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        try:
+            os.chdir(work)
+            Path(f"n{n}.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in dist))
+            for attr, fn in saved.items():
+                setattr(cli, attr, timed(attr, fn))
+            argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv", "--max-dim", str(MAX_DIM)]
+            start = perf_counter()
+            code = cli.main(argv + ["--out", "out", "--svg"])
+            seconds["command"] = perf_counter() - start
+        finally:
+            for attr, fn in saved.items():
+                setattr(cli, attr, fn)
+            os.chdir(cwd)
+        if code != 0:
+            raise RuntimeError(f"barcodes exited {code} at n={n}")
+        files = [Path(work) / "out" / name for name in OUTPUTS]
+        sizes = {f.name: f.stat().st_size for f in files}
+        digests = {f.name: _sha256(f) for f in files}
+    (filtration,) = returned["vr_filtration"]
+    groups = returned["prime_barcode_to_dict"] + returned["ph_barcode_to_dict"]
     return {
         "n": n,
-        "max_dim": max_dim,
-        "faces": len(f.birth_map),
-        "steps": len(f.params),
+        "max_dim": MAX_DIM,
+        "faces": len(filtration.birth_map),
+        "steps": len(filtration.params),
         "bars": {g["kind"]: len(g["intervals"]) for g in groups},
         "seconds": seconds,
-        "json_bytes": len(text),
-        "svg_bytes": len(svg),
-        "json_sha256": hashlib.sha256(text).hexdigest(),
-        "svg_sha256": hashlib.sha256(svg).hexdigest(),
+        "bytes": sizes,
+        "sha256": digests,
         "peak_rss_mib": _peak_rss_mib(),
     }
 
@@ -99,10 +141,10 @@ def _fresh_ladder_row(n: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def _workload(name: str, seconds: float) -> dict:
+def _workload(name: str) -> dict:
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "result.json"
-        cmd = [sys.executable, str(RUN), "--workload", name, "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
+        cmd = [sys.executable, str(RUN), "--workload", name, "--seed", "0", "--seconds", str(RUN_SECONDS), "--trace", "0"]
         subprocess.run(cmd + ["--out", str(out)], cwd=work, capture_output=True, check=True)
         result = json.loads(out.read_text())
     return {key: result[key] for key in ("correct", "attempted", "failed", "end_to_end")}
@@ -111,7 +153,6 @@ def _workload(name: str, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
-    parser.add_argument("--seconds", type=float, default=20.0, help="length of each benchmark run")
     args = parser.parse_args(argv)
     record = {
         "label": args.label,
@@ -124,7 +165,7 @@ def main(argv=None) -> int:
         record["ladder"].append(_fresh_ladder_row(n))
         print(f"ladder n={n}: {record['ladder'][-1]['seconds']}", file=sys.stderr)
     for name in WORKLOADS:
-        record["workloads"][name] = _workload(name, args.seconds)
+        record["workloads"][name] = _workload(name)
         print(f"{name}: {record['workloads'][name]['end_to_end']}", file=sys.stderr)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

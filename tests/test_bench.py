@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import random
 from pathlib import Path
+
+from idealtda import cli
+from idealtda.verify import random_metric
 
 BENCH = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 
@@ -15,15 +20,25 @@ def _bench_module():
     return module
 
 
-def test_ladder_row_keys():
-    row = _bench_module().ladder_row(6)
-    assert set(row) == {
-        "n", "max_dim", "faces", "steps", "bars", "seconds",
-        "json_bytes", "svg_bytes", "json_sha256", "svg_sha256", "peak_rss_mib",
-    }
+def test_ladder_row_keys(tmp_path, monkeypatch):
+    bench = _bench_module()
+    bound = {attr: getattr(cli, attr) for attr in bench.STAGES}
+    row = bench.ladder_row(6)
+    assert {attr: getattr(cli, attr) for attr in bench.STAGES} == bound
+    assert set(row) == {"n", "max_dim", "faces", "steps", "bars", "seconds", "bytes", "sha256", "peak_rss_mib"}
     assert (row["n"], row["max_dim"], row["faces"]) == (6, 2, 6 + 15 + 20)
     assert set(row["bars"]) == {"SR", "EDGE", "PH"} and all(v > 0 for v in row["bars"].values())
     assert set(row["seconds"]) == {
-        "vr_filtration", "sr", "edge", "ph_barcode", "to_dict", "dumps_json", "barcodes_svg",
+        "command", "parse", "vr_filtration", "sr", "edge", "ph_barcode", "to_dict",
+        "dumps_json", "coverage_report", "barcodes_svg",
     }
-    assert row["json_bytes"] > 0 and row["svg_bytes"] > 0 and row["peak_rss_mib"] > 0
+    assert set(row["bytes"]) == set(row["sha256"]) == set(bench.OUTPUTS)
+    assert all(v > 0 for v in row["bytes"].values()) and row["peak_rss_mib"] > 0
+    # the row digests the files the command itself writes
+    monkeypatch.chdir(tmp_path)
+    dist = random_metric(random.Random(6), 6, 0.0)
+    Path("n6.csv").write_text("".join(",".join(map(repr, r)) + "\n" for r in dist))
+    argv = ["barcodes", "--input", "n6.csv", "--format", "dist-csv", "--max-dim", "2", "--out", "out", "--svg"]
+    assert cli.main(argv) == 0
+    for name in bench.OUTPUTS:
+        assert hashlib.sha256(Path("out", name).read_bytes()).hexdigest() == row["sha256"][name]
