@@ -6,9 +6,10 @@ Standard library only; it imports idealtda from the ``src/`` next to this
 directory and writes ``BENCH_<LABEL>.json`` at the root of the repository.
 The file holds the Python version and the platform, then:
 
-* ``ladder``: one row per n, each measured in a fresh interpreter so that
-  its peak RSS is its own.  A row runs the command
-  ``barcodes --format dist-csv --max-dim 2 --svg`` on the random metric
+* ``ladder``: one row per (n, max_dim) of ``LADDER``, each measured in a
+  fresh interpreter so that its peak RSS is its own.  A row runs the
+  command ``barcodes --format dist-csv --max-dim D --svg`` (without
+  ``--max-dim`` when D is None, so all 2^n - 1 faces) on the random metric
   ``verify.random_metric(Random(n), n, 0.0)`` through ``cli.main`` and
   records the faces, steps and bars, the seconds of the whole command and
   of each stage it calls (found by rebinding the ``idealtda.cli``
@@ -41,8 +42,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 RUN = ROOT / "perfbench" / "run.py"
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-LADDER = (20, 30, 40)
-MAX_DIM = 2
+# (n, max_dim): the truncated rows of the size ladder, then untruncated
+# rows of 16383 and 65535 faces, where vr_filtration and PH dominate
+LADDER = ((20, 2), (30, 2), (40, 2), (14, None), (16, None))
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
 
@@ -75,8 +77,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def ladder_row(n: int) -> dict:
-    """Run and time ``barcodes --svg`` on the seeded n-point metric."""
+def ladder_row(n: int, max_dim: int | None) -> dict:
+    """Run and time ``barcodes --svg`` on the seeded n-point metric, up to
+    dimension max_dim (all dimensions when None)."""
     from idealtda import cli
     from idealtda.verify import random_metric
 
@@ -104,7 +107,9 @@ def ladder_row(n: int) -> dict:
             Path(f"n{n}.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in dist))
             for attr, fn in saved.items():
                 setattr(cli, attr, timed(attr, fn))
-            argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv", "--max-dim", str(MAX_DIM)]
+            argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv"]
+            if max_dim is not None:
+                argv += ["--max-dim", str(max_dim)]
             start = perf_counter()
             code = cli.main(argv + ["--out", "out", "--svg"])
             seconds["command"] = perf_counter() - start
@@ -121,7 +126,7 @@ def ladder_row(n: int) -> dict:
     groups = returned["prime_barcode_to_dict"] + returned["ph_barcode_to_dict"]
     return {
         "n": n,
-        "max_dim": MAX_DIM,
+        "max_dim": max_dim,
         "faces": len(filtration.birth_map),
         "steps": len(filtration.params),
         "bars": {g["kind"]: len(g["intervals"]) for g in groups},
@@ -132,10 +137,10 @@ def ladder_row(n: int) -> dict:
     }
 
 
-def _fresh_ladder_row(n: int) -> dict:
+def _fresh_ladder_row(n: int, max_dim: int | None) -> dict:
     code = (
         f"import sys, json; sys.path[:0] = [{str(SRC)!r}, {str(ROOT / 'scripts')!r}]; "
-        f"import bench; print(json.dumps(bench.ladder_row({n})))"
+        f"import bench; print(json.dumps(bench.ladder_row({n}, {max_dim})))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -161,9 +166,9 @@ def main(argv=None) -> int:
         "ladder": [],
         "workloads": {},
     }
-    for n in LADDER:
-        record["ladder"].append(_fresh_ladder_row(n))
-        print(f"ladder n={n}: {record['ladder'][-1]['seconds']}", file=sys.stderr)
+    for n, max_dim in LADDER:
+        record["ladder"].append(_fresh_ladder_row(n, max_dim))
+        print(f"ladder n={n} max_dim={max_dim}: {record['ladder'][-1]['seconds']}", file=sys.stderr)
     for name in WORKLOADS:
         record["workloads"][name] = _workload(name)
         print(f"{name}: {record['workloads'][name]['end_to_end']}", file=sys.stderr)

@@ -242,11 +242,38 @@ class Graph:
         return bool(self.adjacency[i] >> (j - 1) & 1)
 
 
+def _cofacet_births(births: Mapping[int, float]) -> dict[int, float]:
+    """The earliest birth among the cofacets of every face that has one.
+
+    One pass over each face's facets, which also checks that every facet
+    is present and born no later than the face (ValueError otherwise)."""
+    earliest: dict[int, float] = {}
+    get = earliest.get
+    for m, t in births.items():
+        if m.bit_count() > 1:
+            for bit in _iter_bits(m):
+                sub = m ^ bit
+                s = births.get(sub)
+                if s is None or s > t:
+                    raise ValueError(
+                        f"face {mask_face(m)} born at {t} before subface {mask_face(sub)}"
+                    )
+                e = get(sub)
+                if e is None or t < e:
+                    earliest[sub] = t
+    return earliest
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Filtered complex: the birth of every face (face mask -> parameter)
     and the strictly increasing critical parameters, which contain every
-    birth and may add parameters where the complex does not change."""
+    birth and may add parameters where the complex does not change.
+
+    ``cofacet_births`` maps every face with a cofacet to the earliest
+    birth among its cofacets.  ``from_births`` computes it while it checks
+    the subfaces; a filtration made by the raw constructor or ``single``
+    computes it, with the same check, on first access."""
 
     n: int
     birth_map: Mapping[int, float]
@@ -273,16 +300,10 @@ class Filtration:
         ``params`` may be supplied to force steps at parameters where the
         complex does not change.
         """
-        for m, t in births.items():
-            if m.bit_count() > 1:
-                for bit in _iter_bits(m):
-                    sub = m ^ bit
-                    if sub not in births or births[sub] > t:
-                        raise ValueError(
-                            f"face {mask_face(m)} born at {t} before subface {mask_face(sub)}"
-                        )
+        earliest = _cofacet_births(births)
         crit = set(births.values()).union(params or ())
         f = cls(n, dict(births), tuple(sorted(crit)))
+        f.__dict__["cofacet_births"] = earliest
         f.final()  # rejects the zero mask and vertices outside 1..n
         return f
 
@@ -291,6 +312,10 @@ class Filtration:
         f = cls(complex_.n, dict.fromkeys(complex_.face_masks, t), (t,))
         f.__dict__["_final"] = complex_  # already validated
         return f
+
+    @cached_property
+    def cofacet_births(self) -> dict[int, float]:
+        return _cofacet_births(self.birth_map)
 
     @cached_property
     def _final(self) -> SimplicialComplex:

@@ -24,9 +24,11 @@ each boundary column from the mask itself, so the columns form a simplicial
 boundary (d o d = 0, column dimension = vertex count - 1).  Over GF(2) a
 column is an int bitmask over the filtration positions, reduced with
 ``^``, dimensions from the top down, skipping every column whose face is
-already a pivot row (clearing).  Other fields reduce signed dict columns,
-the route that also serves as the GF(2) test oracle.  Both return the
-pairs sorted by death position and the unpaired positions ascending.
+already a pivot row (clearing) and building a column only when its
+youngest facet is already a pivot row or a later column adds it.  Other
+fields reduce signed dict columns, the route that also serves as the
+GF(2) test oracle.  Both return the pairs sorted by death position and
+the unpaired positions ascending.
 """
 
 from __future__ import annotations
@@ -491,7 +493,8 @@ def _boundary_columns(order: Sequence[int]) -> list[dict[int, int]]:
 
     Column j maps the position of each facet of ``order[j]`` to
     (-1)^u, u counting the vertices from 1, lowest first; vertices have empty
-    columns.  Raises ValueError when a facet is missing or comes later.
+    columns.  Raises ValueError when a facet is missing or comes later, or
+    a face is empty or repeated.
     """
     index: dict[int, int] = {}
     columns: list[dict[int, int]] = []
@@ -503,7 +506,10 @@ def _boundary_columns(order: Sequence[int]) -> list[dict[int, int]]:
                 if i is None:
                     raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
                 col[i] = -1 if u % 2 else 1
-        index[m] = j
+        elif not m:
+            raise ValueError(f"face {j} is the empty face")
+        if (first := index.setdefault(m, j)) != j:
+            raise ValueError(f"face {j} repeats face {first}")
         columns.append(col)
     return columns
 
@@ -554,51 +560,80 @@ def _reduce_columns(
 def persistence_reduce(order: Sequence[int], field=GF2) -> tuple[list[tuple[int, int]], list[int]]:
     """Persistence pairing of face masks listed in filtration order.
 
-    ``order`` lists every face once, each after all of its facets
-    (ValueError otherwise).  Returns (pairs, unpaired): pairs are (birth
-    position, death position) sorted by death, unpaired positions are the
-    creators of essential classes, ascending.  The pivot pairing of a
-    fixed total order is unique, so both routes below agree.
+    ``order`` lists every nonempty face once, each after all of its
+    facets (ValueError otherwise).  Returns (pairs, unpaired): pairs are
+    (birth position, death position) sorted by death, unpaired positions
+    are the creators of essential classes, ascending.  The pivot pairing of
+    a fixed total order is unique, so both routes below agree.
 
     Over GF(2) column j is an int with bit i set for each facet at
     position i: the pivot is the top bit and adding a column is ``^``.
     Dimensions are reduced from the top down, and a face that is already a
     pivot row is a creator whose reduced column is zero, so its column is
-    never built (clearing; Chen-Kerber 2011).  Other fields reduce the
+    never built (clearing; Chen-Kerber 2011).  The order check records
+    each face's youngest facet, the initial pivot of its column; when that
+    row is not yet a pivot the column is already reduced, so it is paired
+    at once and stored as the marker ``-1 - j``, and its bitmask is built
+    only if a later column must add it (the apparent pairs of Bauer 2021,
+    §3.5, found without a separate scan).  Any other column is built when
+    its initial pivot turns out to be taken.  Other fields reduce the
     signed dict columns of :func:`_boundary_columns`.
     """
     if field != GF2:
         return _reduce_columns(_boundary_columns(order), field)
     index: dict[int, int] = {}
-    by_dim: list[list[int]] = [[]]  # positions of the faces of each dimension >= 1
+    get = index.get
+    # (position, position of its youngest facet) of the faces of each dimension >= 1
+    by_dim: list[list[tuple[int, int]]] = [[]]
     for j, m in enumerate(order):
         dim = m.bit_count() - 1
         if dim > 0:
+            low = -1
             for bit in _iter_bits(m):
-                if m ^ bit not in index:
+                i = get(m ^ bit)
+                if i is None:
                     raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
+                if i > low:
+                    low = i
             while len(by_dim) <= dim:
                 by_dim.append([])
-            by_dim[dim].append(j)
-        index[m] = j
-    pivots: dict[int, int] = {}  # pivot row -> reduced column
+            by_dim[dim].append((j, low))
+        elif not m:
+            raise ValueError(f"face {j} is the empty face")
+        if (first := index.setdefault(m, j)) != j:
+            raise ValueError(f"face {j} repeats face {first}")
+
+    def column(j: int) -> int:
+        m = order[j]
+        col = 0
+        for bit in _iter_bits(m):
+            col |= 1 << index[m ^ bit]
+        return col
+
+    pivots: dict[int, int] = {}  # pivot row -> reduced column, or -1 - j if not built yet
     pairs: list[tuple[int, int]] = []
     for dim in range(len(by_dim) - 1, 0, -1):
-        for j in by_dim[dim]:
+        for j, low in by_dim[dim]:
             if j in pivots:
                 continue
-            m = order[j]
-            col = 0
-            for bit in _iter_bits(m):
-                col |= 1 << index[m ^ bit]
-            while col:
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = -1 - j
+                pairs.append((low, j))
+                continue
+            col = column(j)
+            while True:
+                if other < 0:
+                    other = pivots[low] = column(-1 - other)
+                col ^= other
+                if not col:
+                    break
                 low = col.bit_length() - 1
                 other = pivots.get(low)
                 if other is None:
                     pivots[low] = col
                     pairs.append((low, j))
                     break
-                col ^= other
     pairs.sort(key=lambda p: p[1])
     deaths = {j for _, j in pairs}
     unpaired = [j for j in range(len(order)) if j not in pivots and j not in deaths]

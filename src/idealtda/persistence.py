@@ -10,8 +10,10 @@ or of an independent set:
 * ``SR``: the prime P_{[n] minus sigma} is associated exactly while sigma
   is a maximal face (Miller-Sturmfels, Thm 1.7), so every face sigma
   carries the bar [b(sigma), min_v b(sigma + v)), infinite when sigma has
-  no superface; zero-length bars are dropped.  Before the first birth
-  the complex is empty and the prime P_[n] is associated.
+  no superface; zero-length bars are dropped.  The deaths are the
+  filtration's ``cofacet_births``, recorded on the pass that checks the
+  subfaces.  Before the first birth the complex is empty and the prime
+  P_[n] is associated.
 * ``EDGE``: the primes are the complements of the maximal independent
   sets of the graph.  Edges are inserted in (birth, mask) order; an
   insertion of {i,j} kills exactly the live sets containing both ends,
@@ -30,7 +32,8 @@ asserting there that no prime resurrects.
 
 Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
 column reduction over a prime field or Q (over GF(2) with bitmask columns,
-top dimension first, with clearing), and :func:`betti_profile` reads b_k(t)
+top dimension first, with clearing, each column built only when the
+reduction adds it or its first pivot is taken), and :func:`betti_profile` reads b_k(t)
 off it as the number of k-bars alive at t (Zomorodian-Carlsson 2005);
 reduced mode adds b_{-1} = 1 while the complex is empty and subtracts 1
 from b_0 after.  The exact rank route,
@@ -243,12 +246,7 @@ def _sr_intervals(f: Filtration) -> list[PrimeInterval]:
     """Bars [b(sigma), min_v b(sigma + v)) of the primes P_{[n] minus sigma}."""
     births = f.birth_map
     full = (1 << f.n) - 1
-    death: dict[int, float] = {}
-    for m, t in births.items():
-        for bit in _iter_bits(m):
-            sub = m ^ bit
-            if sub not in death or t < death[sub]:
-                death[sub] = t
+    death = f.cofacet_births
     out = []
     for m, b in births.items():
         d = death.get(m)
@@ -301,7 +299,8 @@ def prime_barcode(
     steps at which it is associated; the zero-ideal prime is emitted like
     any other and flagged on the interval.  Kinds ``SR`` and ``EDGE`` use
     the closed forms of the module docstring; a custom ``ass_fn`` is
-    decomposed step by step.
+    decomposed step by step.  Kind ``SR`` raises ValueError when a face of
+    ``f`` is born before one of its subfaces.
     """
     params = f.params
     if ass_fn is not None:
@@ -407,8 +406,11 @@ def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcod
     births = f.birth_map
     top = max(f.final().max_dim, 0) if max_dim is None else max_dim
     # the k-pairs come from the (k+1)-columns: bars up to top need faces up to top+1
-    faces = [m for m in births if m.bit_count() <= top + 2]
-    order = sorted(faces, key=lambda m: (births[m], m.bit_count(), m))
+    order = [m for m in births if m.bit_count() <= top + 2]
+    # (birth, dimension, colex) order by three stable sorts on C-level keys
+    order.sort()
+    order.sort(key=int.bit_count)
+    order.sort(key=births.__getitem__)
     pairs, unpaired = persistence_reduce(order, field)
     bars: dict[int, list[tuple[float, float | None]]] = {}
     for i, j in pairs:

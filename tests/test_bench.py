@@ -7,6 +7,8 @@ import importlib.util
 import random
 from pathlib import Path
 
+import pytest
+
 from idealtda import cli
 from idealtda.verify import random_metric
 
@@ -20,13 +22,19 @@ def _bench_module():
     return module
 
 
-def test_ladder_row_keys(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "n, max_dim, faces, flags",
+    [(6, 2, 6 + 15 + 20, ["--max-dim", "2"]), (5, None, 2**5 - 1, [])],
+    ids=["truncated", "untruncated"],
+)
+def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, faces, flags):
     bench = _bench_module()
+    assert all(len(rung) == 2 for rung in bench.LADDER)
     bound = {attr: getattr(cli, attr) for attr in bench.STAGES}
-    row = bench.ladder_row(6)
+    row = bench.ladder_row(n, max_dim)
     assert {attr: getattr(cli, attr) for attr in bench.STAGES} == bound
     assert set(row) == {"n", "max_dim", "faces", "steps", "bars", "seconds", "bytes", "sha256", "peak_rss_mib"}
-    assert (row["n"], row["max_dim"], row["faces"]) == (6, 2, 6 + 15 + 20)
+    assert (row["n"], row["max_dim"], row["faces"]) == (n, max_dim, faces)
     assert set(row["bars"]) == {"SR", "EDGE", "PH"} and all(v > 0 for v in row["bars"].values())
     assert set(row["seconds"]) == {
         "command", "parse", "vr_filtration", "sr", "edge", "ph_barcode", "to_dict",
@@ -36,9 +44,9 @@ def test_ladder_row_keys(tmp_path, monkeypatch):
     assert all(v > 0 for v in row["bytes"].values()) and row["peak_rss_mib"] > 0
     # the row digests the files the command itself writes
     monkeypatch.chdir(tmp_path)
-    dist = random_metric(random.Random(6), 6, 0.0)
-    Path("n6.csv").write_text("".join(",".join(map(repr, r)) + "\n" for r in dist))
-    argv = ["barcodes", "--input", "n6.csv", "--format", "dist-csv", "--max-dim", "2", "--out", "out", "--svg"]
+    dist = random_metric(random.Random(n), n, 0.0)
+    Path(f"n{n}.csv").write_text("".join(",".join(map(repr, r)) + "\n" for r in dist))
+    argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv", *flags, "--out", "out", "--svg"]
     assert cli.main(argv) == 0
     for name in bench.OUTPUTS:
         assert hashlib.sha256(Path("out", name).read_bytes()).hexdigest() == row["sha256"][name]

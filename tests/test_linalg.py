@@ -14,6 +14,8 @@ from idealtda.linalg import (
     QQ,
     Polynomial,
     PrimeField,
+    _boundary_columns,
+    _reduce_columns,
     bareiss_rank,
     parse_field,
     persistence_reduce,
@@ -415,10 +417,23 @@ def test_persistence_reduce_rejects_bad_order_over_other_fields():
             persistence_reduce([0b001, 0b011], field)
 
 
-def test_persistence_reduce_never_builds_cleared_columns(monkeypatch):
-    # every face's bits are read once by the order check; a face that is
-    # already a pivot row when its dimension is reduced is a creator, so its
-    # column is never built and its bits are not read again
+@pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
+def test_persistence_reduce_rejects_repeated_and_empty_faces(field):
+    with pytest.raises(ValueError, match="face 3 repeats face 2"):
+        persistence_reduce([0b01, 0b10, 0b11, 0b11], field)
+    with pytest.raises(ValueError, match="face 1 repeats face 0"):
+        persistence_reduce([0b01, 0b01], field)
+    with pytest.raises(ValueError, match="face 0 is the empty face"):
+        persistence_reduce([0, 0b01], field)
+    with pytest.raises(ValueError, match="face 1 is the empty face"):
+        persistence_reduce([0b01, 0], field)
+
+
+def test_persistence_reduce_builds_a_column_only_when_it_is_added(monkeypatch):
+    # the order check reads every face's bits once and finds its youngest
+    # facet; a column whose youngest facet is not yet a pivot row is paired
+    # without being built, and a creator, already a pivot row when its
+    # dimension is reduced, is never built (clearing)
     reads = Counter()
 
     def counting_iter_bits(mask):
@@ -426,13 +441,24 @@ def test_persistence_reduce_never_builds_cleared_columns(monkeypatch):
         return _iter_bits(mask)
 
     monkeypatch.setattr(linalg, "_iter_bits", counting_iter_bits)
-    order = sorted(range(1, 1 << 5), key=lambda m: (m.bit_count(), m))  # the 4-simplex
+    # the 4-simplex in (dimension, colex) order: every pair is apparent
+    order = sorted(range(1, 1 << 5), key=lambda m: (m.bit_count(), m))
+    want = _reduce_columns(_boundary_columns(order), GF2)
+    reads.clear()
     pairs, unpaired = persistence_reduce(order, GF2)
-    assert unpaired == [0]
-    creators = {order[i] for i, _ in pairs}
-    for m in order:
-        if m.bit_count() > 1:
-            assert reads[m] == (1 if m in creators else 2), m
+    assert (pairs, unpaired) == want
+    assert unpaired == [0] and len(pairs) == 15
+    assert reads == Counter(m for m in order if m.bit_count() > 1)
+    # four vertices and the edges 12, 13, 23, 14, 24: 12 and 13 pair at once
+    # with vertices 2 and 3; 23 finds vertex 3 taken, so its column is built
+    # and so are both lazy ones, which it adds; 24 adds 14, then 12 again,
+    # whose column is built only once
+    order = [0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b0101, 0b0110, 0b1001, 0b1010]
+    want = _reduce_columns(_boundary_columns(order), GF2)
+    reads.clear()
+    pairs, unpaired = persistence_reduce(order, GF2)
+    assert (pairs, unpaired) == want == ([(1, 4), (2, 5), (3, 7)], [0, 6, 8])
+    assert reads == Counter({m: 2 for m in order[4:]})
 
 
 def test_persistence_reduce_tie_shuffle_invariance():

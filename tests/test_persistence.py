@@ -320,6 +320,28 @@ def test_persistence_reduce_gf2_matches_dict_route():
         assert persistence.persistence_reduce(order, GF2) == want
 
 
+def test_cofacet_births_match_the_earliest_superface():
+    # the dict from_births records while it checks the subfaces, and the one a
+    # raw or single filtration computes on first access, against a probe of
+    # every vertex that extends a face
+    for f in _reduce_cases():
+        births = f.birth_map
+        want = {}
+        for m in births:
+            cofacets = [births[m | 1 << v] for v in range(f.n) if not m >> v & 1 and m | 1 << v in births]
+            if cofacets:
+                want[m] = min(cofacets)
+        assert f.cofacet_births == want
+        assert Filtration(f.n, births, f.params).cofacet_births == want
+
+
+def test_sr_rejects_a_raw_filtration_born_before_its_subfaces():
+    for births in ({0b01: 0.0, 0b10: 1.0, 0b11: 0.0}, {0b01: 0.0, 0b11: 0.0}):
+        f = Filtration(2, births, tuple(sorted(set(births.values()))))
+        with pytest.raises(ValueError, match="before subface"):
+            prime_barcode(f, "SR")
+
+
 @pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
 def test_ph_barcode_max_dim_keeps_low_bars(field):
     # faces above max_dim + 1 never enter the reduction; the low bars stay
