@@ -267,6 +267,9 @@ def cmd_labelled(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for option, value in (("--trials", args.trials), ("--max-n", args.max_n)):
+        if value < 1:
+            raise InputError(f"{option} must be at least 1, got {value}")
     results = run_all(seed=args.seed, trials=args.trials, nmax=args.max_n)
     for res in results:
         print(res.line())

@@ -282,6 +282,9 @@ class Filtration:
     def __post_init__(self):
         if not self.params:
             raise ValueError("a filtration needs at least one step")
+        if any(t != t for t in self.params):  # NaN, which breaks every order
+            bad = [mask_face(m) for m, t in self.birth_map.items() if t != t]
+            raise ValueError(f"face {bad[0]} is born at NaN" if bad else "a filtration parameter is NaN")
         if any(b <= a for a, b in zip(self.params, self.params[1:])):
             raise ValueError("filtration parameters must be strictly increasing")
         if not set(self.birth_map.values()) <= set(self.params):
@@ -300,10 +303,9 @@ class Filtration:
         ``params`` may be supplied to force steps at parameters where the
         complex does not change.
         """
-        earliest = _cofacet_births(births)
         crit = set(births.values()).union(params or ())
         f = cls(n, dict(births), tuple(sorted(crit)))
-        f.__dict__["cofacet_births"] = earliest
+        f.__dict__["cofacet_births"] = _cofacet_births(births)
         f.final()  # rejects the zero mask and vertices outside 1..n
         return f
 

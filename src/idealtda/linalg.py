@@ -488,30 +488,49 @@ def _bareiss(m: list[list], div) -> int:
     return r
 
 
+def _index_order(order: Sequence[int]) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
+    """Check that ``order`` is a filtration order and index it.
+
+    Returns the position of every face and, per dimension >= 1, the pairs
+    (position of a face, position of its youngest facet).  Each face's
+    bits are read once.  Raises ValueError when a facet is missing or
+    comes later, or a face is empty or repeated.
+    """
+    index: dict[int, int] = {}
+    get = index.get
+    by_dim: list[list[tuple[int, int]]] = [[]]
+    for j, m in enumerate(order):
+        dim = m.bit_count() - 1
+        if dim > 0:
+            low = -1
+            for bit in _iter_bits(m):
+                i = get(m ^ bit)
+                if i is None:
+                    raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
+                if i > low:
+                    low = i
+            while len(by_dim) <= dim:
+                by_dim.append([])
+            by_dim[dim].append((j, low))
+        elif not m:
+            raise ValueError(f"face {j} is the empty face")
+        if (first := index.setdefault(m, j)) != j:
+            raise ValueError(f"face {j} repeats face {first}")
+    return index, by_dim
+
+
 def _boundary_columns(order: Sequence[int]) -> list[dict[int, int]]:
     """Signed boundary columns of face masks listed in filtration order.
 
     Column j maps the position of each facet of ``order[j]`` to
     (-1)^u, u counting the vertices from 1, lowest first; vertices have empty
-    columns.  Raises ValueError when a facet is missing or comes later, or
-    a face is empty or repeated.
+    columns.  Raises the ValueErrors of :func:`_index_order`.
     """
-    index: dict[int, int] = {}
-    columns: list[dict[int, int]] = []
-    for j, m in enumerate(order):
-        col: dict[int, int] = {}
-        if m.bit_count() > 1:
-            for u, bit in enumerate(_iter_bits(m), start=1):
-                i = index.get(m ^ bit)
-                if i is None:
-                    raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
-                col[i] = -1 if u % 2 else 1
-        elif not m:
-            raise ValueError(f"face {j} is the empty face")
-        if (first := index.setdefault(m, j)) != j:
-            raise ValueError(f"face {j} repeats face {first}")
-        columns.append(col)
-    return columns
+    index = _index_order(order)[0]
+    return [
+        {index[m ^ bit]: (-1) ** u for u, bit in enumerate(_iter_bits(m), start=1)} if m & (m - 1) else {}
+        for m in order
+    ]
 
 
 def _reduce_columns(
@@ -581,27 +600,7 @@ def persistence_reduce(order: Sequence[int], field=GF2) -> tuple[list[tuple[int,
     """
     if field != GF2:
         return _reduce_columns(_boundary_columns(order), field)
-    index: dict[int, int] = {}
-    get = index.get
-    # (position, position of its youngest facet) of the faces of each dimension >= 1
-    by_dim: list[list[tuple[int, int]]] = [[]]
-    for j, m in enumerate(order):
-        dim = m.bit_count() - 1
-        if dim > 0:
-            low = -1
-            for bit in _iter_bits(m):
-                i = get(m ^ bit)
-                if i is None:
-                    raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
-                if i > low:
-                    low = i
-            while len(by_dim) <= dim:
-                by_dim.append([])
-            by_dim[dim].append((j, low))
-        elif not m:
-            raise ValueError(f"face {j} is the empty face")
-        if (first := index.setdefault(m, j)) != j:
-            raise ValueError(f"face {j} repeats face {first}")
+    index, by_dim = _index_order(order)
 
     def column(j: int) -> int:
         m = order[j]

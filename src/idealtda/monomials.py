@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .complexes import MAX_FACES, _iter_bits, face_mask, mask_face
+from .complexes import _iter_bits, face_mask, mask_face
 from .linalg import Polynomial
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "membership",
     "minimal_primes_squarefree",
     "minimal_transversals",
-    "minimal_transversals_exhaustive",
     "ideal_in_prime",
     "prime_contains",
 ]
@@ -366,17 +365,6 @@ def minimal_transversals(supports: Sequence[int]) -> list[int]:
             else:
                 found.append(chosen)
     return _antichain_min(found)
-
-
-def minimal_transversals_exhaustive(supports: Sequence[int], n: int) -> list[int]:
-    """Brute-force oracle: scan all 2^n subsets, keep minimal transversals.
-
-    Raises ValueError before the scan when 2^n exceeds MAX_FACES.
-    """
-    if 1 << n > MAX_FACES:
-        raise ValueError(f"2^{n} subsets exceed the budget of {MAX_FACES}")
-    hits = [w for w in range(1 << n) if all(s & w for s in supports)]
-    return _antichain_min(hits)
 
 
 def minimal_primes_squarefree(ideal: MonomialIdeal) -> frozenset[LinearPrime]:

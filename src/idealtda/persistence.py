@@ -24,11 +24,9 @@ or of an independent set:
 
 Every prime therefore carries exactly one interval.  As a check, the
 primes whose bar never ends are compared at assembly time with the
-decomposition of the final complex.  The per-step route, one
-decomposition per critical parameter (:func:`step_associated_primes`),
-builds its step complexes from the birth map on demand; it stays as the
-test oracle and computes barcodes for custom ``ass_fn`` families,
-asserting there that no prime resurrects.
+decomposition of the final complex by :func:`step_associated_primes`,
+the per-step route; its runs, made into bars by
+:func:`idealtda.verify.intervals_from_runs`, are the closed forms' oracle.
 
 Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
 column reduction over a prime field or Q (over GF(2) with bitmask columns,
@@ -51,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .complexes import Filtration, SimplicialComplex, _iter_bits, boundary_entries
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
@@ -65,7 +63,6 @@ __all__ = [
     "PHBarcode",
     "JumpWitness",
     "CoverageReport",
-    "NoResurrectionError",
     "step_associated_primes",
     "prime_barcode",
     "betti_from_ranks",
@@ -81,10 +78,6 @@ __all__ = [
 
 KIND_SR = "SR"
 KIND_EDGE = "EDGE"
-
-
-class NoResurrectionError(AssertionError):
-    """A prime re-entered the associated set after leaving it."""
 
 
 @dataclass(frozen=True)
@@ -189,45 +182,13 @@ class CoverageReport:
         return not self.violations
 
 
-def step_associated_primes(
-    f: Filtration,
-    kind: str = KIND_SR,
-    ass_fn: Callable[[SimplicialComplex], Iterable[LinearPrime]] | None = None,
-) -> list[frozenset[LinearPrime]]:
-    """Associated prime set at every filtration step.
-
-    ``kind`` selects the face-ideal or edge-ideal decomposition; a custom
-    ``ass_fn`` may supply any other monotone square-free ideal family.
-    """
-    if ass_fn is not None:
-        return [frozenset(ass_fn(K)) for _, K in f.steps]
+def step_associated_primes(f: Filtration, kind: str = KIND_SR) -> list[frozenset[LinearPrime]]:
+    """Associated primes of the face (SR) or edge (EDGE) ideal at every step."""
     if kind == KIND_SR:
         return [sr_associated_primes(K) for _, K in f.steps]
     if kind == KIND_EDGE:
         return [minimal_vertex_covers(one_skeleton(K)) for _, K in f.steps]
     raise ValueError(f"unknown barcode kind {kind!r}")
-
-
-def _intervals_from_runs(
-    ass_per_step: Sequence[frozenset[LinearPrime]],
-    params: Sequence[float],
-    kind: str,
-) -> tuple[PrimeInterval, ...]:
-    present: dict[LinearPrime, list[int]] = {}
-    for i, ass in enumerate(ass_per_step):
-        for p in ass:
-            present.setdefault(p, []).append(i)
-    intervals = []
-    for prime, idxs in present.items():
-        if idxs[-1] - idxs[0] + 1 != len(idxs):
-            raise NoResurrectionError(
-                f"prime {prime} resurrects in kind {kind}: steps {idxs}"
-            )
-        birth = params[idxs[0]]
-        last = idxs[-1]
-        death = None if last == len(params) - 1 else params[last + 1]
-        intervals.append(PrimeInterval(prime, birth, death, kind))
-    return _sorted_intervals(intervals)
 
 
 def _sorted_intervals(intervals: list[PrimeInterval]) -> tuple[PrimeInterval, ...]:
@@ -288,24 +249,16 @@ def _edge_intervals(f: Filtration) -> list[PrimeInterval]:
     return out
 
 
-def prime_barcode(
-    f: Filtration,
-    kind: str = KIND_SR,
-    ass_fn: Callable[[SimplicialComplex], Iterable[LinearPrime]] | None = None,
-) -> PrimeBarcode:
+def prime_barcode(f: Filtration, kind: str = KIND_SR) -> PrimeBarcode:
     """Persistent associated-prime barcode of a filtration.
 
     Each prime's interval spans the maximal run of consecutive critical
     steps at which it is associated; the zero-ideal prime is emitted like
     any other and flagged on the interval.  Kinds ``SR`` and ``EDGE`` use
-    the closed forms of the module docstring; a custom ``ass_fn`` is
-    decomposed step by step.  Kind ``SR`` raises ValueError when a face of
-    ``f`` is born before one of its subfaces.
+    the closed forms of the module docstring.  Kind ``SR`` raises
+    ValueError when a face of ``f`` is born before one of its subfaces.
     """
     params = f.params
-    if ass_fn is not None:
-        ass_per_step = step_associated_primes(f, kind, ass_fn)
-        return PrimeBarcode("CUSTOM", _intervals_from_runs(ass_per_step, params, "CUSTOM"), params)
     if kind == KIND_SR:
         intervals = _sr_intervals(f)
     elif kind == KIND_EDGE:
@@ -452,9 +405,12 @@ def witness_between_steps(f: Filtration, i: int) -> JumpWitness | None:
 def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | None:
     """A linear prime whose indicator changes across t0 when b_k0 jumps there.
 
-    t0 must lie strictly between the first and last critical parameters.
+    t0 must lie strictly between the first and last critical parameters,
+    and k0 must be a dimension of unreduced homology, so k0 >= 0.
     Returns None when the Betti number is continuous at t0.
     """
+    if k0 < 0:
+        raise ValueError(f"k0={k0} is negative; jump_witness tracks b_0 and up")
     params = f.params
     if not (params[0] < t0 < params[-1]):
         raise ValueError(f"t0={t0} is not strictly between {params[0]} and {params[-1]}")
@@ -463,9 +419,8 @@ def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | 
     if lo == hi:
         return None
     K_lo, K_hi = f.complex_at(params[lo]), f.complex_at(params[hi])
-    top = max(k0, 0)
-    b_lo = betti_numbers(K_lo, field, top=top)
-    b_hi = betti_numbers(K_hi, field, top=top)
+    b_lo = betti_numbers(K_lo, field, top=k0)
+    b_hi = betti_numbers(K_hi, field, top=k0)
     if b_lo[k0] == b_hi[k0]:
         return None
     return witness_between_steps(f, hi)

@@ -1,9 +1,12 @@
-"""Randomized verification suites and the instance generators behind them.
+"""Randomized verification suites, the slow oracle routes they check
+against, and the instance generators behind them.
 
 Each suite exercises one structural claim of the library on seeded random
 instances at desk scale (n <= 8) and reports a trial/failure count.  The
 suites double as the engine of the ``verify`` CLI subcommand and of the
-acceptance tests, which run them at larger trial counts.
+acceptance tests, which run them at larger trial counts.  The oracles
+(per-step bars, polynomial-ring ranks, brute-force transversals) live
+only here: no production module imports this one.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
-from .complexes import Filtration, Graph, SimplicialComplex, clique_complex, vr_filtration
+from .complexes import MAX_FACES, Filtration, Graph, SimplicialComplex, clique_complex, vr_filtration
 from .ideals import (
     complement_graph,
     edge_ideal,
@@ -32,10 +36,10 @@ from .labelled import (
     slice_iso_check,
 )
 from .linalg import GF2, QQ, Polynomial, bareiss_rank
-from .monomials import AtomTable, FactoredElement, LinearPrime, minimal_primes_squarefree
+from .monomials import AtomTable, FactoredElement, LinearPrime, _antichain_min, minimal_primes_squarefree
 from .persistence import (
-    NoResurrectionError,
-    _intervals_from_runs,
+    PrimeInterval,
+    _sorted_intervals,
     betti_profile,
     classical_betti,
     classical_boundary_ranks,
@@ -47,6 +51,9 @@ from .persistence import (
 
 __all__ = [
     "SuiteResult",
+    "NoResurrectionError",
+    "intervals_from_runs",
+    "minimal_transversals_exhaustive",
     "random_graph",
     "random_complex",
     "random_metric",
@@ -64,6 +71,47 @@ __all__ = [
     "suite_vertex_cover_oracles",
     "run_all",
 ]
+
+
+class NoResurrectionError(AssertionError):
+    """A prime re-entered the associated set after leaving it."""
+
+
+def intervals_from_runs(
+    ass_per_step: Sequence[frozenset[LinearPrime]],
+    params: Sequence[float],
+    kind: str,
+) -> tuple[PrimeInterval, ...]:
+    """Bars of the runs of steps at which each prime is associated, sorted
+    like ``prime_barcode``'s, for any monotone square-free ideal family;
+    raises NoResurrectionError when a prime's steps are not one run."""
+    present: dict[LinearPrime, list[int]] = {}
+    for i, ass in enumerate(ass_per_step):
+        for p in ass:
+            present.setdefault(p, []).append(i)
+    intervals = []
+    for prime, idxs in present.items():
+        if idxs[-1] - idxs[0] + 1 != len(idxs):
+            raise NoResurrectionError(
+                f"prime {prime} resurrects in kind {kind}: steps {idxs}"
+            )
+        birth = params[idxs[0]]
+        last = idxs[-1]
+        death = None if last == len(params) - 1 else params[last + 1]
+        intervals.append(PrimeInterval(prime, birth, death, kind))
+    return _sorted_intervals(intervals)
+
+
+def minimal_transversals_exhaustive(supports: Sequence[int], n: int) -> list[int]:
+    """Brute-force oracle: scan all 2^n subsets, keep minimal transversals.
+
+    Raises ValueError before the scan when 2^n exceeds MAX_FACES.
+    """
+    if 1 << n > MAX_FACES:
+        raise ValueError(f"2^{n} subsets exceed the budget of {MAX_FACES}")
+    hits = [w for w in range(1 << n) if all(s & w for s in supports)]
+    return _antichain_min(hits)
+
 
 @dataclass
 class SuiteResult:
@@ -166,7 +214,7 @@ def suite_prime_interval_uniqueness(rng: random.Random, trials: int, nmax: int =
         for kind in ("SR", "EDGE"):
             ass = [set(a) for a in step_associated_primes(f, kind)]
             try:
-                runs = _intervals_from_runs(ass, f.params, kind)
+                runs = intervals_from_runs(ass, f.params, kind)
             except NoResurrectionError as exc:
                 res.note(f"trial {t}: {exc}")
                 continue

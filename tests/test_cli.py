@@ -375,6 +375,16 @@ def test_verify_degenerate_single_vertex(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--trials", "-1"), ("--trials", "0"), ("--max-n", "0"), ("--max-n", "-2")]
+)
+def test_verify_rejects_counts_below_one(capsys, option, value):
+    assert main(["verify", option, value]) == 2
+    captured = capsys.readouterr()
+    assert f"{option} must be at least 1, got {value}" in captured.err
+    assert "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_barcodes_rejects_non_finite_csv(tmp_path, capsys, cell):
     path = tmp_path / "bad.csv"

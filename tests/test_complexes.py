@@ -326,6 +326,24 @@ def test_filtration_validation():
     assert f.final().faces() == [(1,), (2,), (1, 2)]
 
 
+def test_filtration_rejects_nan_parameters():
+    # a NaN birth or parameter is refused before any order is built on it,
+    # by the raw constructor, from_births (births and extra params) and single
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"face \(2,\) is born at NaN"):
+        Filtration.from_births(2, {1: 0.0, 2: nan, 3: 1.0})
+    with pytest.raises(ValueError, match="a filtration parameter is NaN"):
+        Filtration.from_births(2, {1: 0.0, 2: 0.0}, params=[nan, 1.0])
+    with pytest.raises(ValueError, match=r"face \(1,\) is born at NaN"):
+        Filtration(1, {1: nan}, (nan,))
+    with pytest.raises(ValueError, match="a filtration parameter is NaN"):
+        Filtration(1, {1: 0.0}, (0.0, nan))
+    with pytest.raises(ValueError, match=r"face \(1, 2\) is born at NaN"):
+        Filtration.single(SimplicialComplex(2, frozenset({3})), nan)
+    with pytest.raises(ValueError, match="a filtration parameter is NaN"):
+        Filtration.single(SimplicialComplex(2, frozenset()), nan)
+
+
 def test_filtration_helpers(three_point_dist):
     f = vr_filtration(three_point_dist)
     assert f.index_at(0.5) == 0

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,45 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Names of the idealtda modules a source file imports, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: from . import x, from .x import y
+                out.update([base] if base else [a.name for a in node.names])
+            elif base == "idealtda":
+                out.update(a.name for a in node.names)
+            elif base.startswith("idealtda."):
+                out.add(base.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("idealtda."))
+    return out
+
+
+def test_only_cli_imports_the_oracles():
+    # the slow oracle routes live in verify, which no production module reaches
+    src = Path(idealtda.__file__).parent
+    offenders = [
+        p.name for p in sorted(src.glob("*.py")) if p.stem != "cli" and "verify" in _imported_modules(p)
+    ]
+    assert not offenders, f"modules other than cli import verify: {offenders}"
+    assert "verify" in _imported_modules(src / "cli.py")
+
+
+def test_oracle_routes_left_the_production_modules():
+    from idealtda import monomials, persistence, verify
+
+    for module, name in [
+        (persistence, "NoResurrectionError"),
+        (persistence, "_intervals_from_runs"),
+        (persistence, "intervals_from_runs"),
+        (monomials, "minimal_transversals_exhaustive"),
+    ]:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+        assert name.lstrip("_") in verify.__all__
+    for fn in (persistence.prime_barcode, persistence.step_associated_primes):
+        assert list(inspect.signature(fn).parameters) == ["f", "kind"], fn.__name__

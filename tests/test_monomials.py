@@ -20,10 +20,10 @@ from idealtda.monomials import (
     minimal_basis,
     minimal_primes_squarefree,
     minimal_transversals,
-    minimal_transversals_exhaustive,
     prime_contains,
     radical_generators,
 )
+from idealtda.verify import minimal_transversals_exhaustive
 
 X4 = AtomTable.for_variables(4)
 

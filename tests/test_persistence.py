@@ -13,7 +13,6 @@ from idealtda.ideals import sr_associated_primes
 from idealtda.linalg import GF2, QQ, PrimeField, _boundary_columns, _reduce_columns
 from idealtda.monomials import LinearPrime, minimal_primes_squarefree
 from idealtda.persistence import (
-    NoResurrectionError,
     PrimeBarcode,
     PrimeInterval,
     betti_numbers,
@@ -24,10 +23,9 @@ from idealtda.persistence import (
     prime_barcode,
     step_associated_primes,
     witness_between_steps,
-    _intervals_from_runs,
 )
 from idealtda.ideals import stanley_reisner
-from idealtda.verify import random_metric
+from idealtda.verify import NoResurrectionError, intervals_from_runs, random_metric
 
 ROOT2 = math.sqrt(2.0)
 
@@ -98,7 +96,7 @@ def test_step_associated_primes_matches_transversal_oracle():
 
 def _assert_closed_forms_match_per_step_route(f):
     for kind in ("SR", "EDGE"):
-        oracle = _intervals_from_runs(step_associated_primes(f, kind), f.params, kind)
+        oracle = intervals_from_runs(step_associated_primes(f, kind), f.params, kind)
         assert prime_barcode(f, kind).intervals == oracle, kind
 
 
@@ -169,10 +167,12 @@ def test_prime_barcode_final_step_assertion(three_point_filtration, monkeypatch)
             prime_barcode(three_point_filtration, kind)
 
 
-def test_custom_ideal_family_hook(three_point_filtration):
-    bc = prime_barcode(three_point_filtration, ass_fn=sr_associated_primes)
-    assert bc.kind == "CUSTOM"
-    assert bc.primes() == prime_barcode(three_point_filtration, "SR").primes()
+def test_custom_ideal_family_recipe(three_point_filtration):
+    # the bars of any monotone square-free family: decompose every step and
+    # read off the runs; on the face ideals they are the SR closed form
+    f = three_point_filtration
+    runs = [frozenset(sr_associated_primes(K)) for _, K in f.steps]
+    assert intervals_from_runs(runs, f.params, "SR") == prime_barcode(f, "SR").intervals
 
 
 def test_no_resurrection_error_raised_on_corrupt_runs():
@@ -182,7 +182,7 @@ def test_no_resurrection_error_raised_on_corrupt_runs():
         frozenset({LinearPrime.of((1,))}),
     ]
     with pytest.raises(NoResurrectionError):
-        _intervals_from_runs(ass, (0.0, 1.0, 2.0), "SR")
+        intervals_from_runs(ass, (0.0, 1.0, 2.0), "SR")
 
 
 def test_interval_suite_checks_closed_forms_against_runs(monkeypatch, inject_prime_fault):
@@ -380,6 +380,15 @@ def test_jump_witness_validates_range(three_point_filtration):
         jump_witness(three_point_filtration, 0, 0.0)
     with pytest.raises(ValueError):
         jump_witness(three_point_filtration, 0, 2.0)
+
+
+def test_jump_witness_rejects_negative_k0():
+    # b_{-1} is not tracked: -1 would read b_0 and -3 would index past it
+    f = vr_filtration([[0, 1, 1.2], [1, 0, 1.5], [1.2, 1.5, 0]])
+    for k0 in (-1, -3):
+        with pytest.raises(ValueError, match=f"k0={k0}"):
+            jump_witness(f, k0, 0.6)
+    assert jump_witness(f, 0, 0.6) is not None
 
 
 def test_jump_witness_none_on_constant_segment(three_point_dist):
