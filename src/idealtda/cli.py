@@ -108,6 +108,8 @@ def _outdir(path: str) -> Path:
 
 
 def cmd_barcodes(args) -> int:
+    if args.max_dim is not None and args.max_dim < 0:
+        raise InputError(f"--max-dim must be nonnegative, got {args.max_dim}")
     field = parse_field(args.field)
     dist = None
     if args.format == "dist-csv":

@@ -8,7 +8,8 @@ neighbour mask per vertex.
 
 Canonical basis order: within each dimension, faces are sorted by their
 bitmask value, i.e. colexicographically.  All boundary matrices in the
-package use this order.
+package use this order.  A filtration's faces are walked once, in its
+checked order, a :class:`FaceOrder`, which both SR and PH read.
 
 One clique walk, ``_cliques``, enumerates both clique complexes and
 Vietoris-Rips complexes (the cliques of the complete graph).  It lists a
@@ -23,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "mask_face",
     "SimplicialComplex",
     "Graph",
+    "FaceOrder",
     "Filtration",
     "clique_complex",
     "full_subcomplex",
@@ -242,38 +245,54 @@ class Graph:
         return bool(self.adjacency[i] >> (j - 1) & 1)
 
 
-def _cofacet_births(births: Mapping[int, float]) -> dict[int, float]:
-    """The earliest birth among the cofacets of every face that has one.
+class FaceOrder:
+    """A checked filtration order of face masks and what its one walk over
+    the facets finds: ``index`` (face -> position), ``first_cofacet`` (at
+    each face's position, the position of its first cofacet, or None) and
+    ``lows`` (dimension d >= 1 -> the positions of the d-faces and, in a
+    parallel list, of their youngest facets, the initial pivots of their
+    columns).  ValueError unless every face is nonempty and listed once,
+    after all of its facets."""
 
-    One pass over each face's facets, which also checks that every facet
-    is present and born no later than the face (ValueError otherwise)."""
-    earliest: dict[int, float] = {}
-    get = earliest.get
-    for m, t in births.items():
-        if m.bit_count() > 1:
-            for bit in _iter_bits(m):
-                sub = m ^ bit
-                s = births.get(sub)
-                if s is None or s > t:
-                    raise ValueError(
-                        f"face {mask_face(m)} born at {t} before subface {mask_face(sub)}"
-                    )
-                e = get(sub)
-                if e is None or t < e:
-                    earliest[sub] = t
-    return earliest
+    __slots__ = ("faces", "index", "lows", "first_cofacet")
+
+    def __init__(self, faces: Iterable[int]):
+        self.faces = faces = tuple(faces)
+        self.index, self.lows = index, lows = {}, {}
+        self.first_cofacet = first = [None] * len(faces)
+        get = index.get
+        for j, m in enumerate(faces):
+            dim = m.bit_count() - 1
+            if dim > 0:
+                low = -1
+                for bit in _iter_bits(m):
+                    sub = m ^ bit
+                    i = get(sub)
+                    if i is None:
+                        msg = f"face {j} {mask_face(m)} comes before subface {mask_face(sub)}"
+                        raise ValueError(msg + ": subfaces must precede faces")
+                    if i > low:
+                        low = i
+                    if first[i] is None:
+                        first[i] = j
+                positions, youngest = lows.get(dim) or lows.setdefault(dim, ([], []))
+                positions.append(j)
+                youngest.append(low)
+            elif not m:
+                raise ValueError(f"face {j} is the empty face")
+            if (i := index.setdefault(m, j)) != j:
+                raise ValueError(f"face {j} repeats face {i}")
 
 
 @dataclass(frozen=True)
 class Filtration:
     """Filtered complex: the birth of every face (face mask -> parameter)
-    and the strictly increasing critical parameters, which contain every
-    birth and may add parameters where the complex does not change.
+    and the strictly increasing, finite critical parameters, which contain
+    every birth and may add parameters where the complex does not change.
 
-    ``cofacet_births`` maps every face with a cofacet to the earliest
-    birth among its cofacets.  ``from_births`` computes it while it checks
-    the subfaces; a filtration made by the raw constructor or ``single``
-    computes it, with the same check, on first access."""
+    ``order`` is its one checked (birth, dimension, colex) :class:`FaceOrder`;
+    ``from_births`` builds it at once as its subface check; the raw
+    constructor and ``single`` build it on first access."""
 
     n: int
     birth_map: Mapping[int, float]
@@ -282,9 +301,11 @@ class Filtration:
     def __post_init__(self):
         if not self.params:
             raise ValueError("a filtration needs at least one step")
-        if any(t != t for t in self.params):  # NaN, which breaks every order
-            bad = [mask_face(m) for m, t in self.birth_map.items() if t != t]
-            raise ValueError(f"face {bad[0]} is born at NaN" if bad else "a filtration parameter is NaN")
+        if not all(-inf < t < inf for t in self.params):  # NaN breaks every order, inf means "never ends"
+            bad = [(m, t) for m, t in self.birth_map.items() if not -inf < t < inf]
+            m, t = bad[0] if bad else (0, next(t for t in self.params if not -inf < t < inf))
+            what = f"face {mask_face(m)} is born at" if bad else "a filtration parameter is"
+            raise ValueError(f"{what} {'NaN' if t != t else t}")
         if any(b <= a for a, b in zip(self.params, self.params[1:])):
             raise ValueError("filtration parameters must be strictly increasing")
         if not set(self.birth_map.values()) <= set(self.params):
@@ -305,8 +326,8 @@ class Filtration:
         """
         crit = set(births.values()).union(params or ())
         f = cls(n, dict(births), tuple(sorted(crit)))
-        f.__dict__["cofacet_births"] = _cofacet_births(births)
         f.final()  # rejects the zero mask and vertices outside 1..n
+        f.order  # the subface check
         return f
 
     @classmethod
@@ -316,8 +337,11 @@ class Filtration:
         return f
 
     @cached_property
-    def cofacet_births(self) -> dict[int, float]:
-        return _cofacet_births(self.birth_map)
+    def order(self) -> FaceOrder:
+        births = self.birth_map  # (birth, dimension, colex) by three stable sorts on C-level keys
+        faces = sorted(sorted(births), key=int.bit_count)
+        faces.sort(key=births.__getitem__)
+        return FaceOrder(faces)
 
     @cached_property
     def _final(self) -> SimplicialComplex:

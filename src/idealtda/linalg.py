@@ -19,16 +19,16 @@ Every dense rank is lazy one-step fraction-free (Bareiss) elimination,
 its denominators, and over GF(p) on normal forms, dividing by multiplying
 with an inverse.
 
-:func:`persistence_reduce` takes face masks in filtration order and builds
-each boundary column from the mask itself, so the columns form a simplicial
-boundary (d o d = 0, column dimension = vertex count - 1).  Over GF(2) a
-column is an int bitmask over the filtration positions, reduced with
+:func:`persistence_reduce` pairs a checked face order, a
+:class:`~idealtda.complexes.FaceOrder` (a mask sequence is checked as one),
+and builds each boundary column from a mask and the order's positions.
+Over GF(2) a column is an int bitmask over the positions, reduced with
 ``^``, dimensions from the top down, skipping every column whose face is
 already a pivot row (clearing) and building a column only when its
-youngest facet is already a pivot row or a later column adds it.  Other
-fields reduce signed dict columns, the route that also serves as the
-GF(2) test oracle.  Both return the pairs sorted by death position and
-the unpaired positions ascending.
+youngest facet, read from the order's ``lows``, is a pivot row or a later
+column adds it.  Other fields reduce signed dict columns, the GF(2) route's
+test oracle.  Both return the pairs sorted by death position and the
+unpaired positions ascending.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .complexes import _iter_bits
+from .complexes import FaceOrder, _iter_bits
 
 __all__ = [
     "PrimeField",
@@ -488,48 +488,21 @@ def _bareiss(m: list[list], div) -> int:
     return r
 
 
-def _index_order(order: Sequence[int]) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
-    """Check that ``order`` is a filtration order and index it.
-
-    Returns the position of every face and, per dimension >= 1, the pairs
-    (position of a face, position of its youngest facet).  Each face's
-    bits are read once.  Raises ValueError when a facet is missing or
-    comes later, or a face is empty or repeated.
-    """
-    index: dict[int, int] = {}
-    get = index.get
-    by_dim: list[list[tuple[int, int]]] = [[]]
-    for j, m in enumerate(order):
-        dim = m.bit_count() - 1
-        if dim > 0:
-            low = -1
-            for bit in _iter_bits(m):
-                i = get(m ^ bit)
-                if i is None:
-                    raise ValueError(f"face {j} has a facet missing before it: subfaces must precede faces")
-                if i > low:
-                    low = i
-            while len(by_dim) <= dim:
-                by_dim.append([])
-            by_dim[dim].append((j, low))
-        elif not m:
-            raise ValueError(f"face {j} is the empty face")
-        if (first := index.setdefault(m, j)) != j:
-            raise ValueError(f"face {j} repeats face {first}")
-    return index, by_dim
+def _checked(order: FaceOrder | Sequence[int]) -> FaceOrder:
+    return order if isinstance(order, FaceOrder) else FaceOrder(order)
 
 
-def _boundary_columns(order: Sequence[int]) -> list[dict[int, int]]:
+def _boundary_columns(order: FaceOrder | Sequence[int]) -> list[dict[int, int]]:
     """Signed boundary columns of face masks listed in filtration order.
 
-    Column j maps the position of each facet of ``order[j]`` to
-    (-1)^u, u counting the vertices from 1, lowest first; vertices have empty
-    columns.  Raises the ValueErrors of :func:`_index_order`.
-    """
-    index = _index_order(order)[0]
+    Column j maps the position of each facet of face j to (-1)^u, u
+    counting the vertices from 1, lowest first; vertices have empty
+    columns.  A mask sequence is checked as a :class:`FaceOrder`."""
+    order = _checked(order)
+    index = order.index
     return [
         {index[m ^ bit]: (-1) ** u for u, bit in enumerate(_iter_bits(m), start=1)} if m & (m - 1) else {}
-        for m in order
+        for m in order.faces
     ]
 
 
@@ -576,20 +549,20 @@ def _reduce_columns(
     return pairs, unpaired
 
 
-def persistence_reduce(order: Sequence[int], field=GF2) -> tuple[list[tuple[int, int]], list[int]]:
+def persistence_reduce(order: FaceOrder | Sequence[int], field=GF2) -> tuple[list[tuple[int, int]], list[int]]:
     """Persistence pairing of face masks listed in filtration order.
 
-    ``order`` lists every nonempty face once, each after all of its
-    facets (ValueError otherwise).  Returns (pairs, unpaired): pairs are
-    (birth position, death position) sorted by death, unpaired positions
-    are the creators of essential classes, ascending.  The pivot pairing of
-    a fixed total order is unique, so both routes below agree.
+    ``order`` is a :class:`FaceOrder` or a mask sequence checked as one.
+    Returns (pairs, unpaired): pairs are (birth position, death position)
+    sorted by death, unpaired positions are the creators of essential
+    classes, ascending.  The pivot pairing of a fixed total order is
+    unique, so both routes below agree.
 
     Over GF(2) column j is an int with bit i set for each facet at
     position i: the pivot is the top bit and adding a column is ``^``.
     Dimensions are reduced from the top down, and a face that is already a
     pivot row is a creator whose reduced column is zero, so its column is
-    never built (clearing; Chen-Kerber 2011).  The order check records
+    never built (clearing; Chen-Kerber 2011).  The order's ``lows`` give
     each face's youngest facet, the initial pivot of its column; when that
     row is not yet a pivot the column is already reduced, so it is paired
     at once and stored as the marker ``-1 - j``, and its bitmask is built
@@ -598,12 +571,13 @@ def persistence_reduce(order: Sequence[int], field=GF2) -> tuple[list[tuple[int,
     its initial pivot turns out to be taken.  Other fields reduce the
     signed dict columns of :func:`_boundary_columns`.
     """
+    order = _checked(order)
     if field != GF2:
         return _reduce_columns(_boundary_columns(order), field)
-    index, by_dim = _index_order(order)
+    faces, index, lows = order.faces, order.index, order.lows
 
     def column(j: int) -> int:
-        m = order[j]
+        m = faces[j]
         col = 0
         for bit in _iter_bits(m):
             col |= 1 << index[m ^ bit]
@@ -611,8 +585,8 @@ def persistence_reduce(order: Sequence[int], field=GF2) -> tuple[list[tuple[int,
 
     pivots: dict[int, int] = {}  # pivot row -> reduced column, or -1 - j if not built yet
     pairs: list[tuple[int, int]] = []
-    for dim in range(len(by_dim) - 1, 0, -1):
-        for j, low in by_dim[dim]:
+    for dim in sorted(lows, reverse=True):
+        for j, low in zip(*lows[dim]):
             if j in pivots:
                 continue
             other = pivots.get(low)
@@ -635,5 +609,5 @@ def persistence_reduce(order: Sequence[int], field=GF2) -> tuple[list[tuple[int,
                     break
     pairs.sort(key=lambda p: p[1])
     deaths = {j for _, j in pairs}
-    unpaired = [j for j in range(len(order)) if j not in pivots and j not in deaths]
+    unpaired = [j for j in range(len(faces)) if j not in pivots and j not in deaths]
     return pairs, unpaired

@@ -10,10 +10,10 @@ or of an independent set:
 * ``SR``: the prime P_{[n] minus sigma} is associated exactly while sigma
   is a maximal face (Miller-Sturmfels, Thm 1.7), so every face sigma
   carries the bar [b(sigma), min_v b(sigma + v)), infinite when sigma has
-  no superface; zero-length bars are dropped.  The deaths are the
-  filtration's ``cofacet_births``, recorded on the pass that checks the
-  subfaces.  Before the first birth the complex is empty and the prime
-  P_[n] is associated.
+  no superface; zero-length bars are dropped.  The death is the birth of
+  sigma's first cofacet in the filtration's checked order ``f.order``,
+  along which births never decrease.  Before the first birth the complex
+  is empty and the prime P_[n] is associated.
 * ``EDGE``: the primes are the complements of the maximal independent
   sets of the graph.  Edges are inserted in (birth, mask) order; an
   insertion of {i,j} kills exactly the live sets containing both ends,
@@ -29,10 +29,11 @@ the per-step route; its runs, made into bars by
 :func:`idealtda.verify.intervals_from_runs`, are the closed forms' oracle.
 
 Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
-column reduction over a prime field or Q (over GF(2) with bitmask columns,
-top dimension first, with clearing, each column built only when the
-reduction adds it or its first pivot is taken), and :func:`betti_profile` reads b_k(t)
-off it as the number of k-bars alive at t (Zomorodian-Carlsson 2005);
+column reduction over a prime field or Q, in the same order ``f.order``
+(over GF(2) with bitmask columns, top dimension first, with clearing, each
+column built only when the reduction adds it or its first pivot is
+taken), and :func:`betti_profile` reads b_k(t) off it as the number of
+k-bars alive at t (Zomorodian-Carlsson 2005);
 reduced mode adds b_{-1} = 1 while the complex is empty and subtracts 1
 from b_0 after.  The exact rank route,
 :func:`classical_boundary_ranks` and :func:`classical_betti` (with
@@ -51,7 +52,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .complexes import Filtration, SimplicialComplex, _iter_bits, boundary_entries
+from .complexes import FaceOrder, Filtration, SimplicialComplex, _iter_bits, boundary_entries
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
 from .linalg import GF2, QQ, persistence_reduce, rank_dense
 from .monomials import LinearPrime
@@ -205,15 +206,15 @@ def _sorted_intervals(intervals: list[PrimeInterval]) -> tuple[PrimeInterval, ..
 
 def _sr_intervals(f: Filtration) -> list[PrimeInterval]:
     """Bars [b(sigma), min_v b(sigma + v)) of the primes P_{[n] minus sigma}."""
-    births = f.birth_map
+    births, faces = f.birth_map, f.order.faces
     full = (1 << f.n) - 1
-    death = f.cofacet_births
     out = []
-    for m, b in births.items():
-        d = death.get(m)
+    for m, j in zip(faces, f.order.first_cofacet):
+        b = births[m]
+        d = None if j is None else births[faces[j]]
         if d is None or b < d:
             out.append(PrimeInterval(LinearPrime(full & ~m), b, d, KIND_SR))
-    first = min(births.values(), default=None)
+    first = births[faces[0]] if faces else None
     if first is None or first > f.params[0]:
         # the empty complex has the single prime P_[n]
         out.append(PrimeInterval(LinearPrime(full), f.params[0], first, KIND_SR))
@@ -351,32 +352,31 @@ def betti_profile(
 def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcode:
     """Persistence barcode by column reduction over a prime field or Q.
 
-    Simplices are ordered by (birth, dimension, colex) and paired by
-    :func:`persistence_reduce`; only faces up to dimension max_dim + 1
-    enter it.  Zero-length bars are dropped, unpaired creators yield
-    infinite bars.
+    :func:`persistence_reduce` pairs the filtration's checked order
+    ``f.order``, or, when max_dim drops faces, the order of the faces up to
+    dimension max_dim + 1.  Zero-length bars are dropped, unpaired creators
+    yield infinite bars.
     """
     births = f.birth_map
     top = max(f.final().max_dim, 0) if max_dim is None else max_dim
+    order = f.order
     # the k-pairs come from the (k+1)-columns: bars up to top need faces up to top+1
-    order = [m for m in births if m.bit_count() <= top + 2]
-    # (birth, dimension, colex) order by three stable sorts on C-level keys
-    order.sort()
-    order.sort(key=int.bit_count)
-    order.sort(key=births.__getitem__)
+    if top + 2 <= f.final().max_dim:
+        order = FaceOrder([m for m in order.faces if m.bit_count() <= top + 2])
     pairs, unpaired = persistence_reduce(order, field)
+    faces = order.faces
     bars: dict[int, list[tuple[float, float | None]]] = {}
     for i, j in pairs:
-        dim = order[i].bit_count() - 1
-        birth, death = births[order[i]], births[order[j]]
+        dim = faces[i].bit_count() - 1
+        birth, death = births[faces[i]], births[faces[j]]
         if birth == death:
             continue
         bars.setdefault(dim, []).append((birth, death))
     for i in unpaired:
-        dim = order[i].bit_count() - 1
+        dim = faces[i].bit_count() - 1
         if dim > top:
             continue
-        bars.setdefault(dim, []).append((births[order[i]], None))
+        bars.setdefault(dim, []).append((births[faces[i]], None))
     packed = tuple(
         (dim, tuple(sorted(bars[dim], key=lambda bd: (bd[0], bd[1] is None, bd[1] or 0.0))))
         for dim in sorted(bars)

@@ -385,6 +385,25 @@ def test_verify_rejects_counts_below_one(capsys, option, value):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("fmt", ["dist-csv", "points-json", "complex-json"])
+def test_barcodes_rejects_a_negative_max_dim(tmp_path, capsys, fmt):
+    # refused before the input is read, so the file need not exist
+    out = tmp_path / "o"
+    argv = ["barcodes", "--input", str(tmp_path / "none"), "--format", fmt, "--max-dim", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--max-dim must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_barcodes_complex_json_max_dim_zero(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"n": 3, "faces": [[1, 2, 3]]}')
+    argv = ["barcodes", "--input", str(path), "--format", "complex-json", "--max-dim", "0", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    ph = json.loads((tmp_path / "o" / "barcodes.json").read_text())["barcodes"][2]
+    assert ph["kind"] == "PH" and [iv["dim"] for iv in ph["intervals"]] == [0]
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_barcodes_rejects_non_finite_csv(tmp_path, capsys, cell):
     path = tmp_path / "bad.csv"

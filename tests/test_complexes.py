@@ -344,6 +344,28 @@ def test_filtration_rejects_nan_parameters():
         Filtration.single(SimplicialComplex(2, frozenset()), nan)
 
 
+@pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_filtration_rejects_infinite_parameters(inf):
+    # an infinite death would pass for the None that means "never ends"
+    text = str(inf)
+    with pytest.raises(ValueError, match=rf"face \(3,\) is born at {text}"):
+        Filtration.from_births(3, {1: 0.0, 2: 0.0, 4: inf})
+    with pytest.raises(ValueError, match=rf"face \(1,\) is born at {text}"):
+        Filtration.from_births(1, {1: inf})
+    with pytest.raises(ValueError, match=f"a filtration parameter is {text}"):
+        Filtration.from_births(2, {1: 0.0, 2: 0.0}, params=[inf, 1.0])
+    with pytest.raises(ValueError, match=rf"face \(1,\) is born at {text}"):
+        Filtration(1, {1: inf}, (inf,))
+    with pytest.raises(ValueError, match=f"a filtration parameter is {text}"):
+        Filtration(1, {1: 0.0}, (0.0, inf) if inf > 0 else (inf, 0.0))
+    with pytest.raises(ValueError, match=rf"face \(1, 2\) is born at {text}"):
+        Filtration.single(SimplicialComplex(2, frozenset({3})), inf)
+    with pytest.raises(ValueError, match=f"a filtration parameter is {text}"):
+        Filtration.single(SimplicialComplex(2, frozenset()), inf)
+    # an int beyond the float range is finite
+    assert Filtration.from_births(1, {1: 10**400}).params == (10**400,)
+
+
 def test_filtration_helpers(three_point_dist):
     f = vr_filtration(three_point_dist)
     assert f.index_at(0.5) == 0

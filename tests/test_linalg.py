@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealtda import linalg
+from idealtda import complexes, linalg
 from idealtda.complexes import SimplicialComplex, _iter_bits
 from idealtda.linalg import (
     GF2,
@@ -430,10 +430,11 @@ def test_persistence_reduce_rejects_repeated_and_empty_faces(field):
 
 
 def test_persistence_reduce_builds_a_column_only_when_it_is_added(monkeypatch):
-    # the order check reads every face's bits once and finds its youngest
-    # facet; a column whose youngest facet is not yet a pivot row is paired
-    # without being built, and a creator, already a pivot row when its
-    # dimension is reduced, is never built (clearing)
+    # the order check (the walk of FaceOrder, in complexes) reads every
+    # face's bits once and finds its youngest facet; a column whose youngest
+    # facet is not yet a pivot row is paired without being built, and a
+    # creator, already a pivot row when its dimension is reduced, is never
+    # built (clearing)
     reads = Counter()
 
     def counting_iter_bits(mask):
@@ -441,6 +442,7 @@ def test_persistence_reduce_builds_a_column_only_when_it_is_added(monkeypatch):
         return _iter_bits(mask)
 
     monkeypatch.setattr(linalg, "_iter_bits", counting_iter_bits)
+    monkeypatch.setattr(complexes, "_iter_bits", counting_iter_bits)
     # the 4-simplex in (dimension, colex) order: every pair is apparent
     order = sorted(range(1, 1 << 5), key=lambda m: (m.bit_count(), m))
     want = _reduce_columns(_boundary_columns(order), GF2)

@@ -7,8 +7,8 @@ from itertools import permutations
 
 import pytest
 
-from idealtda import persistence
-from idealtda.complexes import Filtration, SimplicialComplex, face_mask, vr_filtration
+from idealtda import cli, persistence
+from idealtda.complexes import FaceOrder, Filtration, SimplicialComplex, face_mask, vr_filtration
 from idealtda.ideals import sr_associated_primes
 from idealtda.linalg import GF2, QQ, PrimeField, _boundary_columns, _reduce_columns
 from idealtda.monomials import LinearPrime, minimal_primes_squarefree
@@ -320,19 +320,81 @@ def test_persistence_reduce_gf2_matches_dict_route():
         assert persistence.persistence_reduce(order, GF2) == want
 
 
-def test_cofacet_births_match_the_earliest_superface():
-    # the dict from_births records while it checks the subfaces, and the one a
-    # raw or single filtration computes on first access, against a probe of
-    # every vertex that extends a face
+def _check_face_order(f):
+    # the one walk against a brute-force scan: the (birth, dimension, colex)
+    # order, each face's position, each face's youngest facet, and each
+    # face's first cofacet, whose birth is the earliest of the vertices
+    # that extend the face
+    births, order = f.birth_map, f.order
+    faces, index = order.faces, order.index
+    assert list(faces) == sorted(births, key=lambda m: (births[m], m.bit_count(), m))
+    assert index == {m: j for j, m in enumerate(faces)}
+    lows = {}
+    for j, m in enumerate(faces):
+        if m.bit_count() > 1:
+            low = max(index[m & ~(1 << v)] for v in range(f.n) if m >> v & 1)
+            positions, youngest = lows.setdefault(m.bit_count() - 1, ([], []))
+            positions.append(j)
+            youngest.append(low)
+    assert order.lows == lows
+    assert len(order.first_cofacet) == len(faces)
+    for m in births:
+        cofacets = [m | 1 << v for v in range(f.n) if not m >> v & 1 and m | 1 << v in births]
+        j = order.first_cofacet[index[m]]
+        if not cofacets:
+            assert j is None
+            continue
+        assert j == min(index[c] for c in cofacets)
+        assert births[faces[j]] == min(births[c] for c in cofacets)
+
+
+def test_face_order_matches_a_brute_force_scan():
+    # from_births builds the order while it checks the subfaces; a raw or
+    # single filtration builds it on first access
     for f in _reduce_cases():
-        births = f.birth_map
-        want = {}
-        for m in births:
-            cofacets = [births[m | 1 << v] for v in range(f.n) if not m >> v & 1 and m | 1 << v in births]
-            if cofacets:
-                want[m] = min(cofacets)
-        assert f.cofacet_births == want
-        assert Filtration(f.n, births, f.params).cofacet_births == want
+        _check_face_order(f)
+        _check_face_order(Filtration(f.n, f.birth_map, f.params))
+        _check_face_order(Filtration.single(f.final(), f.params[-1]))
+
+
+@pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
+def test_persistence_reduce_takes_a_face_order_or_masks(field):
+    for f in _reduce_cases():
+        masks = list(f.order.faces)
+        want = persistence.persistence_reduce(masks, field)
+        assert persistence.persistence_reduce(FaceOrder(masks), field) == want
+
+
+def test_barcodes_path_walks_each_filtration_once(monkeypatch, tmp_path):
+    built = []
+    init = FaceOrder.__init__
+
+    def counting_init(self, faces):
+        built.append(len(faces))
+        init(self, faces)
+
+    monkeypatch.setattr(FaceOrder, "__init__", counting_init)
+    f = vr_filtration(random_metric(random.Random(8), 7), max_dim=2)
+    prime_barcode(f, "SR")
+    prime_barcode(f, "EDGE")
+    ph_barcode(f)
+    assert built == [len(f.birth_map)]
+    # a max_dim that drops faces checks and indexes their subsequence anew
+    built.clear()
+    f = vr_filtration(random_metric(random.Random(8), 5))
+    prime_barcode(f, "SR")
+    ph_barcode(f, GF2, 1)
+    assert built == [31, 25]
+    # the CLI: vr_filtration truncates itself, a complex is truncated by PH
+    csv = tmp_path / "d.csv"
+    csv.write_text("\n".join(",".join(map(str, row)) for row in random_metric(random.Random(3), 6)) + "\n")
+    cx = tmp_path / "c.json"
+    cx.write_text('{"n": 4, "faces": [[1, 2, 3, 4]]}')
+    for path, fmt, want in ((csv, "dist-csv", [21]), (cx, "complex-json", [15, 14])):
+        built.clear()
+        argv = ["barcodes", "--input", str(path), "--format", fmt, "--max-dim", "1", "--out", str(tmp_path / fmt)]
+        assert cli.main(argv) == 0
+        assert built == want
 
 
 def test_sr_rejects_a_raw_filtration_born_before_its_subfaces():
