@@ -16,6 +16,8 @@ from .complexes import Filtration, vr_filtration
 from .labelled import (
     InadmissiblePointError,
     EvaluationPoint,
+    _slice_degree,
+    _vanishing_vertices,
     boundary_matrices,
     chain_condition_check,
     diag_relation_check,
@@ -107,7 +109,9 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def cmd_barcodes(args) -> int:
+def _barcodes_payload(args) -> tuple[dict, dict]:
+    """The ``barcodes.json`` payload and the report, as plain dicts and
+    lists: the filtration and the bars are gone when it returns."""
     if args.max_dim is not None and args.max_dim < 0:
         raise InputError(f"--max-dim must be nonnegative, got {args.max_dim}")
     field = parse_field(args.field)
@@ -140,8 +144,6 @@ def cmd_barcodes(args) -> int:
         },
         "barcodes": groups,
     }
-    out = _outdir(args.out)
-    (out / "barcodes.json").write_text(dumps_json(payload), encoding="utf-8")
     report = {"params": list(filtration.params)}
     if dist is not None:
         cov = coverage_report(dist, sr)
@@ -150,9 +152,16 @@ def cmd_barcodes(args) -> int:
             "violations": [list(v) for v in cov.violations],
             "ok": cov.ok,
         }
+    return payload, report
+
+
+def cmd_barcodes(args) -> int:
+    payload, report = _barcodes_payload(args)
+    out = _outdir(args.out)
+    (out / "barcodes.json").write_text(dumps_json(payload), encoding="utf-8")
     (out / "report.json").write_text(dumps_json(report), encoding="utf-8")
     if args.svg:
-        svg = barcodes_svg([(g["kind"], g["intervals"]) for g in groups])
+        svg = barcodes_svg([(g["kind"], g["intervals"]) for g in payload["barcodes"]])
         (out / "barcodes.svg").write_text(svg, encoding="utf-8")
     return 0
 
@@ -188,12 +197,25 @@ def cmd_labelled(args) -> int:
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
     point = _parse_point(args.point) if args.point is not None else None
     LC = labelled_from_dict(_load_json(args.input), reduced=alpha is not None, origin=args.input)
-    if point is not None:  # a bad coordinate fails before any rank work
+    # a bad --alpha or --point fails here, before any rank work
+    if alpha is not None:
+        try:
+            _slice_degree(LC, alpha)
+        except ValueError as exc:
+            raise InputError(f"bad --alpha {args.alpha!r}: {exc}") from None
+    if point is not None:
         variables = LC.table.variables
         unknown = [name for name, _ in point.coords if name not in variables]
         if unknown:
             raise InputError(f"--point names unknown variables: {', '.join(unknown)}")
-        point.atom_values(LC.table)
+        values = point.atom_values(LC.table)
+        # the labels that evaluation takes into the field: the complex's
+        # vertices, then, if one vanishes, the window's scan of 1..n
+        try:
+            if _vanishing_vertices(LC, sorted(LC.complex.vertices()), values, field):
+                _vanishing_vertices(LC, range(1, LC.complex.n + 1), values, field)
+        except ValueError as exc:
+            raise InputError(f"bad --point {args.point!r}: {exc}") from None
     names = LC.table.atoms
     bm = boundary_matrices(LC)
     ff = fraction_field_ranks(LC)

@@ -15,7 +15,11 @@ m_sigma / m_tau) and built once per labelled complex.  The chain and
 diagonal checks are exponent arithmetic on those entries (atoms treated
 as independent symbols, which is exact for these formal identities);
 evaluation, fraction-field ranks and graded slices densify the same
-columns.
+columns.  An entry, like a label, is written by ``linalg.power_product``
+and evaluated by ``linalg.power_value``, the one writer and the one
+evaluator of an atom monomial; ``_vanishing_vertices`` is the one scan
+for the vertex labels that vanish at a point, read by
+:func:`evaluate_chain` and by the window of :func:`local_subcomplex`.
 
 The entries make each boundary a diagonal similarity of the classical
 one: D_k = L_{k-1}^{-1} d_k L_k, with L_j the diagonal of the j-face
@@ -33,7 +37,7 @@ from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import Face, SimplicialComplex, _iter_bits, boundary_entries, face_mask, full_subcomplex, mask_face
-from .linalg import QQ, Polynomial, _integral_rows, bareiss_rank, rank_dense
+from .linalg import QQ, _integral_rows, bareiss_rank, power_product, power_value, rank_dense
 from .monomials import AtomTable, FactoredElement
 from .persistence import _boundary_dense, betti_from_ranks, classical_betti, classical_boundary_ranks
 
@@ -180,7 +184,7 @@ class ChainMatrix:
         return out
 
     def render(self, names: Sequence[str]) -> list[list[str]]:
-        return self.dense(lambda s, e: Polynomial.monomial(len(e), e, s).render(names), "0")
+        return self.dense(lambda s, e: ("-" if s < 0 else "") + (power_product(names, e) or "1"), "0")
 
 
 @dataclass(frozen=True)
@@ -279,23 +283,19 @@ class EvaluationPoint:
         var_values = [coords[v] for v in table.variables]
         return [poly.evaluate(var_values) for poly in table.atom_polynomials()]
 
-    def label_value(self, label: FactoredElement) -> Fraction:
-        return _monomial_value(self.atom_values(label.table), label.exps)
-
-
-def _monomial_value(values: Sequence[Fraction], exps: Sequence[int]) -> Fraction:
-    out = Fraction(1)
-    for v, e in zip(values, exps):
-        if e:
-            out *= v**e
-    return out
-
 
 def _to_field(field, q: Fraction):
     try:
         return field.from_fraction(q)
     except ZeroDivisionError:
         raise ValueError(f"coordinate denominators are not invertible in {field.name}") from None
+
+
+def _vanishing_vertices(LC: LabelledComplex, vertices: Iterable[int], values: Sequence, field) -> list[int]:
+    """The vertices, in the given order, whose label is zero in ``field`` at
+    the atom values; a denominator the field cannot invert is a ValueError."""
+    labels = LC.vertex_labels
+    return [v for v in vertices if not _to_field(field, power_value(values, labels[v - 1].exps))]
 
 
 @dataclass
@@ -324,16 +324,12 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
     :class:`InadmissiblePointError` lists the vanishing vertex labels.
     """
     values = point.atom_values(LC.table)
-    vanishing = []
-    for v in sorted(LC.complex.vertices()):
-        label = LC.vertex_labels[v - 1]
-        if _to_field(field, _monomial_value(values, label.exps)) == field.zero:
-            vanishing.append((v, str(label)))
+    vanishing = _vanishing_vertices(LC, sorted(LC.complex.vertices()), values, field)
     if vanishing:
-        raise InadmissiblePointError(vanishing)
+        raise InadmissiblePointError([(v, str(LC.vertex_labels[v - 1])) for v in vanishing])
     ncells = {k: LC.ncells(k) for k in LC.dims()}
     matrices = {
-        cm.k: cm.dense(lambda s, e: _to_field(field, s * _monomial_value(values, e)), field.zero)
+        cm.k: cm.dense(lambda s, e: _to_field(field, s * power_value(values, e)), field.zero)
         for cm in boundary_matrices(LC).matrices
     }
     return EvaluatedChain(field, ncells, matrices)
@@ -386,7 +382,7 @@ def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
 
     @cache
     def entry(sign: int, exps: tuple[int, ...]):
-        q = sign * _monomial_value(values, exps)
+        q = sign * power_value(values, exps)
         return q.numerator if q.denominator == 1 else q
 
     ranks = {}
@@ -411,20 +407,17 @@ def local_subcomplex(
     """
     if (point is None) == (allowed_atoms is None):
         raise ValueError("supply exactly one of point / allowed_atoms")
-    W = []
+    vertices = range(1, LC.complex.n + 1)
     if point is not None:
-        for v in range(1, LC.complex.n + 1):
-            if _to_field(field, point.label_value(LC.vertex_labels[v - 1])) != field.zero:
-                W.append(v)
+        vanishing = set(_vanishing_vertices(LC, vertices, point.atom_values(LC.table), field))
+        W = [v for v in vertices if v not in vanishing]
     else:
         allowed = set(allowed_atoms)
         unknown = allowed - set(LC.table.atoms)
         if unknown:
             raise ValueError(f"unknown atoms: {', '.join(sorted(unknown))}")
         allowed_idx = {LC.table.index(a) + 1 for a in allowed}
-        for v in range(1, LC.complex.n + 1):
-            if set(LC.vertex_labels[v - 1].support()) <= allowed_idx:
-                W.append(v)
+        W = [v for v in vertices if set(LC.vertex_labels[v - 1].support()) <= allowed_idx]
     return tuple(W), LC.restrict(W)
 
 
@@ -460,6 +453,18 @@ class GradedSlice:
         return betti_from_ranks({k: len(basis) for k, basis in self.bases}, ranks)
 
 
+def _slice_degree(LC: LabelledComplex, alpha: Sequence[int]) -> FactoredElement:
+    """x^alpha, once alpha is checked to be a slice degree of ``LC``: a
+    reduced complex over variable atoms, one nonnegative entry per atom."""
+    if not LC.reduced:
+        raise ValueError("graded slices are defined for reduced labelled complexes")
+    if not LC.table.is_pure_variables:
+        raise ValueError("graded slices need monomial labels over variable atoms only")
+    if len(alpha) != len(LC.table.atoms):
+        raise ValueError("alpha length must match the number of variables")
+    return FactoredElement.from_exponents(LC.table, alpha)
+
+
 def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
     """Degree-alpha slice of a monomially labelled reduced complex.
 
@@ -467,13 +472,7 @@ def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
     is spanned, in each dimension, by the faces whose label divides
     x^alpha, scaled by the cofactor monomial.
     """
-    if not LC.reduced:
-        raise ValueError("graded slices are defined for reduced labelled complexes")
-    if not LC.table.is_pure_variables:
-        raise ValueError("graded slices need monomial labels over variable atoms only")
-    if len(alpha) != len(LC.table.atoms):
-        raise ValueError("alpha length must match the number of variables")
-    m_alpha = FactoredElement.from_exponents(LC.table, alpha)
+    m_alpha = _slice_degree(LC, alpha)
     # a face label divides x^alpha exactly when all its vertex labels do
     window = LC.restrict(
         v for v in range(1, LC.complex.n + 1) if LC.vertex_labels[v - 1].divides(m_alpha)

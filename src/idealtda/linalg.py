@@ -46,6 +46,8 @@ __all__ = [
     "GF2",
     "parse_field",
     "Polynomial",
+    "power_product",
+    "power_value",
     "rank_dense",
     "bareiss_rank",
     "persistence_reduce",
@@ -154,6 +156,27 @@ def parse_field(spec: str):
 
 def _grlex(exps: tuple) -> tuple:
     return (sum(exps), exps)
+
+
+def power_product(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The one writer of an atom monomial, e.g. ``x1*(x1+x2)^2`` ("" for the
+    unit); a name containing ``+``, ``-`` or a space is put in parentheses."""
+    factors = []
+    for name, e in zip(names, exps):
+        if e:
+            if any(op in name for op in "+- "):
+                name = f"({name})"
+            factors.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(factors)
+
+
+def power_value(values: Sequence, exps: Sequence[int]) -> Fraction:
+    """The one evaluator of a monomial: the product of the values to their powers."""
+    out = Fraction(1)
+    for v, e in zip(values, exps):
+        if e:
+            out *= v**e
+    return out
 
 
 class Polynomial:
@@ -285,14 +308,7 @@ class Polynomial:
         if len(values) != self.nvars:
             raise ValueError("variable arity mismatch")
         vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        return sum((c * power_value(vals, exps) for exps, c in self.terms.items()), Fraction(0))
 
     def specialize(self, i: int, value) -> "Polynomial":
         """Set variable i to a constant; the arity stays the same."""
@@ -355,15 +371,7 @@ class Polynomial:
         pieces = []
         for exps in sorted(self.terms, key=_grlex, reverse=True):
             c = self.terms[exps]
-            factors = []
-            for name, e in zip(names, exps):
-                if any(op in name for op in "+- "):
-                    name = f"({name})"
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
+            body = power_product(names, exps)
             if not body:
                 term = str(abs(c))
             elif abs(c) == 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .complexes import _iter_bits, face_mask, mask_face
-from .linalg import Polynomial
+from .linalg import Polynomial, power_product
 
 __all__ = [
     "AtomTable",
@@ -182,16 +182,7 @@ class FactoredElement:
         return FactoredElement(self.table, tuple(1 if e else 0 for e in self.exps))
 
     def __str__(self) -> str:
-        if self.is_unit:
-            return "1"
-        parts = []
-        for a, e in zip(self.table.atoms, self.exps):
-            name = a if "+" not in a and "-" not in a else f"({a})"
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return power_product(self.table.atoms, self.exps) or "1"
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,8 @@ def ideal_from_dict(data, origin: str = "<input>") -> MonomialIdeal:
 
 
 def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
+    if not isinstance(raw, list):
+        raise InputError(f"{origin}: expansion must be a list of terms, found {json.dumps(raw)}")
     terms = {}
     for t, item in enumerate(raw, start=1):
         try:
@@ -257,10 +259,14 @@ def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> 
     try:
         n = _json_int(data["n"], "'n'", MAX_N)
         faces = _json_faces(data["faces"])
-        atoms = tuple(str(a) for a in data["atoms"])
+        atoms_raw = data["atoms"]
         labels_raw = data["labels"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed labelled-complex JSON ({exc})") from None
+    for key, value in (("atoms", atoms_raw), ("labels", labels_raw)):
+        if not isinstance(value, list):
+            raise InputError(f"{origin}: {key!r} must be a list, found {json.dumps(value)}")
+    atoms = tuple(str(a) for a in atoms_raw)
     atom_polys = data.get("atom_polys", {})
     if not isinstance(atom_polys, dict):
         raise InputError(f"{origin}: 'atom_polys' must be an object, found {json.dumps(atom_polys)}")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import random
 import time
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -13,7 +15,7 @@ from idealtda import cli
 from idealtda.cli import main
 from idealtda.complexes import MAX_FACES
 from idealtda.linalg import MAX_MODULUS
-from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES
+from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES, dumps_json
 
 
 @pytest.fixture
@@ -137,6 +139,29 @@ def test_barcodes_output_bytes(tmp_path, monkeypatch, name, text, fmt, flags, di
     assert main(["barcodes", "--input", name, "--format", fmt, "--out", "out", "--svg"] + flags) == 0
     for file, digest in zip(("barcodes.json", "report.json", "barcodes.svg"), digests):
         assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file
+
+
+def test_barcodes_drops_the_filtration_and_bars_before_writing(three_csv, tmp_path, monkeypatch):
+    refs = []
+
+    def keep_ref(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        return wrapper
+
+    def dumps_after_compute(obj):
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        return dumps_json(obj)
+
+    for name in ("vr_filtration", "prime_barcode", "ph_barcode"):
+        monkeypatch.setattr(cli, name, keep_ref(getattr(cli, name)))
+    monkeypatch.setattr(cli, "dumps_json", dumps_after_compute)
+    assert main(["barcodes", "--input", str(three_csv), "--out", str(tmp_path / "o"), "--svg"]) == 0
+    assert len(refs) == 4
 
 
 def test_barcodes_points_and_complex_formats(tmp_path):
@@ -355,6 +380,92 @@ def test_labelled_point_checked_before_rank_work(tmp_path, capsys, monkeypatch, 
     path.write_text(json.dumps(_POLY_LABELLED))
     assert main(["labelled", "--input", str(path), "--point", point, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+_F2_WINDOW = {"n": 3, "faces": [[1, 2]], "atoms": ["x1", "x2"], "labels": [[0, 1], [0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "data, flags, message",
+    [
+        (None, ["--alpha", "1,2"], "bad --alpha '1,2': alpha length must match the number of variables"),
+        (None, ["--alpha=-1,0,0,0"], "bad --alpha '-1,0,0,0': exponents must be nonnegative"),
+        (
+            _POLY_LABELLED,
+            ["--alpha", "0,1,1"],
+            "bad --alpha '0,1,1': graded slices need monomial labels over variable atoms only",
+        ),
+        (
+            _POLY_LABELLED,
+            ["--field", "f2", "--point", "x1=1/2,x2=1"],
+            "bad --point 'x1=1/2,x2=1': coordinate denominators are not invertible in f2",
+        ),
+        # x2 = 2 kills both vertices of the complex over GF(2), so the window
+        # scans vertex 3 too, whose label x1 = 1/2 is not in GF(2)
+        (
+            _F2_WINDOW,
+            ["--field", "f2", "--point", "x1=1/2,x2=2"],
+            "bad --point 'x1=1/2,x2=2': coordinate denominators are not invertible in f2",
+        ),
+    ],
+    ids=["alpha-length", "alpha-negative", "alpha-composite-atom", "point-denominator", "window-denominator"],
+)
+def test_labelled_options_checked_before_rank_work(tmp_path, worked_json, capsys, monkeypatch, data, flags, message):
+    def no_rank_work(LC):
+        raise AssertionError("rank work started before the options were checked")
+
+    monkeypatch.setattr(cli, "boundary_matrices", no_rank_work)
+    path = worked_json
+    if data is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+    assert main(["labelled", "--input", str(path), "--out", str(tmp_path / "o")] + flags) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_labelled_early_point_check_is_no_stricter_than_evaluation(tmp_path):
+    # vertex 3 lies outside the complex, so evaluation never takes its label
+    # x1 = 1/2 into GF(2) while the vertices of the complex survive
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_F2_WINDOW))
+    out = tmp_path / "o"
+    assert main(["labelled", "--input", str(path), "--field", "f2", "--point", "x1=1/2,x2=1", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["evaluation"]["admissible"] is True
+
+
+def test_labelled_atom_with_a_space_is_written_alike(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"n": 2, "faces": [[1, 2]], "atoms": ["a b", "c"], "labels": [[2, 0], [1, 1]]}))
+    out = tmp_path / "o"
+    assert main(["labelled", "--input", str(path), "--out", str(out)] + ["--point", "a b=0,c=1"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["labels"] == ["(a b)^2", "(a b)*c"]
+    assert report["boundary_matrices"]["1"]["entries"] == [["c"], ["-(a b)"]]
+    assert report["evaluation"]["vanishing"] == [[1, "(a b)^2"], [2, "(a b)*c"]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 2, "faces": [[1, 2]], "atoms": ["x1"], "labels": 5}', "'labels' must be a list, found 5"),
+        ('{"n": 2, "faces": [[1, 2]], "atoms": ["x1"], "labels": null}', "'labels' must be a list, found null"),
+        (
+            '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "p"], "atom_polys": {"p": 5}, "labels": [[1, 0], [0, 1]]}',
+            "atom p: expansion must be a list of terms, found 5",
+        ),
+        (
+            '{"n": 2, "faces": [[1, 2]], "atoms": "xy", "labels": [[1, 0], [0, 1]]}',
+            "'atoms' must be a list, found \"xy\"",
+        ),
+    ],
+    ids=["labels-number", "labels-null", "expansion-number", "atoms-string"],
+)
+def test_labelled_json_shape_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert main(["labelled", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and message in err
 
 
 def test_verify_quick_and_fault_injection(tmp_path, capsys, inject_prime_fault):

@@ -564,3 +564,96 @@ def test_checks_reject_tampered_boundaries(monkeypatch, worked_labelled, edit, k
     monkeypatch.setattr(labelled, "boundary_matrices", lambda _: bad)
     assert not diag_relation_check(LC)
     assert not chain_condition_check(LC)
+
+
+def _spaced_table() -> AtomTable:
+    # composite atoms whose names need parentheses: +, - and a space
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    expansions = {"x1+x2": x1 + x2, "x1-2": x1 - 2, "a b": x1 * x2 + 1}
+    return AtomTable(("x1", "x2") + tuple(expansions), tuple(expansions.items()))
+
+
+def _random_composite_labelled(rng: random.Random, table: AtomTable) -> LabelledComplex:
+    n = rng.randint(1, 6)
+    labels = [FactoredElement(table, tuple(rng.choice((0, 0, 0, 1, 2)) for _ in table.atoms)) for _ in range(n)]
+    return make_labelled(random_complex(rng, n), labels, reduced=rng.random() < 0.5)
+
+
+def test_render_matches_the_polynomial_writer():
+    rng = random.Random(18)
+    for table in (_composite_table(), _spaced_table()):
+        names = table.atoms
+        for _ in range(25):
+            LC = _random_composite_labelled(rng, table)
+            for cm in boundary_matrices(LC).matrices:
+                got = cm.render(names)
+                want = cm.dense(lambda s, e: Polynomial.monomial(len(e), e, s).render(names), "0")
+                assert got == want
+
+
+def _brute_label_status(LC: LabelledComplex, v: int, point: EvaluationPoint, field) -> str:
+    """'zero', 'nonzero' or 'error' for the label of v, by expanding it into
+    a polynomial over the variables and evaluating that."""
+    table = LC.table
+    label = Polynomial.monomial(len(table.atoms), LC.vertex_labels[v - 1].exps)
+    poly = label.substitute(table.atom_polynomials(), len(table.variables))
+    q = poly.evaluate([point.coord_map[x] for x in table.variables])
+    if field == QQ:
+        return "zero" if q == 0 else "nonzero"
+    if q.denominator % field.p == 0:
+        return "error"
+    return "zero" if q.numerator % field.p == 0 else "nonzero"
+
+
+def _expected_scan(statuses: dict[int, str], vertices) -> list[int] | None:
+    """The vanishing vertices in order, or None when the scan must raise."""
+    if any(statuses[v] == "error" for v in vertices):
+        return None
+    return [v for v in vertices if statuses[v] == "zero"]
+
+
+def test_vanishing_scan_and_window_match_brute_force():
+    rng = random.Random(180)
+    fields = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
+    # 0 and equal coordinates kill x1, x2, x1-x2; 1/2 is not in GF(2)
+    values = (0, 1, 2, 3, -1, Fraction(1, 2), Fraction(2, 3))
+    seen = {"admissible": 0, "inadmissible": 0, "error": 0}
+    for t in range(120):
+        table = _composite_table() if t % 2 else _spaced_table()
+        LC = _random_composite_labelled(rng, table)
+        point = EvaluationPoint.of({x: rng.choice(values) for x in table.variables})
+        field = fields[t % len(fields)]
+        statuses = {v: _brute_label_status(LC, v, point, field) for v in range(1, LC.complex.n + 1)}
+        vertices = sorted(LC.complex.vertices())
+        want = _expected_scan(statuses, vertices)
+        if want is None:
+            seen["error"] += 1
+            with pytest.raises(ValueError, match="not invertible"):
+                evaluate_chain(LC, point, field)
+        elif want:
+            seen["inadmissible"] += 1
+            with pytest.raises(InadmissiblePointError) as err:
+                evaluate_chain(LC, point, field)
+            assert err.value.vanishing == [(v, str(LC.vertex_labels[v - 1])) for v in want]
+        else:
+            seen["admissible"] += 1
+            evaluate_chain(LC, point, field)
+        # the scan keeps the order it is given
+        shuffled = rng.sample(vertices, len(vertices))
+        want = _expected_scan(statuses, shuffled)
+        if want is None:
+            with pytest.raises(ValueError, match="not invertible"):
+                labelled._vanishing_vertices(LC, shuffled, point.atom_values(table), field)
+        else:
+            assert labelled._vanishing_vertices(LC, shuffled, point.atom_values(table), field) == want
+        # the window scans every vertex 1..n, in the complex or not
+        everyone = range(1, LC.complex.n + 1)
+        dead = _expected_scan(statuses, everyone)
+        if dead is None:
+            with pytest.raises(ValueError, match="not invertible"):
+                local_subcomplex(LC, point=point, field=field)
+        else:
+            W, restricted = local_subcomplex(LC, point=point, field=field)
+            assert W == tuple(v for v in everyone if v not in dead)
+            assert restricted.complex == full_subcomplex(LC.complex, W)
+    assert all(seen.values()), seen

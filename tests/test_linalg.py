@@ -505,3 +505,23 @@ def test_persistence_reduce_tie_shuffle_invariance():
         want = {dim: sorted(v, key=lambda bd: (bd[0], bd[1] is None, bd[1] or 0.0))
                 for dim, v in base.by_dim.items()}
         assert got == {k: [tuple(x) for x in v] for k, v in want.items()}
+
+
+def test_polynomial_evaluate_matches_the_term_loop():
+    rng = random.Random(18)
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 5))
+        }
+        poly = Polynomial(nvars, terms)
+        point = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nvars)]
+        want = Fraction(0)
+        for exps, c in poly.terms.items():
+            term = c
+            for v, e in zip(point, exps):
+                if e:
+                    term *= v**e
+            want += term
+        assert poly.evaluate(point) == want

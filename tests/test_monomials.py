@@ -61,6 +61,34 @@ def test_factored_element_validation_and_str():
     assert str(FactoredElement.unit(X4)) == "1"
 
 
+def _old_str(el: FactoredElement) -> str:
+    # the rule before the one atom writer: only + and - called for parentheses
+    if el.is_unit:
+        return "1"
+    parts = []
+    for a, e in zip(el.table.atoms, el.exps):
+        name = a if "+" not in a and "-" not in a else f"({a})"
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def test_factored_element_str_parenthesizes_like_the_matrix_entries():
+    rng = random.Random(18)
+    plain = AtomTable(("x1", "x1+x2", "y-1", "z"))
+    for _ in range(100):
+        el = FactoredElement(plain, tuple(rng.randint(0, 3) for _ in plain.atoms))
+        assert str(el) == _old_str(el)
+        assert str(el) == (Polynomial.monomial(4, el.exps).render(plain.atoms) if not el.is_unit else "1")
+    spaced = AtomTable(("a b", "c", "p q+r"))
+    assert str(FactoredElement(spaced, (2, 0, 0))) == "(a b)^2"
+    assert str(FactoredElement(spaced, (1, 1, 1))) == "(a b)*c*(p q+r)"
+    assert str(FactoredElement(spaced, (0, 3, 0))) == "c^3"
+    assert str(FactoredElement.unit(spaced)) == "1"
+
+
 def test_lcm_fixtures():
     assert lcm_factored(sf(1), sf(1, 2)) == sf(1, 2)
     assert lcm_factored(m(2, 1, 0, 0), FactoredElement.unit(X4)) == m(2, 1, 0, 0)
