@@ -75,7 +75,12 @@ def face_mask(face: Iterable[int]) -> int:
 
 def mask_face(mask: int) -> Face:
     """Strictly increasing vertex tuple of a bitmask."""
-    return tuple(map(int.bit_length, _iter_bits(mask)))
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length())
+        mask ^= bit
+    return tuple(out)
 
 
 def _iter_bits(mask: int):

@@ -158,13 +158,17 @@ def _grlex(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+_OPERATOR_CHARS = frozenset("+-*/^() ")
+
+
 def power_product(names: Sequence[str], exps: Sequence[int]) -> str:
     """The one writer of an atom monomial, e.g. ``x1*(x1+x2)^2`` ("" for the
-    unit); a name containing ``+``, ``-`` or a space is put in parentheses."""
+    unit); a name containing an operator (``+ - * / ^``), a parenthesis or a
+    space is put in parentheses, so ``(a*b)^2`` is not read as ``a*b^2``."""
     factors = []
     for name, e in zip(names, exps):
         if e:
-            if any(op in name for op in "+- "):
+            if not _OPERATOR_CHARS.isdisjoint(name):
                 name = f"({name})"
             factors.append(name if e == 1 else f"{name}^{e}")
     return "*".join(factors)

@@ -22,11 +22,15 @@ or of an independent set:
   neighbours of the removed end outside I can lose their last neighbour
   in the set, so the maximality test reads just those.
 
-Every prime therefore carries exactly one interval.  As a check, the
-primes whose bar never ends are compared at assembly time with the
+Every prime therefore carries exactly one interval.  Both closed forms
+emit bars as ``(mask, birth, death)`` tuples; a :class:`PrimeBarcode`
+holds them sorted once by :func:`_sorted_bars` and builds the
+:class:`PrimeInterval` objects only when they are read.  As a check, the
+masks whose bar never ends are compared at assembly time with the
 decomposition of the final complex by :func:`step_associated_primes`,
 the per-step route; its runs, made into bars by
-:func:`idealtda.verify.intervals_from_runs`, are the closed forms' oracle.
+:func:`idealtda.verify.intervals_from_runs` and sorted by the same
+function, are the closed forms' oracle.
 
 Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
 column reduction over a prime field or Q, in the same order ``f.order``
@@ -80,6 +84,9 @@ __all__ = [
 KIND_SR = "SR"
 KIND_EDGE = "EDGE"
 
+# one prime bar: the prime's vertex mask, its birth and its death (None is +infinity)
+Bar = tuple[int, float, float | None]
+
 
 @dataclass(frozen=True)
 class PrimeInterval:
@@ -101,19 +108,28 @@ class PrimeInterval:
 
 @dataclass(frozen=True)
 class PrimeBarcode:
+    """The bars of one kind, each ``(mask, birth, death)``: the prime's
+    vertex mask and its interval, in the order of :func:`_sorted_bars`.
+    The :class:`PrimeInterval` objects are built only when ``intervals``
+    is read."""
+
     kind: str
-    intervals: tuple[PrimeInterval, ...]
+    bars: tuple[Bar, ...]
     params: tuple[float, ...]
 
+    @cached_property
+    def intervals(self) -> tuple[PrimeInterval, ...]:
+        return tuple(PrimeInterval(LinearPrime(m), b, d, self.kind) for m, b, d in self.bars)
+
     def primes(self) -> frozenset[LinearPrime]:
-        return frozenset(iv.prime for iv in self.intervals)
+        return frozenset(LinearPrime(m) for m, _, _ in self.bars)
 
     def finite_endpoints(self) -> list[float]:
         out = []
-        for iv in self.intervals:
-            out.append(iv.birth)
-            if iv.death is not None:
-                out.append(iv.death)
+        for _, birth, death in self.bars:
+            out.append(birth)
+            if death is not None:
+                out.append(death)
         return out
 
 
@@ -192,19 +208,26 @@ def step_associated_primes(f: Filtration, kind: str = KIND_SR) -> list[frozenset
     raise ValueError(f"unknown barcode kind {kind!r}")
 
 
-def _sorted_intervals(intervals: list[PrimeInterval]) -> tuple[PrimeInterval, ...]:
-    intervals.sort(
-        key=lambda iv: (
-            iv.birth,
-            iv.death is None,
-            iv.death if iv.death is not None else 0.0,
-            iv.prime.sort_key(),
+def _sorted_bars(bars: list[Bar]) -> tuple[Bar, ...]:
+    """Bars in (birth, finite deaths first, death, prime) order, primes as
+    ``LinearPrime.sort_key`` orders them: by size, then by vertex tuple.
+    Two sets of one size compare as tuples by the lowest vertex where they
+    differ, and the set holding it comes first, so with the masks
+    bit-reversed at one width the higher reversal comes first."""
+    fmt = f"0{max((m.bit_length() for m, _, _ in bars), default=0)}b"
+    bars.sort(
+        key=lambda bar: (
+            bar[1],
+            bar[2] is None,
+            bar[2],
+            bar[0].bit_count(),
+            -int(format(bar[0], fmt)[::-1], 2),
         )
     )
-    return tuple(intervals)
+    return tuple(bars)
 
 
-def _sr_intervals(f: Filtration) -> list[PrimeInterval]:
+def _sr_intervals(f: Filtration) -> list[Bar]:
     """Bars [b(sigma), min_v b(sigma + v)) of the primes P_{[n] minus sigma}."""
     births, faces = f.birth_map, f.order.faces
     full = (1 << f.n) - 1
@@ -213,15 +236,15 @@ def _sr_intervals(f: Filtration) -> list[PrimeInterval]:
         b = births[m]
         d = None if j is None else births[faces[j]]
         if d is None or b < d:
-            out.append(PrimeInterval(LinearPrime(full & ~m), b, d, KIND_SR))
+            out.append((full & ~m, b, d))
     first = births[faces[0]] if faces else None
     if first is None or first > f.params[0]:
         # the empty complex has the single prime P_[n]
-        out.append(PrimeInterval(LinearPrime(full), f.params[0], first, KIND_SR))
+        out.append((full, f.params[0], first))
     return out
 
 
-def _edge_intervals(f: Filtration) -> list[PrimeInterval]:
+def _edge_intervals(f: Filtration) -> list[Bar]:
     """Bars of the complements of the maximal independent sets, one pass
     over the edge insertions."""
     births = f.birth_map
@@ -238,15 +261,14 @@ def _edge_intervals(f: Filtration) -> list[PrimeInterval]:
         for I in [I for I in live if I & e == e]:
             b = live.pop(I)
             if b < t:
-                out.append(PrimeInterval(LinearPrime(full & ~I), b, t, KIND_EDGE))
+                out.append((full & ~I, b, t))
             # every vertex outside I has a neighbour in I, so I - {x} is
             # maximal unless a neighbour of x outside I has no other one
             for x in (lo, hi):
                 J = I ^ x
                 if all(adj[u.bit_length()] & J for u in _iter_bits(adj[x.bit_length()] & ~I)):
                     live[J] = t
-    for I, b in live.items():
-        out.append(PrimeInterval(LinearPrime(full & ~I), b, None, KIND_EDGE))
+    out.extend((full & ~I, b, None) for I, b in live.items())
     return out
 
 
@@ -261,19 +283,19 @@ def prime_barcode(f: Filtration, kind: str = KIND_SR) -> PrimeBarcode:
     """
     params = f.params
     if kind == KIND_SR:
-        intervals = _sr_intervals(f)
+        bars = _sr_intervals(f)
     elif kind == KIND_EDGE:
-        intervals = _edge_intervals(f)
+        bars = _edge_intervals(f)
     else:
         raise ValueError(f"unknown barcode kind {kind!r}")
-    final = step_associated_primes(Filtration.single(f.final(), params[-1]), kind)[0]
-    endless = {iv.prime for iv in intervals if iv.death is None}
+    final = {p.mask for p in step_associated_primes(Filtration.single(f.final(), params[-1]), kind)[0]}
+    endless = {m for m, _, d in bars if d is None}
     if endless != final:
         raise AssertionError(
-            f"{kind} bars alive at the end {sorted(endless, key=LinearPrime.sort_key)} "
-            f"differ from the final decomposition {sorted(final, key=LinearPrime.sort_key)}"
+            f"{kind} bars alive at the end {sorted(map(LinearPrime, endless), key=LinearPrime.sort_key)} "
+            f"differ from the final decomposition {sorted(map(LinearPrime, final), key=LinearPrime.sort_key)}"
         )
-    return PrimeBarcode(kind, _sorted_intervals(intervals), params)
+    return PrimeBarcode(kind, _sorted_bars(bars), params)
 
 
 def _boundary_dense(K: SimplicialComplex, k: int, field, reduced: bool) -> list[list]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Mapping, Sequence
 
-from .complexes import SimplicialComplex, maximal_faces
+from .complexes import SimplicialComplex, mask_face, maximal_faces
 from .labelled import LabelledComplex, make_labelled
 from .linalg import Polynomial
 from .monomials import AtomTable, FactoredElement, MonomialIdeal
@@ -184,14 +184,25 @@ def factored_to_dict(m: FactoredElement) -> dict:
     return {"atoms": list(m.table.atoms), "exp": list(m.exps)}
 
 
+def _json_atoms(raw, origin: str) -> tuple[str, ...]:
+    """The ``atoms`` list of a JSON input; every entry must be a string."""
+    if not isinstance(raw, list):
+        raise InputError(f"{origin}: 'atoms' must be a list, found {json.dumps(raw)}")
+    for k, atom in enumerate(raw, start=1):
+        if not isinstance(atom, str):
+            raise InputError(f"{origin}: 'atoms' entry {k} is not a string: {json.dumps(atom)}")
+    return tuple(raw)
+
+
 def factored_from_dict(data, table: AtomTable | None = None, origin: str = "<input>") -> FactoredElement:
     try:
-        atoms = tuple(data["atoms"])
+        atoms_raw = data["atoms"]
         exps = tuple(
             _json_int(e, f"exponent {k}", MAX_EXPONENT) for k, e in enumerate(data["exp"], start=1)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed factored element ({exc})") from None
+    atoms = _json_atoms(atoms_raw, origin)
     if table is None:
         table = AtomTable(atoms)
     elif table.atoms != atoms:
@@ -263,10 +274,9 @@ def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> 
         labels_raw = data["labels"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{origin}: malformed labelled-complex JSON ({exc})") from None
-    for key, value in (("atoms", atoms_raw), ("labels", labels_raw)):
-        if not isinstance(value, list):
-            raise InputError(f"{origin}: {key!r} must be a list, found {json.dumps(value)}")
-    atoms = tuple(str(a) for a in atoms_raw)
+    atoms = _json_atoms(atoms_raw, origin)
+    if not isinstance(labels_raw, list):
+        raise InputError(f"{origin}: 'labels' must be a list, found {json.dumps(labels_raw)}")
     atom_polys = data.get("atom_polys", {})
     if not isinstance(atom_polys, dict):
         raise InputError(f"{origin}: 'atom_polys' must be an object, found {json.dumps(atom_polys)}")
@@ -322,16 +332,10 @@ def _death_json(death: float | None):
 
 
 def prime_barcode_to_dict(barcode: PrimeBarcode) -> dict:
-    intervals = []
-    for iv in barcode.intervals:
-        intervals.append(
-            {
-                "prime": list(iv.prime.vars),
-                "dim": None,
-                "birth": iv.birth,
-                "death": _death_json(iv.death),
-            }
-        )
+    intervals = [
+        {"prime": list(mask_face(m)), "dim": None, "birth": b, "death": _death_json(d)}
+        for m, b, d in barcode.bars
+    ]
     return {"kind": barcode.kind, "intervals": intervals}
 
 
@@ -366,45 +370,64 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _json(o, pad: str) -> str:
-    """``o`` as ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)``
-    writes it, nested under the indent ``pad``."""
-    if isinstance(o, str):
-        return _json_str(o)
-    if o is None or o is True or o is False:
-        return _JSON_CONSTANTS[o]
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if all(type(v) is int for v in o):
-            body = sep.join(map(int.__repr__, o))
-        else:
-            body = sep.join([_json(v, inner) for v in o])
-        return "".join(("[\n", inner, body, "\n", pad, "]"))
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = pad + "  "
-        sep = ",\n" + inner
-        body = sep.join([f"{_json_str(_json_key(k))}: {_json(v, inner)}" for k, v in sorted(o.items())])
-        return "".join(("{\n", inner, body, "\n", pad, "}"))
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def dumps_json(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
     Byte for byte ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``, with the same exceptions, built directly:
     with an indent the standard library runs its pure-Python encoder.
+    Values dispatch on their exact type first; each distinct nonzero float
+    and each string key is formatted once per call (zeros every time, as
+    0.0 == -0.0 would merge their texts).
     """
-    return _json(obj, "") + "\n"
+    floats: dict[float, str] = {}
+    keys: dict[str, str] = {}  # key -> its quoted text and ": "
+
+    def text(o, pad: str) -> str:
+        t = type(o)
+        if t is float and o:
+            s = floats.get(o)
+            if s is None:
+                s = floats[o] = _json_float(o)
+            return s
+        if t is str:
+            return _json_str(o)
+        if t is int:
+            return int.__repr__(o)
+        if t is not list and t is not dict:
+            if isinstance(o, str):
+                return _json_str(o)
+            if o is None or o is True or o is False:
+                return _JSON_CONSTANTS[o]
+            if isinstance(o, int):
+                return int.__repr__(o)
+            if isinstance(o, float):
+                return _json_float(o)
+            if not isinstance(o, (list, tuple, dict)):
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(o, dict):
+            parts = []
+            for k, v in sorted(o.items()):
+                kt = keys.get(k) if type(k) is str else None
+                if kt is None:
+                    kt = _json_str(_json_key(k)) + ": "
+                    if type(k) is str:
+                        keys[k] = kt
+                parts.append(kt + text(v, inner))
+            body = sep.join(parts)
+            del parts  # freed before the copy below, as a comprehension's list would be
+            return "".join(("{\n", inner, body, "\n", pad, "}"))
+        if all(type(v) is int for v in o):
+            body = sep.join(map(int.__repr__, o))
+        else:
+            body = sep.join([text(v, inner) for v in o])
+        return "".join(("[\n", inner, body, "\n", pad, "]"))
+
+    return text(obj, "") + "\n"
 
 
 def _svg_escape(text: str) -> str:
@@ -438,6 +461,9 @@ def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
     ]
     ax = left + span + right_pad / 2  # infinite bars end here, at their arrow
     ax_s, ax9_s = f"{ax:.1f}", f"{ax + 9:.1f}"
+    # (birth, death) -> x and width texts; a signed zero draws like 0.0,
+    # as left + span * -0.0 / tmax == left, so the two may share an entry
+    geometry: dict[tuple, tuple[str, str]] = {}
     y = top
     palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
     for kind, intervals in groups:
@@ -451,7 +477,12 @@ def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
         )
         y += 24
         for iv in intervals:
-            x0 = left + span * iv["birth"] / tmax
+            birth, death = iv["birth"], iv["death"]
+            xw = geometry.get((birth, death))
+            if xw is None:
+                x0 = left + span * birth / tmax
+                w = ax - x0 if death == "inf" else left + span * death / tmax - x0
+                xw = geometry[birth, death] = (f"{x0:.3f}", f"{max(w, 1.0):.3f}")
             prime = iv["prime"]
             if prime is None:
                 label = f"dim {iv['dim']}"
@@ -459,14 +490,14 @@ def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
                 label = "&lt;x" + ",x".join(map(str, prime)) + "&gt;"
             else:
                 label = "&lt;0&gt;"
-            if iv["death"] == "inf":
-                w, ay = ax - x0, y + bar_h / 2
+            if death == "inf":
+                ay = y + bar_h / 2
                 arrow = f'\n<path d="M {ax_s} {ay - 5:.1f} L {ax9_s} {ay:.1f} L {ax_s} {ay + 5:.1f}{arrow_tail}'
             else:
-                w, arrow = left + span * iv["death"] / tmax - x0, ""
+                arrow = ""
             lines.append(
                 f'<text x="12" y="{y + bar_h - 3:.1f}" font-size="11" font-family="monospace">{label}</text>\n'
-                f'<rect class="bar" x="{x0:.3f}" y="{y:.1f}" width="{max(w, 1.0):.3f}{rect_tail}{arrow}'
+                f'<rect class="bar" x="{xw[0]}" y="{y:.1f}" width="{xw[1]}{rect_tail}{arrow}'
             )
             y += bar_h + gap
         lines.append("</g>")

@@ -38,8 +38,9 @@ from .labelled import (
 from .linalg import GF2, QQ, Polynomial, bareiss_rank
 from .monomials import AtomTable, FactoredElement, LinearPrime, _antichain_min, minimal_primes_squarefree
 from .persistence import (
+    PrimeBarcode,
     PrimeInterval,
-    _sorted_intervals,
+    _sorted_bars,
     betti_profile,
     classical_betti,
     classical_boundary_ranks,
@@ -89,7 +90,7 @@ def intervals_from_runs(
     for i, ass in enumerate(ass_per_step):
         for p in ass:
             present.setdefault(p, []).append(i)
-    intervals = []
+    bars = []
     for prime, idxs in present.items():
         if idxs[-1] - idxs[0] + 1 != len(idxs):
             raise NoResurrectionError(
@@ -98,8 +99,8 @@ def intervals_from_runs(
         birth = params[idxs[0]]
         last = idxs[-1]
         death = None if last == len(params) - 1 else params[last + 1]
-        intervals.append(PrimeInterval(prime, birth, death, kind))
-    return _sorted_intervals(intervals)
+        bars.append((prime.mask, birth, death))
+    return PrimeBarcode(kind, _sorted_bars(bars), tuple(params)).intervals
 
 
 def minimal_transversals_exhaustive(supports: Sequence[int], n: int) -> list[int]:

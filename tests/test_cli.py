@@ -444,6 +444,16 @@ def test_labelled_atom_with_a_space_is_written_alike(tmp_path):
     assert report["evaluation"]["vanishing"] == [[1, "(a b)^2"], [2, "(a b)*c"]]
 
 
+def test_labelled_atom_with_an_operator_is_written_in_parentheses(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"n": 2, "faces": [[1, 2]], "atoms": ["a*b", "x^2"], "labels": [[2, 0], [1, 2]]}))
+    out = tmp_path / "o"
+    assert main(["labelled", "--input", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["labels"] == ["(a*b)^2", "(a*b)*(x^2)^2"]
+    assert report["boundary_matrices"]["1"]["entries"] == [["(x^2)^2"], ["-(a*b)"]]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -457,8 +467,16 @@ def test_labelled_atom_with_a_space_is_written_alike(tmp_path):
             '{"n": 2, "faces": [[1, 2]], "atoms": "xy", "labels": [[1, 0], [0, 1]]}',
             "'atoms' must be a list, found \"xy\"",
         ),
+        (
+            '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", 7], "labels": [[1, 0], [0, 1]]}',
+            "'atoms' entry 2 is not a string: 7",
+        ),
+        (
+            '{"n": 2, "faces": [[1, 2]], "atoms": [null, "x2"], "labels": [[1, 0], [0, 1]]}',
+            "'atoms' entry 1 is not a string: null",
+        ),
     ],
-    ids=["labels-number", "labels-null", "expansion-number", "atoms-string"],
+    ids=["labels-number", "labels-null", "expansion-number", "atoms-string", "atom-number", "atom-null"],
 )
 def test_labelled_json_shape_errors(tmp_path, capsys, text, message):
     path = tmp_path / "in.json"

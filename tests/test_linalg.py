@@ -19,6 +19,7 @@ from idealtda.linalg import (
     bareiss_rank,
     parse_field,
     persistence_reduce,
+    power_product,
     rank_dense,
 )
 from idealtda.persistence import _boundary_dense
@@ -525,3 +526,14 @@ def test_polynomial_evaluate_matches_the_term_loop():
                     term *= v**e
             want += term
         assert poly.evaluate(point) == want
+
+
+def test_power_product_parenthesizes_names_with_operators():
+    names = ("x1", "x1+x2", "y-1", "a b", "a*b", "x^2", "p/q", "f(x)", "x_1.5")
+    for name in names:
+        want = name if name in ("x1", "x_1.5") else f"({name})"
+        assert power_product((name,), (1,)) == want
+        assert power_product((name,), (3,)) == f"{want}^3"
+    assert power_product(("a*b", "x^2"), (2, 0)) == "(a*b)^2"
+    assert power_product(("a*b", "x^2", "z"), (1, 2, 1)) == "(a*b)*(x^2)^2*z"
+    assert power_product(("a*b", "x^2"), (0, 0)) == ""

@@ -25,6 +25,7 @@ from idealtda.persistence import (
     witness_between_steps,
 )
 from idealtda.ideals import stanley_reisner
+from idealtda.serialize import MAX_N
 from idealtda.verify import NoResurrectionError, intervals_from_runs, random_metric
 
 ROOT2 = math.sqrt(2.0)
@@ -190,7 +191,7 @@ def test_interval_suite_checks_closed_forms_against_runs(monkeypatch, inject_pri
 
     real = verify.prime_barcode
     monkeypatch.setattr(
-        verify, "prime_barcode", lambda f, kind: dataclasses.replace(real(f, kind), intervals=())
+        verify, "prime_barcode", lambda f, kind: dataclasses.replace(real(f, kind), bars=())
     )
     res = verify.suite_prime_interval_uniqueness(random.Random(0), 3)
     assert res.failures == 6
@@ -513,8 +514,8 @@ def test_coverage_report_random_and_violation_detection():
 
 def _endpoint_barcode(endpoints):
     # a barcode whose finite endpoints are exactly the given values
-    intervals = tuple(PrimeInterval(LinearPrime.of((1,)), e, None, "SR") for e in endpoints)
-    return PrimeBarcode("SR", intervals, tuple(sorted(set(endpoints))))
+    bars = tuple((LinearPrime.of((1,)).mask, e, None) for e in endpoints)
+    return PrimeBarcode("SR", bars, tuple(sorted(set(endpoints))))
 
 
 def test_coverage_report_tolerance_boundary():
@@ -559,3 +560,42 @@ def test_prime_interval_alive_at():
     assert not iv.alive_at(2.0) and not iv.alive_at(0.5)
     forever = PrimeInterval(LinearPrime.of((1,)), 1.0, None, "SR")
     assert forever.alive_at(100.0)
+
+
+def _linear_prime_order(bars):
+    # the order of the PrimeInterval sort key before bars were tuples
+    return sorted(
+        bars, key=lambda bar: (bar[1], bar[2] is None, bar[2] if bar[2] is not None else 0.0, LinearPrime(bar[0]).sort_key())
+    )
+
+
+def test_bar_order_is_the_linear_prime_order():
+    rng = random.Random(19)
+    for _ in range(300):
+        masks = set()
+        sizes = [rng.randrange(6) for _ in range(3)]  # few sizes, so equal popcounts meet
+        for _ in range(rng.randrange(40)):
+            length = rng.choice((1, 3, 8, 40, 63, 64, 65, 200, MAX_N))
+            size = min(rng.choice(sizes) if rng.random() < 0.7 else rng.randrange(length + 1), length)
+            masks.add(sum(1 << v for v in rng.sample(range(length), size)))
+        times = [0.0, -0.0, 0.5, 1.0]
+        bars = [(m, rng.choice(times), rng.choice(times + [None])) for m in masks]
+        rng.shuffle(bars)
+        want = _linear_prime_order(bars)
+        got = persistence._sorted_bars(list(bars))
+        assert [(m, repr(b), repr(d)) for m, b, d in got] == [(m, repr(b), repr(d)) for m, b, d in want]
+        # the prime order alone: one birth and one death for every bar
+        same = [(m, 0.0, None) for m in masks]
+        assert persistence._sorted_bars(same) == tuple(sorted(same, key=lambda bar: LinearPrime(bar[0]).sort_key()))
+
+
+def test_intervals_are_the_bars_as_objects():
+    rng = random.Random(20)
+    for _ in range(20):
+        f = vr_filtration(random_metric(rng, rng.randint(1, 7)), rng.choice((None, 1, 2)))
+        for kind in ("SR", "EDGE"):
+            bc = prime_barcode(f, kind)
+            rebuilt = tuple(PrimeInterval(LinearPrime(m), b, d, kind) for m, b, d in bc.bars)
+            assert bc.intervals == rebuilt
+            assert bc.primes() == frozenset(iv.prime for iv in rebuilt)
+            assert bc.finite_endpoints() == [t for iv in rebuilt for t in (iv.birth, iv.death) if t is not None]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -149,6 +150,17 @@ def test_labelled_roundtrip_plain(worked_labelled):
     assert back == worked_labelled
 
 
+@pytest.mark.parametrize("atom, text", [(7, "7"), (None, "null"), (["x"], '["x"]')], ids=["int", "null", "list"])
+def test_atom_names_must_be_strings(atom, text):
+    labelled = {"n": 2, "faces": [[1, 2]], "atoms": ["x1", atom], "labels": [[1, 0], [0, 1]]}
+    with pytest.raises(InputError, match=rf"^in.json: 'atoms' entry 2 is not a string: {re.escape(text)}$"):
+        labelled_from_dict(labelled, origin="in.json")
+    with pytest.raises(InputError, match=rf"^in.json: 'atoms' entry 1 is not a string: {re.escape(text)}$"):
+        factored_from_dict({"atoms": [atom, "y"], "exp": [1, 2]}, origin="in.json")
+    with pytest.raises(InputError, match="'atoms' must be a list"):
+        factored_from_dict({"atoms": "xy", "exp": [1, 2]})
+
+
 def test_labelled_from_dict_errors():
     base = {"n": 2, "faces": [[1, 2]], "atoms": ["x1"], "labels": [[1]]}
     with pytest.raises(InputError, match="expected 2 labels"):
@@ -240,12 +252,39 @@ def _stdlib_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not JSON"
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 def test_dumps_json_matches_the_standard_library_on_random_payloads():
     rng = random.Random(14)
     for _ in range(500):
         obj = _payload(rng, rng.randrange(5))
         assert dumps_json(obj) == _stdlib_json(obj), obj
-    for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [1, [2, [3]]], ([1, 2], (3,)), _SCALARS, _KEYS):
+    # subclasses miss the exact-type dispatch and take the isinstance fallbacks
+    subclassed = (
+        [_Int(3), _Float(1.5), 1.5, _Float(-0.0), 0.0, _Str("s"), _List([1, _Int(2)]), _List()],
+        _Dict({_Str("k"): _Float(2.5), "j": _Dict()}),
+        {"a": _List([_Dict({"b": 1.5}), _Float(1.5)]), "b": (_Int(-7), True, None)},
+    )
+    for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [1, [2, [3]]], ([1, 2], (3,)), _SCALARS, _KEYS) + subclassed:
         assert dumps_json(obj) == _stdlib_json(obj), obj
 
 
@@ -380,3 +419,40 @@ def test_barcodes_svg_matches_its_oracle_on_seeded_filtrations():
                 seen["tmax <= 0"] |= all(t == "inf" or t <= 0 for iv in bars for t in (iv["birth"], iv["death"]))
     assert all(seen.values()), seen
     assert barcodes_svg([]) == _svg_oracle([])
+
+
+def _signed_zero_groups(rng: random.Random) -> list[dict]:
+    # births and deaths drawn from a few values, so 0.0 and -0.0 and every
+    # other value repeat within one call
+    values = [0.0, -0.0, 0.5, 1.25, 2.0]
+    groups = []
+    for kind in ("SR", "EDGE", "PH"):
+        intervals = []
+        for _ in range(rng.randrange(12)):
+            prime = None if kind == "PH" else sorted(rng.sample(range(1, 10), rng.randrange(5)))
+            intervals.append(
+                {
+                    "prime": prime,
+                    "dim": rng.randrange(3) if kind == "PH" else None,
+                    "birth": rng.choice(values),
+                    "death": rng.choice(values + ["inf"]),
+                }
+            )
+        groups.append({"kind": kind, "intervals": intervals})
+    return groups
+
+
+def test_writers_keep_signed_zeros_among_repeated_values():
+    rng = random.Random(19)
+    texts = []
+    for _ in range(200):
+        groups = _signed_zero_groups(rng)
+        payload = {"barcodes": groups}
+        text = dumps_json(payload)
+        assert text == _stdlib_json(payload)
+        pairs = [(g["kind"], g["intervals"]) for g in groups]
+        assert barcodes_svg(pairs) == _svg_oracle(pairs)
+        texts.append(text)
+    # both zeros were written within one call, in either order
+    assert any(t.index('": -0.0') < t.index('": 0.0') for t in texts if '": -0.0' in t and '": 0.0' in t)
+    assert any(t.index('": 0.0') < t.index('": -0.0') for t in texts if '": -0.0' in t and '": 0.0' in t)
