@@ -7,6 +7,7 @@ All outputs are deterministic for a fixed input and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -319,9 +320,12 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# one parser per process: building it costs more than parsing one command line
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "barcodes":
             return cmd_barcodes(args)

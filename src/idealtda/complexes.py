@@ -11,6 +11,15 @@ bitmask value, i.e. colexicographically.  All boundary matrices in the
 package use this order.  A filtration's faces are walked once, in its
 checked order, a :class:`FaceOrder`, which both SR and PH read.
 
+Bits are walked lowest first.  ``_iter_bits`` is the one helper for it,
+except in the loops that run once per face or facet of a filtration:
+``mask_face``, the facet walk of :class:`FaceOrder`, the superface probe
+of ``_maximal_masks`` (the SR final check), ``_cliques`` and, in
+``persistence``, the EDGE maximality test spell the walk inline
+(``bit = rest & -rest; rest ^= bit``), which saves a generator frame per
+face.  Masks are nonnegative: a negative int has infinitely many set
+bits, so ``mask_face``, ``SimplicialComplex`` and ``FaceOrder`` refuse one.
+
 One clique walk, ``_cliques``, enumerates both clique complexes and
 Vietoris-Rips complexes (the cliques of the complete graph).  It lists a
 clique right after the clique without its highest vertex, so VR births
@@ -74,7 +83,10 @@ def face_mask(face: Iterable[int]) -> int:
 
 
 def mask_face(mask: int) -> Face:
-    """Strictly increasing vertex tuple of a bitmask."""
+    """Strictly increasing vertex tuple of a bitmask; ValueError on a
+    negative mask, whose set bits never end."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     while mask:
         bit = mask & -mask
@@ -85,7 +97,8 @@ def mask_face(mask: int) -> Face:
 
 def _iter_bits(mask: int):
     """The set bits of a mask, lowest first, each as a one-bit mask; the
-    one bit-iteration helper of the package."""
+    one bit-iteration helper of the package outside the per-face loops
+    named in the module docstring."""
     while mask:
         bit = mask & -mask
         yield bit
@@ -125,11 +138,15 @@ class SimplicialComplex:
         if self.n < 0:
             raise ValueError("vertex universe size must be nonnegative")
         universe = (1 << self.n) - 1
-        for m in self.face_masks:
-            if m == 0:
-                raise ValueError("the empty face is never stored in a complex")
-            if m & ~universe:
-                raise ValueError(f"face {mask_face(m)} has vertices outside 1..{self.n}")
+        masks = self.face_masks
+        if masks and (min(masks) < 1 or max(masks) > universe):  # find the culprit only when there is one
+            for m in masks:
+                if m == 0:
+                    raise ValueError("the empty face is never stored in a complex")
+                if m < 0:
+                    raise ValueError(f"face mask {m} is negative")
+                if m & ~universe:
+                    raise ValueError(f"face {mask_face(m)} has vertices outside 1..{self.n}")
 
     @classmethod
     def from_faces(cls, n: int, faces: Iterable[Iterable[int]], close: bool = False) -> "SimplicialComplex":
@@ -256,13 +273,16 @@ class FaceOrder:
     each face's position, the position of its first cofacet, or None) and
     ``lows`` (dimension d >= 1 -> the positions of the d-faces and, in a
     parallel list, of their youngest facets, the initial pivots of their
-    columns).  ValueError unless every face is nonempty and listed once,
-    after all of its facets."""
+    columns).  ValueError unless every face is a nonempty, nonnegative
+    mask listed once, after all of its facets."""
 
     __slots__ = ("faces", "index", "lows", "first_cofacet")
 
     def __init__(self, faces: Iterable[int]):
         self.faces = faces = tuple(faces)
+        if faces and min(faces) < 0:
+            j = next(j for j, m in enumerate(faces) if m < 0)
+            raise ValueError(f"face {j} is the negative mask {faces[j]}")
         self.index, self.lows = index, lows = {}, {}
         self.first_cofacet = first = [None] * len(faces)
         get = index.get
@@ -270,11 +290,13 @@ class FaceOrder:
             dim = m.bit_count() - 1
             if dim > 0:
                 low = -1
-                for bit in _iter_bits(m):
-                    sub = m ^ bit
-                    i = get(sub)
+                rest = m
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    i = get(m ^ bit)
                     if i is None:
-                        msg = f"face {j} {mask_face(m)} comes before subface {mask_face(sub)}"
+                        msg = f"face {j} {mask_face(m)} comes before subface {mask_face(m ^ bit)}"
                         raise ValueError(msg + ": subfaces must precede faces")
                     if i > low:
                         low = i
@@ -414,9 +436,12 @@ def _maximal_masks(K: SimplicialComplex) -> list[int]:
     faces, vertices = K.face_masks, K.vertex_mask
     out = []
     for m in faces:
-        for bit in _iter_bits(vertices & ~m):
+        rest = vertices & ~m
+        while rest:
+            bit = rest & -rest
             if m | bit in faces:
                 break
+            rest ^= bit
         else:
             out.append(m)
     return out
@@ -493,7 +518,12 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
         elif rest == 1 << second:
             births[m] = half[second][top]
         else:  # pairs of m - top, of m - second, and {second, top}; ties keep b(m - top)
-            births[m] = max(births[rest], births[m ^ (1 << second)], half[second][top])
+            b = births[rest]
+            if (c := births[m ^ (1 << second)]) > b:
+                b = c
+            if (c := half[second][top]) > b:
+                b = c
+            births[m] = b
     params = [0.0] + [half[i][j] for i in range(n) for j in range(i + 1, n)]
     return Filtration.from_births(n, births, params=params)
 

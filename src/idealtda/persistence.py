@@ -56,7 +56,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .complexes import FaceOrder, Filtration, SimplicialComplex, _iter_bits, boundary_entries
+from .complexes import FaceOrder, Filtration, SimplicialComplex, boundary_entries
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
 from .linalg import GF2, QQ, persistence_reduce, rank_dense
 from .monomials import LinearPrime
@@ -266,7 +266,13 @@ def _edge_intervals(f: Filtration) -> list[Bar]:
             # maximal unless a neighbour of x outside I has no other one
             for x in (lo, hi):
                 J = I ^ x
-                if all(adj[u.bit_length()] & J for u in _iter_bits(adj[x.bit_length()] & ~I)):
+                rest = adj[x.bit_length()] & ~I
+                while rest:
+                    u = rest & -rest
+                    if not adj[u.bit_length()] & J:
+                        break
+                    rest ^= u
+                else:
                     live[J] = t
     out.extend((full & ~I, b, None) for I, b in live.items())
     return out

@@ -9,6 +9,7 @@ import pytest
 
 from idealtda import complexes
 from idealtda.complexes import (
+    FaceOrder,
     Filtration,
     Graph,
     SimplicialComplex,
@@ -57,6 +58,27 @@ def test_from_faces_rejects_non_closed():
 def test_faces_outside_universe_rejected():
     with pytest.raises(ValueError):
         SimplicialComplex.from_faces(2, [(3,)])
+
+
+def test_negative_masks_are_rejected_without_looping():
+    # a negative int has infinitely many set bits, so no bit walk may start
+    # on one; the other out-of-range masks keep their messages
+    with pytest.raises(ValueError, match=r"^face \(3,\) has vertices outside 1..2$"):
+        SimplicialComplex(2, frozenset({0b01, 0b100}))
+    with pytest.raises(ValueError, match="^the empty face is never stored in a complex$"):
+        SimplicialComplex(2, frozenset({0, 0b01}))
+    with pytest.raises(ValueError, match="^mask -1 is negative$"):
+        mask_face(-1)
+    with pytest.raises(ValueError, match="^face mask -1 is negative$"):
+        SimplicialComplex(3, frozenset({-1}))
+    with pytest.raises(ValueError, match="^face mask -6 is negative$"):
+        SimplicialComplex(3, frozenset({0b1, 0b10, -6}))
+    with pytest.raises(ValueError, match="^face 1 is the negative mask -2$"):
+        FaceOrder([1, -2])
+    with pytest.raises(ValueError, match="^face 2 is the negative mask -3$"):
+        FaceOrder([0b1, 0b10, -3, 0b11])
+    with pytest.raises(ValueError, match="negative"):
+        Filtration.from_births(2, {0b1: 0.0, -1: 0.0})
 
 
 def test_closure_exhaustive_subface_check():
@@ -448,3 +470,90 @@ def test_graph_is_neighbour_masks():
     ]:
         with pytest.raises(ValueError, match=message):
             Graph(n, adjacency)
+
+
+def _order_oracle(faces):
+    """What FaceOrder finds on a face order, by the definitions: the error
+    message of the first broken face, or (index, first_cofacet, lows)."""
+    faces = list(faces)
+    for j, m in enumerate(faces):
+        if m < 0:
+            return f"face {j} is the negative mask {m}"
+
+    def verts(m):
+        return tuple(v + 1 for v in range(m.bit_length()) if m >> v & 1)
+
+    seen = {}
+    for j, m in enumerate(faces):
+        if m == 0:
+            return f"face {j} is the empty face"
+        if m.bit_count() > 1:
+            for v in range(m.bit_length()):
+                if m >> v & 1 and m ^ (1 << v) not in seen:
+                    sub = m ^ (1 << v)
+                    return f"face {j} {verts(m)} comes before subface {verts(sub)}: subfaces must precede faces"
+        if m in seen:
+            return f"face {j} repeats face {seen[m]}"
+        seen[m] = j
+    first = [
+        min((j for j, c in enumerate(faces) if c & m == m and c.bit_count() == m.bit_count() + 1), default=None)
+        for m in faces
+    ]
+    lows = {}
+    for j, m in enumerate(faces):
+        if m.bit_count() > 1:
+            positions, youngest = lows.setdefault(m.bit_count() - 1, ([], []))
+            positions.append(j)
+            youngest.append(max(seen[m ^ (1 << v)] for v in range(m.bit_length()) if m >> v & 1))
+    return seen, first, lows
+
+
+def _broken_orders(rng, faces):
+    """Copies of a face order with one fault each: two faces swapped, a face
+    repeated or dropped, an empty or a negative mask inserted."""
+    faces = list(faces)
+    for fault in ("swap", "repeat", "drop", "empty", "negative"):
+        out = faces[:]
+        j = rng.randrange(len(out))
+        if fault == "swap":
+            i = rng.randrange(len(out))
+            out[i], out[j] = out[j], out[i]
+        elif fault == "repeat":
+            out.insert(rng.randrange(j, len(out)) + 1, out[j])
+        elif fault == "drop":
+            del out[j]
+        else:
+            out.insert(j, 0 if fault == "empty" else -rng.randint(1, 1 << len(faces).bit_length()))
+        yield out
+
+
+def test_face_order_and_maximal_faces_match_brute_force_oracles():
+    rng = random.Random(20)
+    orders = []
+    for _ in range(12):
+        n = rng.randint(1, 7)
+        for kind in ("uniform", "ties"):
+            for max_dim in (None, 1, 2):
+                orders.append(vr_filtration(_oracle_metric(rng, n, kind), max_dim))
+    for _ in range(12):
+        n = rng.randint(1, 7)
+        g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.6])
+        K = clique_complex(g, rng.choice([None, 1, 2]))
+        orders.append(Filtration.single(K))
+    for f in orders:
+        faces = f.order.faces
+        order = FaceOrder(faces)
+        index, first, lows = _order_oracle(faces)
+        assert (order.index, order.first_cofacet, order.lows) == (index, first, lows)
+        K = f.final()
+        want = sorted(m for m in K.face_masks if not any(o != m and o & m == m for o in K.face_masks))
+        assert sorted(complexes._maximal_masks(K)) == want
+        for broken in _broken_orders(rng, faces):
+            want = _order_oracle(broken)
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as err:
+                    FaceOrder(broken)
+                assert str(err.value) == want
+            else:  # a swap within a level, or a maximal face dropped, keeps the order valid
+                order = FaceOrder(broken)
+                assert (order.index, order.first_cofacet, order.lows) == want
