@@ -46,11 +46,12 @@ from .serialize import (
     labelled_from_dict,
     load_distance_csv,
     parse_points_json,
-    ph_barcode_to_dict,
     points_to_distances,
-    prime_barcode_to_dict,
 )
-from .verify import run_all
+
+# unused here (the writers read the bars); perfbench/tracing.py binds these names
+from .serialize import ph_barcode_to_dict, prime_barcode_to_dict
+from .verify import MAX_VERIFY_N, run_all
 
 __all__ = ["main", "build_parser"]
 
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the randomized verification suites")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=20)
-    v.add_argument("--max-n", type=int, default=8)
+    v.add_argument("--max-n", type=int, default=8, help=f"largest instance size, at most {MAX_VERIFY_N}")
     v.add_argument("--out", default=None, help="optional directory for report.json")
     return parser
 
@@ -111,8 +112,9 @@ def _outdir(path: str) -> Path:
 
 
 def _barcodes_payload(args) -> tuple[dict, dict]:
-    """The ``barcodes.json`` payload and the report, as plain dicts and
-    lists: the filtration and the bars are gone when it returns."""
+    """The ``barcodes.json`` payload, with the SR, EDGE and PH barcodes
+    under ``"barcodes"``, and the report; the filtration is gone when it
+    returns, and the writers read the bars themselves."""
     if args.max_dim is not None and args.max_dim < 0:
         raise InputError(f"--max-dim must be nonnegative, got {args.max_dim}")
     field = parse_field(args.field)
@@ -130,11 +132,6 @@ def _barcodes_payload(args) -> tuple[dict, dict]:
     edge = prime_barcode(filtration, "EDGE")
     ph_field = field if field is not QQ else parse_field("f2")
     ph = ph_barcode(filtration, ph_field, args.max_dim)
-    groups = [
-        prime_barcode_to_dict(sr),
-        prime_barcode_to_dict(edge),
-        ph_barcode_to_dict(ph),
-    ]
     payload = {
         "meta": {
             "input": args.input,
@@ -143,7 +140,7 @@ def _barcodes_payload(args) -> tuple[dict, dict]:
             "field": ph_field.name,
             "seed": args.seed,
         },
-        "barcodes": groups,
+        "barcodes": [sr, edge, ph],
     }
     report = {"params": list(filtration.params)}
     if dist is not None:
@@ -162,7 +159,7 @@ def cmd_barcodes(args) -> int:
     (out / "barcodes.json").write_text(dumps_json(payload), encoding="utf-8")
     (out / "report.json").write_text(dumps_json(report), encoding="utf-8")
     if args.svg:
-        svg = barcodes_svg([(g["kind"], g["intervals"]) for g in payload["barcodes"]])
+        svg = barcodes_svg(payload["barcodes"])
         (out / "barcodes.svg").write_text(svg, encoding="utf-8")
     return 0
 
@@ -295,6 +292,8 @@ def cmd_verify(args) -> int:
     for option, value in (("--trials", args.trials), ("--max-n", args.max_n)):
         if value < 1:
             raise InputError(f"{option} must be at least 1, got {value}")
+    if args.max_n > MAX_VERIFY_N:
+        raise InputError(f"--max-n must be at most {MAX_VERIFY_N}, got {args.max_n}")
     results = run_all(seed=args.seed, trials=args.trials, nmax=args.max_n)
     for res in results:
         print(res.line())

@@ -62,6 +62,7 @@ from .linalg import GF2, QQ, persistence_reduce, rank_dense
 from .monomials import LinearPrime
 
 __all__ = [
+    "MAX_EDGE_BARS",
     "PrimeInterval",
     "PrimeBarcode",
     "BettiProfile",
@@ -83,6 +84,13 @@ __all__ = [
 
 KIND_SR = "SR"
 KIND_EDGE = "EDGE"
+
+# Largest number of EDGE bars.  SR and PH bars are bounded by the faces
+# (complexes.MAX_FACES), but a graph on n vertices can have about 3^(n/3)
+# maximal independent sets, one EDGE bar each.  The enumeration counts the
+# bars as they grow and refuses past this budget: 20 disjoint edges would
+# give 2^20 bars, and a 463 MB barcodes.json.
+MAX_EDGE_BARS = 1 << 18
 
 # one prime bar: the prime's vertex mask, its birth and its death (None is +infinity)
 Bar = tuple[int, float, float | None]
@@ -246,7 +254,8 @@ def _sr_intervals(f: Filtration) -> list[Bar]:
 
 def _edge_intervals(f: Filtration) -> list[Bar]:
     """Bars of the complements of the maximal independent sets, one pass
-    over the edge insertions."""
+    over the edge insertions; ValueError when the finished and the live
+    bars together exceed MAX_EDGE_BARS."""
     births = f.birth_map
     full = (1 << f.n) - 1
     adj = [0] * (f.n + 1)  # adj[v] is the neighbour mask of vertex v
@@ -274,6 +283,11 @@ def _edge_intervals(f: Filtration) -> list[Bar]:
                     rest ^= u
                 else:
                     live[J] = t
+        if len(out) + len(live) > MAX_EDGE_BARS:
+            raise ValueError(
+                f"the EDGE barcode has more than {MAX_EDGE_BARS} bars "
+                f"(persistence.MAX_EDGE_BARS) by parameter {t!r}"
+            )
     out.extend((full & ~I, b, None) for I, b in live.items())
     return out
 
@@ -285,7 +299,8 @@ def prime_barcode(f: Filtration, kind: str = KIND_SR) -> PrimeBarcode:
     steps at which it is associated; the zero-ideal prime is emitted like
     any other and flagged on the interval.  Kinds ``SR`` and ``EDGE`` use
     the closed forms of the module docstring.  Kind ``SR`` raises
-    ValueError when a face of ``f`` is born before one of its subfaces.
+    ValueError when a face of ``f`` is born before one of its subfaces,
+    and kind ``EDGE`` when it would have more than MAX_EDGE_BARS bars.
     """
     params = f.params
     if kind == KIND_SR:

@@ -11,7 +11,7 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .complexes import SimplicialComplex, mask_face, maximal_faces
 from .labelled import LabelledComplex, make_labelled
@@ -370,6 +370,48 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _vertex_text(sep: str):
+    """The vertices of a nonzero mask joined by ``sep``.  The text of each
+    8-bit chunk of a mask is built once, by ``mask_face``, and a mask's
+    text joins the texts of its nonzero chunks."""
+    chunks: dict[int, str] = {}  # chunk mask -> its vertices joined by sep
+
+    def text(mask: int) -> str:
+        if mask < 0:
+            raise ValueError(f"mask {mask} is negative")
+        parts = []
+        base = 0
+        for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+            if byte:
+                chunk = byte << base
+                s = chunks.get(chunk)
+                if s is None:
+                    s = chunks[chunk] = sep.join(map(str, mask_face(chunk)))
+                parts.append(s)
+            base += 8
+        return sep.join(parts)
+
+    return text
+
+
+def _labelled_bars(barcode: PrimeBarcode | PHBarcode, prime_label, dim_label):
+    """``(label, birth, death)`` per bar, in the order of the barcode's
+    interval dicts: ``prime_label(mask)`` labels a prime bar and
+    ``dim_label(dim)`` the PH bars of one dimension."""
+    if isinstance(barcode, PHBarcode):
+        for dim, bars in barcode.bars:
+            label = dim_label(dim)
+            for birth, death in bars:
+                yield label, birth, death
+    else:
+        for mask, birth, death in barcode.bars:
+            yield prime_label(mask), birth, death
+
+
+def _kind(barcode: PrimeBarcode | PHBarcode) -> str:
+    return "PH" if isinstance(barcode, PHBarcode) else barcode.kind
+
+
 def dumps_json(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
@@ -379,9 +421,15 @@ def dumps_json(obj) -> str:
     Values dispatch on their exact type first; each distinct nonzero float
     and each string key is formatted once per call (zeros every time, as
     0.0 == -0.0 would merge their texts).
+
+    A :class:`PrimeBarcode` or :class:`PHBarcode`, anywhere in ``obj``, is
+    written straight from its bars as the text of its interval dict,
+    :func:`prime_barcode_to_dict` or :func:`ph_barcode_to_dict`, which
+    stay the oracle of this writer.
     """
     floats: dict[float, str] = {}
     keys: dict[str, str] = {}  # key -> its quoted text and ": "
+    vertex_texts: dict[str, object] = {}  # separator -> its _vertex_text
 
     def text(o, pad: str) -> str:
         t = type(o)
@@ -403,6 +451,8 @@ def dumps_json(obj) -> str:
                 return int.__repr__(o)
             if isinstance(o, float):
                 return _json_float(o)
+            if isinstance(o, (PrimeBarcode, PHBarcode)):
+                return barcode_text(o, pad)
             if not isinstance(o, (list, tuple, dict)):
                 raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if not o:
@@ -427,6 +477,43 @@ def dumps_json(obj) -> str:
             body = sep.join([text(v, inner) for v in o])
         return "".join(("[\n", inner, body, "\n", pad, "]"))
 
+    def barcode_text(barcode, pad: str) -> str:
+        # pads of the dict, the interval list, an interval and a prime's vertices
+        p1, p2, p3, p4 = (pad + "  " * k for k in range(1, 5))
+        vertices = vertex_texts.get(p4)
+        if vertices is None:
+            vertices = vertex_texts[p4] = _vertex_text(",\n" + p4)
+        head, mid = f'{{\n{p3}"birth": ', f',\n{p3}"death": '
+        prime_open, prime_close = f',\n{p3}"dim": null,\n{p3}"prime": [\n{p4}', f"\n{p3}]\n{p2}}}"
+        zero = f',\n{p3}"dim": null,\n{p3}"prime": []\n{p2}}}'
+        parts = []
+        for tail, b, d in _labelled_bars(
+            barcode,
+            lambda m: prime_open + vertices(m) + prime_close if m else zero,
+            lambda dim: f',\n{p3}"dim": {text(dim, p3)},\n{p3}"prime": null\n{p2}}}',
+        ):
+            if type(b) is float and b:
+                bt = floats.get(b) or floats.setdefault(b, _json_float(b))
+            else:
+                bt = text(b, p3)
+            if d is None:
+                dt = '"inf"'
+            elif type(d) is float and d:
+                dt = floats.get(d) or floats.setdefault(d, _json_float(d))
+            else:
+                dt = text(d, p3)
+            parts.append(f"{head}{bt}{mid}{dt}{tail}")
+        if not parts:
+            intervals = "[]"
+        else:
+            body = (",\n" + p2).join(parts)
+            del parts
+            intervals = "".join(("[\n", p2, body, "\n", p1, "]"))
+            del body
+        return "".join(
+            ("{\n", p1, '"intervals": ', intervals, ",\n", p1, '"kind": ', text(_kind(barcode), p1), "\n", pad, "}")
+        )
+
     return text(obj, "") + "\n"
 
 
@@ -434,24 +521,25 @@ def _svg_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
+def barcodes_svg(barcodes: Sequence[PrimeBarcode | PHBarcode]) -> str:
     """Static SVG rendering: one horizontal bar per interval, grouped by kind.
 
-    ``groups`` holds (kind, intervals) pairs where intervals are the JSON
-    dicts produced above.  Infinite deaths are drawn to the right margin
-    with an arrow head.  Each bar is one string; a prime's vertices are
-    ints, so its label is written already escaped.
+    ``barcodes`` holds prime and PH barcodes, drawn from their bars in the
+    order of their interval dicts.  Infinite deaths are drawn to the right
+    margin with an arrow head.  Each bar is one string; a prime's vertices
+    are ints, so its label is written already escaped.  Every ``y`` is an
+    integer (30, then 24 per group and 20 per bar), written as ``{y}.0``.
     """
     bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
     span = 520.0
-    total = sum(len(intervals) for _, intervals in groups)
-    tmax = max(
-        (t for _, intervals in groups for iv in intervals for t in (iv["birth"], iv["death"]) if t != "inf"),
-        default=1.0,
+    total = sum(
+        sum(len(bars) for _, bars in bc.bars) if isinstance(bc, PHBarcode) else len(bc.bars)
+        for bc in barcodes
     )
+    tmax = max((t for bc in barcodes for t in bc.finite_endpoints()), default=1.0)
     if tmax <= 0:
         tmax = 1.0
-    height = top * 2 + total * (bar_h + gap) + len(groups) * 24
+    height = top * 2 + total * (bar_h + gap) + len(barcodes) * 24
     width = left + span + right_pad
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -464,42 +552,38 @@ def barcodes_svg(groups: Sequence[tuple[str, Sequence[Mapping]]]) -> str:
     # (birth, death) -> x and width texts; a signed zero draws like 0.0,
     # as left + span * -0.0 / tmax == left, so the two may share an entry
     geometry: dict[tuple, tuple[str, str]] = {}
-    y = top
+    vertices = _vertex_text(",x")
+    y = 30
     palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
-    for kind, intervals in groups:
+    for barcode in barcodes:
+        kind = _kind(barcode)
         color = palette.get(kind, "#555555")
         rect_tail = f'" height="{bar_h:.1f}" fill="{color}"/>'
         arrow_tail = f' Z" fill="{color}"/>'
         lines.append(f'<g id="group-{_svg_escape(kind)}">')
         lines.append(
-            f'<text x="8" y="{y + 10:.1f}" font-size="13" font-family="monospace">'
+            f'<text x="8" y="{y + 10}.0" font-size="13" font-family="monospace">'
             f"{_svg_escape(kind)}</text>"
         )
         y += 24
-        for iv in intervals:
-            birth, death = iv["birth"], iv["death"]
+        for label, birth, death in _labelled_bars(
+            barcode, lambda m: "&lt;x" + vertices(m) + "&gt;" if m else "&lt;0&gt;", lambda dim: f"dim {dim}"
+        ):
             xw = geometry.get((birth, death))
             if xw is None:
                 x0 = left + span * birth / tmax
-                w = ax - x0 if death == "inf" else left + span * death / tmax - x0
+                w = ax - x0 if death is None else left + span * death / tmax - x0
                 xw = geometry[birth, death] = (f"{x0:.3f}", f"{max(w, 1.0):.3f}")
-            prime = iv["prime"]
-            if prime is None:
-                label = f"dim {iv['dim']}"
-            elif prime:
-                label = "&lt;x" + ",x".join(map(str, prime)) + "&gt;"
-            else:
-                label = "&lt;0&gt;"
-            if death == "inf":
-                ay = y + bar_h / 2
-                arrow = f'\n<path d="M {ax_s} {ay - 5:.1f} L {ax9_s} {ay:.1f} L {ax_s} {ay + 5:.1f}{arrow_tail}'
+            if death is None:
+                ay = y + 7
+                arrow = f'\n<path d="M {ax_s} {ay - 5}.0 L {ax9_s} {ay}.0 L {ax_s} {ay + 5}.0{arrow_tail}'
             else:
                 arrow = ""
             lines.append(
-                f'<text x="12" y="{y + bar_h - 3:.1f}" font-size="11" font-family="monospace">{label}</text>\n'
-                f'<rect class="bar" x="{xw[0]}" y="{y:.1f}" width="{xw[1]}{rect_tail}{arrow}'
+                f'<text x="12" y="{y + 11}.0" font-size="11" font-family="monospace">{label}</text>\n'
+                f'<rect class="bar" x="{xw[0]}" y="{y}.0" width="{xw[1]}{rect_tail}{arrow}'
             )
-            y += bar_h + gap
+            y += 20
         lines.append("</g>")
     lines.append(
         f'<text x="{left}" y="{height - 2:.0f}" font-size="10" font-family="monospace">0</text>'

@@ -37,7 +37,7 @@ def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, faces, flags):
     assert (row["n"], row["max_dim"], row["faces"]) == (n, max_dim, faces)
     assert set(row["bars"]) == {"SR", "EDGE", "PH"} and all(v > 0 for v in row["bars"].values())
     assert set(row["seconds"]) == {
-        "command", "parse", "vr_filtration", "sr", "edge", "ph_barcode", "to_dict",
+        "command", "parse", "vr_filtration", "sr", "edge", "ph_barcode",
         "dumps_json", "coverage_report", "barcodes_svg",
     }
     assert set(row["bytes"]) == set(row["sha256"]) == set(bench.OUTPUTS)
@@ -50,3 +50,16 @@ def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, faces, flags):
     assert cli.main(argv) == 0
     for name in bench.OUTPUTS:
         assert hashlib.sha256(Path("out", name).read_bytes()).hexdigest() == row["sha256"][name]
+
+
+def test_fresh_ladder_row_aggregates_its_runs(monkeypatch):
+    bench = _bench_module()
+    monkeypatch.setattr(bench, "RUNS", 2)
+    row = bench.fresh_ladder_row(6, 2)
+    assert set(row) == {
+        "n", "max_dim", "faces", "steps", "bars", "bytes", "sha256", "runs",
+        "seconds", "seconds_spread", "peak_rss_mib", "peak_rss_mib_spread",
+    }
+    assert (row["n"], row["max_dim"], row["faces"], row["runs"]) == (6, 2, 6 + 15 + 20, 2)
+    assert set(row["seconds"]) == set(row["seconds_spread"]) and "command" in row["seconds"]
+    assert all(v >= 0 for v in row["seconds_spread"].values()) and row["peak_rss_mib_spread"] >= 0

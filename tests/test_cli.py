@@ -11,11 +11,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from idealtda import cli
+from idealtda import cli, serialize
 from idealtda.cli import main
 from idealtda.complexes import MAX_FACES
 from idealtda.linalg import MAX_MODULUS
+from idealtda.persistence import MAX_EDGE_BARS
 from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES, dumps_json
+from idealtda.verify import MAX_VERIFY_N, random_metric
 
 
 @pytest.fixture
@@ -141,27 +143,41 @@ def test_barcodes_output_bytes(tmp_path, monkeypatch, name, text, fmt, flags, di
         assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file
 
 
-def test_barcodes_drops_the_filtration_and_bars_before_writing(three_csv, tmp_path, monkeypatch):
-    refs = []
+def test_barcodes_drops_the_filtration_and_writes_from_the_bars(three_csv, tmp_path, monkeypatch):
+    filtrations, barcodes = [], []
+    vr = cli.vr_filtration
 
-    def keep_ref(fn):
+    def weak_filtration(*args, **kwargs):
+        result = vr(*args, **kwargs)
+        filtrations.append(weakref.ref(result))
+        return result
+
+    def keep_barcode(fn):
         def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            refs.append(weakref.ref(result))
-            return result
+            barcodes.append(fn(*args, **kwargs))
+            return barcodes[-1]
 
         return wrapper
 
     def dumps_after_compute(obj):
         gc.collect()
-        assert refs and all(ref() is None for ref in refs)
+        assert filtrations and all(ref() is None for ref in filtrations)
+        if "barcodes" in obj:  # the barcodes themselves, not their interval dicts
+            assert all(a is b for a, b in zip(obj["barcodes"], barcodes, strict=True))
         return dumps_json(obj)
 
-    for name in ("vr_filtration", "prime_barcode", "ph_barcode"):
-        monkeypatch.setattr(cli, name, keep_ref(getattr(cli, name)))
+    def no_dicts(barcode):
+        raise AssertionError("interval dicts built on the production path")
+
+    monkeypatch.setattr(cli, "vr_filtration", weak_filtration)
+    for name in ("prime_barcode", "ph_barcode"):
+        monkeypatch.setattr(cli, name, keep_barcode(getattr(cli, name)))
+    for module in (cli, serialize):
+        for name in ("prime_barcode_to_dict", "ph_barcode_to_dict"):
+            monkeypatch.setattr(module, name, no_dicts)
     monkeypatch.setattr(cli, "dumps_json", dumps_after_compute)
     assert main(["barcodes", "--input", str(three_csv), "--out", str(tmp_path / "o"), "--svg"]) == 0
-    assert len(refs) == 4
+    assert len(filtrations) == 1 and len(barcodes) == 3
 
 
 def test_barcodes_points_and_complex_formats(tmp_path):
@@ -661,6 +677,44 @@ def test_face_budget_exits_2(tmp_path, capsys, command, fmt, text):
     assert main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 20
     assert f"the complex has more than {MAX_FACES} faces" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fmt, text, flags",
+    [
+        # 2^20 EDGE bars: 463 MB of barcodes.json before the budget
+        ("complex-json", json.dumps({"n": 40, "faces": [[2 * i + 1, 2 * i + 2] for i in range(20)]}), []),
+        # 2.4M EDGE bars: a MemoryError traceback before the budget
+        (
+            "dist-csv",
+            "".join(",".join(map(repr, row)) + "\n" for row in random_metric(random.Random(50), 50, 0.0)),
+            ["--max-dim", "1"],
+        ),
+    ],
+    ids=["20-disjoint-edges", "metric-50-max-dim-1"],
+)
+def test_edge_bar_budget_exits_2(tmp_path, capsys, fmt, text, flags):
+    path = tmp_path / "in"
+    path.write_text(text)
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["barcodes", "--input", str(path), "--format", fmt, "--out", str(out), *flags]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the EDGE barcode has more than {MAX_EDGE_BARS} bars (persistence.MAX_EDGE_BARS)")
+    assert "Traceback" not in err and not (out / "barcodes.json").exists()
+
+
+def test_verify_max_n_bound(capsys):
+    assert main(["verify", "--trials", "1", "--max-n", str(MAX_VERIFY_N)]) == 0
+    capsys.readouterr()
+    for value in (MAX_VERIFY_N + 1, 30, 60):
+        start = time.perf_counter()
+        assert main(["verify", "--max-n", str(value)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert f"--max-n must be at most {MAX_VERIFY_N}, got {value}" in captured.err
+        assert "PASS" not in captured.out
 
 
 def test_labelled_face_bound(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -599,3 +600,29 @@ def test_intervals_are_the_bars_as_objects():
             assert bc.intervals == rebuilt
             assert bc.primes() == frozenset(iv.prime for iv in rebuilt)
             assert bc.finite_endpoints() == [t for iv in rebuilt for t in (iv.birth, iv.death) if t is not None]
+
+
+def _disjoint_edges(k: int) -> Filtration:
+    """k disjoint edges at one parameter: 2^k maximal independent sets."""
+    return Filtration.single(SimplicialComplex.from_faces(2 * k, [(2 * i + 1, 2 * i + 2) for i in range(k)], close=True))
+
+
+def test_edge_bar_budget_is_exact(monkeypatch):
+    # 3 disjoint edges have 8 EDGE bars: within a budget of 8, over one of 7
+    monkeypatch.setattr(persistence, "MAX_EDGE_BARS", 8)
+    assert len(prime_barcode(_disjoint_edges(3), "EDGE").bars) == 8
+    monkeypatch.setattr(persistence, "MAX_EDGE_BARS", 7)
+    with pytest.raises(ValueError, match=r"the EDGE barcode has more than 7 bars \(persistence.MAX_EDGE_BARS\) by parameter 0.0"):
+        prime_barcode(_disjoint_edges(3), "EDGE")
+    # the budget counts EDGE bars only: SR gives one bar per edge
+    monkeypatch.setattr(persistence, "MAX_EDGE_BARS", 2)
+    assert len(prime_barcode(_disjoint_edges(3), "SR").bars) == 3
+
+
+def test_edge_bar_budget_stops_the_enumeration_early():
+    # 2^20 EDGE bars; the enumeration stops after the 19th edge
+    f = _disjoint_edges(20)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"more than {persistence.MAX_EDGE_BARS} bars"):
+        prime_barcode(f, "EDGE")
+    assert time.perf_counter() - start < 5

@@ -11,7 +11,7 @@ import pytest
 
 from idealtda.complexes import vr_filtration
 from idealtda.monomials import AtomTable, FactoredElement, MonomialIdeal
-from idealtda.persistence import ph_barcode, prime_barcode
+from idealtda.persistence import PHBarcode, PrimeBarcode, ph_barcode, prime_barcode
 from idealtda.serialize import (
     MAX_EXPONENT,
     MAX_N,
@@ -196,25 +196,20 @@ def test_dumps_json_is_canonical():
 
 def test_svg_valid_xml_one_rect_per_interval(three_point_dist):
     f = vr_filtration(three_point_dist, max_dim=2)
-    groups = [
-        ("SR", prime_barcode_to_dict(prime_barcode(f, "SR"))["intervals"]),
-        ("EDGE", prime_barcode_to_dict(prime_barcode(f, "EDGE"))["intervals"]),
-        ("PH", ph_barcode_to_dict(ph_barcode(f))["intervals"]),
-    ]
-    svg = barcodes_svg(groups)
+    barcodes = [prime_barcode(f, "SR"), prime_barcode(f, "EDGE"), ph_barcode(f)]
+    svg = barcodes_svg(barcodes)
     root = ET.fromstring(svg)
     rects = [e for e in root.iter() if e.tag.endswith("rect")]
-    assert len(rects) == sum(len(g) for _, g in groups)
+    assert len(rects) == len(barcodes[0].bars) + len(barcodes[1].bars) + sum(len(b) for _, b in barcodes[2].bars)
     group_ids = {e.get("id") for e in root.iter() if e.tag.rsplit("}", 1)[-1] == "g"}
     assert group_ids == {"group-SR", "group-EDGE", "group-PH"}
     # deterministic output
-    assert svg == barcodes_svg(groups)
+    assert svg == barcodes_svg(barcodes)
 
 
 def test_svg_degenerate_single_vertex():
     f = vr_filtration([[0.0]])
-    groups = [("PH", ph_barcode_to_dict(ph_barcode(f))["intervals"])]
-    root = ET.fromstring(barcodes_svg(groups))
+    root = ET.fromstring(barcodes_svg([ph_barcode(f)]))
     assert len([e for e in root.iter() if e.tag.endswith("rect")]) == 1
 
 
@@ -398,22 +393,37 @@ def _svg_oracle(groups) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_barcodes_svg_matches_its_oracle_on_seeded_filtrations():
+def _to_dict(barcode) -> dict:
+    return ph_barcode_to_dict(barcode) if isinstance(barcode, PHBarcode) else prime_barcode_to_dict(barcode)
+
+
+def _assert_writers_match_their_oracles(barcodes) -> None:
+    """dumps_json and barcodes_svg read the bars; the interval dicts, the
+    standard library and _svg_oracle are their oracles."""
+    dicts = [_to_dict(bc) for bc in barcodes]
+    for bc, d in zip(barcodes, dicts):
+        assert dumps_json(bc) == dumps_json(d) == _stdlib_json(d)
+    payload = {"meta": {"seed": 0}, "barcodes": barcodes}
+    assert dumps_json(payload) == _stdlib_json(dict(payload, barcodes=dicts))
+    assert barcodes_svg(barcodes) == _svg_oracle([(d["kind"], d["intervals"]) for d in dicts])
+
+
+def test_barcode_writers_match_their_oracles_on_seeded_filtrations():
     rng = random.Random(14)
     seen = {"zero prime": False, "infinite bar": False, "tmax <= 0": False}
     for n in range(1, 10):
         for max_dim in (1, 2):
             for _ in range(3):
                 f = vr_filtration(random_metric(rng, n, 0.3), max_dim)
-                sr = prime_barcode_to_dict(prime_barcode(f, "SR"))["intervals"]
-                groups = [
-                    ("SR", sr),
-                    ("EDGE", prime_barcode_to_dict(prime_barcode(f, "EDGE"))["intervals"]),
-                    ("PH", ph_barcode_to_dict(ph_barcode(f))["intervals"]),
-                    ("<other & kind>", sr[:2]),
+                sr = prime_barcode(f, "SR")
+                barcodes = [
+                    sr,
+                    prime_barcode(f, "EDGE"),
+                    ph_barcode(f),
+                    PrimeBarcode("<other & kind>", sr.bars[:2], sr.params),
                 ]
-                assert barcodes_svg(groups) == _svg_oracle(groups)
-                bars = [iv for _, intervals in groups for iv in intervals]
+                _assert_writers_match_their_oracles(barcodes)
+                bars = [iv for bc in barcodes for iv in _to_dict(bc)["intervals"]]
                 seen["zero prime"] |= any(iv["prime"] == [] for iv in bars)
                 seen["infinite bar"] |= any(iv["death"] == "inf" for iv in bars)
                 seen["tmax <= 0"] |= all(t == "inf" or t <= 0 for iv in bars for t in (iv["birth"], iv["death"]))
@@ -421,38 +431,59 @@ def test_barcodes_svg_matches_its_oracle_on_seeded_filtrations():
     assert barcodes_svg([]) == _svg_oracle([])
 
 
-def _signed_zero_groups(rng: random.Random) -> list[dict]:
-    # births and deaths drawn from a few values, so 0.0 and -0.0 and every
-    # other value repeat within one call
-    values = [0.0, -0.0, 0.5, 1.25, 2.0]
-    groups = []
-    for kind in ("SR", "EDGE", "PH"):
-        intervals = []
-        for _ in range(rng.randrange(12)):
-            prime = None if kind == "PH" else sorted(rng.sample(range(1, 10), rng.randrange(5)))
-            intervals.append(
-                {
-                    "prime": prime,
-                    "dim": rng.randrange(3) if kind == "PH" else None,
-                    "birth": rng.choice(values),
-                    "death": rng.choice(values + ["inf"]),
-                }
-            )
-        groups.append({"kind": kind, "intervals": intervals})
-    return groups
+def _repeated_value_barcodes(rng: random.Random, values, masks) -> list:
+    """SR, EDGE and PH barcodes whose births and deaths come from a few
+    values, so each value repeats within one call; groups may be empty."""
+    def pick():
+        return rng.choice(values)
+
+    def death():
+        return rng.choice(values + [None])
+
+    primes = [
+        PrimeBarcode(kind, tuple((rng.choice(masks), pick(), death()) for _ in range(rng.randrange(12))), ())
+        for kind in ("SR", "EDGE")
+    ]
+    dims = sorted(rng.sample(range(4), rng.randrange(4)))
+    ph = PHBarcode(tuple((k, tuple((pick(), death()) for _ in range(rng.randrange(1, 6)))) for k in dims), "GF(2)")
+    return primes + [ph]
 
 
 def test_writers_keep_signed_zeros_among_repeated_values():
     rng = random.Random(19)
+    masks = [0] + [sum(1 << v for v in rng.sample(range(9), rng.randrange(1, 5))) for _ in range(20)]
     texts = []
     for _ in range(200):
-        groups = _signed_zero_groups(rng)
-        payload = {"barcodes": groups}
-        text = dumps_json(payload)
-        assert text == _stdlib_json(payload)
-        pairs = [(g["kind"], g["intervals"]) for g in groups]
-        assert barcodes_svg(pairs) == _svg_oracle(pairs)
-        texts.append(text)
+        barcodes = _repeated_value_barcodes(rng, [0.0, -0.0, 0.5, 1.25, 2.0], masks)
+        _assert_writers_match_their_oracles(barcodes)
+        texts.append(dumps_json({"barcodes": barcodes}))
     # both zeros were written within one call, in either order
     assert any(t.index('": -0.0') < t.index('": 0.0') for t in texts if '": -0.0' in t and '": 0.0' in t)
     assert any(t.index('": 0.0') < t.index('": -0.0') for t in texts if '": -0.0' in t and '": 0.0' in t)
+
+
+def test_writers_read_vertices_on_both_sides_of_each_byte_boundary():
+    # chunk texts are cached per 8 bits: primes that cross a boundary, that
+    # sit on one side of it, and that reach vertex MAX_N
+    rng = random.Random(21)
+    edges = [v for b in (8, 16, 64) for v in (b, b + 1)] + [1, MAX_N - 1, MAX_N]
+    masks = [0, (1 << MAX_N) - 1] + [1 << v - 1 for v in edges]
+    masks += [sum(1 << v - 1 for v in rng.sample(edges, rng.randrange(2, 6))) for _ in range(40)]
+    masks += [sum(1 << v for v in rng.sample(range(MAX_N), rng.randrange(1, 40))) for _ in range(40)]
+    values = [0.0, -0.0, 1e-05, 0.1, 1.5, 2.0, 1e16, 5e-324]
+    for _ in range(30):
+        _assert_writers_match_their_oracles(_repeated_value_barcodes(rng, values, masks))
+    bars = tuple((m, 0.5, None) for m in masks)
+    _assert_writers_match_their_oracles([PrimeBarcode("SR", bars, (0.5,)), PHBarcode((), "GF(2)")])
+    full = dumps_json(PrimeBarcode("EDGE", (((1 << MAX_N) - 1, 0.0, 1.0),), (0.0,)))
+    assert '"prime": [\n' + ",\n".join(f"{' ' * 8}{v}" for v in range(1, MAX_N + 1)) + "\n      ]" in full
+
+
+def test_writers_refuse_what_the_dict_route_refuses():
+    for bars in (((1, math.nan, None),), ((1, 0.5, math.inf),), ((1, Fraction(1, 2), None),), ((-1, 0.5, None),)):
+        bc = PrimeBarcode("SR", bars, ())
+        for obj in (bc, [bc]):
+            with pytest.raises((ValueError, TypeError)) as want:
+                dumps_json(_to_dict(bc) if obj is bc else [_to_dict(bc)])
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                dumps_json(obj)
