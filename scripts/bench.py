@@ -21,6 +21,16 @@ The file holds the Python version and the platform, then:
   digest of each output file, which must agree over the runs, and the
   median and the spread (largest minus smallest) of the seconds and of
   the peak RSS;
+* ``labelled_ladder``: one row per (kind, vertices) of ``LABELLED_LADDER``,
+  run, calibrated and aggregated like the ``ladder`` rows.  A run of a row
+  runs ``labelled`` on the full simplex on that many vertices (127, 255
+  or 511 faces) with labels seeded by ``Random(vertices)``: kind
+  ``composite`` over two variables and two composite atoms with
+  ``--point``, kind ``monomial`` over four variable atoms with ``--point``
+  and ``--alpha`` at the lcm of the labels, so the graded slice is the
+  whole reduced complex.  It times the command and each ``idealtda.cli``
+  attribute of ``LABELLED_STAGES`` and records the size and SHA-256
+  digest of ``report.json``;
 * ``workloads``: the end-to-end metrics of one
   ``perfbench/run.py --seed 0 --seconds S --trace 0`` run per workload,
   where S is the ``run_seconds`` of ``BENCHMARK.json``, with its
@@ -56,6 +66,8 @@ RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 # (n, max_dim): the truncated rows of the size ladder, then untruncated
 # rows of 16383 and 65535 faces, where vr_filtration and PH dominate
 LADDER = ((20, 2), (30, 2), (40, 2), (14, None), (16, None))
+# (kind, vertices): labelled rows on full simplices of 127, 255 and 511 faces
+LABELLED_LADDER = (("composite", 7), ("composite", 8), ("composite", 9), ("monomial", 9))
 RUNS = 3  # fresh-interpreter runs of each ladder row
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
@@ -69,6 +81,20 @@ STAGES = {
     "dumps_json": "dumps_json",
     "coverage_report": "coverage_report",
     "barcodes_svg": "barcodes_svg",
+}
+# idealtda.cli attributes timed on the labelled rows, each its own stage
+LABELLED_STAGES = {
+    attr: attr
+    for attr in (
+        "boundary_matrices",
+        "chain_condition_check",
+        "diag_relation_check",
+        "fraction_field_ranks",
+        "classical_boundary_ranks",
+        "evaluate_chain",
+        "graded_slice",
+        "dumps_json",
+    )
 }
 
 
@@ -107,15 +133,16 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def ladder_row(n: int, max_dim: int | None) -> dict:
-    """One run of ``barcodes --svg`` on the seeded n-point metric, up to
-    dimension max_dim (all dimensions when None), in reference-core
-    seconds."""
+def _timed_command(argv: list[str], inputs: dict[str, str], stages: dict, outputs: tuple[str, ...]) -> dict:
+    """One ``cli.main(argv + ["--out", "out"])`` in a temporary directory
+    holding ``inputs`` (file name -> text), with each ``idealtda.cli``
+    attribute of ``stages`` timed under its stage name (None: split
+    ``prime_barcode`` by kind).  Returns the seconds, in reference-core
+    seconds, the counts of :func:`_counts`, and the size and the digest of
+    each output file."""
     from idealtda import cli
-    from idealtda.verify import random_metric
 
     calibration_time, to_reference = _calibration()
-    dist = random_metric(random.Random(n), n, 0.0)
     seconds: dict[str, float] = {}
     counts: dict[str, int] = {}
 
@@ -123,27 +150,25 @@ def ladder_row(n: int, max_dim: int | None) -> dict:
         def wrapper(*args, **kwargs):
             start = perf_counter()
             out = fn(*args, **kwargs)
-            stage = STAGES[attr] or str(args[1]).lower()
+            stage = stages[attr] or str(args[1]).lower()
             seconds[stage] = seconds.get(stage, 0.0) + perf_counter() - start
             counts.update(_counts(attr, out))
             return out
 
         return wrapper
 
-    saved = {attr: getattr(cli, attr) for attr in STAGES}
+    saved = {attr: getattr(cli, attr) for attr in stages}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         try:
             os.chdir(work)
-            Path(f"n{n}.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in dist))
+            for name, text in inputs.items():
+                Path(name).write_text(text)
             for attr, fn in saved.items():
                 setattr(cli, attr, timed(attr, fn))
-            argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv"]
-            if max_dim is not None:
-                argv += ["--max-dim", str(max_dim)]
             before = calibration_time()
             start = perf_counter()
-            code = cli.main(argv + ["--out", "out", "--svg"])
+            code = cli.main(argv + ["--out", "out"])
             seconds["command"] = perf_counter() - start
             after = calibration_time()
         finally:
@@ -151,46 +176,93 @@ def ladder_row(n: int, max_dim: int | None) -> dict:
                 setattr(cli, attr, fn)
             os.chdir(cwd)
         if code != 0:
-            raise RuntimeError(f"barcodes exited {code} at n={n}")
-        files = [Path(work) / "out" / name for name in OUTPUTS]
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
+        files = [Path(work) / "out" / name for name in outputs]
         sizes = {f.name: f.stat().st_size for f in files}
         digests = {f.name: _sha256(f) for f in files}
+    return {
+        "counts": counts,
+        "seconds": {stage: to_reference(t, before, after) for stage, t in seconds.items()},
+        "bytes": sizes,
+        "sha256": digests,
+    }
+
+
+def ladder_row(n: int, max_dim: int | None) -> dict:
+    """One run of ``barcodes --svg`` on the seeded n-point metric, up to
+    dimension max_dim (all dimensions when None), in reference-core
+    seconds."""
+    from idealtda.verify import random_metric
+
+    dist = random_metric(random.Random(n), n, 0.0)
+    argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv"]
+    if max_dim is not None:
+        argv += ["--max-dim", str(max_dim)]
+    csv = "".join(",".join(map(repr, row)) + "\n" for row in dist)
+    run = _timed_command(argv + ["--svg"], {f"n{n}.csv": csv}, STAGES, OUTPUTS)
+    counts = run.pop("counts")
     return {
         "n": n,
         "max_dim": max_dim,
         "faces": counts["faces"],
         "steps": counts["steps"],
         "bars": {kind: counts[kind] for kind in ("SR", "EDGE", "PH")},
-        "seconds": {stage: to_reference(t, before, after) for stage, t in seconds.items()},
-        "bytes": sizes,
-        "sha256": digests,
+        **run,
         "peak_rss_mib": _peak_rss_mib(),
     }
 
 
-def _fresh_ladder_run(n: int, max_dim: int | None) -> dict:
-    code = (
-        f"import sys, json; sys.path[:0] = [{str(SRC)!r}, {str(ROOT / 'scripts')!r}]; "
-        f"import bench; print(json.dumps(bench.ladder_row({n}, {max_dim})))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+def labelled_input(kind: str, vertices: int) -> tuple[dict, list[str]]:
+    """The labelled-complex JSON of one labelled row and the flags it runs
+    with: the full simplex on ``vertices`` vertices, label exponents 0..2
+    seeded by ``Random(vertices)``."""
+    rng = random.Random(vertices)
+    if kind == "composite":
+        atoms = ["x1", "x2", "x1+x2", "x1-x2+1"]
+        polys = {"x1+x2": [[1, [1, 0]], [1, [0, 1]]], "x1-x2+1": [[1, [1, 0]], [-1, [0, 1]], [1, [0, 0]]]}
+        flags = ["--point", "x1=2,x2=5"]
+    elif kind == "monomial":
+        atoms, polys = ["x1", "x2", "x3", "x4"], {}
+        flags = ["--point", "x1=2,x2=-1,x3=3,x4=-5"]
+    else:
+        raise ValueError(f"unknown labelled row kind {kind!r}")
+    labels = [[rng.randint(0, 2) for _ in atoms] for _ in range(vertices)]
+    if kind == "monomial":
+        flags += ["--alpha", ",".join(str(max(exps)) for exps in zip(*labels))]
+    data = {"n": vertices, "faces": [list(range(1, vertices + 1))], "atoms": atoms, "atom_polys": polys, "labels": labels}
+    return data, flags
+
+
+def labelled_row(kind: str, vertices: int) -> dict:
+    """One run of ``labelled`` on the input of :func:`labelled_input`, in
+    reference-core seconds."""
+    data, flags = labelled_input(kind, vertices)
+    argv = ["labelled", "--input", "in.json", *flags]
+    run = _timed_command(argv, {"in.json": json.dumps(data)}, LABELLED_STAGES, ("report.json",))
+    del run["counts"]
+    return {"kind": kind, "vertices": vertices, "faces": 2**vertices - 1, **run, "peak_rss_mib": _peak_rss_mib()}
 
 
 def _median_and_spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), max(values) - min(values)
 
 
-def fresh_ladder_row(n: int, max_dim: int | None) -> dict:
-    """``RUNS`` fresh-interpreter runs of one row: the sizes and digests,
-    which every run must repeat, and the median and the spread of the
-    seconds of each stage and of the peak RSS."""
-    rows = [_fresh_ladder_run(n, max_dim) for _ in range(RUNS)]
-    fixed = ("n", "max_dim", "faces", "steps", "bars", "bytes", "sha256")
+def _fresh_row(call: str, fixed: tuple[str, ...]) -> dict:
+    """``RUNS`` runs of ``bench.<call>``, each in a fresh interpreter: the
+    ``fixed`` keys, which every run must repeat, and the median and the
+    spread of the seconds of each stage and of the peak RSS."""
+    code = (
+        f"import sys, json; sys.path[:0] = [{str(SRC)!r}, {str(ROOT / 'scripts')!r}]; "
+        f"import bench; print(json.dumps(bench.{call}))"
+    )
+    rows = []
+    for _ in range(RUNS):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        rows.append(json.loads(proc.stdout))
     for row in rows[1:]:
         differ = [key for key in fixed if row[key] != rows[0][key]]
         if differ:
-            raise RuntimeError(f"ladder row n={n} max_dim={max_dim} differs between runs in {differ}")
+            raise RuntimeError(f"ladder row {call} differs between runs in {differ}")
     out = {key: rows[0][key] for key in fixed}
     out["runs"] = RUNS
     stages = {stage: _median_and_spread([row["seconds"][stage] for row in rows]) for stage in rows[0]["seconds"]}
@@ -198,6 +270,16 @@ def fresh_ladder_row(n: int, max_dim: int | None) -> dict:
     out["seconds_spread"] = {stage: s for stage, (_, s) in stages.items()}
     out["peak_rss_mib"], out["peak_rss_mib_spread"] = _median_and_spread([row["peak_rss_mib"] for row in rows])
     return out
+
+
+def fresh_ladder_row(n: int, max_dim: int | None) -> dict:
+    """``RUNS`` fresh-interpreter runs of one ``ladder`` row, aggregated."""
+    return _fresh_row(f"ladder_row({n}, {max_dim})", ("n", "max_dim", "faces", "steps", "bars", "bytes", "sha256"))
+
+
+def fresh_labelled_row(kind: str, vertices: int) -> dict:
+    """``RUNS`` fresh-interpreter runs of one ``labelled_ladder`` row, aggregated."""
+    return _fresh_row(f"labelled_row({kind!r}, {vertices})", ("kind", "vertices", "faces", "bytes", "sha256"))
 
 
 def _workload(name: str) -> dict:
@@ -218,11 +300,15 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "ladder": [],
+        "labelled_ladder": [],
         "workloads": {},
     }
     for n, max_dim in LADDER:
         record["ladder"].append(fresh_ladder_row(n, max_dim))
         print(f"ladder n={n} max_dim={max_dim}: {record['ladder'][-1]['seconds']}", file=sys.stderr)
+    for kind, vertices in LABELLED_LADDER:
+        record["labelled_ladder"].append(fresh_labelled_row(kind, vertices))
+        print(f"labelled {kind} {vertices}: {record['labelled_ladder'][-1]['seconds']}", file=sys.stderr)
     for name in WORKLOADS:
         record["workloads"][name] = _workload(name)
         print(f"{name}: {record['workloads'][name]['end_to_end']}", file=sys.stderr)

@@ -431,11 +431,15 @@ def full_subcomplex(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex
 def _maximal_masks(K: SimplicialComplex) -> list[int]:
     """Masks of the faces of K that no vertex of K extends to a face.
 
-    The probe stops at the first superface, which in a dense complex is
-    almost always the lowest vertex outside the face."""
-    faces, vertices = K.face_masks, K.vertex_mask
+    A face with as many vertices as the largest face of K is maximal
+    unprobed.  Otherwise the probe stops at the first superface, which in a
+    dense complex is almost always the lowest vertex outside the face."""
+    faces, vertices, top = K.face_masks, K.vertex_mask, K.max_dim + 1
     out = []
     for m in faces:
+        if m.bit_count() == top:
+            out.append(m)
+            continue
         rest = vertices & ~m
         while rest:
             bit = rest & -rest

@@ -275,13 +275,15 @@ class EvaluationPoint:
     def coord_map(self) -> dict[str, Fraction]:
         return dict(self.coords)
 
-    def atom_values(self, table: AtomTable) -> list[Fraction]:
+    def atom_values(self, table: AtomTable) -> list[int | Fraction]:
+        """The value of each atom, an int when it is integral."""
         coords = self.coord_map
         missing = [v for v in table.variables if v not in coords]
         if missing:
             raise ValueError(f"missing coordinates for variables: {', '.join(missing)}")
         var_values = [coords[v] for v in table.variables]
-        return [poly.evaluate(var_values) for poly in table.atom_polynomials()]
+        values = [poly.evaluate(var_values) for poly in table.atom_polynomials()]
+        return [q.numerator if q.denominator == 1 else q for q in values]
 
 
 def _to_field(field, q: Fraction):
@@ -328,10 +330,12 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
     if vanishing:
         raise InadmissiblePointError([(v, str(LC.vertex_labels[v - 1])) for v in vanishing])
     ncells = {k: LC.ncells(k) for k in LC.dims()}
-    matrices = {
-        cm.k: cm.dense(lambda s, e: _to_field(field, s * power_value(values, e)), field.zero)
-        for cm in boundary_matrices(LC).matrices
-    }
+
+    @cache
+    def entry(sign: int, exps: tuple[int, ...]):
+        return _to_field(field, sign * power_value(values, exps))
+
+    matrices = {cm.k: cm.dense(entry, field.zero) for cm in boundary_matrices(LC).matrices}
     return EvaluatedChain(field, ncells, matrices)
 
 
@@ -378,18 +382,12 @@ def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     integer.
     """
     values = admissible_point(LC).atom_values(LC.table)
-    integral = all(v.denominator == 1 for v in values)  # then every entry is an int
 
     @cache
     def entry(sign: int, exps: tuple[int, ...]):
-        q = sign * power_value(values, exps)
-        return q.numerator if q.denominator == 1 else q
+        return sign * power_value(values, exps)
 
-    ranks = {}
-    for cm in boundary_matrices(LC).matrices:
-        rows = cm.dense(entry, 0)
-        ranks[cm.k] = bareiss_rank(rows if integral else _integral_rows(rows))
-    return ranks
+    return {cm.k: bareiss_rank(_integral_rows(cm.dense(entry, 0))) for cm in boundary_matrices(LC).matrices}
 
 
 def local_subcomplex(
@@ -426,7 +424,7 @@ class GradedSlice:
     """Degree-alpha homogeneous part of a reduced labelled chain complex.
 
     The slice basis in dimension k is {(m_alpha / m_sigma) sigma} over the
-    faces of the divisibility subcomplex; its boundary matrices have
+    faces of the divisibility subcomplex; its boundary matrices have int
     entries in {0, +-1} and agree with the classical reduced matrices of
     that subcomplex.
     """
@@ -435,14 +433,14 @@ class GradedSlice:
     m_alpha: FactoredElement
     subcomplex: SimplicialComplex
     bases: tuple[tuple[int, tuple[tuple[Face, FactoredElement], ...]], ...]
-    matrices: tuple[tuple[int, tuple[tuple[Fraction, ...], ...]], ...]
+    matrices: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
     @cached_property
     def basis_map(self) -> dict[int, tuple[tuple[Face, FactoredElement], ...]]:
         return dict(self.bases)
 
     @cached_property
-    def matrix_map(self) -> dict[int, tuple[tuple[Fraction, ...], ...]]:
+    def matrix_map(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         return dict(self.matrices)
 
     def betti(self) -> dict[int, int]:
@@ -483,7 +481,7 @@ def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
         masks = [0] if k == -1 else window.complex.masks_of_dim(k)
         bases.append((k, tuple((mask_face(m), m_alpha.over(labels[m])) for m in masks)))
     matrices = tuple(
-        (cm.k, tuple(map(tuple, cm.dense(lambda s, e: Fraction(s), Fraction(0)))))
+        (cm.k, tuple(map(tuple, cm.dense(lambda s, e: s, 0))))
         for cm in boundary_matrices(window).matrices
     )
     return GradedSlice(tuple(alpha), m_alpha, window.complex, tuple(bases), matrices)

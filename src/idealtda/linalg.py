@@ -7,7 +7,8 @@ enters any rank or homology computation.
 
 A field is a normal form and an inverse.  Its elements are plain Python
 numbers that are zero exactly when falsy: ints in 0..p-1 over GF(p), and
-ints or Fractions, never floats, over Q.  ``norm`` brings the result of
+ints or Fractions, never floats, over Q, where a value stays an int while
+it is integral (``QQ.zero`` is ``0``).  ``norm`` brings the result of
 ``+``, ``-`` and ``*`` back to an element (``% p`` over GF(p), the identity
 over Q); ``inv`` is exact and raises ZeroDivisionError on zero;
 ``from_fraction`` maps a rational into the field.
@@ -15,9 +16,9 @@ over Q); ``inv`` is exact and raises ZeroDivisionError on zero;
 Every dense rank is lazy one-step fraction-free (Bareiss) elimination,
 :func:`_bareiss`, given the exact division of its domain.
 :func:`bareiss_rank` runs it over ints, Fractions or Polynomials;
-:func:`rank_dense` runs it over Q on ints, each row scaled by the lcm of
-its denominators, and over GF(p) on normal forms, dividing by multiplying
-with an inverse.
+:func:`rank_dense` runs it over Q on ints, with int-only exact division,
+each row that holds a Fraction scaled by the lcm of its denominators, and
+over GF(p) on normal forms, dividing by multiplying with an inverse.
 
 :func:`persistence_reduce` pairs a checked face order, a
 :class:`~idealtda.complexes.FaceOrder` (a mask sequence is checked as one),
@@ -114,7 +115,7 @@ class RationalField:
     """Q; elements are ints or Fractions, never floats, so they are exact
     as they stand."""
 
-    zero = Fraction(0)
+    zero = 0
     name = "q"
 
     @staticmethod
@@ -174,9 +175,10 @@ def power_product(names: Sequence[str], exps: Sequence[int]) -> str:
     return "*".join(factors)
 
 
-def power_value(values: Sequence, exps: Sequence[int]) -> Fraction:
-    """The one evaluator of a monomial: the product of the values to their powers."""
-    out = Fraction(1)
+def power_value(values: Sequence, exps: Sequence[int]):
+    """The one evaluator of a monomial: the product of the values to their
+    powers, an int when the values are ints."""
+    out = 1
     for v, e in zip(values, exps):
         if e:
             out *= v**e
@@ -397,13 +399,13 @@ class Polynomial:
 def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
     """Rank of a dense matrix of field elements, by :func:`_bareiss`.
 
-    Over Q each row is scaled by the lcm of its entries' denominators, a
-    nonzero constant that keeps the rank, and ranked on ints.  Over GF(p)
-    the entries are normal forms and the exact division multiplies by an
-    inverse.
+    Over Q each row holding a Fraction is scaled by the lcm of its entries'
+    denominators, a nonzero constant that keeps the rank, and the int rows
+    are ranked with int-only exact division.  Over GF(p) the entries are
+    normal forms and the exact division multiplies by an inverse.
     """
     if field == QQ:
-        return _bareiss(_integral_rows(rows), _domain_exact_div)
+        return _bareiss(_integral_rows(rows), _int_exact_div)
     norm, inv = field.norm, field.inv
     inverses = {}  # one inverse per pivot: every division is by a pivot
 
@@ -417,21 +419,29 @@ def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
 
 
 def _integral_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """The rational rows, each scaled to ints by the lcm of its entries'
-    denominators: a nonzero constant per row, so the rank is kept."""
+    """Copies of the rational rows as ints: an all-int row as it is, a row
+    holding a Fraction scaled by the lcm of its entries' denominators, a
+    nonzero constant per row, so the rank is kept."""
     m = []
     for row in rows:
-        scale = lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (scale // v.denominator) for v in row])
+        if Fraction in set(map(type, row)):
+            scale = lcm(*(v.denominator for v in row))
+            m.append([v.numerator * (scale // v.denominator) for v in row])
+        else:
+            m.append(list(row))
     return m
+
+
+def _int_exact_div(num: int, den: int) -> int:
+    q = num // den
+    if q * den != num:
+        raise ValueError("inexact integer division in fraction-free elimination")
+    return q
 
 
 def _domain_exact_div(num, den):
     if type(num) is int and type(den) is int:
-        q, r = divmod(num, den)
-        if r:
-            raise ValueError("inexact integer division in fraction-free elimination")
-        return q
+        return _int_exact_div(num, den)
     if isinstance(num, Polynomial):
         return num if den == 1 else num.exact_div(den)  # pivots[0] is 1
     return Fraction(num) / Fraction(den)

@@ -216,20 +216,26 @@ def step_associated_primes(f: Filtration, kind: str = KIND_SR) -> list[frozenset
     raise ValueError(f"unknown barcode kind {kind!r}")
 
 
+# _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _sorted_bars(bars: list[Bar]) -> tuple[Bar, ...]:
     """Bars in (birth, finite deaths first, death, prime) order, primes as
     ``LinearPrime.sort_key`` orders them: by size, then by vertex tuple.
     Two sets of one size compare as tuples by the lowest vertex where they
     differ, and the set holding it comes first, so with the masks
-    bit-reversed at one width the higher reversal comes first."""
-    fmt = f"0{max((m.bit_length() for m, _, _ in bars), default=0)}b"
+    bit-reversed at one width the higher reversal comes first.  The width
+    is whole bytes, reversed bytewise by a table and read back in the
+    other byte order."""
+    width = (max((m.bit_length() for m, _, _ in bars), default=0) + 7) // 8
     bars.sort(
         key=lambda bar: (
             bar[1],
             bar[2] is None,
             bar[2],
             bar[0].bit_count(),
-            -int(format(bar[0], fmt)[::-1], 2),
+            -int.from_bytes(bar[0].to_bytes(width, "big").translate(_REVERSED_BYTE), "little"),
         )
     )
     return tuple(bars)

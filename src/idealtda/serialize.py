@@ -58,9 +58,10 @@ MAX_EXPONENT = 32
 # Largest face count of a labelled complex.  Its ranks (fraction-field,
 # classical and evaluated) all run one dense kernel, lazy fraction-free
 # Bareiss, whose cost grows steeply with the faces: `labelled --point` on one
-# full simplex with two composite atoms took 0.045 s at 7 vertices (127
-# faces), 0.11 s at 255 faces, 0.45 s / 23 MiB at 511 and 1.3 s / 38 MiB at
-# 1023 (median of three, one run at 1023; CPython 3.11, 2-vCPU VM).
+# full simplex with two composite atoms (the composite rows of
+# scripts/bench.py) took 0.022 s at 127 faces, 0.048 s at 255, 0.15 s / 26 MiB
+# at 511 and 0.45 s / 35 MiB at 1023 (reference-core seconds, median of three
+# fresh runs; CPython 3.11, 2-vCPU VM).
 MAX_LABELLED_FACES = 512
 
 

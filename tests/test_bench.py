@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -63,3 +64,26 @@ def test_fresh_ladder_row_aggregates_its_runs(monkeypatch):
     assert (row["n"], row["max_dim"], row["faces"], row["runs"]) == (6, 2, 6 + 15 + 20, 2)
     assert set(row["seconds"]) == set(row["seconds_spread"]) and "command" in row["seconds"]
     assert all(v >= 0 for v in row["seconds_spread"].values()) and row["peak_rss_mib_spread"] >= 0
+
+
+@pytest.mark.parametrize("kind", ["composite", "monomial"])
+def test_labelled_row_keys(tmp_path, monkeypatch, kind):
+    bench = _bench_module()
+    assert all(vertices <= 9 for _, vertices in bench.LABELLED_LADDER)  # MAX_LABELLED_FACES
+    bound = {attr: getattr(cli, attr) for attr in bench.LABELLED_STAGES}
+    row = bench.labelled_row(kind, 4)
+    assert {attr: getattr(cli, attr) for attr in bench.LABELLED_STAGES} == bound
+    assert set(row) == {"kind", "vertices", "faces", "seconds", "bytes", "sha256", "peak_rss_mib"}
+    assert (row["kind"], row["vertices"], row["faces"]) == (kind, 4, 15)
+    slice_stage = {"graded_slice"} if kind == "monomial" else set()
+    assert set(row["seconds"]) == {"command", *bench.LABELLED_STAGES} - {"graded_slice"} | slice_stage
+    assert set(row["bytes"]) == set(row["sha256"]) == {"report.json"}
+    # the row digests the report the command itself writes
+    monkeypatch.chdir(tmp_path)
+    data, flags = bench.labelled_input(kind, 4)
+    Path("in.json").write_text(json.dumps(data))
+    assert cli.main(["labelled", "--input", "in.json", *flags, "--out", "out"]) == 0
+    report = Path("out", "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == row["sha256"]["report.json"]
+    assert json.loads(report)["evaluation"]["admissible"] is True
+    assert ("slice" in json.loads(report)) == (kind == "monomial")

@@ -557,3 +557,25 @@ def test_face_order_and_maximal_faces_match_brute_force_oracles():
             else:  # a swap within a level, or a maximal face dropped, keeps the order valid
                 order = FaceOrder(broken)
                 assert (order.index, order.first_cofacet, order.lows) == want
+
+
+def test_maximal_masks_match_brute_force_on_truncated_complexes():
+    # faces with as many vertices as the largest face are taken unprobed; the
+    # truncations leave both those and smaller maximal faces
+    rng = random.Random(22)
+    complexes_seen = [SimplicialComplex(3, frozenset()), SimplicialComplex.from_faces(1, [(1,)])]
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        max_dim = rng.choice([0, 1, 2, 3])
+        if rng.random() < 0.5:
+            g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5])
+            complexes_seen.append(clique_complex(g, max_dim))
+        else:
+            complexes_seen.append(vr_filtration(_oracle_metric(rng, n, "uniform"), max_dim).final())
+        complexes_seen.append(random_complex(rng, n))
+    smaller = 0
+    for K in complexes_seen:
+        want = sorted(m for m in K.face_masks if not any(o != m and o & m == m for o in K.face_masks))
+        assert sorted(complexes._maximal_masks(K)) == want
+        smaller += sum(m.bit_count() <= K.max_dim for m in want)
+    assert smaller  # some maximal faces were found by the probe

@@ -27,7 +27,7 @@ from idealtda.labelled import (
     make_labelled,
     slice_iso_check,
 )
-from idealtda.linalg import QQ, Polynomial, PrimeField, bareiss_rank
+from idealtda.linalg import QQ, Polynomial, PrimeField, bareiss_rank, power_value
 from idealtda.monomials import AtomTable, FactoredElement
 from idealtda.verify import polynomial_ranks, random_admissible_point, random_complex, random_monomial_labelled
 
@@ -657,3 +657,91 @@ def test_vanishing_scan_and_window_match_brute_force():
             assert W == tuple(v for v in everyone if v not in dead)
             assert restricted.complex == full_subcomplex(LC.complex, W)
     assert all(seen.values()), seen
+
+
+def _entries(matrices):
+    return [v for mat in matrices for row in mat for v in row]
+
+
+def test_integral_points_keep_q_values_ints(poly_labelled, worked_labelled):
+    point = EvaluationPoint.of({"x1": 2, "x2": -3})
+    assert [type(v) for v in point.atom_values(poly_labelled.table)] == [int, int, int]
+    ev = evaluate_chain(poly_labelled, point, QQ)
+    assert _entries(ev.matrices.values()) and all(type(v) is int for v in _entries(ev.matrices.values()))
+    rng = random.Random(71)
+    for t in range(20):
+        reduced = t % 2 == 1
+        LC = random_monomial_labelled(rng, rng.randint(1, 6), 3, reduced=reduced)
+        point = EvaluationPoint.of({v: rng.choice((-3, -1, 1, 2, 5)) for v in LC.table.variables})
+        ev = evaluate_chain(LC, point, QQ)
+        assert all(type(v) is int for v in _entries(ev.matrices.values()))
+        assert ev.betti() == classical_betti(LC.complex, QQ, reduced=reduced)
+    for alpha in ((1, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 1)):
+        sl = graded_slice(worked_labelled, alpha)
+        assert all(type(v) is int for v in _entries(mat for _, mat in sl.matrices))
+        assert slice_iso_check(sl)
+
+
+def test_rational_points_give_fractions_and_the_polynomial_ranks():
+    # a p/q coordinate, or the atom x3^2 + x1/2 at an odd x1, gives a
+    # Fraction atom value; an entry is a Fraction exactly when it uses one,
+    # and the ranks are those of the polynomial oracle
+    rng = random.Random(73)
+    table = _composite_table()
+    kinds = set()
+    admissible = 0
+    for t in range(60):
+        n = rng.randint(1, 5)
+        labels = [FactoredElement(table, tuple(rng.choice((0, 0, 0, 1, 2)) for _ in table.atoms)) for _ in range(n)]
+        LC = make_labelled(random_complex(rng, n), labels, reduced=t % 2 == 1)
+        coords = {x: rng.choice((Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5))), rng.randint(-4, 4))) for x in table.variables}
+        point = EvaluationPoint.of(coords)
+        try:
+            ev = evaluate_chain(LC, point, QQ)
+        except InadmissiblePointError:
+            continue
+        admissible += 1
+        values = point.atom_values(table)
+        for cm in boundary_matrices(LC).matrices:
+            for j, col in enumerate(cm.columns):
+                for i, sign, exps in col:
+                    used = {type(v) for v, e in zip(values, exps) if e}
+                    got = ev.matrices[cm.k][i][j]
+                    assert type(got) is (Fraction if Fraction in used else int), (got, used)
+                    assert got == sign * power_value([Fraction(v) for v in values], exps)
+                    kinds.add(type(got))
+        assert ev.ranks() == polynomial_ranks(LC) == fraction_field_ranks(LC)
+    assert admissible >= 20 and kinds == {int, Fraction}
+
+
+def test_prime_field_evaluation_is_the_fraction_route():
+    # over GF(p) each entry is the rational value sign * m(a) mapped into
+    # the field, whatever type the Q value has on the way
+    rng = random.Random(79)
+    table = _composite_table()
+    checked = 0
+    for t in range(60):
+        field = PrimeField(rng.choice((3, 5, 7, 1000003)))
+        n = rng.randint(1, 5)
+        labels = [FactoredElement(table, tuple(rng.choice((0, 0, 0, 1, 2)) for _ in table.atoms)) for _ in range(n)]
+        LC = make_labelled(random_complex(rng, n), labels, reduced=t % 2 == 1)
+        coords = {x: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 4))) for x in table.variables}
+        point = EvaluationPoint.of(coords)
+        try:
+            ev = evaluate_chain(LC, point, field)
+        except InadmissiblePointError:
+            continue
+        values = [poly.evaluate([coords[x] for x in table.variables]) for poly in table.atom_polynomials()]
+        for cm in boundary_matrices(LC).matrices:
+            want = [[0] * len(cm.cols) for _ in cm.rows]
+            for j, col in enumerate(cm.columns):
+                for i, sign, exps in col:
+                    q = Fraction(sign)
+                    for v, e in zip(values, exps):
+                        q *= v**e
+                    want[i][j] = q.numerator * pow(q.denominator, -1, field.p) % field.p
+            assert ev.matrices[cm.k] == want
+            assert all(type(v) is int for row in ev.matrices[cm.k] for v in row)
+        assert ev.betti() == classical_betti(LC.complex, field, reduced=LC.reduced)
+        checked += 1
+    assert checked >= 20

@@ -545,3 +545,54 @@ def test_power_product_parenthesizes_names_with_operators():
     assert power_product(("a*b", "x^2"), (2, 0)) == "(a*b)^2"
     assert power_product(("a*b", "x^2", "z"), (1, 2, 1)) == "(a*b)*(x^2)^2*z"
     assert power_product(("a*b", "x^2"), (0, 0)) == ""
+
+
+def test_rank_dense_over_q_agrees_on_int_fraction_typed_and_mixed_matrices():
+    # one int matrix three ways: as ints, as Fraction-typed integers, and
+    # with row i times r_i and column j times c_j (nonzero rationals), so
+    # rows mix denominators while the rank stays the same
+    rng = random.Random(61)
+    scales = (1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(7, 9))
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        ints = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(nc)] for _ in range(nr)]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.choice(ints), rng.choice(ints)
+            s, t = rng.randint(-4, 4), rng.randint(-4, 4)
+            ints.append([s * x + t * y for x, y in zip(a, b)])
+        rng.shuffle(ints)
+        typed = [[Fraction(v) for v in row] for row in ints]
+        cols = [rng.choice(scales) for _ in range(nc)]
+        mixed = []
+        for row in ints:
+            r = rng.choice(scales)
+            mixed.append([v * r * c for v, c in zip(row, cols)])
+        before = [list(row) for row in mixed]
+        want = _reduction_rank(ints, QQ)
+        for m in (ints, typed, mixed):
+            assert rank_dense(m, QQ) == bareiss_rank(m) == _reduction_rank(m, QQ) == want, m
+        assert mixed == before  # the ranks work on copies
+
+
+def test_int_exact_division_is_exact_and_ranks_over_q_use_only_ints(monkeypatch):
+    assert linalg._int_exact_div(-12, 4) == -3
+    assert linalg._int_exact_div(0, -7) == 0
+    for num, den in ((7, 2), (-7, 2), (7, -2), (1, 3)):
+        with pytest.raises(ValueError, match="inexact integer division"):
+            linalg._int_exact_div(num, den)
+    with pytest.raises(ZeroDivisionError):
+        linalg._int_exact_div(1, 0)
+    calls = []
+
+    def recording_div(num, den):
+        calls.append((type(num), type(den)))
+        return exact(num, den)
+
+    exact = linalg._int_exact_div
+    monkeypatch.setattr(linalg, "_int_exact_div", recording_div)
+    rng = random.Random(67)
+    for _ in range(100):
+        nr, nc = rng.randint(2, 6), rng.randint(2, 6)
+        m = [[rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9)))) for _ in range(nc)] for _ in range(nr)]
+        assert rank_dense(m, QQ) == _reduction_rank(m, QQ), m
+    assert calls and set(calls) == {(int, int)}
