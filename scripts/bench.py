@@ -103,10 +103,8 @@ def _counts(attr: str, out) -> dict[str, int]:
     is not kept: faces and steps of the filtration, bars per kind."""
     if attr == "vr_filtration":
         return {"faces": len(out.birth_map), "steps": len(out.params)}
-    if attr == "prime_barcode":
+    if attr in ("prime_barcode", "ph_barcode"):
         return {out.kind: len(out.bars)}
-    if attr == "ph_barcode":
-        return {"PH": sum(len(bars) for _, bars in out.bars)}
     return {}
 
 

@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the randomized verification suites")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=20)
-    v.add_argument("--max-n", type=int, default=8, help=f"largest instance size, at most {MAX_VERIFY_N}")
+    v.add_argument("--max-n", type=int, default=8, help=f"largest graph of the clique-complement and vertex-cover "
+                   f"suites, at most {MAX_VERIFY_N}; the other seven suites stop at min(max-n, 7) vertices")
     v.add_argument("--out", default=None, help="optional directory for report.json")
     return parser
 

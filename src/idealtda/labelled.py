@@ -282,8 +282,7 @@ class EvaluationPoint:
         if missing:
             raise ValueError(f"missing coordinates for variables: {', '.join(missing)}")
         var_values = [coords[v] for v in table.variables]
-        values = [poly.evaluate(var_values) for poly in table.atom_polynomials()]
-        return [q.numerator if q.denominator == 1 else q for q in values]
+        return [QQ.from_fraction(poly.evaluate(var_values)) for poly in table.atom_polynomials()]
 
 
 def _to_field(field, q: Fraction):
@@ -385,7 +384,7 @@ def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
 
     @cache
     def entry(sign: int, exps: tuple[int, ...]):
-        return sign * power_value(values, exps)
+        return QQ.from_fraction(sign * power_value(values, exps))
 
     return {cm.k: bareiss_rank(_integral_rows(cm.dense(entry, 0))) for cm in boundary_matrices(LC).matrices}
 

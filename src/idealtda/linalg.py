@@ -11,7 +11,8 @@ ints or Fractions, never floats, over Q, where a value stays an int while
 it is integral (``QQ.zero`` is ``0``).  ``norm`` brings the result of
 ``+``, ``-`` and ``*`` back to an element (``% p`` over GF(p), the identity
 over Q); ``inv`` is exact and raises ZeroDivisionError on zero;
-``from_fraction`` maps a rational into the field.
+``from_fraction`` maps a rational into the field, over Q into that
+normal form.
 
 Every dense rank is lazy one-step fraction-free (Bareiss) elimination,
 :func:`_bareiss`, given the exact division of its domain.
@@ -127,8 +128,9 @@ class RationalField:
         return Fraction(1) / a
 
     @staticmethod
-    def from_fraction(q: Fraction) -> Fraction:
-        return q
+    def from_fraction(q: Fraction) -> int | Fraction:
+        """The one normal form of a value: an int when it is integral."""
+        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)

@@ -36,10 +36,15 @@ Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
 column reduction over a prime field or Q, in the same order ``f.order``
 (over GF(2) with bitmask columns, top dimension first, with clearing, each
 column built only when the reduction adds it or its first pivot is
-taken), and :func:`betti_profile` reads b_k(t) off it as the number of
+taken), into ``(dim, birth, death)`` bars, the prime bars' shape keyed by
+dimension, and :func:`betti_profile` reads b_k(t) off them as the number of
 k-bars alive at t (Zomorodian-Carlsson 2005);
 reduced mode adds b_{-1} = 1 while the complex is empty and subtracts 1
-from b_0 after.  The exact rank route,
+from b_0 after.  The witnesses read the bars too: a prime enters or leaves
+the SR decomposition at step i exactly when its SR bar starts or ends
+there (:func:`witness_between_steps`), and b_k jumps where the count of
+k-bars alive changes (:func:`jump_witness`); their per-step oracle is in
+:mod:`idealtda.verify`.  The exact rank route,
 :func:`classical_boundary_ranks` and :func:`classical_betti` (with
 :func:`betti_numbers` as their list view), computes the Betti numbers of
 one complex from dense boundary ranks, by the one dense kernel of
@@ -54,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .complexes import FaceOrder, Filtration, SimplicialComplex, boundary_entries
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
@@ -92,7 +97,7 @@ KIND_EDGE = "EDGE"
 # give 2^20 bars, and a 463 MB barcodes.json.
 MAX_EDGE_BARS = 1 << 18
 
-# one prime bar: the prime's vertex mask, its birth and its death (None is +infinity)
+# one bar: its key (a prime's vertex mask or a PH dimension), birth and death (None is +infinity)
 Bar = tuple[int, float, float | None]
 
 
@@ -163,30 +168,17 @@ class BettiProfile:
 
 @dataclass(frozen=True)
 class PHBarcode:
-    """Classical persistence bars per dimension; death None is +infinity."""
+    """Classical persistence bars, each ``(dim, birth, death)`` with death
+    None for +infinity, sorted by (dim, birth, finite deaths first, death)."""
 
-    bars: tuple[tuple[int, tuple[tuple[float, float | None], ...]], ...]
+    kind: ClassVar[str] = "PH"
+    bars: tuple[Bar, ...]
     field_name: str
 
-    @cached_property
-    def by_dim(self) -> dict[int, tuple[tuple[float, float | None], ...]]:
-        return dict(self.bars)
-
     def count_at(self, t: float, k: int) -> int:
-        return sum(
-            1
-            for birth, death in self.by_dim.get(k, ())
-            if birth <= t and (death is None or t < death)
-        )
+        return sum(1 for dim, birth, death in self.bars if dim == k and birth <= t and (death is None or t < death))
 
-    def finite_endpoints(self) -> list[float]:
-        out = []
-        for _, bars in self.bars:
-            for birth, death in bars:
-                out.append(birth)
-                if death is not None:
-                    out.append(death)
-        return out
+    finite_endpoints = PrimeBarcode.finite_endpoints
 
 
 @dataclass(frozen=True)
@@ -381,11 +373,10 @@ def betti_profile(
     index = {t: i for i, t in enumerate(params)}
     # delta[k][i]: k-bars born minus k-bars dying at step i
     delta = [[0] * len(params) for _ in range(top + 1)]
-    for k, bars in ph_barcode(f, field, top).bars:
-        for birth, death in bars:
-            delta[k][index[birth]] += 1
-            if death is not None:
-                delta[k][index[death]] -= 1
+    for k, birth, death in ph_barcode(f, field, top).bars:
+        delta[k][index[birth]] += 1
+        if death is not None:
+            delta[k][index[death]] -= 1
     alive = [list(accumulate(d)) for d in delta]
     rows = [[a[i] for a in alive] for i in range(len(params))]
     if reduced:
@@ -414,40 +405,35 @@ def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcod
         order = FaceOrder([m for m in order.faces if m.bit_count() <= top + 2])
     pairs, unpaired = persistence_reduce(order, field)
     faces = order.faces
-    bars: dict[int, list[tuple[float, float | None]]] = {}
+    bars = []
     for i, j in pairs:
-        dim = faces[i].bit_count() - 1
         birth, death = births[faces[i]], births[faces[j]]
-        if birth == death:
-            continue
-        bars.setdefault(dim, []).append((birth, death))
+        if birth != death:
+            bars.append((faces[i].bit_count() - 1, birth, death))
     for i in unpaired:
         dim = faces[i].bit_count() - 1
-        if dim > top:
-            continue
-        bars.setdefault(dim, []).append((births[faces[i]], None))
-    packed = tuple(
-        (dim, tuple(sorted(bars[dim], key=lambda bd: (bd[0], bd[1] is None, bd[1] or 0.0))))
-        for dim in sorted(bars)
-    )
-    return PHBarcode(packed, field.name)
+        if dim <= top:
+            bars.append((dim, births[faces[i]], None))
+    bars.sort(key=lambda bar: (bar[0], bar[1], bar[2] is None, bar[2] or 0.0))
+    return PHBarcode(tuple(bars), field.name)
 
 
 def witness_between_steps(f: Filtration, i: int) -> JumpWitness | None:
     """A linear prime entering or leaving the associated set of the face
     ideal between steps i-1 and i, the first in (|W|, lex) order.
 
-    None means the two step complexes coincide: equal associated sets
-    mean equal maximal faces, hence equal complexes and ideals, so no
-    prime indicator of any kind changes.
+    Each prime is associated along one run of steps, its SR bar, so it
+    changes at step i exactly when that bar starts or ends at
+    ``f.params[i]``.  None means the two step complexes coincide: equal
+    associated sets mean equal maximal faces, hence equal complexes and
+    ideals.  ValueError when a face of ``f`` is born before a subface.
     """
     if not 1 <= i < len(f.params):
         raise ValueError(f"step index {i} out of range")
-    K_lo, K_hi = f.complex_at(f.params[i - 1]), f.complex_at(f.params[i])
-    ass_lo, ass_hi = sr_associated_primes(K_lo), sr_associated_primes(K_hi)
-    changed = sorted(ass_lo ^ ass_hi, key=LinearPrime.sort_key)
+    t = f.params[i]
+    changed = [LinearPrime(m) for m, b, d in _sr_intervals(f) if b == t or d == t]
     if changed:
-        return JumpWitness(changed[0], "associated")
+        return JumpWitness(min(changed, key=LinearPrime.sort_key), "associated")
     return None
 
 
@@ -456,7 +442,8 @@ def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | 
 
     t0 must lie strictly between the first and last critical parameters,
     and k0 must be a dimension of unreduced homology, so k0 >= 0.
-    Returns None when the Betti number is continuous at t0.
+    Returns None when the Betti number is continuous at t0; b_k0 on each
+    side is the number of k0-bars of :func:`ph_barcode` alive there.
     """
     if k0 < 0:
         raise ValueError(f"k0={k0} is negative; jump_witness tracks b_0 and up")
@@ -464,13 +451,10 @@ def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | 
     if not (params[0] < t0 < params[-1]):
         raise ValueError(f"t0={t0} is not strictly between {params[0]} and {params[-1]}")
     hi = f.index_at(t0)
-    lo = hi - 1 if params[hi] == t0 else hi
-    if lo == hi:
+    if params[hi] != t0:
         return None
-    K_lo, K_hi = f.complex_at(params[lo]), f.complex_at(params[hi])
-    b_lo = betti_numbers(K_lo, field, top=k0)
-    b_hi = betti_numbers(K_hi, field, top=k0)
-    if b_lo[k0] == b_hi[k0]:
+    ph = ph_barcode(f, field, k0)
+    if ph.count_at(params[hi - 1], k0) == ph.count_at(t0, k0):
         return None
     return witness_between_steps(f, hi)
 

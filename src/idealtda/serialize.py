@@ -341,13 +341,10 @@ def prime_barcode_to_dict(barcode: PrimeBarcode) -> dict:
 
 
 def ph_barcode_to_dict(barcode: PHBarcode) -> dict:
-    intervals = []
-    for dim, bars in barcode.bars:
-        for birth, death in bars:
-            intervals.append(
-                {"prime": None, "dim": dim, "birth": birth, "death": _death_json(death)}
-            )
-    return {"kind": "PH", "intervals": intervals}
+    intervals = [
+        {"prime": None, "dim": dim, "birth": b, "death": _death_json(d)} for dim, b, d in barcode.bars
+    ]
+    return {"kind": barcode.kind, "intervals": intervals}
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -398,19 +395,11 @@ def _vertex_text(sep: str):
 def _labelled_bars(barcode: PrimeBarcode | PHBarcode, prime_label, dim_label):
     """``(label, birth, death)`` per bar, in the order of the barcode's
     interval dicts: ``prime_label(mask)`` labels a prime bar and
-    ``dim_label(dim)`` the PH bars of one dimension."""
+    ``dim_label(dim)``, once per dimension, a PH bar."""
     if isinstance(barcode, PHBarcode):
-        for dim, bars in barcode.bars:
-            label = dim_label(dim)
-            for birth, death in bars:
-                yield label, birth, death
-    else:
-        for mask, birth, death in barcode.bars:
-            yield prime_label(mask), birth, death
-
-
-def _kind(barcode: PrimeBarcode | PHBarcode) -> str:
-    return "PH" if isinstance(barcode, PHBarcode) else barcode.kind
+        labels = {dim: dim_label(dim) for dim in {bar[0] for bar in barcode.bars}}
+        return ((labels[dim], birth, death) for dim, birth, death in barcode.bars)
+    return ((prime_label(mask), birth, death) for mask, birth, death in barcode.bars)
 
 
 def dumps_json(obj) -> str:
@@ -512,7 +501,7 @@ def dumps_json(obj) -> str:
             intervals = "".join(("[\n", p2, body, "\n", p1, "]"))
             del body
         return "".join(
-            ("{\n", p1, '"intervals": ', intervals, ",\n", p1, '"kind": ', text(_kind(barcode), p1), "\n", pad, "}")
+            ("{\n", p1, '"intervals": ', intervals, ",\n", p1, '"kind": ', text(barcode.kind, p1), "\n", pad, "}")
         )
 
     return text(obj, "") + "\n"
@@ -533,10 +522,7 @@ def barcodes_svg(barcodes: Sequence[PrimeBarcode | PHBarcode]) -> str:
     """
     bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
     span = 520.0
-    total = sum(
-        sum(len(bars) for _, bars in bc.bars) if isinstance(bc, PHBarcode) else len(bc.bars)
-        for bc in barcodes
-    )
+    total = sum(len(bc.bars) for bc in barcodes)
     tmax = max((t for bc in barcodes for t in bc.finite_endpoints()), default=1.0)
     if tmax <= 0:
         tmax = 1.0
@@ -557,7 +543,7 @@ def barcodes_svg(barcodes: Sequence[PrimeBarcode | PHBarcode]) -> str:
     y = 30
     palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
     for barcode in barcodes:
-        kind = _kind(barcode)
+        kind = barcode.kind
         color = palette.get(kind, "#555555")
         rect_tail = f'" height="{bar_h:.1f}" fill="{color}"/>'
         arrow_tail = f' Z" fill="{color}"/>'

@@ -51,6 +51,9 @@ def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, faces, flags):
     assert cli.main(argv) == 0
     for name in bench.OUTPUTS:
         assert hashlib.sha256(Path("out", name).read_bytes()).hexdigest() == row["sha256"][name]
+    # and counts the bars of each kind that it writes
+    written = json.loads(Path("out", "barcodes.json").read_text())["barcodes"]
+    assert row["bars"] == {bc["kind"]: len(bc["intervals"]) for bc in written}
 
 
 def test_fresh_ladder_row_aggregates_its_runs(monkeypatch):

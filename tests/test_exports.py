@@ -56,6 +56,7 @@ def test_oracle_routes_left_the_production_modules():
         (persistence, "NoResurrectionError"),
         (persistence, "_intervals_from_runs"),
         (persistence, "intervals_from_runs"),
+        (persistence, "witness_per_step"),
         (monomials, "minimal_transversals_exhaustive"),
     ]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealtda import labelled
+from idealtda import labelled, linalg
 from idealtda.complexes import SimplicialComplex, full_subcomplex
 from idealtda.labelled import (
     EvaluationPoint,
@@ -684,8 +684,9 @@ def test_integral_points_keep_q_values_ints(poly_labelled, worked_labelled):
 
 def test_rational_points_give_fractions_and_the_polynomial_ranks():
     # a p/q coordinate, or the atom x3^2 + x1/2 at an odd x1, gives a
-    # Fraction atom value; an entry is a Fraction exactly when it uses one,
-    # and the ranks are those of the polynomial oracle
+    # Fraction atom value; an entry is a Fraction exactly when its value is
+    # not an integer, which needs a Fraction atom value, and the ranks are
+    # those of the polynomial oracle
     rng = random.Random(73)
     table = _composite_table()
     kinds = set()
@@ -707,11 +708,46 @@ def test_rational_points_give_fractions_and_the_polynomial_ranks():
                 for i, sign, exps in col:
                     used = {type(v) for v, e in zip(values, exps) if e}
                     got = ev.matrices[cm.k][i][j]
-                    assert type(got) is (Fraction if Fraction in used else int), (got, used)
-                    assert got == sign * power_value([Fraction(v) for v in values], exps)
+                    want = sign * power_value([Fraction(v) for v in values], exps)
+                    assert type(got) is (int if want.denominator == 1 else Fraction), (got, used)
+                    assert type(got) is int or Fraction in used, (got, used)
+                    assert got == want
                     kinds.add(type(got))
         assert ev.ranks() == polynomial_ranks(LC) == fraction_field_ranks(LC)
     assert admissible >= 20 and kinds == {int, Fraction}
+
+
+def test_integral_products_of_rational_atom_values_are_ints(monkeypatch):
+    # x3^2 + x1/2 is 3/2 at x1 = x3 = 1, and times the atom 2 it is 3: that
+    # entry is the int 3 in the evaluated matrices and in the rows that the
+    # rank kernel scales, and the ranks are the polynomial oracle's
+    table = _composite_table()
+    half, two = table.atoms.index("x3^2+x1/2"), table.atoms.index("2")
+
+    def label(*idx):
+        return FactoredElement(table, tuple(int(a in idx) for a in range(len(table.atoms))))
+
+    K = SimplicialComplex.from_faces(3, [(1, 2, 3)], close=True)
+    seen = []
+
+    def spy(rows):
+        seen.extend(v for row in rows for v in row)
+        return integral_rows(rows)
+
+    integral_rows = linalg._integral_rows
+    monkeypatch.setattr(linalg, "_integral_rows", spy)
+    monkeypatch.setattr(labelled, "_integral_rows", spy)
+    for reduced in (False, True):
+        LC = make_labelled(K, [label(half, two), label(half), label(0)], reduced=reduced)
+        point = EvaluationPoint.of({"x1": 1, "x2": 2, "x3": 1})
+        assert point.atom_values(table)[half] == Fraction(3, 2)
+        ev = evaluate_chain(LC, point, QQ)
+        entries = [v for mat in ev.matrices.values() for row in mat for v in row]
+        assert {3, Fraction(3, 2)} <= {abs(v) for v in entries}
+        seen.clear()
+        assert ev.ranks() == polynomial_ranks(LC) == fraction_field_ranks(LC)
+        for v in entries + seen:
+            assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
 
 
 def test_prime_field_evaluation_is_the_fraction_route():

@@ -511,9 +511,10 @@ def test_persistence_reduce_tie_shuffle_invariance():
             dim: sorted(v, key=lambda bd: (bd[0], bd[1] is None, bd[1] or 0.0))
             for dim, v in bars.items()
         }
-        want = {dim: sorted(v, key=lambda bd: (bd[0], bd[1] is None, bd[1] or 0.0))
-                for dim, v in base.by_dim.items()}
-        assert got == {k: [tuple(x) for x in v] for k, v in want.items()}
+        want: dict[int, list] = {}
+        for dim, b, d in base.bars:
+            want.setdefault(dim, []).append((b, d))
+        assert got == {dim: sorted(v, key=lambda bd: (bd[0], bd[1] is None, bd[1] or 0.0)) for dim, v in want.items()}
 
 
 def test_polynomial_evaluate_matches_the_term_loop():

@@ -27,7 +27,7 @@ from idealtda.persistence import (
 )
 from idealtda.ideals import stanley_reisner
 from idealtda.serialize import MAX_N
-from idealtda.verify import NoResurrectionError, intervals_from_runs, random_metric
+from idealtda.verify import NoResurrectionError, intervals_from_runs, random_metric, witness_per_step
 
 ROOT2 = math.sqrt(2.0)
 
@@ -238,11 +238,11 @@ def test_betti_fields_agree_on_random_complexes():
 
 def test_ph_barcode_three_points(three_point_filtration):
     ph = ph_barcode(three_point_filtration)
-    bars0 = list(ph.by_dim[0])
+    bars0 = [(b, d) for dim, b, d in ph.bars if dim == 0]
     assert bars0.count((0.0, 1.0)) == 2
     assert bars0.count((0.0, None)) == 1
     # the 1-cycle is created and filled at the same parameter: no dim-1 bar
-    assert 1 not in ph.by_dim
+    assert all(dim != 1 for dim, _, _ in ph.bars)
     # sqrt(2) is an SR prime endpoint but no PH endpoint
     assert all(abs(e - ROOT2) > 1e-9 for e in ph.finite_endpoints())
 
@@ -250,7 +250,7 @@ def test_ph_barcode_three_points(three_point_filtration):
 def test_ph_barcode_single_vertex():
     f = vr_filtration([[0.0]])
     ph = ph_barcode(f)
-    assert ph.by_dim == {0: ((0.0, None),)}
+    assert ph.bars == ((0, 0.0, None),)
 
 
 def test_ph_bar_counts_match_betti_profile():
@@ -414,7 +414,7 @@ def test_ph_barcode_max_dim_keeps_low_bars(field):
         f = vr_filtration(random_metric(rng, rng.randint(1, 7), 0.5))
         full = ph_barcode(f, field)
         for k in range(4):
-            assert ph_barcode(f, field, k).bars == tuple((d, b) for d, b in full.bars if d <= k)
+            assert ph_barcode(f, field, k).bars == tuple(bar for bar in full.bars if bar[0] <= k)
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -476,6 +476,83 @@ def test_witness_between_equal_steps_is_none():
     f = Filtration.from_births(2, {0b01: 0.0, 0b10: 0.0}, params=[0.0, 1.0])
     assert f.steps[0][1] == f.steps[1][1]
     assert witness_between_steps(f, 1) is None
+
+
+def _witness_cases(rng):
+    for n in range(1, 8):
+        for max_dim in (None, 0, 1, 2):
+            for tie_prob in (0.0, 0.5):
+                yield vr_filtration(random_metric(rng, n, tie_prob), max_dim)
+    yield Filtration.single(SimplicialComplex(3, frozenset()), 0.5)
+    # forced steps before, between and after the births, and tied births
+    yield Filtration.from_births(3, {0b001: 1.0, 0b010: 2.0, 0b011: 2.0}, params=[-1.0, 0.0, 1.5, 3.0])
+    yield Filtration.from_births(3, {0b001: 0.0, 0b010: 0.0, 0b100: 0.0, 0b011: 1.0, 0b110: 1.0}, params=[0.0, 0.5, 1.0, 2.0])
+    yield Filtration.from_births(2, {0b01: 0.0, 0b10: 0.0}, params=[0.0, 1.0])
+    rp2 = SimplicialComplex.from_faces(6, RP2_TRIANGLES, close=True)
+    yield Filtration.from_births(6, {m: float(m.bit_count()) for m in rp2.face_masks})
+
+
+def test_witness_between_steps_is_the_per_step_witness_at_every_step():
+    found = {True: 0, False: 0}
+    for f in _witness_cases(random.Random(31)):
+        for i in range(1, len(f.params)):
+            got = witness_between_steps(f, i)
+            assert got == witness_per_step(f, i), (f.params, i)
+            found[got is None] += 1
+    assert found[True] and found[False] > 300, found
+
+
+def _dense_jump_witness(f, k0, t0, field):
+    """jump_witness by dense ranks of the two step complexes."""
+    hi = f.index_at(t0)
+    if f.params[hi] != t0:
+        return None
+    lo = f.params[hi - 1]
+    if betti_numbers(f.complex_at(lo), field, top=k0)[k0] == betti_numbers(f.complex_at(t0), field, top=k0)[k0]:
+        return None
+    return witness_per_step(f, hi)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
+def test_jump_witness_is_the_dense_rank_route(field):
+    jumps = 0
+    for f in _witness_cases(random.Random(37)):
+        params = f.params
+        ts = list(params[1:-1]) + [(a + b) / 2 for a, b in zip(params[1:-2], params[2:-1])]
+        for k0 in range(3):
+            for t0 in ts:
+                got = jump_witness(f, k0, t0, field)
+                assert got == _dense_jump_witness(f, k0, t0, field), (params, k0, t0)
+                jumps += got is not None
+    assert jumps > 100, jumps
+
+
+def test_witnesses_read_only_the_bars(monkeypatch):
+    cases = list(_witness_cases(random.Random(43)))[::5]
+    want = [
+        ([witness_between_steps(f, i) for i in range(1, len(f.params))],
+         [jump_witness(f, k0, t, GF2) for k0 in range(2) for t in f.params[1:-1]])
+        for f in cases
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a witness built a step complex or a decomposition")
+
+    monkeypatch.setattr(Filtration, "complex_at", forbidden)
+    for name in ("betti_numbers", "sr_associated_primes", "step_associated_primes"):
+        monkeypatch.setattr(persistence, name, forbidden)
+    for f, (steps, jumps) in zip(cases, want, strict=True):
+        assert [witness_between_steps(f, i) for i in range(1, len(f.params))] == steps
+        assert [jump_witness(f, k0, t, GF2) for k0 in range(2) for t in f.params[1:-1]] == jumps
+    assert any(w for steps, _ in want for w in steps) and any(w for _, jumps in want for w in jumps)
+
+
+def test_witnesses_reject_a_raw_filtration_born_before_its_subfaces():
+    f = Filtration(2, {0b01: 0.0, 0b10: 2.0, 0b11: 1.0}, (0.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="before subface"):
+        witness_between_steps(f, 1)
+    with pytest.raises(ValueError, match="before subface"):
+        jump_witness(f, 0, 1.0)
 
 
 def test_production_path_builds_no_step_complexes():

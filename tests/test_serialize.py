@@ -200,7 +200,7 @@ def test_svg_valid_xml_one_rect_per_interval(three_point_dist):
     svg = barcodes_svg(barcodes)
     root = ET.fromstring(svg)
     rects = [e for e in root.iter() if e.tag.endswith("rect")]
-    assert len(rects) == len(barcodes[0].bars) + len(barcodes[1].bars) + sum(len(b) for _, b in barcodes[2].bars)
+    assert len(rects) == sum(len(bc.bars) for bc in barcodes)
     group_ids = {e.get("id") for e in root.iter() if e.tag.rsplit("}", 1)[-1] == "g"}
     assert group_ids == {"group-SR", "group-EDGE", "group-PH"}
     # deterministic output
@@ -445,7 +445,7 @@ def _repeated_value_barcodes(rng: random.Random, values, masks) -> list:
         for kind in ("SR", "EDGE")
     ]
     dims = sorted(rng.sample(range(4), rng.randrange(4)))
-    ph = PHBarcode(tuple((k, tuple((pick(), death()) for _ in range(rng.randrange(1, 6)))) for k in dims), "GF(2)")
+    ph = PHBarcode(tuple((k, pick(), death()) for k in dims for _ in range(rng.randrange(1, 6))), "GF(2)")
     return primes + [ph]
 
 
