@@ -53,12 +53,9 @@ from .monomials import (
     radical_generators,
 )
 from .persistence import (
+    Barcode,
     BettiProfile,
     CoverageReport,
-    JumpWitness,
-    PHBarcode,
-    PrimeBarcode,
-    PrimeInterval,
     betti_numbers,
     betti_profile,
     coverage_report,
@@ -112,12 +109,9 @@ __all__ = [
     "minimal_basis",
     "minimal_primes_squarefree",
     "radical_generators",
+    "Barcode",
     "BettiProfile",
     "CoverageReport",
-    "JumpWitness",
-    "PHBarcode",
-    "PrimeBarcode",
-    "PrimeInterval",
     "betti_numbers",
     "betti_profile",
     "coverage_report",

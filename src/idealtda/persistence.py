@@ -23,10 +23,9 @@ or of an independent set:
   in the set, so the maximality test reads just those.
 
 Every prime therefore carries exactly one interval.  Both closed forms
-emit bars as ``(mask, birth, death)`` tuples; a :class:`PrimeBarcode`
-holds them sorted once by :func:`_sorted_bars` and builds the
-:class:`PrimeInterval` objects only when they are read.  As a check, the
-masks whose bar never ends are compared at assembly time with the
+emit bars as ``(mask, birth, death)`` tuples, and a :class:`Barcode` of
+their kind holds them, sorted once by :func:`_sorted_bars`.  As a check,
+the masks whose bar never ends are compared at assembly time with the
 decomposition of the final complex by :func:`step_associated_primes`,
 the per-step route; its runs, made into bars by
 :func:`idealtda.verify.intervals_from_runs` and sorted by the same
@@ -36,9 +35,10 @@ Classical homology has one engine.  :func:`ph_barcode` pairs simplices by
 column reduction over a prime field or Q, in the same order ``f.order``
 (over GF(2) with bitmask columns, top dimension first, with clearing, each
 column built only when the reduction adds it or its first pivot is
-taken), into ``(dim, birth, death)`` bars, the prime bars' shape keyed by
-dimension, and :func:`betti_profile` reads b_k(t) off them as the number of
-k-bars alive at t (Zomorodian-Carlsson 2005);
+taken), into ``(dim, birth, death)`` bars, a :class:`Barcode` of kind
+``PH``: the prime bars' shape keyed by dimension.  :func:`betti_profile`
+reads b_k(t) off them as the number of k-bars alive at t
+(Zomorodian-Carlsson 2005);
 reduced mode adds b_{-1} = 1 while the complex is empty and subtracts 1
 from b_0 after.  The witnesses read the bars too: a prime enters or leaves
 the SR decomposition at step i exactly when its SR bar starts or ends
@@ -57,9 +57,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
-from typing import ClassVar, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .complexes import FaceOrder, Filtration, SimplicialComplex, boundary_entries
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
@@ -68,11 +67,8 @@ from .monomials import LinearPrime
 
 __all__ = [
     "MAX_EDGE_BARS",
-    "PrimeInterval",
-    "PrimeBarcode",
+    "Barcode",
     "BettiProfile",
-    "PHBarcode",
-    "JumpWitness",
     "CoverageReport",
     "step_associated_primes",
     "prime_barcode",
@@ -89,6 +85,7 @@ __all__ = [
 
 KIND_SR = "SR"
 KIND_EDGE = "EDGE"
+KIND_PH = "PH"
 
 # Largest number of EDGE bars.  SR and PH bars are bounded by the faces
 # (complexes.MAX_FACES), but a graph on n vertices can have about 3^(n/3)
@@ -102,40 +99,19 @@ Bar = tuple[int, float, float | None]
 
 
 @dataclass(frozen=True)
-class PrimeInterval:
-    """Half-open lifespan [birth, death) of one associated prime."""
-
-    prime: LinearPrime
-    birth: float
-    death: float | None  # None encodes +infinity
-    kind: str
-
-    @property
-    def is_zero_ideal_epoch(self) -> bool:
-        """Flags the P_0 intervals of full-simplex or edgeless epochs."""
-        return self.prime.is_zero_ideal
-
-    def alive_at(self, t: float) -> bool:
-        return self.birth <= t and (self.death is None or t < self.death)
-
-
-@dataclass(frozen=True)
-class PrimeBarcode:
-    """The bars of one kind, each ``(mask, birth, death)``: the prime's
-    vertex mask and its interval, in the order of :func:`_sorted_bars`.
-    The :class:`PrimeInterval` objects are built only when ``intervals``
-    is read."""
+class Barcode:
+    """The bars of one kind, each ``(key, birth, death)`` with death None
+    for +infinity.  A prime bar (kinds ``SR`` and ``EDGE``) is keyed by the
+    prime's vertex mask and sorted by :func:`_sorted_bars`; a PH bar (kind
+    ``PH``) is keyed by its dimension and sorted by (dim, birth, finite
+    deaths first, death)."""
 
     kind: str
     bars: tuple[Bar, ...]
-    params: tuple[float, ...]
 
-    @cached_property
-    def intervals(self) -> tuple[PrimeInterval, ...]:
-        return tuple(PrimeInterval(LinearPrime(m), b, d, self.kind) for m, b, d in self.bars)
-
-    def primes(self) -> frozenset[LinearPrime]:
-        return frozenset(LinearPrime(m) for m, _, _ in self.bars)
+    def count_at(self, t: float, k: int) -> int:
+        """Number of bars keyed k alive at t: b_k(t) for a PH barcode."""
+        return sum(1 for key, birth, death in self.bars if key == k and birth <= t and (death is None or t < death))
 
     def finite_endpoints(self) -> list[float]:
         out = []
@@ -152,7 +128,6 @@ class BettiProfile:
 
     params: tuple[float, ...]
     betti: tuple[tuple[int, ...], ...]
-    field_name: str
     reduced: bool
 
     def at(self, t: float, k: int) -> int:
@@ -164,27 +139,6 @@ class BettiProfile:
         if pos < 0:
             raise ValueError(f"dimension {k} not tracked")
         return row[pos] if pos < len(row) else 0
-
-
-@dataclass(frozen=True)
-class PHBarcode:
-    """Classical persistence bars, each ``(dim, birth, death)`` with death
-    None for +infinity, sorted by (dim, birth, finite deaths first, death)."""
-
-    kind: ClassVar[str] = "PH"
-    bars: tuple[Bar, ...]
-    field_name: str
-
-    def count_at(self, t: float, k: int) -> int:
-        return sum(1 for dim, birth, death in self.bars if dim == k and birth <= t and (death is None or t < death))
-
-    finite_endpoints = PrimeBarcode.finite_endpoints
-
-
-@dataclass(frozen=True)
-class JumpWitness:
-    prime: LinearPrime
-    level: str  # "associated": the prime enters or leaves the associated set
 
 
 @dataclass(frozen=True)
@@ -290,12 +244,12 @@ def _edge_intervals(f: Filtration) -> list[Bar]:
     return out
 
 
-def prime_barcode(f: Filtration, kind: str = KIND_SR) -> PrimeBarcode:
+def prime_barcode(f: Filtration, kind: str = KIND_SR) -> Barcode:
     """Persistent associated-prime barcode of a filtration.
 
     Each prime's interval spans the maximal run of consecutive critical
     steps at which it is associated; the zero-ideal prime is emitted like
-    any other and flagged on the interval.  Kinds ``SR`` and ``EDGE`` use
+    any other, as the bar of mask 0.  Kinds ``SR`` and ``EDGE`` use
     the closed forms of the module docstring.  Kind ``SR`` raises
     ValueError when a face of ``f`` is born before one of its subfaces,
     and kind ``EDGE`` when it would have more than MAX_EDGE_BARS bars.
@@ -314,7 +268,7 @@ def prime_barcode(f: Filtration, kind: str = KIND_SR) -> PrimeBarcode:
             f"{kind} bars alive at the end {sorted(map(LinearPrime, endless), key=LinearPrime.sort_key)} "
             f"differ from the final decomposition {sorted(map(LinearPrime, final), key=LinearPrime.sort_key)}"
         )
-    return PrimeBarcode(kind, _sorted_bars(bars), params)
+    return Barcode(kind, _sorted_bars(bars))
 
 
 def _boundary_dense(K: SimplicialComplex, k: int, field, reduced: bool) -> list[list]:
@@ -386,10 +340,10 @@ def betti_profile(
             if row:  # empty when top < 0
                 row[0] -= nonempty
             row.insert(0, 1 - nonempty)
-    return BettiProfile(params, tuple(tuple(row) for row in rows), field.name, reduced)
+    return BettiProfile(params, tuple(tuple(row) for row in rows), reduced)
 
 
-def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcode:
+def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> Barcode:
     """Persistence barcode by column reduction over a prime field or Q.
 
     :func:`persistence_reduce` pairs the filtration's checked order
@@ -415,10 +369,10 @@ def ph_barcode(f: Filtration, field=GF2, max_dim: int | None = None) -> PHBarcod
         if dim <= top:
             bars.append((dim, births[faces[i]], None))
     bars.sort(key=lambda bar: (bar[0], bar[1], bar[2] is None, bar[2] or 0.0))
-    return PHBarcode(tuple(bars), field.name)
+    return Barcode(KIND_PH, tuple(bars))
 
 
-def witness_between_steps(f: Filtration, i: int) -> JumpWitness | None:
+def witness_between_steps(f: Filtration, i: int) -> LinearPrime | None:
     """A linear prime entering or leaving the associated set of the face
     ideal between steps i-1 and i, the first in (|W|, lex) order.
 
@@ -432,12 +386,10 @@ def witness_between_steps(f: Filtration, i: int) -> JumpWitness | None:
         raise ValueError(f"step index {i} out of range")
     t = f.params[i]
     changed = [LinearPrime(m) for m, b, d in _sr_intervals(f) if b == t or d == t]
-    if changed:
-        return JumpWitness(min(changed, key=LinearPrime.sort_key), "associated")
-    return None
+    return min(changed, key=LinearPrime.sort_key, default=None)
 
 
-def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | None:
+def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> LinearPrime | None:
     """A linear prime whose indicator changes across t0 when b_k0 jumps there.
 
     t0 must lie strictly between the first and last critical parameters,
@@ -460,7 +412,7 @@ def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> JumpWitness | 
 
 
 def coverage_report(
-    dist: Sequence[Sequence[float]], barcode: PrimeBarcode, tol: float = 1e-12
+    dist: Sequence[Sequence[float]], barcode: Barcode, tol: float = 1e-12
 ) -> CoverageReport:
     """Check every half-distance h_ij/2 appears among barcode endpoints.
 

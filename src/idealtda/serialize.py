@@ -17,7 +17,7 @@ from .complexes import SimplicialComplex, mask_face, maximal_faces
 from .labelled import LabelledComplex, make_labelled
 from .linalg import Polynomial
 from .monomials import AtomTable, FactoredElement, MonomialIdeal
-from .persistence import PHBarcode, PrimeBarcode
+from .persistence import KIND_PH, Barcode
 
 __all__ = [
     "InputError",
@@ -332,7 +332,7 @@ def _death_json(death: float | None):
     return "inf" if death is None else death
 
 
-def prime_barcode_to_dict(barcode: PrimeBarcode) -> dict:
+def prime_barcode_to_dict(barcode: Barcode) -> dict:
     intervals = [
         {"prime": list(mask_face(m)), "dim": None, "birth": b, "death": _death_json(d)}
         for m, b, d in barcode.bars
@@ -340,7 +340,7 @@ def prime_barcode_to_dict(barcode: PrimeBarcode) -> dict:
     return {"kind": barcode.kind, "intervals": intervals}
 
 
-def ph_barcode_to_dict(barcode: PHBarcode) -> dict:
+def ph_barcode_to_dict(barcode: Barcode) -> dict:
     intervals = [
         {"prime": None, "dim": dim, "birth": b, "death": _death_json(d)} for dim, b, d in barcode.bars
     ]
@@ -392,11 +392,11 @@ def _vertex_text(sep: str):
     return text
 
 
-def _labelled_bars(barcode: PrimeBarcode | PHBarcode, prime_label, dim_label):
+def _labelled_bars(barcode: Barcode, prime_label, dim_label):
     """``(label, birth, death)`` per bar, in the order of the barcode's
-    interval dicts: ``prime_label(mask)`` labels a prime bar and
-    ``dim_label(dim)``, once per dimension, a PH bar."""
-    if isinstance(barcode, PHBarcode):
+    interval dicts: ``dim_label(dim)``, once per dimension, labels the bars
+    of kind PH and ``prime_label(mask)`` those of any other kind."""
+    if barcode.kind == KIND_PH:
         labels = {dim: dim_label(dim) for dim in {bar[0] for bar in barcode.bars}}
         return ((labels[dim], birth, death) for dim, birth, death in barcode.bars)
     return ((prime_label(mask), birth, death) for mask, birth, death in barcode.bars)
@@ -412,10 +412,10 @@ def dumps_json(obj) -> str:
     and each string key is formatted once per call (zeros every time, as
     0.0 == -0.0 would merge their texts).
 
-    A :class:`PrimeBarcode` or :class:`PHBarcode`, anywhere in ``obj``, is
+    A :class:`~idealtda.persistence.Barcode`, anywhere in ``obj``, is
     written straight from its bars as the text of its interval dict,
-    :func:`prime_barcode_to_dict` or :func:`ph_barcode_to_dict`, which
-    stay the oracle of this writer.
+    :func:`ph_barcode_to_dict` for kind PH and :func:`prime_barcode_to_dict`
+    for any other kind, which stay the oracle of this writer.
     """
     floats: dict[float, str] = {}
     keys: dict[str, str] = {}  # key -> its quoted text and ": "
@@ -441,7 +441,7 @@ def dumps_json(obj) -> str:
                 return int.__repr__(o)
             if isinstance(o, float):
                 return _json_float(o)
-            if isinstance(o, (PrimeBarcode, PHBarcode)):
+            if isinstance(o, Barcode):
                 return barcode_text(o, pad)
             if not isinstance(o, (list, tuple, dict)):
                 raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -511,14 +511,15 @@ def _svg_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def barcodes_svg(barcodes: Sequence[PrimeBarcode | PHBarcode]) -> str:
+def barcodes_svg(barcodes: Sequence[Barcode]) -> str:
     """Static SVG rendering: one horizontal bar per interval, grouped by kind.
 
-    ``barcodes`` holds prime and PH barcodes, drawn from their bars in the
-    order of their interval dicts.  Infinite deaths are drawn to the right
-    margin with an arrow head.  Each bar is one string; a prime's vertices
-    are ints, so its label is written already escaped.  Every ``y`` is an
-    integer (30, then 24 per group and 20 per bar), written as ``{y}.0``.
+    ``barcodes`` holds :class:`~idealtda.persistence.Barcode` objects, prime
+    and PH alike, drawn from their bars in the order of their interval
+    dicts.  Infinite deaths are drawn to the right margin with an arrow
+    head.  Each bar is one string; a prime's vertices are ints, so its
+    label is written already escaped.  Every ``y`` is an integer (30, then
+    24 per group and 20 per bar), written as ``{y}.0``.
     """
     bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
     span = 520.0

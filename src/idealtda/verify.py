@@ -38,9 +38,7 @@ from .labelled import (
 from .linalg import GF2, QQ, Polynomial, bareiss_rank
 from .monomials import AtomTable, FactoredElement, LinearPrime, _antichain_min, minimal_primes_squarefree
 from .persistence import (
-    JumpWitness,
-    PrimeBarcode,
-    PrimeInterval,
+    Bar,
     _sorted_bars,
     betti_profile,
     classical_betti,
@@ -92,10 +90,11 @@ def intervals_from_runs(
     ass_per_step: Sequence[frozenset[LinearPrime]],
     params: Sequence[float],
     kind: str,
-) -> tuple[PrimeInterval, ...]:
-    """Bars of the runs of steps at which each prime is associated, sorted
-    like ``prime_barcode``'s, for any monotone square-free ideal family;
-    raises NoResurrectionError when a prime's steps are not one run."""
+) -> tuple[Bar, ...]:
+    """``(mask, birth, death)`` bars of the runs of steps at which each
+    prime is associated, sorted like the bars of ``prime_barcode``, for any
+    monotone square-free ideal family; raises NoResurrectionError when a
+    prime's steps are not one run."""
     present: dict[LinearPrime, list[int]] = {}
     for i, ass in enumerate(ass_per_step):
         for p in ass:
@@ -110,10 +109,10 @@ def intervals_from_runs(
         last = idxs[-1]
         death = None if last == len(params) - 1 else params[last + 1]
         bars.append((prime.mask, birth, death))
-    return PrimeBarcode(kind, _sorted_bars(bars), tuple(params)).intervals
+    return _sorted_bars(bars)
 
 
-def witness_per_step(f: Filtration, i: int) -> JumpWitness | None:
+def witness_per_step(f: Filtration, i: int) -> LinearPrime | None:
     """The witness of ``persistence.witness_between_steps`` the long way:
     the first prime, in (|W|, lex) order, of the symmetric difference of
     the associated sets of the step complexes i-1 and i."""
@@ -121,9 +120,7 @@ def witness_per_step(f: Filtration, i: int) -> JumpWitness | None:
         raise ValueError(f"step index {i} out of range")
     K_lo, K_hi = f.complex_at(f.params[i - 1]), f.complex_at(f.params[i])
     changed = sr_associated_primes(K_lo) ^ sr_associated_primes(K_hi)
-    if changed:
-        return JumpWitness(min(changed, key=LinearPrime.sort_key), "associated")
-    return None
+    return min(changed, key=LinearPrime.sort_key, default=None)
 
 
 def minimal_transversals_exhaustive(supports: Sequence[int], n: int) -> list[int]:
@@ -242,7 +239,7 @@ def suite_prime_interval_uniqueness(rng: random.Random, trials: int, nmax: int =
             except NoResurrectionError as exc:
                 res.note(f"trial {t}: {exc}")
                 continue
-            if prime_barcode(f, kind).intervals != runs:
+            if prime_barcode(f, kind).bars != runs:
                 res.note(f"trial {t}: {kind} closed-form bars differ from the per-step runs")
     return res
 

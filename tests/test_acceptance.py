@@ -42,7 +42,7 @@ def test_01_three_point_cloud_prime_deaths(three_point_dist):
     start = time.perf_counter()
     f = vr_filtration(three_point_dist, max_dim=2)
     sr = prime_barcode(f, "SR")
-    dying = {iv.prime: iv.death for iv in sr.intervals if iv.death is not None}
+    dying = {LinearPrime(m): d for m, _, d in sr.bars if d is not None}
     primes_at_root2 = {p for p, d in dying.items() if abs(d - ROOT2) <= 1e-12}
     ph = ph_barcode(f)
     ph_hits_root2 = any(abs(e - ROOT2) <= 1e-12 for e in ph.finite_endpoints())

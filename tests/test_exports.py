@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -63,3 +64,17 @@ def test_oracle_routes_left_the_production_modules():
         assert name.lstrip("_") in verify.__all__
     for fn in (persistence.prime_barcode, persistence.step_associated_primes):
         assert list(inspect.signature(fn).parameters) == ["f", "kind"], fn.__name__
+
+
+def test_one_barcode_type():
+    from idealtda import persistence
+    from idealtda.complexes import vr_filtration
+
+    for module in (idealtda, persistence):
+        for name in ("PrimeInterval", "PrimeBarcode", "PHBarcode", "JumpWitness"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    f = vr_filtration([[0.0, 1.0], [1.0, 0.0]])
+    for bc in (persistence.prime_barcode(f, "SR"), persistence.prime_barcode(f, "EDGE"), persistence.ph_barcode(f)):
+        assert type(bc) is idealtda.Barcode
+    assert tuple(fld.name for fld in dataclasses.fields(idealtda.Barcode)) == ("kind", "bars")
+    assert tuple(fld.name for fld in dataclasses.fields(idealtda.BettiProfile)) == ("params", "betti", "reduced")

@@ -14,8 +14,7 @@ from idealtda.ideals import sr_associated_primes
 from idealtda.linalg import GF2, QQ, PrimeField, _boundary_columns, _reduce_columns
 from idealtda.monomials import LinearPrime, minimal_primes_squarefree
 from idealtda.persistence import (
-    PrimeBarcode,
-    PrimeInterval,
+    Barcode,
     betti_numbers,
     betti_profile,
     coverage_report,
@@ -39,37 +38,33 @@ def three_point_filtration(three_point_dist):
 
 def test_sr_prime_barcode_three_points(three_point_filtration):
     bc = prime_barcode(three_point_filtration, "SR")
-    by_prime = {iv.prime: iv for iv in bc.intervals}
-    assert by_prime[LinearPrime.of((2,))].birth == 1.0
-    assert by_prime[LinearPrime.of((2,))].death == ROOT2
-    assert by_prime[LinearPrime.of((3,))].death == ROOT2
+    by_prime = {LinearPrime(m): (b, d) for m, b, d in bc.bars}
+    assert by_prime[LinearPrime.of((2,))] == (1.0, ROOT2)
+    assert by_prime[LinearPrime.of((3,))][1] == ROOT2
     # the three vertex-epoch primes die when the first edges arrive
     for pair in [(1, 2), (1, 3), (2, 3)]:
-        assert by_prime[LinearPrime.of(pair)].birth == 0.0
-        assert by_prime[LinearPrime.of(pair)].death == 1.0
-    # full-simplex epoch is emitted and flagged
-    zero = by_prime[LinearPrime.of(())]
-    assert zero.birth == ROOT2 and zero.death is None
-    assert zero.is_zero_ideal_epoch
+        assert by_prime[LinearPrime.of(pair)] == (0.0, 1.0)
+    # the full-simplex epoch is emitted as the zero prime's bar
+    assert by_prime[LinearPrime.of(())] == (ROOT2, None)
+    assert (0, ROOT2, None) in bc.bars
     # exactly those two primes die at sqrt(2)
-    dying = {iv.prime for iv in bc.intervals if iv.death == ROOT2}
+    dying = {LinearPrime(m) for m, _, d in bc.bars if d == ROOT2}
     assert dying == {LinearPrime.of((2,)), LinearPrime.of((3,))}
 
 
 def test_edge_prime_barcode_three_points(three_point_filtration):
     bc = prime_barcode(three_point_filtration, "EDGE")
-    by_prime = {iv.prime: iv for iv in bc.intervals}
-    assert by_prime[LinearPrime.of(())].death == 1.0  # edgeless epoch
-    assert by_prime[LinearPrime.of((1,))].birth == 1.0
-    assert by_prime[LinearPrime.of((1,))].death == ROOT2
-    assert by_prime[LinearPrime.of((2, 3))].death is None
+    by_prime = {LinearPrime(m): (b, d) for m, b, d in bc.bars}
+    assert by_prime[LinearPrime.of(())][1] == 1.0  # edgeless epoch
+    assert by_prime[LinearPrime.of((1,))] == (1.0, ROOT2)
+    assert by_prime[LinearPrime.of((2, 3))][1] is None
 
 
 def test_single_step_barcode_is_all_infinite(demo_clique_complex):
     f = Filtration.single(demo_clique_complex, t=0.25)
     bc = prime_barcode(f, "SR")
-    assert {iv.prime for iv in bc.intervals} == sr_associated_primes(demo_clique_complex)
-    assert all(iv.birth == 0.25 and iv.death is None for iv in bc.intervals)
+    assert {LinearPrime(m) for m, _, _ in bc.bars} == sr_associated_primes(demo_clique_complex)
+    assert all(b == 0.25 and d is None for _, b, d in bc.bars)
 
 
 def test_prime_barcode_invariants_on_random_filtrations():
@@ -79,10 +74,10 @@ def test_prime_barcode_invariants_on_random_filtrations():
         f = vr_filtration(random_metric(rng, n))
         for kind in ("SR", "EDGE"):
             bc = prime_barcode(f, kind)
-            for iv in bc.intervals:
-                assert iv.death is None or iv.birth < iv.death
+            for _, b, d in bc.bars:
+                assert d is None or b < d
             # exactly one interval per prime
-            primes = [iv.prime for iv in bc.intervals]
+            primes = [m for m, _, _ in bc.bars]
             assert len(primes) == len(set(primes))
 
 
@@ -99,7 +94,7 @@ def test_step_associated_primes_matches_transversal_oracle():
 def _assert_closed_forms_match_per_step_route(f):
     for kind in ("SR", "EDGE"):
         oracle = intervals_from_runs(step_associated_primes(f, kind), f.params, kind)
-        assert prime_barcode(f, kind).intervals == oracle, kind
+        assert prime_barcode(f, kind).bars == oracle, kind
 
 
 def test_closed_form_barcodes_match_per_step_route_on_vr():
@@ -156,10 +151,10 @@ def test_closed_form_barcodes_on_empty_complexes():
         f = Filtration.single(SimplicialComplex(n, frozenset()), t=0.5)
         _assert_closed_forms_match_per_step_route(f)
         for kind in ("SR", "EDGE"):
-            (iv,) = prime_barcode(f, kind).intervals
-            assert (iv.birth, iv.death) == (0.5, None)
-        assert prime_barcode(f, "SR").intervals[0].prime == LinearPrime.of(tuple(range(1, n + 1)))
-        assert prime_barcode(f, "EDGE").intervals[0].prime == LinearPrime.of(())
+            ((_, b, d),) = prime_barcode(f, kind).bars
+            assert (b, d) == (0.5, None)
+        assert prime_barcode(f, "SR").bars[0][0] == LinearPrime.of(tuple(range(1, n + 1))).mask
+        assert prime_barcode(f, "EDGE").bars[0][0] == LinearPrime.of(()).mask
 
 
 def test_prime_barcode_final_step_assertion(three_point_filtration, monkeypatch):
@@ -174,7 +169,7 @@ def test_custom_ideal_family_recipe(three_point_filtration):
     # read off the runs; on the face ideals they are the SR closed form
     f = three_point_filtration
     runs = [frozenset(sr_associated_primes(K)) for _, K in f.steps]
-    assert intervals_from_runs(runs, f.params, "SR") == prime_barcode(f, "SR").intervals
+    assert intervals_from_runs(runs, f.params, "SR") == prime_barcode(f, "SR").bars
 
 
 def test_no_resurrection_error_raised_on_corrupt_runs():
@@ -432,9 +427,7 @@ def test_betti_profile_matches_rank_route(reduced, field, top):
 
 def test_jump_witness_three_points(three_point_filtration):
     w = jump_witness(three_point_filtration, 0, 1.0)
-    assert w is not None
-    assert w.level == "associated"
-    assert w.prime == LinearPrime.of((2,))
+    assert w == LinearPrime.of((2,))
     # witness at a non-critical interior parameter: nothing changes
     assert jump_witness(three_point_filtration, 0, 0.5) is None
 
@@ -593,7 +586,7 @@ def test_coverage_report_random_and_violation_detection():
 def _endpoint_barcode(endpoints):
     # a barcode whose finite endpoints are exactly the given values
     bars = tuple((LinearPrime.of((1,)).mask, e, None) for e in endpoints)
-    return PrimeBarcode("SR", bars, tuple(sorted(set(endpoints))))
+    return Barcode("SR", bars)
 
 
 def test_coverage_report_tolerance_boundary():
@@ -632,16 +625,17 @@ def test_coverage_report_matches_scan_of_all_endpoints():
         assert rep.violations == want
 
 
-def test_prime_interval_alive_at():
-    iv = PrimeInterval(LinearPrime.of((1,)), 1.0, 2.0, "SR")
-    assert iv.alive_at(1.0) and iv.alive_at(1.5)
-    assert not iv.alive_at(2.0) and not iv.alive_at(0.5)
-    forever = PrimeInterval(LinearPrime.of((1,)), 1.0, None, "SR")
-    assert forever.alive_at(100.0)
+def test_barcode_count_at():
+    # a bar is alive on [birth, death), and forever when death is None
+    one, two = LinearPrime.of((1,)).mask, LinearPrime.of((2,)).mask
+    bc = Barcode("SR", ((one, 1.0, 2.0), (two, 1.0, None)))
+    assert [bc.count_at(t, one) for t in (0.5, 1.0, 1.5, 2.0)] == [0, 1, 1, 0]
+    assert [bc.count_at(t, two) for t in (0.5, 1.0, 100.0)] == [0, 1, 1]
+    assert bc.count_at(1.5, LinearPrime.of((3,)).mask) == 0
 
 
 def _linear_prime_order(bars):
-    # the order of the PrimeInterval sort key before bars were tuples
+    # (birth, finite deaths first, death, prime), primes by LinearPrime.sort_key
     return sorted(
         bars, key=lambda bar: (bar[1], bar[2] is None, bar[2] if bar[2] is not None else 0.0, LinearPrime(bar[0]).sort_key())
     )
@@ -667,16 +661,12 @@ def test_bar_order_is_the_linear_prime_order():
         assert persistence._sorted_bars(same) == tuple(sorted(same, key=lambda bar: LinearPrime(bar[0]).sort_key()))
 
 
-def test_intervals_are_the_bars_as_objects():
+def test_finite_endpoints_scan_the_bars():
     rng = random.Random(20)
     for _ in range(20):
         f = vr_filtration(random_metric(rng, rng.randint(1, 7)), rng.choice((None, 1, 2)))
-        for kind in ("SR", "EDGE"):
-            bc = prime_barcode(f, kind)
-            rebuilt = tuple(PrimeInterval(LinearPrime(m), b, d, kind) for m, b, d in bc.bars)
-            assert bc.intervals == rebuilt
-            assert bc.primes() == frozenset(iv.prime for iv in rebuilt)
-            assert bc.finite_endpoints() == [t for iv in rebuilt for t in (iv.birth, iv.death) if t is not None]
+        for bc in (prime_barcode(f, "SR"), prime_barcode(f, "EDGE"), ph_barcode(f)):
+            assert bc.finite_endpoints() == [t for _, b, d in bc.bars for t in (b, d) if t is not None]
 
 
 def _disjoint_edges(k: int) -> Filtration:

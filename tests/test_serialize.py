@@ -11,7 +11,7 @@ import pytest
 
 from idealtda.complexes import vr_filtration
 from idealtda.monomials import AtomTable, FactoredElement, MonomialIdeal
-from idealtda.persistence import PHBarcode, PrimeBarcode, ph_barcode, prime_barcode
+from idealtda.persistence import KIND_PH, Barcode, ph_barcode, prime_barcode
 from idealtda.serialize import (
     MAX_EXPONENT,
     MAX_N,
@@ -394,7 +394,7 @@ def _svg_oracle(groups) -> str:
 
 
 def _to_dict(barcode) -> dict:
-    return ph_barcode_to_dict(barcode) if isinstance(barcode, PHBarcode) else prime_barcode_to_dict(barcode)
+    return ph_barcode_to_dict(barcode) if barcode.kind == KIND_PH else prime_barcode_to_dict(barcode)
 
 
 def _assert_writers_match_their_oracles(barcodes) -> None:
@@ -420,7 +420,7 @@ def test_barcode_writers_match_their_oracles_on_seeded_filtrations():
                     sr,
                     prime_barcode(f, "EDGE"),
                     ph_barcode(f),
-                    PrimeBarcode("<other & kind>", sr.bars[:2], sr.params),
+                    Barcode("<other & kind>", sr.bars[:2]),
                 ]
                 _assert_writers_match_their_oracles(barcodes)
                 bars = [iv for bc in barcodes for iv in _to_dict(bc)["intervals"]]
@@ -441,11 +441,11 @@ def _repeated_value_barcodes(rng: random.Random, values, masks) -> list:
         return rng.choice(values + [None])
 
     primes = [
-        PrimeBarcode(kind, tuple((rng.choice(masks), pick(), death()) for _ in range(rng.randrange(12))), ())
+        Barcode(kind, tuple((rng.choice(masks), pick(), death()) for _ in range(rng.randrange(12))))
         for kind in ("SR", "EDGE")
     ]
     dims = sorted(rng.sample(range(4), rng.randrange(4)))
-    ph = PHBarcode(tuple((k, pick(), death()) for k in dims for _ in range(rng.randrange(1, 6))), "GF(2)")
+    ph = Barcode("PH", tuple((k, pick(), death()) for k in dims for _ in range(rng.randrange(1, 6))))
     return primes + [ph]
 
 
@@ -474,14 +474,14 @@ def test_writers_read_vertices_on_both_sides_of_each_byte_boundary():
     for _ in range(30):
         _assert_writers_match_their_oracles(_repeated_value_barcodes(rng, values, masks))
     bars = tuple((m, 0.5, None) for m in masks)
-    _assert_writers_match_their_oracles([PrimeBarcode("SR", bars, (0.5,)), PHBarcode((), "GF(2)")])
-    full = dumps_json(PrimeBarcode("EDGE", (((1 << MAX_N) - 1, 0.0, 1.0),), (0.0,)))
+    _assert_writers_match_their_oracles([Barcode("SR", bars), Barcode("PH", ())])
+    full = dumps_json(Barcode("EDGE", (((1 << MAX_N) - 1, 0.0, 1.0),)))
     assert '"prime": [\n' + ",\n".join(f"{' ' * 8}{v}" for v in range(1, MAX_N + 1)) + "\n      ]" in full
 
 
 def test_writers_refuse_what_the_dict_route_refuses():
     for bars in (((1, math.nan, None),), ((1, 0.5, math.inf),), ((1, Fraction(1, 2), None),), ((-1, 0.5, None),)):
-        bc = PrimeBarcode("SR", bars, ())
+        bc = Barcode("SR", bars)
         for obj in (bc, [bc]):
             with pytest.raises((ValueError, TypeError)) as want:
                 dumps_json(_to_dict(bc) if obj is bc else [_to_dict(bc)])
