@@ -275,10 +275,10 @@ def cmd_labelled(args) -> int:
             "window": [list(f) for f in sl.subcomplex.faces()],
             "bases": {
                 str(k): [[list(face), str(cof)] for face, cof in basis]
-                for k, basis in sl.bases
+                for k, basis in sl.bases.items()
             },
             "matrices": {
-                str(k): [[str(e) for e in row] for row in mat] for k, mat in sl.matrices
+                str(k): [[str(e) for e in row] for row in mat] for k, mat in sl.matrices.items()
             },
             "iso": slice_iso_check(sl),
             "betti": {str(k): v for k, v in sorted(got.items())},

@@ -15,8 +15,10 @@ m_sigma / m_tau) and built once per labelled complex.  The chain and
 diagonal checks are exponent arithmetic on those entries (atoms treated
 as independent symbols, which is exact for these formal identities);
 evaluation, fraction-field ranks and graded slices densify the same
-columns.  An entry, like a label, is written by ``linalg.power_product``
-and evaluated by ``linalg.power_value``, the one writer and the one
+columns into the one dense chain record, :class:`EvaluatedChain` (a
+:class:`GradedSlice` is one, with its subcomplex and bases added).  An
+entry, like a label, is written by ``linalg.power_product`` and
+evaluated by ``linalg.power_value``, the one writer and the one
 evaluator of an atom monomial; ``_vanishing_vertices`` is the one scan
 for the vertex labels that vanish at a point, read by
 :func:`evaluate_chain` and by the window of :func:`local_subcomplex`.
@@ -24,9 +26,10 @@ for the vertex labels that vanish at a point, read by
 The entries make each boundary a diagonal similarity of the classical
 one: D_k = L_{k-1}^{-1} d_k L_k, with L_j the diagonal of the j-face
 labels.  So the fraction-field rank is the rank of D_k evaluated at any
-point where no vertex label vanishes; it is read off one such integer
-point, found variable by variable, by fraction-free elimination.  No
-rank is probabilistic and no entry is expanded into a polynomial.
+point where no vertex label vanishes; it is read off the chain evaluated
+at one such integer point, found variable by variable, by fraction-free
+elimination.  No rank is probabilistic and no entry is expanded into a
+polynomial.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "chain_condition_check",
     "diag_relation_check",
     "evaluate_chain",
-    "evaluation_ranks",
     "admissible_point",
     "fraction_field_ranks",
     "classical_boundary_ranks",
@@ -299,9 +301,14 @@ def _vanishing_vertices(LC: LabelledComplex, vertices: Iterable[int], values: Se
     return [v for v in vertices if not _to_field(field, power_value(values, labels[v - 1].exps))]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvaluatedChain:
-    """Field matrices of a labelled chain complex at an evaluation point."""
+    """Dense field matrices of a chain complex: the one dense chain record.
+
+    ``ncells[k]`` counts the k-cells and ``matrices[k]`` is the boundary
+    out of them, rows the (k-1)-cells; :func:`evaluate_chain` makes one at
+    a point and :func:`graded_slice` one over QQ with entries in {0, +-1}.
+    """
 
     field: object
     ncells: dict[int, int]
@@ -338,13 +345,6 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
     return EvaluatedChain(field, ncells, matrices)
 
 
-def evaluation_ranks(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> dict[int, int]:
-    """Exact ranks over ``field`` of the boundary matrices evaluated at an
-    admissible point: each is a diagonal similarity of the classical
-    boundary, so they are its ranks."""
-    return evaluate_chain(LC, point, field).ranks()
-
-
 def admissible_point(LC: LabelledComplex) -> EvaluationPoint:
     """The admissible integer point that :func:`fraction_field_ranks` uses.
 
@@ -375,18 +375,13 @@ def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     with L_j the diagonal of the j-face labels and d_k the classical
     boundary.  At a point a where no vertex label vanishes, D_k(a) is the
     same similarity over Q, so rank_Q D_k(a) is the fraction-field rank,
-    exactly and for every such a.  The point is :func:`admissible_point`;
-    its matrices are ranked by fraction-free elimination on ints, each row
-    scaled by the lcm of its denominators where an atom value is not an
-    integer.
+    exactly and for every such a.  The matrices are those of
+    :func:`evaluate_chain` at :func:`admissible_point`, ranked by
+    fraction-free elimination on ints, each row scaled by the lcm of its
+    denominators where an atom value is not an integer.
     """
-    values = admissible_point(LC).atom_values(LC.table)
-
-    @cache
-    def entry(sign: int, exps: tuple[int, ...]):
-        return QQ.from_fraction(sign * power_value(values, exps))
-
-    return {cm.k: bareiss_rank(_integral_rows(cm.dense(entry, 0))) for cm in boundary_matrices(LC).matrices}
+    ev = evaluate_chain(LC, admissible_point(LC))
+    return {k: bareiss_rank(_integral_rows(m)) for k, m in ev.matrices.items()}
 
 
 def local_subcomplex(
@@ -419,35 +414,18 @@ def local_subcomplex(
 
 
 @dataclass(frozen=True)
-class GradedSlice:
+class GradedSlice(EvaluatedChain):
     """Degree-alpha homogeneous part of a reduced labelled chain complex.
 
-    The slice basis in dimension k is {(m_alpha / m_sigma) sigma} over the
-    faces of the divisibility subcomplex; its boundary matrices have int
-    entries in {0, +-1} and agree with the classical reduced matrices of
-    that subcomplex.
+    An :class:`EvaluatedChain` over QQ whose k-cells are the basis
+    {(m_alpha / m_sigma) sigma} over the k-faces of the divisibility
+    subcomplex: ``bases[k]`` lists them as (face, cofactor) pairs, and the
+    boundary matrices have int entries in {0, +-1} and agree with the
+    classical reduced matrices of that subcomplex.
     """
 
-    alpha: tuple[int, ...]
-    m_alpha: FactoredElement
     subcomplex: SimplicialComplex
-    bases: tuple[tuple[int, tuple[tuple[Face, FactoredElement], ...]], ...]
-    matrices: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
-
-    @cached_property
-    def basis_map(self) -> dict[int, tuple[tuple[Face, FactoredElement], ...]]:
-        return dict(self.bases)
-
-    @cached_property
-    def matrix_map(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        return dict(self.matrices)
-
-    def betti(self) -> dict[int, int]:
-        ranks = {
-            k: rank_dense([list(r) for r in mat], QQ) if mat else 0
-            for k, mat in self.matrix_map.items()
-        }
-        return betti_from_ranks({k: len(basis) for k, basis in self.bases}, ranks)
+    bases: dict[int, tuple[tuple[Face, FactoredElement], ...]]
 
 
 def _slice_degree(LC: LabelledComplex, alpha: Sequence[int]) -> FactoredElement:
@@ -475,15 +453,13 @@ def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
         v for v in range(1, LC.complex.n + 1) if LC.vertex_labels[v - 1].divides(m_alpha)
     )
     labels = window.face_labels
-    bases = []
+    bases = {}
     for k in window.dims():
         masks = [0] if k == -1 else window.complex.masks_of_dim(k)
-        bases.append((k, tuple((mask_face(m), m_alpha.over(labels[m])) for m in masks)))
-    matrices = tuple(
-        (cm.k, tuple(map(tuple, cm.dense(lambda s, e: s, 0))))
-        for cm in boundary_matrices(window).matrices
-    )
-    return GradedSlice(tuple(alpha), m_alpha, window.complex, tuple(bases), matrices)
+        bases[k] = tuple((mask_face(m), m_alpha.over(labels[m])) for m in masks)
+    ncells = {k: len(basis) for k, basis in bases.items()}
+    matrices = {cm.k: cm.dense(lambda s, e: s, 0) for cm in boundary_matrices(window).matrices}
+    return GradedSlice(QQ, ncells, matrices, window.complex, bases)
 
 
 def slice_iso_check(sl: GradedSlice) -> bool:
@@ -491,15 +467,10 @@ def slice_iso_check(sl: GradedSlice) -> bool:
     complex of its divisibility subcomplex, dimension by dimension, on the
     nose."""
     sub = sl.subcomplex
-    for k, basis in sl.bases:
-        if k == -1:
-            if [f for f, _ in basis] != [()]:
-                return False
-            continue
-        if [f for f, _ in basis] != sub.faces_of_dim(k):
+    for k, basis in sl.bases.items():
+        if [f for f, _ in basis] != ([()] if k == -1 else sub.faces_of_dim(k)):
             return False
     for k in range(sub.max_dim + 1):
-        got = sl.matrix_map.get(k)
-        if got is None or [list(r) for r in got] != _boundary_dense(sub, k, QQ, True):
+        if sl.matrices.get(k) != _boundary_dense(sub, k, QQ, True):
             return False
     return True

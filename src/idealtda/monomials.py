@@ -271,12 +271,6 @@ class MonomialIdeal:
     def minimal_basis(self) -> "MonomialIdeal":
         return MonomialIdeal(self.table, minimal_basis(self.generators))
 
-    def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal(self.table, radical_generators(self.generators))
-
-    def contains(self, m: FactoredElement) -> bool:
-        return membership(m, self)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "<0>"

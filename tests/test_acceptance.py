@@ -111,10 +111,10 @@ def test_06_worked_example_matrix_fixtures(worked_labelled):
     ]
     d2_ok = [row[0] for row in bm.matrix(2).render(names)] == ["-x4", "x3", "-x1", "0"]
     sl = graded_slice(worked_labelled, (0, 1, 1, 1))
-    mats = sl.matrix_map
+    mats = sl.matrices
     slice_ok = (
-        [list(r) for r in mats[1]] == [[1], [-1], [0]]
-        and [list(r) for r in mats[0]] == [[-1, -1, -1]]
+        mats[1] == [[1], [-1], [0]]
+        and mats[0] == [[-1, -1, -1]]
         and slice_iso_check(graded_slice(worked_labelled, (0, 1, 1, 1)))
     )
     elapsed = time.perf_counter() - start

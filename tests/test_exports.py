@@ -78,3 +78,15 @@ def test_one_barcode_type():
         assert type(bc) is idealtda.Barcode
     assert tuple(fld.name for fld in dataclasses.fields(idealtda.Barcode)) == ("kind", "bars")
     assert tuple(fld.name for fld in dataclasses.fields(idealtda.BettiProfile)) == ("params", "betti", "reduced")
+
+
+def test_one_dense_chain_record():
+    from idealtda import labelled
+    from idealtda.monomials import MonomialIdeal
+
+    assert issubclass(labelled.GradedSlice, labelled.EvaluatedChain)
+    fields = tuple(fld.name for fld in dataclasses.fields(labelled.GradedSlice))
+    assert fields == ("field", "ncells", "matrices", "subcomplex", "bases")
+    assert not hasattr(labelled, "evaluation_ranks")
+    for name in ("contains", "radical"):
+        assert not hasattr(MonomialIdeal, name), f"MonomialIdeal.{name}"

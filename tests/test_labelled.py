@@ -20,7 +20,6 @@ from idealtda.labelled import (
     classical_boundary_ranks,
     diag_relation_check,
     evaluate_chain,
-    evaluation_ranks,
     fraction_field_ranks,
     graded_slice,
     local_subcomplex,
@@ -230,7 +229,7 @@ def test_fraction_field_ranks_random_and_probe():
         point = EvaluationPoint.of(
             {v: rng.randint(1, probe_field.p - 1) for v in LC.table.variables}
         )
-        assert evaluation_ranks(LC, point, probe_field) == ff
+        assert evaluate_chain(LC, point, probe_field).ranks() == ff
 
 
 def _composite_table() -> AtomTable:
@@ -386,9 +385,8 @@ def test_local_subcomplex_atom_form(worked_labelled):
 
 def test_graded_slice_worked(worked_labelled):
     sl = graded_slice(worked_labelled, (0, 1, 1, 1))
-    assert str(sl.m_alpha) == "x2*x3*x4"
     assert set(sl.subcomplex.faces()) == {(2,), (3,), (4,), (2, 3)}
-    bases = sl.basis_map
+    bases = sl.bases
     assert [f for f, _ in bases[-1]] == [()]
     assert str(bases[-1][0][1]) == "x2*x3*x4"
     assert [(f, str(c)) for f, c in bases[0]] == [
@@ -397,9 +395,9 @@ def test_graded_slice_worked(worked_labelled):
         ((4,), "x2"),
     ]
     assert [(f, str(c)) for f, c in bases[1]] == [((2, 3), "1")]
-    mats = sl.matrix_map
-    assert [list(r) for r in mats[1]] == [[1], [-1], [0]]
-    assert [list(r) for r in mats[0]] == [[-1, -1, -1]]
+    mats = sl.matrices
+    assert mats[1] == [[1], [-1], [0]]
+    assert mats[0] == [[-1, -1, -1]]
     assert slice_iso_check(graded_slice(worked_labelled, (0, 1, 1, 1)))
     assert sl.betti() == {-1: 0, 0: 1, 1: 0}
 
@@ -407,7 +405,7 @@ def test_graded_slice_worked(worked_labelled):
 def test_graded_slice_zero_degree(worked_labelled):
     sl = graded_slice(worked_labelled, (0, 0, 0, 0))
     assert sl.subcomplex.is_empty
-    assert sl.basis_map == {-1: (((), FactoredElement.unit(worked_labelled.table)),)}
+    assert sl.bases == {-1: (((), FactoredElement.unit(worked_labelled.table)),)}
     assert sl.betti() == {-1: 1}
     assert slice_iso_check(graded_slice(worked_labelled, (0, 0, 0, 0)))
 
@@ -678,7 +676,7 @@ def test_integral_points_keep_q_values_ints(poly_labelled, worked_labelled):
         assert ev.betti() == classical_betti(LC.complex, QQ, reduced=reduced)
     for alpha in ((1, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 1)):
         sl = graded_slice(worked_labelled, alpha)
-        assert all(type(v) is int for v in _entries(mat for _, mat in sl.matrices))
+        assert all(type(v) is int for v in _entries(sl.matrices.values()))
         assert slice_iso_check(sl)
 
 
