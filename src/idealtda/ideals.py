@@ -36,17 +36,13 @@ __all__ = [
 ]
 
 
-def _variable_table(n: int) -> AtomTable:
-    return AtomTable.for_variables(n)
-
-
 def stanley_reisner(K: SimplicialComplex) -> MonomialIdeal:
     """Face ideal of K: generated by the monomials of its minimal non-faces.
 
     The minimal non-faces already form the minimal basis; a simplex over
     the full vertex set yields the zero ideal.
     """
-    table = _variable_table(K.n)
+    table = AtomTable.for_variables(K.n)
     gens = [FactoredElement.from_support(table, f) for f in minimal_nonfaces(K)]
     return MonomialIdeal.from_generators(table, gens)
 
@@ -54,7 +50,7 @@ def stanley_reisner(K: SimplicialComplex) -> MonomialIdeal:
 def edge_ideal(obj: SimplicialComplex | Graph) -> MonomialIdeal:
     """Ideal generated by x_i*x_j over the edges (1-faces) of the input."""
     g = obj if isinstance(obj, Graph) else one_skeleton(obj)
-    table = _variable_table(g.n)
+    table = AtomTable.for_variables(g.n)
     gens = [FactoredElement.from_support(table, e) for e in g.edges]
     return MonomialIdeal.from_generators(table, gens)
 

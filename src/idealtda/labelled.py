@@ -27,9 +27,9 @@ The entries make each boundary a diagonal similarity of the classical
 one: D_k = L_{k-1}^{-1} d_k L_k, with L_j the diagonal of the j-face
 labels.  So the fraction-field rank is the rank of D_k evaluated at any
 point where no vertex label vanishes; it is read off the chain evaluated
-at one such integer point, found variable by variable, by fraction-free
-elimination.  No rank is probabilistic and no entry is expanded into a
-polynomial.
+at one such integer point, found variable by variable over the composite
+atoms' expansions alone, by fraction-free elimination.  No rank is
+probabilistic and no entry or variable atom is expanded into a polynomial.
 """
 
 from __future__ import annotations
@@ -278,13 +278,15 @@ class EvaluationPoint:
         return dict(self.coords)
 
     def atom_values(self, table: AtomTable) -> list[int | Fraction]:
-        """The value of each atom, an int when it is integral."""
+        """The value of each atom, an int when it is integral: a variable
+        takes its coordinate and a composite atom evaluates its expansion."""
         coords = self.coord_map
         missing = [v for v in table.variables if v not in coords]
         if missing:
             raise ValueError(f"missing coordinates for variables: {', '.join(missing)}")
         var_values = [coords[v] for v in table.variables]
-        return [QQ.from_fraction(poly.evaluate(var_values)) for poly in table.atom_polynomials()]
+        values = coords | {name: poly.evaluate(var_values) for name, poly in table.expansions}
+        return [QQ.from_fraction(values[a]) for a in table.atoms]
 
 
 def _to_field(field, q: Fraction):
@@ -349,17 +351,19 @@ def admissible_point(LC: LabelledComplex) -> EvaluationPoint:
     """The admissible integer point that :func:`fraction_field_ranks` uses.
 
     Coordinates are fixed one variable at a time, in table order: each is
-    the smallest positive integer that keeps every atom used by a vertex
-    label of the complex a nonzero polynomial in the remaining variables.
-    Setting x = a zeroes a nonzero f exactly when (x - a) divides f, so a
-    variable needs at most (the sum of those atoms' degrees in it) + 1
-    tries.  The all-ones point comes out whenever it is admissible.
+    the smallest positive integer that keeps the expansion of every composite
+    atom used by a vertex label of the complex a nonzero polynomial in the
+    remaining variables.  Only those expansions are searched, as a variable
+    atom is nonzero at any positive coordinate.  Setting x = a zeroes a
+    nonzero f exactly when (x - a) divides f, so a variable needs at most
+    (the sum of those expansions' degrees in it) + 1 tries.  The all-ones
+    point comes out whenever it is admissible.
     """
-    polys = LC.table.atom_polynomials()
-    used = {i for v in LC.complex.vertices() for i in LC.vertex_labels[v - 1].support()}
-    atoms = [polys[i - 1] for i in sorted(used)]
+    table = LC.table
+    used = {table.atoms[i - 1] for v in LC.complex.vertices() for i in LC.vertex_labels[v - 1].support()}
+    atoms = [poly for name, poly in table.expansion_map.items() if name in used]
     coords = {}
-    for x, name in enumerate(LC.table.variables):
+    for x, name in enumerate(table.variables):
         a = 1
         while not all(f.specialize(x, a) for f in atoms):
             a += 1

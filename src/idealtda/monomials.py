@@ -83,19 +83,6 @@ class AtomTable:
     def index(self, atom: str) -> int:
         return self.atoms.index(atom)
 
-    def atom_polynomials(self) -> list[Polynomial]:
-        """Each atom as a Polynomial over the variable atoms."""
-        variables = self.variables
-        var_index = {a: i for i, a in enumerate(variables)}
-        expansion = self.expansion_map
-        out = []
-        for a in self.atoms:
-            if a in expansion:
-                out.append(expansion[a])
-            else:
-                out.append(Polynomial.variable(len(variables), var_index[a]))
-        return out
-
 
 @dataclass(frozen=True)
 class FactoredElement:

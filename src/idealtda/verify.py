@@ -61,6 +61,7 @@ __all__ = [
     "random_metric",
     "random_monomial_labelled",
     "random_admissible_point",
+    "atom_polynomials",
     "polynomial_ranks",
     "suite_clique_complement_identity",
     "suite_prime_interval_uniqueness",
@@ -288,11 +289,20 @@ def suite_evaluation_equivalence(
     return res
 
 
+def atom_polynomials(table: AtomTable) -> list[Polynomial]:
+    """Each atom as a Polynomial over the variable atoms: a variable is
+    itself and a composite atom is its expansion."""
+    variables = table.variables
+    polys = {a: Polynomial.variable(len(variables), i) for i, a in enumerate(variables)}
+    polys.update(table.expansions)
+    return [polys[a] for a in table.atoms]
+
+
 def polynomial_ranks(LC: LabelledComplex) -> dict[int, int]:
     """Fraction-field ranks the long way: composite atoms are substituted
     by their expansions and each boundary is ranked by fraction-free
     elimination over the polynomial ring."""
-    atoms = LC.table.atom_polynomials()
+    atoms = atom_polynomials(LC.table)
     nvars = len(LC.table.variables)
 
     @cache

@@ -62,6 +62,8 @@ def test_oracle_routes_left_the_production_modules():
     ]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert name.lstrip("_") in verify.__all__
+    assert not hasattr(monomials.AtomTable, "atom_polynomials")
+    assert "atom_polynomials" in verify.__all__
     for fn in (persistence.prime_barcode, persistence.step_associated_primes):
         assert list(inspect.signature(fn).parameters) == ["f", "kind"], fn.__name__
 

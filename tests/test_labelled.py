@@ -28,7 +28,13 @@ from idealtda.labelled import (
 )
 from idealtda.linalg import QQ, Polynomial, PrimeField, bareiss_rank, power_value
 from idealtda.monomials import AtomTable, FactoredElement
-from idealtda.verify import polynomial_ranks, random_admissible_point, random_complex, random_monomial_labelled
+from idealtda.verify import (
+    atom_polynomials,
+    polynomial_ranks,
+    random_admissible_point,
+    random_complex,
+    random_monomial_labelled,
+)
 
 X4 = AtomTable.for_variables(4)
 
@@ -349,6 +355,90 @@ def test_admissible_point_search_is_bounded():
     assert ranks == classical_boundary_ranks(K, QQ) == {1: 29}
 
 
+def test_pure_variable_tables_build_no_polynomial(monkeypatch):
+    # a variable atom takes its coordinate and is never searched, so the
+    # labelled path of a table without composite atoms builds no Polynomial
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Polynomial was built")
+
+    rng = random.Random(83)
+    cases = []
+    for t in range(40):
+        LC = random_monomial_labelled(rng, rng.randint(1, 6), rng.randint(1, 4), reduced=t % 2 == 1)
+        coords = {x: rng.choice((0, 1, -2, Fraction(1, 3))) for x in LC.table.variables}
+        cases.append((LC, EvaluationPoint.of(coords)))
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    for LC, window_point in cases:
+        K, reduced = LC.complex, LC.reduced
+        point = admissible_point(LC)
+        assert point.coords == tuple((x, Fraction(1)) for x in LC.table.variables)
+        assert fraction_field_ranks(LC) == classical_boundary_ranks(K, QQ, reduced=reduced)
+        for field in (QQ, PrimeField(5)):
+            assert evaluate_chain(LC, point, field).betti() == classical_betti(K, field, reduced=reduced)
+        zero = {LC.table.index(x) + 1 for x, c in window_point.coords if c == 0}
+        W, restricted = local_subcomplex(LC, point=window_point)
+        assert W == tuple(v for v in range(1, K.n + 1) if not zero & set(LC.vertex_labels[v - 1].support()))
+        assert restricted.complex == full_subcomplex(K, W)
+
+
+def _all_atom_point(LC: LabelledComplex) -> EvaluationPoint:
+    """The variable-by-variable search over every used atom, variables
+    included, each rebuilt as a Polynomial."""
+    polys = atom_polynomials(LC.table)
+    used = {i for v in LC.complex.vertices() for i in LC.vertex_labels[v - 1].support()}
+    atoms = [polys[i - 1] for i in sorted(used)]
+    coords = {}
+    for x, name in enumerate(LC.table.variables):
+        a = 1
+        while not all(f.specialize(x, a) for f in atoms):
+            a += 1
+        atoms = [f.specialize(x, a) for f in atoms]
+        coords[name] = a
+    return EvaluationPoint.of(coords)
+
+
+def _mixed_table(rng: random.Random) -> AtomTable:
+    # one to three variables and a random set of composite atoms, merged in
+    # a random order: some vanish at all ones (x1-x2, x1+x2-2, x1*x2-1,
+    # x1-1), some take fractional values (x3^2+x1/2), some are integer primes
+    nvars = rng.randint(1, 3)
+    x = [Polynomial.variable(nvars, i) for i in range(nvars)]
+    pool = {"2": Polynomial.const(nvars, 2), "3": Polynomial.const(nvars, 3), "x1-1": x[0] - 1}
+    if nvars >= 2:
+        pool.update({"x1-x2": x[0] - x[1], "x1+x2-2": x[0] + x[1] - 2, "x1*x2-1": x[0] * x[1] - 1})
+        pool["x2-x1-1"] = x[1] - x[0] - 1
+    if nvars >= 3:
+        pool["x3^2+x1/2"] = x[2] ** 2 + Fraction(1, 2) * x[0]
+    names = rng.sample(sorted(pool), rng.randint(0, len(pool)))
+    atoms = [f"x{i}" for i in range(1, nvars + 1)]
+    for name in names:
+        atoms.insert(rng.randint(0, len(atoms)), name)
+    return AtomTable(tuple(atoms), tuple((name, pool[name]) for name in names))
+
+
+def test_expansion_search_and_values_match_the_all_atom_route():
+    rng = random.Random(89)
+    moved, kinds = 0, set()
+    for _ in range(240):
+        table = _mixed_table(rng)
+        LC = _random_composite_labelled(rng, table)
+        point = admissible_point(LC)
+        assert point == _all_atom_point(LC), (table.atoms, LC.vertex_labels)
+        moved += any(c != 1 for _, c in point.coords)
+        assert fraction_field_ranks(LC) == classical_boundary_ranks(LC.complex, QQ, reduced=LC.reduced)
+        other = EvaluationPoint.of({x: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for x in table.variables})
+        for p in (point, other):
+            coords = p.coord_map
+            var_values = [coords[x] for x in table.variables]
+            want = [QQ.from_fraction(f.evaluate(var_values)) for f in atom_polynomials(table)]
+            got = p.atom_values(table)
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+            kinds.update(type(v) for v in got)
+        with pytest.raises(ValueError, match="missing coordinates for variables: x1"):
+            EvaluationPoint.of({x: 1 for x in table.variables[1:]}).atom_values(table)
+    assert moved >= 100 and kinds == {int, Fraction}
+
+
 def test_local_subcomplex_point_form(poly_labelled):
     W, restricted = local_subcomplex(
         poly_labelled, point=EvaluationPoint.of({"x1": 1, "x2": -1})
@@ -594,7 +684,7 @@ def _brute_label_status(LC: LabelledComplex, v: int, point: EvaluationPoint, fie
     a polynomial over the variables and evaluating that."""
     table = LC.table
     label = Polynomial.monomial(len(table.atoms), LC.vertex_labels[v - 1].exps)
-    poly = label.substitute(table.atom_polynomials(), len(table.variables))
+    poly = label.substitute(atom_polynomials(table), len(table.variables))
     q = poly.evaluate([point.coord_map[x] for x in table.variables])
     if field == QQ:
         return "zero" if q == 0 else "nonzero"
@@ -765,7 +855,7 @@ def test_prime_field_evaluation_is_the_fraction_route():
             ev = evaluate_chain(LC, point, field)
         except InadmissiblePointError:
             continue
-        values = [poly.evaluate([coords[x] for x in table.variables]) for poly in table.atom_polynomials()]
+        values = [poly.evaluate([coords[x] for x in table.variables]) for poly in atom_polynomials(table)]
         for cm in boundary_matrices(LC).matrices:
             want = [[0] * len(cm.cols) for _ in cm.rows]
             for j, col in enumerate(cm.columns):
