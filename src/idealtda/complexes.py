@@ -8,13 +8,15 @@ neighbour mask per vertex.
 
 Canonical basis order: within each dimension, faces are sorted by their
 bitmask value, i.e. colexicographically.  All boundary matrices in the
-package use this order.  A filtration's faces are walked once, in its
+package use this order; ``boundary_masks`` builds the classical one for
+every rank and labelled boundary, and ``boundary_entries`` again on tuple
+faces, as the checks' oracle.  A filtration's faces are walked once, in its
 checked order, a :class:`FaceOrder`, which both SR and PH read.
 
 Bits are walked lowest first.  ``_iter_bits`` is the one helper for it,
-except in the loops that run once per face or facet of a filtration:
-``mask_face``, the facet walk of :class:`FaceOrder`, the superface probe
-of ``_maximal_masks`` (the SR final check), ``_cliques`` and, in
+except in the loops that run once per face or facet: ``mask_face``, the
+facet walks of :class:`FaceOrder` and ``boundary_masks``, the superface
+probe of ``_maximal_masks`` (the SR final check), ``_cliques`` and, in
 ``persistence``, the EDGE maximality test spell the walk inline
 (``bit = rest & -rest; rest ^= bit``), which saves a generator frame per
 face.  Masks are nonnegative: a negative int has infinitely many set
@@ -50,6 +52,7 @@ __all__ = [
     "minimal_nonfaces",
     "vr_filtration",
     "validate_distance_matrix",
+    "boundary_masks",
     "boundary_entries",
     "maximal_clique_masks",
     "MAX_FACES",
@@ -530,6 +533,24 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
             births[m] = b
     params = [0.0] + [half[i][j] for i in range(n) for j in range(i + 1, n)]
     return Filtration.from_births(n, births, params=params)
+
+
+def boundary_masks(K: SimplicialComplex, k: int) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+    """The mask twin of :func:`boundary_entries`: the row masks ((k-1)-faces,
+    or the empty face 0 at k = 0), the column masks (k-faces) and, per column,
+    (row index, sign) per facet, lowest vertex first, sign (-1)^u, u from 1."""
+    rows, cols = K.masks_of_dim(k - 1) if k else [0], K.masks_of_dim(k)
+    index = {m: i for i, m in enumerate(rows)}
+    columns = []
+    for m in cols:
+        col, sign, rest = [], -1, m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            col.append((index[m ^ bit], sign))
+            sign = -sign
+        columns.append(col)
+    return rows, cols, columns
 
 
 def boundary_entries(

@@ -11,17 +11,20 @@ smallest vertex carries sign -1, and in reduced mode d({i}) = -m_i * 0).
 
 Every nonzero entry is a signed monomial in the atoms, so each boundary
 is stored as sparse columns of (row, sign, exponent vector of
-m_sigma / m_tau) and built once per labelled complex.  The chain and
-diagonal checks are exponent arithmetic on those entries (atoms treated
-as independent symbols, which is exact for these formal identities);
-evaluation, fraction-field ranks and graded slices densify the same
-columns into the one dense chain record, :class:`EvaluatedChain` (a
-:class:`GradedSlice` is one, with its subcomplex and bases added).  An
-entry, like a label, is written by ``linalg.power_product`` and
-evaluated by ``linalg.power_value``, the one writer and the one
-evaluator of an atom monomial; ``_vanishing_vertices`` is the one scan
-for the vertex labels that vanish at a point, read by
-:func:`evaluate_chain` and by the window of :func:`local_subcomplex`.
+m_sigma / m_tau): the classical columns of ``complexes.boundary_masks``
+with the label quotients added, built once per labelled complex.  The
+chain and diagonal checks are exponent arithmetic on those entries
+(atoms treated as independent symbols, which is exact for these formal
+identities; the diagonal and slice checks compare with the tuple-face
+builder ``complexes.boundary_entries``); evaluation, fraction-field ranks and
+graded slices densify the same columns into the one dense chain record,
+:class:`EvaluatedChain` (a :class:`GradedSlice` is one, with its
+subcomplex and bases added).  An entry, like a label, is written by
+``linalg.power_product`` and evaluated by ``linalg.power_value``, the
+one writer and the one evaluator of an atom monomial;
+``_vanishing_vertices`` is the one scan for the vertex labels that
+vanish at a point, read by :func:`evaluate_chain` and by the window of
+:func:`local_subcomplex`.
 
 The entries make each boundary a diagonal similarity of the classical
 one: D_k = L_{k-1}^{-1} d_k L_k, with L_j the diagonal of the j-face
@@ -39,10 +42,10 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, _iter_bits, boundary_entries, face_mask, full_subcomplex, mask_face
+from .complexes import Face, SimplicialComplex, boundary_entries, boundary_masks, face_mask, full_subcomplex, mask_face
 from .linalg import QQ, _integral_rows, bareiss_rank, power_product, power_value, rank_dense
 from .monomials import AtomTable, FactoredElement
-from .persistence import _boundary_dense, betti_from_ranks, classical_betti, classical_boundary_ranks
+from .persistence import betti_from_ranks, classical_betti, classical_boundary_ranks
 
 __all__ = [
     "LabelledComplex",
@@ -127,27 +130,18 @@ class LabelledComplex:
 
     @cached_property
     def _boundary(self) -> "BoundaryMatrices":
-        """The boundary matrices as sparse signed-monomial columns (see
-        :func:`boundary_matrices`); signs follow the lowest-vertex-first order."""
+        """The sparse signed-monomial columns of :func:`boundary_matrices`: those
+        of ``boundary_masks`` with the label quotient m_sigma / m_tau on each entry."""
         labels = self.face_labels
         out = []
         for k in range(0 if self.reduced else 1, self.complex.max_dim + 1):
-            col_masks = self.complex.masks_of_dim(k)
-            if not col_masks:
-                continue
-            row_masks = [0] if k == 0 else self.complex.masks_of_dim(k - 1)
-            row_index = {m: i for i, m in enumerate(row_masks)}
-            columns = []
-            for cm in col_masks:
-                m_sigma = labels[cm].exps
-                col = []
-                for u, bit in enumerate(_iter_bits(cm), start=1):
-                    sub = cm ^ bit
-                    quotient = tuple(a - b for a, b in zip(m_sigma, labels[sub].exps))
-                    col.append((row_index[sub], -1 if u % 2 else 1, quotient))
-                columns.append(tuple(col))
-            rows = tuple(mask_face(m) for m in row_masks)
-            out.append(ChainMatrix(k, rows, tuple(mask_face(m) for m in col_masks), tuple(columns)))
+            rows, cols, columns = boundary_masks(self.complex, k)
+            below = [labels[m].exps for m in rows]
+            entries = tuple(
+                tuple((i, sign, tuple(a - b for a, b in zip(labels[m].exps, below[i]))) for i, sign in col)
+                for m, col in zip(cols, columns)
+            )
+            out.append(ChainMatrix(k, tuple(map(mask_face, rows)), tuple(map(mask_face, cols)), entries))
         return BoundaryMatrices(tuple(out))
 
 
@@ -469,12 +463,14 @@ def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
 def slice_iso_check(sl: GradedSlice) -> bool:
     """Verify a slice of :func:`graded_slice` equals the reduced classical
     complex of its divisibility subcomplex, dimension by dimension, on the
-    nose."""
+    nose, against the tuple-face boundaries of ``boundary_entries``."""
     sub = sl.subcomplex
     for k, basis in sl.bases.items():
         if [f for f, _ in basis] != ([()] if k == -1 else sub.faces_of_dim(k)):
             return False
     for k in range(sub.max_dim + 1):
-        if sl.matrices.get(k) != _boundary_dense(sub, k, QQ, True):
+        rows, cols, entries = boundary_entries(sub, k, reduced=True)
+        classical = [[entries.get((i, j), 0) for j in range(len(cols))] for i in range(len(rows))]
+        if sl.matrices.get(k) != classical:
             return False
     return True

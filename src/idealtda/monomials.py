@@ -16,6 +16,7 @@ tuple is derived from the mask on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .complexes import _iter_bits, face_mask, mask_face
@@ -71,7 +72,7 @@ class AtomTable:
     def expansion_map(self) -> dict[str, Polynomial]:
         return dict(self.expansions)
 
-    @property
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         expanded = {name for name, _ in self.expansions}
         return tuple(a for a in self.atoms if a not in expanded)

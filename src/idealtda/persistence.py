@@ -47,7 +47,9 @@ k-bars alive changes (:func:`jump_witness`); their per-step oracle is in
 :mod:`idealtda.verify`.  The exact rank route,
 :func:`classical_boundary_ranks` and :func:`classical_betti` (with
 :func:`betti_numbers` as their list view), computes the Betti numbers of
-one complex from dense boundary ranks, by the one dense kernel of
+one complex from dense boundary ranks: each matrix is filled from the
+columns of :func:`idealtda.complexes.boundary_masks` (the augmentation
+row at k = 0, when reduced) and ranked by the one dense kernel of
 :mod:`idealtda.linalg` (lazy Bareiss on ints over Q, on normal forms over
 GF(p)); it serves the labelled-complex checks and is the oracle for the
 profile.
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .complexes import FaceOrder, Filtration, SimplicialComplex, boundary_entries
+from .complexes import FaceOrder, Filtration, SimplicialComplex, boundary_masks
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
 from .linalg import GF2, QQ, persistence_reduce, rank_dense
 from .monomials import LinearPrime
@@ -271,12 +273,13 @@ def prime_barcode(f: Filtration, kind: str = KIND_SR) -> Barcode:
     return Barcode(kind, _sorted_bars(bars))
 
 
-def _boundary_dense(K: SimplicialComplex, k: int, field, reduced: bool) -> list[list]:
-    """Dense field matrix of the classical boundary map in dimension k."""
-    rows, cols, entries = boundary_entries(K, k, reduced=reduced)
+def _boundary_dense(K: SimplicialComplex, k: int, field) -> list[list]:
+    """Dense field matrix of the classical boundary in dimension k (the augmentation at k = 0)."""
+    rows, cols, columns = boundary_masks(K, k)
     dense = [[field.zero] * len(cols) for _ in rows]
-    for (i, j), s in entries.items():
-        dense[i][j] = field.norm(s)
+    for j, col in enumerate(columns):
+        for i, s in col:
+            dense[i][j] = field.norm(s)
     return dense
 
 
@@ -286,12 +289,10 @@ def betti_from_ranks(ncells: Mapping[int, int], ranks: Mapping[int, int]) -> dic
 
 
 def classical_boundary_ranks(K: SimplicialComplex, field=QQ, reduced: bool = False) -> dict[int, int]:
-    """Field ranks of the classical boundary matrices of a complex."""
+    """Field ranks of the classical boundary matrices of a complex; the
+    augmentation (k = 0) only when ``reduced``."""
     start = 0 if reduced else 1
-    return {
-        k: rank_dense(_boundary_dense(K, k, field, reduced), field)
-        for k in range(start, K.max_dim + 1)
-    }
+    return {k: rank_dense(_boundary_dense(K, k, field), field) for k in range(start, K.max_dim + 1)}
 
 
 def classical_betti(K: SimplicialComplex, field=QQ, reduced: bool = False) -> dict[int, int]:

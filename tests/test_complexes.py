@@ -7,13 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from idealtda import complexes
+from idealtda import complexes, verify
 from idealtda.complexes import (
     FaceOrder,
     Filtration,
     Graph,
     SimplicialComplex,
     boundary_entries,
+    boundary_masks,
     clique_complex,
     face_mask,
     full_subcomplex,
@@ -24,6 +25,8 @@ from idealtda.complexes import (
     validate_distance_matrix,
     vr_filtration,
 )
+from idealtda.linalg import GF2, QQ, PrimeField
+from idealtda.persistence import _boundary_dense
 
 
 def random_complex(rng, n):
@@ -435,6 +438,44 @@ def test_boundary_squares_to_zero():
                     if t == t2:
                         prod[(i, j)] = prod.get((i, j), 0) + s1 * s2
             assert all(v == 0 for v in prod.values())
+
+
+def _boundary_cases():
+    """200 seeded random complexes of up to 8 vertices, and the 9-simplex."""
+    rng = random.Random(27)
+    cases = [
+        verify.random_complex(rng, rng.randint(1, 8), max_gen=rng.randint(1, 6), max_size=rng.randint(1, 6))
+        for _ in range(200)
+    ]
+    return cases + [SimplicialComplex.simplex(9, range(1, 10))]
+
+
+def test_boundary_masks_is_the_mask_twin_of_boundary_entries():
+    # rows, columns and signed entries agree with the tuple oracle in every
+    # dimension, the augmentation (k = 0) included; facets lowest vertex first
+    for K in _boundary_cases():
+        for k in range(K.max_dim + 1):
+            rows, cols, columns = boundary_masks(K, k)
+            want_rows, want_cols, want = boundary_entries(K, k, reduced=True)
+            assert [mask_face(m) for m in rows] == want_rows, (K, k)
+            assert [mask_face(m) for m in cols] == want_cols, (K, k)
+            assert {(i, j): s for j, col in enumerate(columns) for i, s in col} == want, (K, k)
+            for m, col in zip(cols, columns):
+                assert [rows[i] for i, _ in col] == [m ^ b for b in complexes._iter_bits(m)]
+                assert [s for _, s in col] == [(-1) ** u for u in range(1, len(col) + 1)]
+
+
+def test_boundary_dense_is_the_dense_oracle_after_norm():
+    for K in _boundary_cases():
+        for field in (QQ, GF2, PrimeField(7)):
+            for k in range(K.max_dim + 1):
+                rows, cols, entries = boundary_entries(K, k, reduced=True)
+                want = [[field.zero] * len(cols) for _ in rows]
+                for (i, j), s in entries.items():
+                    want[i][j] = field.norm(s)
+                got = _boundary_dense(K, k, field)
+                assert got == want, (K, field.name, k)
+                assert all(type(x) is int for row in got for x in row)
 
 
 def test_maximal_clique_masks():

@@ -40,6 +40,29 @@ def _imported_modules(path: Path) -> set[str]:
     return out
 
 
+def _imported_names(path: Path) -> set[str]:
+    """Names a source file imports from idealtda modules, at any depth."""
+    return {
+        a.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("idealtda"))
+        for a in node.names
+    }
+
+
+def test_one_mask_native_classical_boundary():
+    # the classical ranks and the labelled boundaries read boundary_masks;
+    # boundary_entries stays only as the checks' tuple-face oracle
+    from idealtda import persistence
+
+    src = Path(idealtda.__file__).parent
+    names = {stem: _imported_names(src / f"{stem}.py") for stem in ("persistence", "labelled")}
+    assert "boundary_masks" in names["persistence"] and "boundary_masks" in names["labelled"]
+    assert "boundary_entries" not in names["persistence"]
+    assert not {"_boundary_dense", "_iter_bits"} & names["labelled"]
+    assert list(inspect.signature(persistence._boundary_dense).parameters) == ["K", "k", "field"]
+
+
 def test_only_cli_imports_the_oracles():
     # the slow oracle routes live in verify, which no production module reaches
     src = Path(idealtda.__file__).parent

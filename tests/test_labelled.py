@@ -538,6 +538,39 @@ def test_graded_slice_random_alphas():
             assert slice_iso_check(graded_slice(LC, alpha))
 
 
+def _perturbed_slices(sl, rng):
+    """The slice with one flipped sign, with one dropped nonzero, and with
+    one extra zero row, each at a random nonzero of its matrices."""
+    nonzeros = [(k, i, j) for k, mat in sl.matrices.items() for i, row in enumerate(mat) for j, v in enumerate(row) if v]
+    out = []
+    for change in ("flip", "drop", "row"):
+        k, i, j = rng.choice(nonzeros)
+        mats = {key: [list(row) for row in mat] for key, mat in sl.matrices.items()}
+        if change == "row":
+            mats[k].append([0] * len(mats[k][0]))
+        else:
+            mats[k][i][j] = -mats[k][i][j] if change == "flip" else 0
+        out.append(dataclasses.replace(sl, matrices=mats))
+    return out
+
+
+def test_slice_iso_check_rejects_perturbed_slices(worked_labelled):
+    rng = random.Random(27)
+    slices = [graded_slice(worked_labelled, (0, 1, 1, 1))]
+    while len(slices) < 40:
+        LC = random_monomial_labelled(rng, rng.randint(1, 6), 3, reduced=True)
+        cap = FactoredElement.unit(LC.table)
+        for m in LC.vertex_labels:
+            cap = cap.lcm(m)
+        sl = graded_slice(LC, tuple(rng.randint(0, e) for e in cap.exps))
+        if not sl.subcomplex.is_empty:
+            slices.append(sl)
+    for sl in slices:
+        assert slice_iso_check(sl)
+        for bad in _perturbed_slices(sl, rng):
+            assert not slice_iso_check(bad), bad.matrices
+
+
 def test_graded_slice_preconditions(worked_labelled, poly_labelled):
     unreduced = make_labelled(
         worked_labelled.complex, list(worked_labelled.vertex_labels), reduced=False

@@ -217,10 +217,10 @@ def test_rank_dense_inverts_each_pivot_once_over_gf_p():
     K = SimplicialComplex.from_faces(9, [tuple(range(1, 10))], close=True)
     field = _CountingField(1000003)
     for k in range(1, K.max_dim + 1):
-        m = _boundary_dense(K, k, field, False)
+        m = _boundary_dense(K, k, field)
         field.inverses = 0
         rank = rank_dense(m, field)
-        assert rank == rank_dense(_boundary_dense(K, k, QQ, False), QQ)
+        assert rank == rank_dense(_boundary_dense(K, k, QQ), QQ)
         assert field.inverses <= rank + 1, (k, rank, field.inverses)
     rng = random.Random(14)
     for _ in range(100):
@@ -357,7 +357,7 @@ def test_bareiss_rank_on_polynomial_diag_conjugates_of_boundaries():
     for _ in range(30):
         K = random_complex(rng, rng.randint(3, 6))
         for k in range(1, K.max_dim + 1):
-            d = _boundary_dense(K, k, QQ, False)
+            d = _boundary_dense(K, k, QQ)
             left = [rng.choice(factors) ** rng.randint(0, 2) for _ in d]
             right = [rng.choice(factors) ** rng.randint(0, 2) for _ in d[0]]
             conj = [[left[i] * right[j] * d[i][j] for j in range(len(d[0]))] for i in range(len(d))]

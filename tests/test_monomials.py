@@ -50,6 +50,11 @@ def test_atom_table_validation():
     assert table.variables == ("x1", "x2")
     assert not table.is_pure_variables
     assert X4.is_pure_variables
+    # the variables are computed once, and the cache leaves equality and hash alone
+    assert table.variables is table.variables
+    twin = AtomTable(table.atoms, table.expansions)
+    assert twin == table and hash(twin) == hash(table)
+    assert AtomTable.for_variables(4).variables == X4.variables == ("x1", "x2", "x3", "x4")
 
 
 def test_factored_element_validation_and_str():
