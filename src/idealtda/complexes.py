@@ -7,11 +7,13 @@ increasing tuple of vertices.  A graph is stored the same way, as one
 neighbour mask per vertex.
 
 Canonical basis order: within each dimension, faces are sorted by their
-bitmask value, i.e. colexicographically.  All boundary matrices in the
-package use this order; ``boundary_masks`` builds the classical one for
-every rank and labelled boundary, and ``boundary_entries`` again on tuple
-faces, as the checks' oracle.  A filtration's faces are walked once, in its
-checked order, a :class:`FaceOrder`, which both SR and PH read.
+bitmask value, i.e. colexicographically; a complex sorts its faces into
+that per-dimension index once, on the first ``masks_of_dim`` call, which
+no rips path makes.  All boundary matrices in the package use this
+order; ``boundary_masks`` builds the classical one for every rank and
+labelled boundary, and ``boundary_entries`` again on tuple faces, as the
+checks' oracle.  A filtration's faces are walked once, in its checked
+order, a :class:`FaceOrder`, which both SR and PH read.
 
 Bits are walked lowest first.  ``_iter_bits`` is the one helper for it,
 except in the loops that run once per face or facet: ``mask_face``, the
@@ -197,8 +199,17 @@ class SimplicialComplex:
     def has_face(self, face: Iterable[int]) -> bool:
         return face_mask(face) in self.face_masks
 
-    def masks_of_dim(self, k: int) -> list[int]:
-        return sorted(m for m in self.face_masks if m.bit_count() == k + 1)
+    @cached_property
+    def _colex(self) -> tuple[tuple[int, ...], ...]:
+        """The k-faces of each dimension k in colex order, from one sort."""
+        by_dim = [[] for _ in range(self.max_dim + 1)]
+        for m in sorted(self.face_masks):
+            by_dim[m.bit_count() - 1].append(m)
+        return tuple(map(tuple, by_dim))
+
+    def masks_of_dim(self, k: int) -> tuple[int, ...]:
+        """The k-face masks in colex order, read from the cached index."""
+        return self._colex[k] if 0 <= k <= self.max_dim else ()
 
     def faces_of_dim(self, k: int) -> list[Face]:
         return [mask_face(m) for m in self.masks_of_dim(k)]
@@ -535,11 +546,11 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
     return Filtration.from_births(n, births, params=params)
 
 
-def boundary_masks(K: SimplicialComplex, k: int) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+def boundary_masks(K: SimplicialComplex, k: int) -> tuple[Sequence[int], Sequence[int], list[list[tuple[int, int]]]]:
     """The mask twin of :func:`boundary_entries`: the row masks ((k-1)-faces,
     or the empty face 0 at k = 0), the column masks (k-faces) and, per column,
     (row index, sign) per facet, lowest vertex first, sign (-1)^u, u from 1."""
-    rows, cols = K.masks_of_dim(k - 1) if k else [0], K.masks_of_dim(k)
+    rows, cols = K.masks_of_dim(k - 1) if k else (0,), K.masks_of_dim(k)
     index = {m: i for i, m in enumerate(rows)}
     columns = []
     for m in cols:

@@ -43,7 +43,7 @@ from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import Face, SimplicialComplex, boundary_entries, boundary_masks, face_mask, full_subcomplex, mask_face
-from .linalg import QQ, _integral_rows, bareiss_rank, power_product, power_value, rank_dense
+from .linalg import QQ, bareiss_rank, power_product, power_value, rank_dense
 from .monomials import AtomTable, FactoredElement
 from .persistence import betti_from_ranks, classical_betti, classical_boundary_ranks
 
@@ -375,11 +375,11 @@ def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     same similarity over Q, so rank_Q D_k(a) is the fraction-field rank,
     exactly and for every such a.  The matrices are those of
     :func:`evaluate_chain` at :func:`admissible_point`, ranked by
-    fraction-free elimination on ints, each row scaled by the lcm of its
+    ``linalg.bareiss_rank`` on ints, each row scaled by the lcm of its
     denominators where an atom value is not an integer.
     """
     ev = evaluate_chain(LC, admissible_point(LC))
-    return {k: bareiss_rank(_integral_rows(m)) for k, m in ev.matrices.items()}
+    return {k: bareiss_rank(m) for k, m in ev.matrices.items()}
 
 
 def local_subcomplex(

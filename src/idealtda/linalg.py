@@ -1,9 +1,8 @@
 """Exact linear algebra kernels.
 
 Everything here is exact: arbitrary-precision rationals, prime fields,
-sparse multivariate polynomials over the rationals, one dense rank kernel
-and the column reduction used for persistence pairing.  No floating point
-enters any rank or homology computation.
+one dense rank kernel and the column reduction used for persistence
+pairing.  No floating point enters any rank or homology computation.
 
 A field is a normal form and an inverse.  Its elements are plain Python
 numbers that are zero exactly when falsy: ints in 0..p-1 over GF(p), and
@@ -16,10 +15,12 @@ normal form.
 
 Every dense rank is lazy one-step fraction-free (Bareiss) elimination,
 :func:`_bareiss`, given the exact division of its domain.
-:func:`bareiss_rank` runs it over ints, Fractions or Polynomials;
-:func:`rank_dense` runs it over Q on ints, with int-only exact division,
-each row that holds a Fraction scaled by the lcm of its denominators, and
-over GF(p) on normal forms, dividing by multiplying with an inverse.
+:func:`bareiss_rank` ranks over Q: rows holding a Fraction are scaled by
+the lcm of their denominators and the ints divide exactly as ints.
+:func:`rank_dense` is that rank over Q and, over GF(p), divides by
+multiplying with an inverse.  A :class:`Polynomial` is a parsed atom
+expansion, only read, evaluated and specialized here; the polynomial
+ring lives in :mod:`idealtda.verify`, beside the oracle that uses it.
 
 :func:`persistence_reduce` pairs a checked face order, a
 :class:`~idealtda.complexes.FaceOrder` (a mask sequence is checked as one),
@@ -157,10 +158,6 @@ def parse_field(spec: str):
     raise ValueError(f"unknown field descriptor {spec!r} (expected q, f2 or fp:<p>)")
 
 
-def _grlex(exps: tuple) -> tuple:
-    return (sum(exps), exps)
-
-
 _OPERATOR_CHARS = frozenset("+-*/^() ")
 
 
@@ -188,11 +185,10 @@ def power_value(values: Sequence, exps: Sequence[int]):
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
-
-    Terms are stored as a dict mapping exponent tuples (length ``nvars``)
-    to nonzero coefficients.  Instances are treated as immutable.
-    """
+    """A parsed atom expansion: a sparse multivariate polynomial with
+    Fraction coefficients, as a dict from exponent tuples (length
+    ``nvars``) to nonzero coefficients.  Instances are treated as
+    immutable; :class:`idealtda.verify.RingPolynomial` adds the ring."""
 
     __slots__ = ("nvars", "terms")
 
@@ -209,108 +205,16 @@ class Polynomial:
                 clean[tuple(exps)] = c
         self.terms = clean
 
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
-
-    @classmethod
-    def const(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "Polynomial":
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], c=1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): Fraction(c)})
-
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if other.nvars != self.nvars:
-                raise ValueError("variable arity mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.const(self.nvars, other)
-        return NotImplemented
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            v = out.get(exps, 0) + c
-            if v:
-                out[exps] = v
-            else:
-                out.pop(exps, None)
-        return Polynomial(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return -(self - other)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def leading_term(self) -> tuple[tuple, Fraction]:
-        """Greatest term under graded-lex order; polynomial must be nonzero."""
-        exps = max(self.terms, key=_grlex)
-        return exps, self.terms[exps]
 
     def evaluate(self, values: Sequence) -> Fraction:
         if len(values) != self.nvars:
@@ -324,90 +228,18 @@ class Polynomial:
         for exps, c in self.terms.items():
             e = exps[:i] + (0,) + exps[i + 1 :]
             out[e] = out.get(e, 0) + c * value ** exps[i]
-        return Polynomial(self.nvars, out)
-
-    def substitute(self, targets: Sequence["Polynomial"], nvars_out: int) -> "Polynomial":
-        """Ring homomorphism sending variable i to ``targets[i]``."""
-        if len(targets) != self.nvars:
-            raise ValueError("variable arity mismatch")
-        out = Polynomial.zero(nvars_out)
-        for exps, c in self.terms.items():
-            term = Polynomial.const(nvars_out, c)
-            for t, e in zip(targets, exps):
-                if e:
-                    term = term * t**e
-            out = out + term
-        return out
-
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self/divisor; raises ValueError if not divisible.
-
-        Repeated graded-lex leading-term cancellation.  When the division
-        is exact this terminates with zero remainder; Bareiss only ever
-        requests exact divisions.
-        """
-        divisor = self._coerce(divisor)
-        if not divisor:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return Polynomial.zero(self.nvars)
-        g_exps, g_c = divisor.leading_term()
-        rem = dict(self.terms)
-        out: dict[tuple, Fraction] = {}
-        while rem:
-            f_exps = max(rem, key=_grlex)
-            q_exps = tuple(a - b for a, b in zip(f_exps, g_exps))
-            if any(e < 0 for e in q_exps):
-                raise ValueError("inexact polynomial division")
-            q_c = rem[f_exps] / g_c
-            out[q_exps] = out.get(q_exps, 0) + q_c
-            for d_exps, d_c in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(q_exps, d_exps))
-                v = rem.get(e, 0) - q_c * d_c
-                if v:
-                    rem[e] = v
-                else:
-                    rem.pop(e, None)
-        return Polynomial(self.nvars, out)
-
-    def render(self, names: Sequence[str] | None = None) -> str:
-        """Human-readable form, terms in descending graded-lex order."""
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.nvars)]
-        pieces = []
-        for exps in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[exps]
-            body = power_product(names, exps)
-            if not body:
-                term = str(abs(c))
-            elif abs(c) == 1:
-                term = body
-            else:
-                term = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, term))
-        first_sign, first_term = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in pieces[1:]:
-            text += f" {sign} {term}"
-        return text
+        return type(self)(self.nvars, out)
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.render()})"
+        return f"{type(self).__name__}({self.nvars}, {self.terms!r})"
 
 
 def rank_dense(rows: Sequence[Sequence], field=QQ) -> int:
-    """Rank of a dense matrix of field elements, by :func:`_bareiss`.
-
-    Over Q each row holding a Fraction is scaled by the lcm of its entries'
-    denominators, a nonzero constant that keeps the rank, and the int rows
-    are ranked with int-only exact division.  Over GF(p) the entries are
-    normal forms and the exact division multiplies by an inverse.
-    """
+    """Rank of a dense matrix of field elements: :func:`bareiss_rank` over
+    Q, and :func:`_bareiss` on normal forms over GF(p), where the exact
+    division multiplies by an inverse."""
     if field == QQ:
-        return _bareiss(_integral_rows(rows), _int_exact_div)
+        return bareiss_rank(rows)
     norm, inv = field.norm, field.inv
     inverses = {}  # one inverse per pivot: every division is by a pivot
 
@@ -441,21 +273,10 @@ def _int_exact_div(num: int, den: int) -> int:
     return q
 
 
-def _domain_exact_div(num, den):
-    if type(num) is int and type(den) is int:
-        return _int_exact_div(num, den)
-    if isinstance(num, Polynomial):
-        return num if den == 1 else num.exact_div(den)  # pivots[0] is 1
-    return Fraction(num) / Fraction(den)
-
-
 def bareiss_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the fraction field of an integral domain.
-
-    Entries may be Polynomial, Fraction or int; :func:`_bareiss` runs on a
-    copy of the rows.
-    """
-    return _bareiss([list(r) for r in rows], _domain_exact_div)
+    """Rank over Q of rows of ints and Fractions: :func:`_bareiss` with
+    int-only exact division on the :func:`_integral_rows` copies."""
+    return _bareiss(_integral_rows(rows), _int_exact_div)
 
 
 def _bareiss(m: list[list], div) -> int:

@@ -7,6 +7,11 @@ suites double as the engine of the ``verify`` CLI subcommand and of the
 acceptance tests, which run them at larger trial counts.  The oracles
 (per-step bars and jump witnesses, polynomial-ring ranks, brute-force
 transversals) live only here: no production module imports this one.
+
+The polynomial ring lives here too: :class:`RingPolynomial` adds the ring
+operations to the library's parsed expansion, ``linalg.Polynomial``, and
+:func:`polynomial_ranks` ranks the substituted boundaries with
+:func:`polynomial_bareiss_rank`, fraction-free with exact division.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .labelled import (
     make_labelled,
     slice_iso_check,
 )
-from .linalg import GF2, QQ, Polynomial, bareiss_rank
+from .linalg import GF2, QQ, Polynomial, _bareiss, power_product
 from .monomials import AtomTable, FactoredElement, LinearPrime, _antichain_min, minimal_primes_squarefree
 from .persistence import (
     Bar,
@@ -61,6 +66,8 @@ __all__ = [
     "random_metric",
     "random_monomial_labelled",
     "random_admissible_point",
+    "RingPolynomial",
+    "polynomial_bareiss_rank",
     "atom_polynomials",
     "polynomial_ranks",
     "suite_clique_complement_identity",
@@ -289,12 +296,178 @@ def suite_evaluation_equivalence(
     return res
 
 
-def atom_polynomials(table: AtomTable) -> list[Polynomial]:
-    """Each atom as a Polynomial over the variable atoms: a variable is
+def _grlex(exps: tuple) -> tuple:
+    return (sum(exps), exps)
+
+
+class RingPolynomial(Polynomial):
+    """A :class:`~idealtda.linalg.Polynomial` with the ring operations: the
+    polynomial ring over Q of the fraction-free oracle."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, nvars: int) -> "RingPolynomial":
+        return cls(nvars)
+
+    @classmethod
+    def const(cls, nvars: int, c) -> "RingPolynomial":
+        return cls(nvars, {(0,) * nvars: Fraction(c)})
+
+    @classmethod
+    def variable(cls, nvars: int, i: int) -> "RingPolynomial":
+        exps = tuple(1 if j == i else 0 for j in range(nvars))
+        return cls(nvars, {exps: Fraction(1)})
+
+    @classmethod
+    def monomial(cls, nvars: int, exps: Sequence[int], c=1) -> "RingPolynomial":
+        return cls(nvars, {tuple(exps): Fraction(c)})
+
+    def _coerce(self, other) -> "RingPolynomial":
+        if isinstance(other, RingPolynomial):
+            if other.nvars != self.nvars:
+                raise ValueError("variable arity mismatch")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return RingPolynomial.const(self.nvars, other)
+        return NotImplemented
+
+    def __add__(self, other) -> "RingPolynomial":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            v = out.get(exps, 0) + c
+            if v:
+                out[exps] = v
+            else:
+                out.pop(exps, None)
+        return RingPolynomial(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RingPolynomial":
+        return RingPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "RingPolynomial":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "RingPolynomial":
+        return -(self - other)
+
+    def __mul__(self, other) -> "RingPolynomial":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out: dict[tuple, Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                v = out.get(e, 0) + c1 * c2
+                if v:
+                    out[e] = v
+                else:
+                    out.pop(e, None)
+        return RingPolynomial(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "RingPolynomial":
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        out = RingPolynomial.const(self.nvars, 1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def substitute(self, targets: Sequence["RingPolynomial"], nvars_out: int) -> "RingPolynomial":
+        """Ring homomorphism sending variable i to ``targets[i]``."""
+        if len(targets) != self.nvars:
+            raise ValueError("variable arity mismatch")
+        out = RingPolynomial.zero(nvars_out)
+        for exps, c in self.terms.items():
+            term = RingPolynomial.const(nvars_out, c)
+            for t, e in zip(targets, exps):
+                if e:
+                    term = term * t**e
+            out = out + term
+        return out
+
+    def exact_div(self, divisor) -> "RingPolynomial":
+        """Exact quotient self/divisor by repeated cancellation of the
+        graded-lex leading term; raises ValueError if not divisible."""
+        divisor = self._coerce(divisor)
+        if not divisor:
+            raise ZeroDivisionError("polynomial division by zero")
+        g_exps = max(divisor.terms, key=_grlex)
+        g_c = divisor.terms[g_exps]
+        rem = dict(self.terms)
+        out: dict[tuple, Fraction] = {}
+        while rem:
+            f_exps = max(rem, key=_grlex)
+            q_exps = tuple(a - b for a, b in zip(f_exps, g_exps))
+            if any(e < 0 for e in q_exps):
+                raise ValueError("inexact polynomial division")
+            q_c = rem[f_exps] / g_c
+            out[q_exps] = out.get(q_exps, 0) + q_c
+            for d_exps, d_c in divisor.terms.items():
+                e = tuple(a + b for a, b in zip(q_exps, d_exps))
+                v = rem.get(e, 0) - q_c * d_c
+                if v:
+                    rem[e] = v
+                else:
+                    rem.pop(e, None)
+        return RingPolynomial(self.nvars, out)
+
+    def render(self, names: Sequence[str] | None = None) -> str:
+        """Human-readable form, terms in descending graded-lex order."""
+        if not self.terms:
+            return "0"
+        if names is None:
+            names = [f"x{i + 1}" for i in range(self.nvars)]
+        pieces = []
+        for exps in sorted(self.terms, key=_grlex, reverse=True):
+            c = self.terms[exps]
+            body = power_product(names, exps)
+            if not body:
+                term = str(abs(c))
+            elif abs(c) == 1:
+                term = body
+            else:
+                term = f"{abs(c)}*{body}"
+            pieces.append(("-" if c < 0 else "+", term))
+        first_sign, first_term = pieces[0]
+        text = ("-" if first_sign == "-" else "") + first_term
+        for sign, term in pieces[1:]:
+            text += f" {sign} {term}"
+        return text
+
+
+def _ring_exact_div(num, den):
+    return num if den == 1 else num.exact_div(den)  # pivots[0] is 1
+
+
+def polynomial_bareiss_rank(rows: Sequence[Sequence[RingPolynomial]]) -> int:
+    """Rank over the fraction field of the polynomial ring, by the library's
+    fraction-free elimination ``linalg._bareiss`` on a copy of the rows,
+    every division an exact polynomial division."""
+    return _bareiss([list(r) for r in rows], _ring_exact_div)
+
+
+def atom_polynomials(table: AtomTable) -> list[RingPolynomial]:
+    """Each atom as a RingPolynomial over the variable atoms: a variable is
     itself and a composite atom is its expansion."""
     variables = table.variables
-    polys = {a: Polynomial.variable(len(variables), i) for i, a in enumerate(variables)}
-    polys.update(table.expansions)
+    polys = {a: RingPolynomial.variable(len(variables), i) for i, a in enumerate(variables)}
+    polys.update((name, RingPolynomial(p.nvars, p.terms)) for name, p in table.expansions)
     return [polys[a] for a in table.atoms]
 
 
@@ -306,11 +479,11 @@ def polynomial_ranks(LC: LabelledComplex) -> dict[int, int]:
     nvars = len(LC.table.variables)
 
     @cache
-    def expand(sign: int, exps: tuple[int, ...]) -> Polynomial:
-        return Polynomial.monomial(len(atoms), exps, sign).substitute(atoms, nvars)
+    def expand(sign: int, exps: tuple[int, ...]) -> RingPolynomial:
+        return RingPolynomial.monomial(len(atoms), exps, sign).substitute(atoms, nvars)
 
-    zero = Polynomial.zero(nvars)
-    return {cm.k: bareiss_rank(cm.dense(expand, zero)) for cm in boundary_matrices(LC).matrices}
+    zero = RingPolynomial.zero(nvars)
+    return {cm.k: polynomial_bareiss_rank(cm.dense(expand, zero)) for cm in boundary_matrices(LC).matrices}
 
 
 def suite_fraction_field_ranks(

@@ -450,6 +450,29 @@ def _boundary_cases():
     return cases + [SimplicialComplex.simplex(9, range(1, 10))]
 
 
+def test_masks_of_dim_reads_one_cached_colex_index():
+    # the index equals the old filter-and-sort in every dimension, out of
+    # range included; it is built once and handed out as immutable tuples
+    for K in _boundary_cases() + [SimplicialComplex(3, frozenset())]:
+        for k in range(-2, K.max_dim + 3):
+            want = sorted(m for m in K.face_masks if m.bit_count() == k + 1)
+            got = K.masks_of_dim(k)
+            assert type(got) is tuple and list(got) == want, (K, k)
+            assert K.faces_of_dim(k) == [mask_face(m) for m in want]
+        index = K._colex
+        assert all(type(dim) is tuple for dim in index)
+        assert sum(map(len, index)) == len(K) and len(index) == K.max_dim + 1
+        assert all(K.masks_of_dim(k) is index[k] for k in range(K.max_dim + 1))
+        K.faces_of_dim(K.max_dim).clear()
+        assert K._colex is index and len(K.faces_of_dim(K.max_dim)) == len(K.masks_of_dim(K.max_dim))
+    # the rips paths never build it: a full VR complex would pay a whole sort
+    from idealtda.persistence import ph_barcode, prime_barcode
+
+    f = vr_filtration(verify.random_metric(random.Random(5), 7))
+    prime_barcode(f, "SR"), prime_barcode(f, "EDGE"), ph_barcode(f)
+    assert "_colex" not in vars(f.final())
+
+
 def test_boundary_masks_is_the_mask_twin_of_boundary_entries():
     # rows, columns and signed entries agree with the tuple oracle in every
     # dimension, the augmentation (k = 0) included; facets lowest vertex first

@@ -115,3 +115,26 @@ def test_one_dense_chain_record():
     assert not hasattr(labelled, "evaluation_ranks")
     for name in ("contains", "radical"):
         assert not hasattr(MonomialIdeal, name), f"MonomialIdeal.{name}"
+
+
+PRODUCTION = ("complexes", "ideals", "labelled", "linalg", "monomials", "persistence", "serialize")
+
+
+def test_the_polynomial_ring_lives_with_its_oracle():
+    # production reads, evaluates and specializes parsed expansions; the ring
+    # operations and the exact polynomial division live with the oracle in verify
+    from idealtda import linalg, verify
+
+    for name in ("__add__", "__mul__", "__pow__", "exact_div", "substitute", "render", "total_degree"):
+        assert not hasattr(linalg.Polynomial, name), f"Polynomial.{name}"
+    assert not hasattr(linalg, "_domain_exact_div")
+    assert issubclass(verify.RingPolynomial, linalg.Polynomial)
+    assert {"RingPolynomial", "polynomial_bareiss_rank"} <= set(verify.__all__)
+    src = Path(idealtda.__file__).parent
+    assert "_integral_rows" not in _imported_names(src / "labelled.py")
+    ring_calls = {"exact_div", "substitute", "leading_term"}
+    for stem in PRODUCTION:
+        tree = ast.parse((src / f"{stem}.py").read_text(encoding="utf-8"))
+        used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not used & (ring_calls | {"RingPolynomial"}), (stem, used & ring_calls)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from idealtda import labelled, linalg
+from idealtda import cli, labelled, linalg
 from idealtda.complexes import SimplicialComplex, full_subcomplex
 from idealtda.labelled import (
     EvaluationPoint,
@@ -26,9 +27,11 @@ from idealtda.labelled import (
     make_labelled,
     slice_iso_check,
 )
-from idealtda.linalg import QQ, Polynomial, PrimeField, bareiss_rank, power_value
+from idealtda.linalg import QQ, Polynomial, PrimeField, power_value
 from idealtda.monomials import AtomTable, FactoredElement
+from idealtda.serialize import labelled_from_dict, labelled_to_dict
 from idealtda.verify import (
+    RingPolynomial,
     atom_polynomials,
     polynomial_ranks,
     random_admissible_point,
@@ -240,13 +243,13 @@ def test_fraction_field_ranks_random_and_probe():
 
 def _composite_table() -> AtomTable:
     # x1 - x2 and x1*x2 - 1 vanish at the all-ones point, x1 + x2 - 3 at (1, 2)
-    x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
+    x1, x2, x3 = (RingPolynomial.variable(3, i) for i in range(3))
     expansions = {
         "x1-x2": x1 - x2,
         "x1+x2-3": x1 + x2 - 3,
         "x1*x2-1": x1 * x2 - 1,
         "x3^2+x1/2": x3**2 + Fraction(1, 2) * x1,
-        "2": Polynomial.const(3, 2),
+        "2": RingPolynomial.const(3, 2),
     }
     return AtomTable(("x1", "x2", "x3") + tuple(expansions), tuple(expansions.items()))
 
@@ -267,7 +270,7 @@ def test_fraction_field_ranks_match_polynomial_bareiss_with_composite_atoms():
 
 def _rational_table(rng: random.Random) -> AtomTable:
     """Two variables and two composite atoms with rational coefficients."""
-    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    x1, x2 = RingPolynomial.variable(2, 0), RingPolynomial.variable(2, 1)
     expansions = {
         "a": x1 * x1 - x2 + Fraction(rng.randint(1, 5), rng.randint(2, 7)),
         "b": Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 9)) * x1 + x2,
@@ -276,13 +279,14 @@ def _rational_table(rng: random.Random) -> AtomTable:
 
 
 def test_fraction_field_ranks_with_rational_atoms_rank_ints(monkeypatch):
-    entries = []
+    calls = []
 
-    def recording_rank(rows):
-        entries.extend(type(v) for row in rows for v in row)
-        return bareiss_rank(rows)
+    def recording_div(num, den):
+        calls.append((type(num), type(den)))
+        return exact(num, den)
 
-    monkeypatch.setattr(labelled, "bareiss_rank", recording_rank)
+    exact = linalg._int_exact_div
+    monkeypatch.setattr(linalg, "_int_exact_div", recording_div)
     rng = random.Random(14)
     for t in range(30):
         table = _rational_table(rng)
@@ -293,11 +297,11 @@ def test_fraction_field_ranks_with_rational_atoms_rank_ints(monkeypatch):
         assert fraction_field_ranks(LC) == polynomial_ranks(LC) == classical_boundary_ranks(
             LC.complex, QQ, reduced=reduced
         )
-    assert entries and set(entries) == {int}
+    assert calls and set(calls) == {(int, int)}
 
 
 def _simplex_with_atom(constant, n: int) -> LabelledComplex:
-    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    x1, x2 = RingPolynomial.variable(2, 0), RingPolynomial.variable(2, 1)
     table = AtomTable(("x1", "x2", "a"), (("a", x1 * x1 - x2 + constant),))
     K = SimplicialComplex.from_faces(n, [tuple(range(1, n + 1))], close=True)
     return make_labelled(K, [FactoredElement(table, (v % 3, (v // 3) % 3, v % 2 + 1)) for v in range(1, n + 1)])
@@ -322,7 +326,7 @@ def test_fraction_field_ranks_cost_no_more_with_a_rational_coefficient():
 
 
 def test_admissible_point_skips_vanishing_atoms():
-    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    x1, x2 = RingPolynomial.variable(2, 0), RingPolynomial.variable(2, 1)
     table = AtomTable(("x1", "x2", "x1-x2"), (("x1-x2", x1 - x2),))
     K = SimplicialComplex.from_faces(3, [(1, 2, 3)], close=True)
     labels = [FactoredElement(table, e) for e in ((0, 0, 1), (1, 0, 1), (0, 1, 0))]
@@ -341,7 +345,7 @@ def test_admissible_point_skips_vanishing_atoms():
 
 def test_admissible_point_search_is_bounded():
     # x1 - 1, ..., x1 - 30 over 40 variables: x1 = 31 after 31 tries
-    variables = [Polynomial.variable(40, i) for i in range(40)]
+    variables = [RingPolynomial.variable(40, i) for i in range(40)]
     roots = {f"x1-{r}": variables[0] - r for r in range(1, 31)}
     table = AtomTable(tuple(f"x{i}" for i in range(1, 41)) + tuple(roots), tuple(roots.items()))
     K = SimplicialComplex.from_faces(30, [(v, v % 30 + 1) for v in range(1, 31)], close=True)
@@ -402,8 +406,8 @@ def _mixed_table(rng: random.Random) -> AtomTable:
     # a random order: some vanish at all ones (x1-x2, x1+x2-2, x1*x2-1,
     # x1-1), some take fractional values (x3^2+x1/2), some are integer primes
     nvars = rng.randint(1, 3)
-    x = [Polynomial.variable(nvars, i) for i in range(nvars)]
-    pool = {"2": Polynomial.const(nvars, 2), "3": Polynomial.const(nvars, 3), "x1-1": x[0] - 1}
+    x = [RingPolynomial.variable(nvars, i) for i in range(nvars)]
+    pool = {"2": RingPolynomial.const(nvars, 2), "3": RingPolynomial.const(nvars, 3), "x1-1": x[0] - 1}
     if nvars >= 2:
         pool.update({"x1-x2": x[0] - x[1], "x1+x2-2": x[0] + x[1] - 2, "x1*x2-1": x[0] * x[1] - 1})
         pool["x2-x1-1"] = x[1] - x[0] - 1
@@ -588,11 +592,9 @@ def test_graded_slice_preconditions(worked_labelled, poly_labelled):
 
 def test_integer_prime_atom_labels():
     # labels drawn from the integers: atoms are the primes 2 and 3
-    from idealtda.linalg import Polynomial
-
     table = AtomTable(
         ("2", "3"),
-        (("2", Polynomial.const(0, 2)), ("3", Polynomial.const(0, 3))),
+        (("2", RingPolynomial.const(0, 2)), ("3", RingPolynomial.const(0, 3))),
     )
     K = SimplicialComplex.from_faces(3, [(1, 2), (2, 3)], close=True)
     labels = [
@@ -689,7 +691,7 @@ def test_checks_reject_tampered_boundaries(monkeypatch, worked_labelled, edit, k
 
 def _spaced_table() -> AtomTable:
     # composite atoms whose names need parentheses: +, - and a space
-    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    x1, x2 = RingPolynomial.variable(2, 0), RingPolynomial.variable(2, 1)
     expansions = {"x1+x2": x1 + x2, "x1-2": x1 - 2, "a b": x1 * x2 + 1}
     return AtomTable(("x1", "x2") + tuple(expansions), tuple(expansions.items()))
 
@@ -708,15 +710,47 @@ def test_render_matches_the_polynomial_writer():
             LC = _random_composite_labelled(rng, table)
             for cm in boundary_matrices(LC).matrices:
                 got = cm.render(names)
-                want = cm.dense(lambda s, e: Polynomial.monomial(len(e), e, s).render(names), "0")
+                want = cm.dense(lambda s, e: RingPolynomial.monomial(len(e), e, s).render(names), "0")
                 assert got == want
+
+
+def test_ring_and_parsed_expansions_give_one_table_and_one_report(tmp_path, monkeypatch):
+    # the same expansions built with the ring and parsed from JSON: equal
+    # tables with equal hashes, and byte-identical labelled reports
+    rng = random.Random(97)
+    tables = [_composite_table(), _spaced_table()] * 2 + [_rational_table(rng) for _ in range(2)]
+    for t, built in enumerate(tables):
+        table = AtomTable(built.atoms, tuple(sorted(built.expansions)))
+        LC = _random_composite_labelled(rng, table)
+        data = json.loads(json.dumps(labelled_to_dict(LC)))
+        parsed = labelled_from_dict(data, reduced=LC.reduced)
+        assert {type(p) for _, p in table.expansions} == {RingPolynomial}
+        assert {type(p) for _, p in parsed.table.expansions} == {Polynomial}
+        assert parsed.table == table and hash(parsed.table) == hash(table)
+        path = tmp_path / f"in{t}.json"
+        path.write_text(json.dumps(data))
+        # all ones zeroes x1-x2 and x1*x2-1, so a window report comes out too
+        point = ",".join(f"{x}={rng.choice(('1', '2', '-1/2')) if t % 2 else '1'}" for x in table.variables)
+
+        def ring_from_dict(data, reduced=False, origin="<input>"):
+            LC = labelled_from_dict(data, reduced, origin)
+            labels = [FactoredElement(table, m.exps) for m in LC.vertex_labels]
+            return make_labelled(LC.complex, labels, reduced=reduced)
+
+        reports = []
+        for from_dict in (labelled_from_dict, ring_from_dict):
+            monkeypatch.setattr(cli, "labelled_from_dict", from_dict)
+            out = tmp_path / f"{from_dict.__name__}{t}"
+            assert cli.main(["labelled", "--input", str(path), "--point", point, "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 def _brute_label_status(LC: LabelledComplex, v: int, point: EvaluationPoint, field) -> str:
     """'zero', 'nonzero' or 'error' for the label of v, by expanding it into
     a polynomial over the variables and evaluating that."""
     table = LC.table
-    label = Polynomial.monomial(len(table.atoms), LC.vertex_labels[v - 1].exps)
+    label = RingPolynomial.monomial(len(table.atoms), LC.vertex_labels[v - 1].exps)
     poly = label.substitute(atom_polynomials(table), len(table.variables))
     q = poly.evaluate([point.coord_map[x] for x in table.variables])
     if field == QQ:
@@ -857,7 +891,6 @@ def test_integral_products_of_rational_atom_values_are_ints(monkeypatch):
 
     integral_rows = linalg._integral_rows
     monkeypatch.setattr(linalg, "_integral_rows", spy)
-    monkeypatch.setattr(labelled, "_integral_rows", spy)
     for reduced in (False, True):
         LC = make_labelled(K, [label(half, two), label(half), label(0)], reduced=reduced)
         point = EvaluationPoint.of({"x1": 1, "x2": 2, "x3": 1})

@@ -23,7 +23,7 @@ from idealtda.monomials import (
     prime_contains,
     radical_generators,
 )
-from idealtda.verify import minimal_transversals_exhaustive
+from idealtda.verify import RingPolynomial, minimal_transversals_exhaustive
 
 X4 = AtomTable.for_variables(4)
 
@@ -40,10 +40,10 @@ def test_atom_table_validation():
     with pytest.raises(ValueError):
         AtomTable(("x1", "x1"))
     with pytest.raises(ValueError):
-        AtomTable(("x1",), (("y", Polynomial.zero(1)),))
+        AtomTable(("x1",), (("y", RingPolynomial.zero(1)),))
     # a zero expansion is not an irreducible, however it is spelled
-    x1 = Polynomial.variable(1, 0)
-    for zero in (Polynomial.zero(1), x1 - x1):
+    x1 = RingPolynomial.variable(1, 0)
+    for zero in (RingPolynomial.zero(1), x1 - x1):
         with pytest.raises(ValueError, match="atom 's' expands to the zero polynomial"):
             AtomTable(("x1", "s"), (("s", zero),))
     table = AtomTable(("x1", "x2", "x1+x2"), (("x1+x2", Polynomial(2, {(1, 0): 1, (0, 1): 1})),))
@@ -86,7 +86,7 @@ def test_factored_element_str_parenthesizes_like_the_matrix_entries():
     for _ in range(100):
         el = FactoredElement(plain, tuple(rng.randint(0, 3) for _ in plain.atoms))
         assert str(el) == _old_str(el)
-        assert str(el) == (Polynomial.monomial(4, el.exps).render(plain.atoms) if not el.is_unit else "1")
+        assert str(el) == (RingPolynomial.monomial(4, el.exps).render(plain.atoms) if not el.is_unit else "1")
     spaced = AtomTable(("a b", "c", "p q+r"))
     assert str(FactoredElement(spaced, (2, 0, 0))) == "(a b)^2"
     assert str(FactoredElement(spaced, (1, 1, 1))) == "(a b)*c*(p q+r)"
