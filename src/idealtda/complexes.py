@@ -12,24 +12,26 @@ that per-dimension index once, on the first ``masks_of_dim`` call, which
 no rips path makes.  All boundary matrices in the package use this
 order; ``boundary_masks`` builds the classical one for every rank and
 labelled boundary, and ``boundary_entries`` again on tuple faces, as the
-checks' oracle.  A filtration's faces are walked once, in its checked
-order, a :class:`FaceOrder`, which both SR and PH read.
+checks' oracle.  A filtration's faces are read in its checked order, a
+:class:`FaceOrder`, which both SR and PH read: ``vr_filtration`` builds
+it by closed forms as its edges go in, and any other filtration by one
+walk over the facets, which is also the oracle for the VR order.
 
 Bits are walked lowest first.  ``_iter_bits`` is the one helper for it,
 except in the loops that run once per face or facet: ``mask_face``, the
 facet walks of :class:`FaceOrder` and ``boundary_masks``, the superface
-probe of ``_maximal_masks`` (the SR final check), ``_cliques`` and, in
-``persistence``, the EDGE maximality test spell the walk inline
-(``bit = rest & -rest; rest ^= bit``), which saves a generator frame per
-face.  Masks are nonnegative: a negative int has infinitely many set
-bits, so ``mask_face``, ``SimplicialComplex`` and ``FaceOrder`` refuse one.
+probe of ``_maximal_masks`` (the SR final check), ``_cliques``,
+``_edge_levels``, ``_tied_fields`` and, in ``persistence``, the EDGE
+maximality test spell the walk inline (``bit = rest & -rest; rest ^=
+bit``), which saves a generator frame per face.  Masks are nonnegative:
+a negative int has infinitely many set bits, so ``mask_face``,
+``SimplicialComplex`` and ``FaceOrder`` refuse one.
 
-One clique walk, ``_cliques``, enumerates both clique complexes and
-Vietoris-Rips complexes (the cliques of the complete graph).  It lists a
-clique right after the clique without its highest vertex, so VR births
-are built along it from earlier births instead of from all vertex pairs
-of every face.  The walk and the downward closure of input faces stop
-with a ``ValueError`` beyond ``MAX_FACES`` faces.
+``_cliques`` enumerates the cliques of a graph for ``clique_complex``.
+Vietoris-Rips complexes do not use it: ``vr_filtration`` inserts the
+edges in filtration order and lists, at each edge, the cliques that it
+closes (``_edge_levels``).  Both walks and the downward closure of input
+faces stop with a ``ValueError`` beyond ``MAX_FACES`` faces.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ Face = tuple[int, ...]
 
 # Largest number of faces a complex may have; time and memory grow about
 # linearly in the faces.  `barcodes --format points-json --svg` on full VR of
-# 2-d clouds took 0.4 s / 23 MiB at n=13 (8191 faces), 3.3 s / 73 MiB at n=16
-# (65535) and 7.7 s / 130 MiB at n=17 (131071) (CPython 3.11, 2-vCPU VM).
+# random 2-d clouds took 0.03 s / 20 MiB peak RSS at n=13 (8191 faces) and
+# 0.26 s / 40 MiB at n=16 (65535), timed in process, best of three fresh
+# interpreters (CPython 3.11, 2-vCPU VM).
 MAX_FACES = 1 << 16
 
 
@@ -324,6 +327,14 @@ class FaceOrder:
             if (i := index.setdefault(m, j)) != j:
                 raise ValueError(f"face {j} repeats face {i}")
 
+    @classmethod
+    def _built(cls, faces: Sequence[int], index: dict[int, int], lows: dict, first_cofacet: list) -> "FaceOrder":
+        """An order whose fields were found without the walk, by the closed
+        forms of :func:`vr_filtration`; nothing is checked here."""
+        order = cls.__new__(cls)
+        order.faces, order.index, order.lows, order.first_cofacet = tuple(faces), index, lows, first_cofacet
+        return order
+
 
 @dataclass(frozen=True)
 class Filtration:
@@ -332,8 +343,9 @@ class Filtration:
     every birth and may add parameters where the complex does not change.
 
     ``order`` is its one checked (birth, dimension, colex) :class:`FaceOrder`;
-    ``from_births`` builds it at once as its subface check; the raw
-    constructor and ``single`` build it on first access."""
+    ``vr_filtration`` sets it from closed forms, ``from_births`` walks it
+    at once as its subface check, and the raw constructor and ``single``
+    walk it on first access."""
 
     n: int
     birth_map: Mapping[int, float]
@@ -510,6 +522,54 @@ def validate_distance_matrix(dist: Sequence[Sequence[float]]) -> int:
     return n
 
 
+def _edge_levels(
+    e: int, common: int, adj: Mapping[int, int], max_size: int, listed: int
+) -> tuple[list[list[tuple[int, int, int]]], int]:
+    """The faces m = e + S with at most max_size vertices, S a clique of
+    ``common``, the common neighbours of the ends of edge e in ``adj``, as
+    ``(m, C, X)`` with C the common neighbours of m and X = e, by
+    dimension: level k holds the faces of dimension k + 1, in colex order.
+    Breadth-first, a face grows only below its lowest vertex outside e,
+    and a level lists the faces of each parent in turn, in parent order and
+    then by the added vertex: that is colex order.  The face budget, on the
+    count of faces listed (``listed`` before the call, returned with the
+    levels), is checked at each face that grows."""
+    level, cands = [(e, common, e)], [common]
+    levels = [level]
+    while len(levels) + 2 <= max_size:
+        grown, below = [], []
+        for (m, C, _), cand in zip(level, cands):
+            if cand:
+                listed += cand.bit_count()
+                _check_face_budget(listed)
+            while cand:
+                u = cand & -cand
+                cand ^= u
+                C_u = C & adj[u]
+                grown.append((m | u, C_u, e))
+                below.append(C_u & (u - 1))
+        if not grown:
+            break
+        levels.append(grown)
+        level, cands = grown, below
+    return levels, listed
+
+
+def _tied_fields(m: int, adj: Mapping[int, int], tied: Mapping[int, int], full: int) -> tuple[int, int, int]:
+    """``(m, C, X)`` for a face m born in a tie group: C the common
+    neighbours of m and X the intersection of m's edges in ``tied``, the
+    group's, by one walk over m (the edges at v meet in v and, if there is
+    only one, its other end)."""
+    C, X, rest = full, m, m
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        C &= adj[v]
+        if w := tied[v] & m:
+            X &= v | w if w & (w - 1) == 0 else v
+    return m, C, X
+
+
 def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -> Filtration:
     """Vietoris-Rips filtration of a distance matrix.
 
@@ -517,33 +577,122 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
     parameter the complex is the clique complex of the threshold graph,
     truncated to faces of dimension <= max_dim.  Critical parameters are
     exactly {0} union {dist[i][j]/2 : i < j}.
+
+    The edges go in by (parameter, mask), one group per parameter t
+    (Zomorodian 2010).  Edge e lists the new faces e + S, S a clique of the
+    common neighbours of its ends, of at most max_dim + 1 vertices, so a
+    face born in a tie is listed once, by its last edge in.  The faces of a
+    group come out in (dimension, colex) order, the filtration order: one
+    edge lists them so, and a tie group sorts what its edges list.  Let
+    X(m) be the intersection of the edges of m born at t (e alone without
+    ties): the facets m - v with v in X(m) are older and the others are
+    born at t.  So the order's fields follow in closed form: a face's
+    youngest facet drops its lowest vertex outside X(m) (an edge drops its
+    lowest vertex), a new face's first cofacet adds the lowest of its
+    common neighbours at t, and each older facet takes the first face that
+    lists it as its first cofacet, unless it has one.  Births are t, except
+    that a face born at 0 takes the half-distance of its two lowest
+    vertices, so a -0.0 stays as it is.
     """
     n = validate_distance_matrix(dist)
     if max_dim is None:
         max_dim = n - 1
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    half = [[d / 2.0 for d in row] for row in dist]
+    _check_face_budget(n)
+    faces = [1 << v for v in range(n)]
+    births = dict.fromkeys(faces, 0.0)
+    index = dict(zip(faces, range(n)))
+    first: list[int | None] = [None] * n
+    lows: dict[int, tuple[list[int], list[int]]] = {}
+    params = [0.0]
+    adj = dict.fromkeys(faces, 0)  # vertex bit -> its neighbours so far
     full = (1 << n) - 1
-    births: dict[int, float] = {}
-    complete = Graph(n, (0,) + tuple(full ^ (1 << v) for v in range(n)))
-    for m in _cliques(complete, max_dim + 1):
-        top = m.bit_length() - 1
-        rest = m ^ (1 << top)
-        second = rest.bit_length() - 1
-        if second < 0:
-            births[m] = 0.0
-        elif rest == 1 << second:
-            births[m] = half[second][top]
-        else:  # pairs of m - top, of m - second, and {second, top}; ties keep b(m - top)
-            b = births[rest]
-            if (c := births[m ^ (1 << second)]) > b:
-                b = c
-            if (c := half[second][top]) > b:
-                b = c
-            births[m] = b
-    params = [0.0] + [half[i][j] for i in range(n) for j in range(i + 1, n)]
-    return Filtration.from_births(n, births, params=params)
+    edges = sorted((dist[i][j] / 2.0, (1 << i) | (1 << j)) for j in range(n) for i in range(j))
+    k, stop = 0, len(edges)
+    while k < stop:
+        t, e = edges[k]
+        start, k = k, k + 1
+        while k < stop and edges[k][0] == t:
+            k += 1
+        if t:  # a zero is the 0.0 of the vertices
+            params.append(t)
+        if not max_dim:
+            continue
+        if k == start + 1:  # no tie
+            lo = e & -e
+            hi = e ^ lo
+            adj[lo] |= hi
+            adj[hi] |= lo
+            common = adj[lo] & adj[hi] if max_dim > 1 else 0
+            if not common:  # e closes no triangle: it is the one new face
+                p = len(faces)
+                faces.append(e)
+                index[e] = p
+                births[e] = t
+                first.append(None)
+                positions, youngest = lows.get(1) or lows.setdefault(1, ([], []))
+                positions.append(p)
+                youngest.append(index[hi])
+                for i in (index[lo], index[hi]):
+                    if first[i] is None:
+                        first[i] = p
+                if p >= MAX_FACES:
+                    _check_face_budget(p + 1)
+                continue
+            levels, _ = _edge_levels(e, common, adj, max_dim + 1, len(faces) + 1)
+        else:  # the general rule
+            tied = dict.fromkeys(adj, 0)  # vertex bit -> its neighbours by edges born at t
+            levels = []
+            listed = len(faces)
+            for _, e in edges[start:k]:
+                lo = e & -e
+                hi = e ^ lo
+                adj[lo] |= hi
+                adj[hi] |= lo
+                tied[lo] |= hi
+                tied[hi] |= lo
+                listed += 1
+                if max_dim > 1 and (common := adj[lo] & adj[hi]):
+                    more, listed = _edge_levels(e, common, adj, max_dim + 1, listed)
+                else:
+                    more = [[(e, 0, e)]]
+                    _check_face_budget(listed)
+                for level, add in zip(levels, more):
+                    level += add
+                levels += more[len(levels):]
+            # C and X at the end of the group, in colex order
+            levels = [sorted(_tied_fields(m, adj, tied, full) for m, _, _ in level) for level in levels]
+        p = len(faces)
+        new = [m for level in levels for m, _, _ in level]
+        faces += new
+        index.update(zip(new, range(p, len(faces))))
+        if t:
+            births.update(dict.fromkeys(new, t))
+        else:
+            for m in new:
+                lo = m & -m
+                second = (m ^ lo) & -(m ^ lo)
+                births[m] = dist[lo.bit_length() - 1][second.bit_length() - 1] / 2.0
+        for dim, level in enumerate(levels, 1):
+            positions, youngest = lows.get(dim) or lows.setdefault(dim, ([], []))
+            grows = dim < max_dim
+            for m, C, X in level:
+                x = m & ~X or m
+                positions.append(p)
+                youngest.append(index[m ^ (x & -x)])
+                first.append(index[m | (C & -C)] if grows and C else None)
+                if X:  # at most two vertices, the ends of an edge
+                    v = X & -X
+                    if first[i := index[m ^ v]] is None:
+                        first[i] = p
+                    if (X := X ^ v) and first[i := index[m ^ X]] is None:
+                        first[i] = p
+                p += 1
+    f = Filtration(n, births, tuple(params))
+    f.final()  # the complex is checked here, as from_births checks it
+    f.__dict__["order"] = FaceOrder._built(faces, index, lows, first)
+    return f
 
 
 def boundary_masks(K: SimplicialComplex, k: int) -> tuple[Sequence[int], Sequence[int], list[list[tuple[int, int]]]]:

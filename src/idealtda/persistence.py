@@ -381,13 +381,29 @@ def witness_between_steps(f: Filtration, i: int) -> LinearPrime | None:
     changes at step i exactly when that bar starts or ends at
     ``f.params[i]``.  None means the two step complexes coincide: equal
     associated sets mean equal maximal faces, hence equal complexes and
-    ideals.  ValueError when a face of ``f`` is born before a subface.
+    ideals.  The first call reads the witness of every step off the bars
+    and keeps them with ``f``, so a scan of all steps builds the bars once.
+    ValueError when a face of ``f`` is born before a subface.
     """
     if not 1 <= i < len(f.params):
         raise ValueError(f"step index {i} out of range")
-    t = f.params[i]
-    changed = [LinearPrime(m) for m, b, d in _sr_intervals(f) if b == t or d == t]
-    return min(changed, key=LinearPrime.sort_key, default=None)
+    witnesses = f.__dict__.get("_sr_witnesses")
+    if witnesses is None:
+        witnesses = f.__dict__["_sr_witnesses"] = _witnesses_by_step(f)
+    return witnesses[i]
+
+
+def _witnesses_by_step(f: Filtration) -> list[LinearPrime | None]:
+    """The witness at every step, from one pass over the SR bars: the
+    first, in (|W|, lex) order, of the primes whose bar starts or ends at
+    the step's parameter."""
+    step = {t: i for i, t in enumerate(f.params)}
+    changed: list[list[LinearPrime]] = [[] for _ in f.params]
+    for m, b, d in _sr_intervals(f):
+        changed[step[b]].append(LinearPrime(m))
+        if d is not None:
+            changed[step[d]].append(LinearPrime(m))
+    return [min(primes, key=LinearPrime.sort_key, default=None) for primes in changed]
 
 
 def jump_witness(f: Filtration, k0: int, t0: float, field=GF2) -> LinearPrime | None:

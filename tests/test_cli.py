@@ -660,6 +660,9 @@ def test_json_decode_errors_keep_their_position(tmp_path, capsys):
     "command, fmt, text",
     [
         ("barcodes", "dist-csv", "\n".join(",".join("0" if i == j else "1" for j in range(25)) for i in range(25))),
+        ("barcodes", "dist-csv", "\n".join(",".join("0" for j in range(25)) for i in range(25))),
+        ("barcodes", "points-json", json.dumps({"points": [[float(i == j) for j in range(25)] for i in range(25)]})),
+        ("barcodes", "points-json", json.dumps({"points": [[0.5, -1.0]] * 25})),
         ("barcodes", "complex-json", '{"n": 40, "faces": [%s]}' % list(range(1, 41))),
         (
             "labelled",
@@ -667,10 +670,19 @@ def test_json_decode_errors_keep_their_position(tmp_path, capsys):
             '{"n": 40, "faces": [%s], "atoms": ["x1"], "labels": %s}' % (list(range(1, 41)), [[1]] * 40),
         ),
     ],
-    ids=["full-vr-25-points", "complex-40-vertex-face", "labelled-40-vertex-face"],
+    ids=[
+        "full-vr-25-points",
+        "full-vr-25-points-at-distance-0",
+        "full-vr-25-equidistant-points",
+        "full-vr-25-coincident-points",
+        "complex-40-vertex-face",
+        "labelled-40-vertex-face",
+    ],
 )
 def test_face_budget_exits_2(tmp_path, capsys, command, fmt, text):
-    # 2^25 and 2^40 faces: the walk and the closure stop at MAX_FACES
+    # 2^25 and 2^40 faces: the VR edge insertions and the closure stop at
+    # MAX_FACES.  At equal distances, or all at distance 0, one tie group
+    # holds the whole complex, so the budget trips while its faces are listed
     path = tmp_path / "in"
     path.write_text(text)
     start = time.perf_counter()

@@ -284,21 +284,7 @@ def test_vr_filtration_brute_force_oracle():
         # monotone steps
         for (_, a), (_, b) in zip(f.steps, f.steps[1:]):
             assert a.is_subcomplex_of(b)
-    # births bit for bit, -0.0 included: the first maximum over the pairs in
-    # lexicographic order, read from the upper triangle
-    bits = struct.Struct(">d").pack
-    for n in range(1, 10):
-        for kind in ("uniform", "ties", "zeros"):
-            dist = _oracle_metric(rng, n, kind)
-            for max_dim in (None, 0, 1, 2):
-                top = n if max_dim is None else min(max_dim + 1, n)
-                want = {}
-                for size in range(1, top + 1):
-                    for comb in combinations(range(1, n + 1), size):
-                        halves = [dist[a - 1][b - 1] / 2.0 for a, b in combinations(comb, 2)]
-                        want[face_mask(comb)] = bits(max(halves) if halves else 0.0)
-                got = vr_filtration(dist, max_dim).birth_map
-                assert {m: bits(t) for m, t in got.items()} == want
+    # births bit for bit: test_vr_order_is_the_checked_walk_and_the_oracle
 
 
 def test_face_budget(monkeypatch):
@@ -621,6 +607,41 @@ def test_face_order_and_maximal_faces_match_brute_force_oracles():
             else:  # a swap within a level, or a maximal face dropped, keeps the order valid
                 order = FaceOrder(broken)
                 assert (order.index, order.first_cofacet, order.lows) == want
+
+
+def test_vr_order_is_the_checked_walk_and_the_oracle():
+    # vr_filtration finds its order's fields by closed forms, without the
+    # walk: they must be what FaceOrder's walk and the definitions find,
+    # with births and params bit for bit and the faces in (birth, dim, colex)
+    bits = struct.Struct(">d").pack
+    rng = random.Random(29)
+    cases = 0
+    for n in range(1, 10):
+        metrics = [_oracle_metric(rng, n, kind) for kind in ("uniform", "ties", "zeros")]
+        metrics.append(verify.random_metric(rng, n))
+        for dist in metrics:
+            halves = {face_mask((a, b)): dist[a - 1][b - 1] / 2.0 for a, b in combinations(range(1, n + 1), 2)}
+            want_params = sorted({0.0, *halves.values()})
+            for max_dim in (None, 0, 1, 2, 3):
+                f = vr_filtration(dist, max_dim)
+                order = f.order
+                want = _order_oracle(order.faces)
+                assert (order.index, order.first_cofacet, order.lows) == want, (dist, max_dim)
+                walk = FaceOrder(order.faces)
+                assert (walk.index, walk.first_cofacet, walk.lows) == want
+                # births bit for bit, -0.0 included: the first maximum over
+                # the pairs in lexicographic order, read from the upper triangle
+                top = n if max_dim is None else min(max_dim + 1, n)
+                births = {}
+                for size in range(1, top + 1):
+                    for face in combinations(range(1, n + 1), size):
+                        pairs = [halves[face_mask(pair)] for pair in combinations(face, 2)]
+                        births[face_mask(face)] = max(pairs) if pairs else 0.0
+                assert {m: bits(t) for m, t in f.birth_map.items()} == {m: bits(t) for m, t in births.items()}
+                assert list(map(bits, f.params)) == list(map(bits, want_params))
+                assert list(order.faces) == sorted(births, key=lambda m: (births[m], m.bit_count(), m))
+                cases += 1
+    assert cases == 9 * 4 * 5
 
 
 def test_maximal_masks_match_brute_force_on_truncated_complexes():

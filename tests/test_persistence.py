@@ -362,7 +362,9 @@ def test_persistence_reduce_takes_a_face_order_or_masks(field):
         assert persistence.persistence_reduce(FaceOrder(masks), field) == want
 
 
-def test_barcodes_path_walks_each_filtration_once(monkeypatch, tmp_path):
+def test_vr_filtrations_make_no_checked_walk(monkeypatch, tmp_path):
+    # vr_filtration builds its order by closed forms; only a truncating PH
+    # and a complex's single-step filtration walk their faces, once each
     built = []
     init = FaceOrder.__init__
 
@@ -375,19 +377,18 @@ def test_barcodes_path_walks_each_filtration_once(monkeypatch, tmp_path):
     prime_barcode(f, "SR")
     prime_barcode(f, "EDGE")
     ph_barcode(f)
-    assert built == [len(f.birth_map)]
+    assert built == []
     # a max_dim that drops faces checks and indexes their subsequence anew
-    built.clear()
     f = vr_filtration(random_metric(random.Random(8), 5))
     prime_barcode(f, "SR")
     ph_barcode(f, GF2, 1)
-    assert built == [31, 25]
+    assert built == [25]
     # the CLI: vr_filtration truncates itself, a complex is truncated by PH
     csv = tmp_path / "d.csv"
     csv.write_text("\n".join(",".join(map(str, row)) for row in random_metric(random.Random(3), 6)) + "\n")
     cx = tmp_path / "c.json"
     cx.write_text('{"n": 4, "faces": [[1, 2, 3, 4]]}')
-    for path, fmt, want in ((csv, "dist-csv", [21]), (cx, "complex-json", [15, 14])):
+    for path, fmt, want in ((csv, "dist-csv", []), (cx, "complex-json", [15, 14])):
         built.clear()
         argv = ["barcodes", "--input", str(path), "--format", fmt, "--max-dim", "1", "--out", str(tmp_path / fmt)]
         assert cli.main(argv) == 0
@@ -485,13 +486,25 @@ def _witness_cases(rng):
     yield Filtration.from_births(6, {m: float(m.bit_count()) for m in rp2.face_masks})
 
 
-def test_witness_between_steps_is_the_per_step_witness_at_every_step():
+def test_witness_between_steps_is_the_per_step_witness_at_every_step(monkeypatch):
+    # the first call keeps every step's witness with f, so a scan of all
+    # steps builds the SR bars once
+    calls = []
+    sr_intervals = persistence._sr_intervals
+
+    def counting(f):
+        calls.append(f)
+        return sr_intervals(f)
+
+    monkeypatch.setattr(persistence, "_sr_intervals", counting)
     found = {True: 0, False: 0}
     for f in _witness_cases(random.Random(31)):
+        calls.clear()
         for i in range(1, len(f.params)):
             got = witness_between_steps(f, i)
             assert got == witness_per_step(f, i), (f.params, i)
             found[got is None] += 1
+        assert len(calls) == (len(f.params) > 1), f.params
     assert found[True] and found[False] > 300, found
 
 
