@@ -31,6 +31,13 @@ The file holds the Python version and the platform, then:
   whole reduced complex.  It times the command and each ``idealtda.cli``
   attribute of ``LABELLED_STAGES`` and records the size and SHA-256
   digest of ``report.json``;
+* ``startup``: ``RUNS`` fresh interpreters, each under
+  ``PYTHONDONTWRITEBYTECODE=1`` and on a copy of ``src/idealtda`` with no
+  bytecode cache, so that idealtda compiles from source as in a fresh
+  checkout, time ``import idealtda, idealtda.cli`` between two runs of
+  the calibration loop, scaled by ``to_reference`` like the ladder rows;
+  it records the median and the spread of the seconds and the idealtda
+  modules the import loaded, which must agree over the runs;
 * ``workloads``: the end-to-end metrics of one
   ``perfbench/run.py --seed 0 --seconds S --trace 0`` run per workload,
   where S is the ``run_seconds`` of ``BENCHMARK.json``, with its
@@ -51,6 +58,7 @@ import os
 import platform
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -245,22 +253,29 @@ def _median_and_spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), max(values) - min(values)
 
 
-def _fresh_row(call: str, fixed: tuple[str, ...]) -> dict:
-    """``RUNS`` runs of ``bench.<call>``, each in a fresh interpreter: the
-    ``fixed`` keys, which every run must repeat, and the median and the
-    spread of the seconds of each stage and of the peak RSS."""
+def _fresh_runs(call: str, fixed: tuple[str, ...], src: Path = SRC, env: dict | None = None) -> list[dict]:
+    """``RUNS`` runs of ``bench.<call>``, each in a fresh interpreter that
+    imports idealtda from ``src``; every run must repeat the ``fixed`` keys."""
     code = (
-        f"import sys, json; sys.path[:0] = [{str(SRC)!r}, {str(ROOT / 'scripts')!r}]; "
+        f"import sys, json; sys.path[:0] = [{str(src)!r}, {str(ROOT / 'scripts')!r}]; "
         f"import bench; print(json.dumps(bench.{call}))"
     )
     rows = []
     for _ in range(RUNS):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         rows.append(json.loads(proc.stdout))
     for row in rows[1:]:
         differ = [key for key in fixed if row[key] != rows[0][key]]
         if differ:
-            raise RuntimeError(f"ladder row {call} differs between runs in {differ}")
+            raise RuntimeError(f"{call} differs between runs in {differ}")
+    return rows
+
+
+def _fresh_row(call: str, fixed: tuple[str, ...]) -> dict:
+    """``RUNS`` runs of ``bench.<call>``, each in a fresh interpreter: the
+    ``fixed`` keys, which every run must repeat, and the median and the
+    spread of the seconds of each stage and of the peak RSS."""
+    rows = _fresh_runs(call, fixed)
     out = {key: rows[0][key] for key in fixed}
     out["runs"] = RUNS
     stages = {stage: _median_and_spread([row["seconds"][stage] for row in rows]) for stage in rows[0]["seconds"]}
@@ -278,6 +293,34 @@ def fresh_ladder_row(n: int, max_dim: int | None) -> dict:
 def fresh_labelled_row(kind: str, vertices: int) -> dict:
     """``RUNS`` fresh-interpreter runs of one ``labelled_ladder`` row, aggregated."""
     return _fresh_row(f"labelled_row({kind!r}, {vertices})", ("kind", "vertices", "faces", "bytes", "sha256"))
+
+
+def startup_run() -> dict:
+    """One ``import idealtda, idealtda.cli`` in this interpreter, in
+    reference-core seconds, and the idealtda modules it loaded."""
+    if "idealtda" in sys.modules:
+        raise RuntimeError("idealtda is already imported")
+    calibration_time, to_reference = _calibration()
+    before = calibration_time()
+    start = perf_counter()
+    importlib.import_module("idealtda")
+    importlib.import_module("idealtda.cli")
+    elapsed = perf_counter() - start
+    after = calibration_time()
+    modules = sorted(m for m in sys.modules if m == "idealtda" or m.startswith("idealtda."))
+    return {"seconds": to_reference(elapsed, before, after), "modules": modules}
+
+
+def fresh_startup() -> dict:
+    """``RUNS`` runs of :func:`startup_run`, each in a fresh interpreter
+    that compiles idealtda from source, aggregated."""
+    with tempfile.TemporaryDirectory() as work:
+        src = Path(work) / "src"
+        shutil.copytree(SRC / "idealtda", src / "idealtda", ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        rows = _fresh_runs("startup_run()", ("modules",), src, env)
+    seconds, spread = _median_and_spread([row["seconds"] for row in rows])
+    return {"runs": RUNS, "seconds": seconds, "seconds_spread": spread, "modules": rows[0]["modules"]}
 
 
 def _workload(name: str) -> dict:
@@ -299,8 +342,10 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "ladder": [],
         "labelled_ladder": [],
+        "startup": fresh_startup(),
         "workloads": {},
     }
+    print(f"startup: {record['startup']['seconds']}", file=sys.stderr)
     for n, max_dim in LADDER:
         record["ladder"].append(fresh_ladder_row(n, max_dim))
         print(f"ladder n={n} max_dim={max_dim}: {record['ladder'][-1]['seconds']}", file=sys.stderr)

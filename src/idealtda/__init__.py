@@ -4,6 +4,9 @@ Barcodes from the associated primes of face (Stanley-Reisner) and edge
 ideals along a Vietoris-Rips filtration, exact simplicial homology, and
 labelled chain complexes of free modules over factored unique
 factorization domains.
+
+The randomized suites and their slow oracles, :mod:`idealtda.verify`, load
+on first access to ``idealtda.verify`` (PEP 562), not with the package.
 """
 
 from .complexes import (
@@ -120,3 +123,11 @@ __all__ = [
     "prime_barcode",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name == "verify":
+        import idealtda.verify as verify
+
+        return verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

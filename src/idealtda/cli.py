@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All outputs are deterministic for a fixed input and seed.
+
+The randomized suites and their oracles, :mod:`idealtda.verify`, load only
+when ``verify`` runs: ``barcodes`` and ``labelled`` never import them.
 """
 
 from __future__ import annotations
@@ -51,9 +54,15 @@ from .serialize import (
 
 # unused here (the writers read the bars); perfbench/tracing.py binds these names
 from .serialize import ph_barcode_to_dict, prime_barcode_to_dict
-from .verify import MAX_VERIFY_N, run_all
 
 __all__ = ["main", "build_parser"]
+
+# Largest --max-n of the verify command.  The clique complex of a graph on
+# at most 16 vertices has at most 2^16 - 1 faces, within MAX_FACES, and the
+# slowest suite, the transversal route of suite_vertex_cover_oracles, is
+# exponential in n: at the default 20 trials it took 0.08 s at max-n 16,
+# 0.7 s at 18 and 5 s at 20 (CPython 3.11, 2-vCPU VM).
+MAX_VERIFY_N = 16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,6 +304,8 @@ def cmd_verify(args) -> int:
             raise InputError(f"{option} must be at least 1, got {value}")
     if args.max_n > MAX_VERIFY_N:
         raise InputError(f"--max-n must be at most {MAX_VERIFY_N}, got {args.max_n}")
+    from .verify import run_all  # the oracles load only for this command
+
     results = run_all(seed=args.seed, trials=args.trials, nmax=args.max_n)
     for res in results:
         print(res.line())

@@ -15,12 +15,13 @@ or of an independent set:
   along which births never decrease.  Before the first birth the complex
   is empty and the prime P_[n] is associated.
 * ``EDGE``: the primes are the complements of the maximal independent
-  sets of the graph.  Edges are inserted in (birth, mask) order; an
-  insertion of {i,j} kills exactly the live sets containing both ends,
-  and the only sets it creates are I - {i} and I - {j} for a killed I,
-  each kept when it is still maximal (Tsukiyama et al. 1977).  Only the
-  neighbours of the removed end outside I can lose their last neighbour
-  in the set, so the maximality test reads just those.
+  sets of the graph.  Edges are inserted in (birth, mask) order, as
+  ``f.order`` lists them; an insertion of {i,j} kills exactly the live
+  sets containing both ends, and the only sets it creates are I - {i}
+  and I - {j} for a killed I, each kept when it is still maximal
+  (Tsukiyama et al. 1977).  Only the neighbours of the removed end
+  outside I can lose their last neighbour in the set, so the maximality
+  test reads just those.
 
 Every prime therefore carries exactly one interval.  Both closed forms
 emit bars as ``(mask, birth, death)`` tuples, and a :class:`Barcode` of
@@ -209,14 +210,20 @@ def _sr_intervals(f: Filtration) -> list[Bar]:
 def _edge_intervals(f: Filtration) -> list[Bar]:
     """Bars of the complements of the maximal independent sets, one pass
     over the edge insertions; ValueError when the finished and the live
-    bars together exceed MAX_EDGE_BARS."""
+    bars together exceed MAX_EDGE_BARS.
+
+    The edges are read off ``f.order``, which lists them in (birth, mask)
+    order; a raw filtration walks its order on first access, and the
+    CLI's SR call has built it by then."""
     births = f.birth_map
     full = (1 << f.n) - 1
     adj = [0] * (f.n + 1)  # adj[v] is the neighbour mask of vertex v
     live = {full: f.params[0]}  # maximal independent set -> birth
     out = []
-    edges = sorted((t, m) for m, t in births.items() if m.bit_count() == 2)
-    for t, e in edges:
+    faces, lows = f.order.faces, f.order.lows
+    for j in lows[1][0] if 1 in lows else ():
+        e = faces[j]
+        t = births[e]
         lo = e & -e
         hi = e ^ lo
         adj[lo.bit_length()] |= hi
@@ -252,9 +259,9 @@ def prime_barcode(f: Filtration, kind: str = KIND_SR) -> Barcode:
     Each prime's interval spans the maximal run of consecutive critical
     steps at which it is associated; the zero-ideal prime is emitted like
     any other, as the bar of mask 0.  Kinds ``SR`` and ``EDGE`` use
-    the closed forms of the module docstring.  Kind ``SR`` raises
-    ValueError when a face of ``f`` is born before one of its subfaces,
-    and kind ``EDGE`` when it would have more than MAX_EDGE_BARS bars.
+    the closed forms of the module docstring.  Both raise ValueError
+    when a face of ``f`` is born before one of its subfaces, and kind
+    ``EDGE`` when it would have more than MAX_EDGE_BARS bars.
     """
     params = f.params
     if kind == KIND_SR:

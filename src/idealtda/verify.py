@@ -55,7 +55,6 @@ from .persistence import (
 )
 
 __all__ = [
-    "MAX_VERIFY_N",
     "SuiteResult",
     "NoResurrectionError",
     "intervals_from_runs",
@@ -81,13 +80,6 @@ __all__ = [
     "suite_vertex_cover_oracles",
     "run_all",
 ]
-
-# Largest --max-n of the verify command.  The clique complex of a graph on
-# at most 16 vertices has at most 2^16 - 1 faces, within MAX_FACES, and the
-# slowest suite, the transversal route of suite_vertex_cover_oracles, is
-# exponential in n: at the default 20 trials it took 0.08 s at max-n 16,
-# 0.7 s at 18 and 5 s at 20 (CPython 3.11, 2-vCPU VM).
-MAX_VERIFY_N = 16
 
 
 class NoResurrectionError(AssertionError):

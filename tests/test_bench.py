@@ -90,3 +90,16 @@ def test_labelled_row_keys(tmp_path, monkeypatch, kind):
     assert hashlib.sha256(report).hexdigest() == row["sha256"]["report.json"]
     assert json.loads(report)["evaluation"]["admissible"] is True
     assert ("slice" in json.loads(report)) == (kind == "monomial")
+
+
+def test_fresh_startup_keys(monkeypatch):
+    bench = _bench_module()
+    monkeypatch.setattr(bench, "RUNS", 2)
+    record = bench.fresh_startup()
+    assert set(record) == {"runs", "seconds", "seconds_spread", "modules"}
+    assert record["runs"] == 2 and record["seconds"] > 0 and record["seconds_spread"] >= 0
+    # the CLI's start-up path: the package, cli and the production modules, not the oracles
+    assert {"idealtda", "idealtda.cli", "idealtda.persistence"} <= set(record["modules"])
+    assert "idealtda.verify" not in record["modules"]
+    with pytest.raises(RuntimeError, match="already imported"):
+        bench.startup_run()

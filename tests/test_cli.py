@@ -12,12 +12,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from idealtda import cli, serialize
-from idealtda.cli import main
+from idealtda.cli import MAX_VERIFY_N, main
 from idealtda.complexes import MAX_FACES
 from idealtda.linalg import MAX_MODULUS
 from idealtda.persistence import MAX_EDGE_BARS
 from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES, dumps_json
-from idealtda.verify import MAX_VERIFY_N, random_metric
+from idealtda.verify import random_metric
 
 
 @pytest.fixture

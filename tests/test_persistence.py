@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 from idealtda import cli, persistence
-from idealtda.complexes import FaceOrder, Filtration, SimplicialComplex, face_mask, vr_filtration
+from idealtda.complexes import FaceOrder, Filtration, SimplicialComplex, _iter_bits, face_mask, vr_filtration
 from idealtda.ideals import sr_associated_primes
 from idealtda.linalg import GF2, QQ, PrimeField, _boundary_columns, _reduce_columns
 from idealtda.monomials import LinearPrime, minimal_primes_squarefree
@@ -144,6 +144,68 @@ def test_edge_closed_form_when_an_outside_vertex_hangs_on_the_removed_end():
                 for t, e in enumerate(order, start=1):
                     births[face_mask(e)] = float((t + tie - 1) // tie)
                 _assert_closed_forms_match_per_step_route(Filtration.from_births(n, births))
+
+
+def _edge_bars_by_scan(f):
+    """The EDGE closed form as it was before it read f.order: the edges come
+    from a scan of the whole birth map, sorted by (birth, mask)."""
+    full = (1 << f.n) - 1
+    adj = [0] * (f.n + 1)
+    live = {full: f.params[0]}
+    out = []
+    for t, e in sorted((t, m) for m, t in f.birth_map.items() if m.bit_count() == 2):
+        lo = e & -e
+        hi = e ^ lo
+        adj[lo.bit_length()] |= hi
+        adj[hi.bit_length()] |= lo
+        for I in [I for I in live if I & e == e]:
+            b = live.pop(I)
+            if b < t:
+                out.append((full & ~I, b, t))
+            for x in (lo, hi):
+                J = I ^ x
+                if all(adj[u.bit_length()] & J for u in _iter_bits(adj[x.bit_length()] & ~I)):
+                    live[J] = t
+    out.extend((full & ~I, b, None) for I, b in live.items())
+    return out
+
+
+def _edge_scan_cases(rng):
+    for trial in range(120):
+        n = rng.randint(1, 8)
+        kind = trial % 3
+        dist = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if kind == 0:
+                    dist[i][j] = dist[j][i] = rng.uniform(0.2, 2.0)
+                elif kind == 1:  # integer distances: many tied births
+                    dist[i][j] = dist[j][i] = float(rng.randint(1, 3))
+                else:  # zeros of either sign, apart on each side of the diagonal
+                    dist[i][j], dist[j][i] = rng.choice([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, 1.0)])
+        yield vr_filtration(dist, (None, 1, 2)[trial // 3 % 3])
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gens = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+        K = SimplicialComplex.from_faces(n, gens, close=True)
+        yield Filtration.single(K, rng.choice((0.0, -0.0, 0.5)))
+        births: dict[int, float] = {}
+        for m in sorted(K.face_masks, key=int.bit_count):
+            subs = [births[m ^ (1 << v)] for v in range(n) if m >> v & 1 and m ^ (1 << v)]
+            births[m] = max([rng.choice((-0.0, 0.0, 1.0, 2.0))] + subs)
+        yield Filtration.from_births(n, births, [3.0])
+        yield Filtration(n, births, tuple(sorted(set(births.values()) | {3.0})))  # raw: walks on first access
+
+
+def test_edge_intervals_read_the_edges_off_the_order():
+    # the same bars, in the same order, with every birth and death bit for
+    # bit (-0.0 included), as the edges of a (birth, mask) scan of the births
+    cases = 0
+    for f in _edge_scan_cases(random.Random(30)):
+        got, want = persistence._edge_intervals(f), _edge_bars_by_scan(f)
+        assert [(m, repr(b), repr(d)) for m, b, d in got] == [(m, repr(b), repr(d)) for m, b, d in want]
+        cases += 1
+    assert cases == 120 + 3 * 40
 
 
 def test_closed_form_barcodes_on_empty_complexes():
@@ -400,6 +462,14 @@ def test_sr_rejects_a_raw_filtration_born_before_its_subfaces():
         f = Filtration(2, births, tuple(sorted(set(births.values()))))
         with pytest.raises(ValueError, match="before subface"):
             prime_barcode(f, "SR")
+
+
+def test_edge_rejects_a_raw_filtration_born_before_its_subfaces():
+    # EDGE reads its edges off the checked order, which refuses such a filtration
+    for births in ({0b01: 0.0, 0b10: 1.0, 0b11: 0.0}, {0b01: 0.0, 0b11: 0.0}):
+        f = Filtration(2, births, tuple(sorted(set(births.values()))))
+        with pytest.raises(ValueError, match="before subface"):
+            prime_barcode(f, "EDGE")
 
 
 @pytest.mark.parametrize("field", [GF2, QQ, PrimeField(5)], ids=["f2", "q", "f5"])
