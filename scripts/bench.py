@@ -34,10 +34,13 @@ The file holds the Python version and the platform, then:
 * ``startup``: ``RUNS`` fresh interpreters, each under
   ``PYTHONDONTWRITEBYTECODE=1`` and on a copy of ``src/idealtda`` with no
   bytecode cache, so that idealtda compiles from source as in a fresh
-  checkout, time ``import idealtda, idealtda.cli`` between two runs of
-  the calibration loop, scaled by ``to_reference`` like the ladder rows;
-  it records the median and the spread of the seconds and the idealtda
-  modules the import loaded, which must agree over the runs;
+  checkout, time ``IMPORTS`` imports ``import idealtda, idealtda.cli``
+  each, every one after removing the idealtda modules from
+  ``sys.modules`` as ``perfbench/run.py`` ``fresh_import`` does, and
+  between two runs of the calibration loop, scaled by ``to_reference``
+  like the ladder rows.  It records the median, the quartiles and the
+  spread of all ``RUNS * IMPORTS`` times, and the idealtda modules the
+  import loaded, which must agree over the imports;
 * ``workloads``: the end-to-end metrics of one
   ``perfbench/run.py --seed 0 --seconds S --trace 0`` run per workload,
   where S is the ``run_seconds`` of ``BENCHMARK.json``, with its
@@ -77,6 +80,7 @@ LADDER = ((20, 2), (30, 2), (40, 2), (14, None), (16, None))
 # (kind, vertices): labelled rows on full simplices of 127, 255 and 511 faces
 LABELLED_LADDER = (("composite", 7), ("composite", 8), ("composite", 9), ("monomial", 9))
 RUNS = 3  # fresh-interpreter runs of each ladder row
+IMPORTS = 9  # timed imports per fresh interpreter of the startup record, as many as perfbench's setup_s
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
 
@@ -295,32 +299,54 @@ def fresh_labelled_row(kind: str, vertices: int) -> dict:
     return _fresh_row(f"labelled_row({kind!r}, {vertices})", ("kind", "vertices", "faces", "bytes", "sha256"))
 
 
+def _loaded_modules() -> list[str]:
+    return sorted(m for m in sys.modules if m == "idealtda" or m.startswith("idealtda."))
+
+
 def startup_run() -> dict:
-    """One ``import idealtda, idealtda.cli`` in this interpreter, in
-    reference-core seconds, and the idealtda modules it loaded."""
-    if "idealtda" in sys.modules:
+    """``IMPORTS`` imports ``import idealtda, idealtda.cli`` in this
+    interpreter, each from scratch, in reference-core seconds, and the
+    idealtda modules an import loads, which must agree over the imports."""
+    if _loaded_modules():
         raise RuntimeError("idealtda is already imported")
     calibration_time, to_reference = _calibration()
-    before = calibration_time()
-    start = perf_counter()
-    importlib.import_module("idealtda")
-    importlib.import_module("idealtda.cli")
-    elapsed = perf_counter() - start
-    after = calibration_time()
-    modules = sorted(m for m in sys.modules if m == "idealtda" or m.startswith("idealtda."))
-    return {"seconds": to_reference(elapsed, before, after), "modules": modules}
+    seconds = []
+    modules = None
+    for _ in range(IMPORTS):
+        for name in _loaded_modules():
+            del sys.modules[name]
+        before = calibration_time()
+        start = perf_counter()
+        importlib.import_module("idealtda")
+        importlib.import_module("idealtda.cli")
+        elapsed = perf_counter() - start
+        seconds.append(to_reference(elapsed, before, calibration_time()))
+        loaded = _loaded_modules()
+        if modules not in (None, loaded):
+            raise RuntimeError(f"an import loaded {loaded}, another {modules}")
+        modules = loaded
+    return {"seconds": seconds, "modules": modules}
 
 
 def fresh_startup() -> dict:
     """``RUNS`` runs of :func:`startup_run`, each in a fresh interpreter
-    that compiles idealtda from source, aggregated."""
+    that compiles idealtda from source, aggregated over all imports."""
     with tempfile.TemporaryDirectory() as work:
         src = Path(work) / "src"
         shutil.copytree(SRC / "idealtda", src / "idealtda", ignore=shutil.ignore_patterns("__pycache__"))
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         rows = _fresh_runs("startup_run()", ("modules",), src, env)
-    seconds, spread = _median_and_spread([row["seconds"] for row in rows])
-    return {"runs": RUNS, "seconds": seconds, "seconds_spread": spread, "modules": rows[0]["modules"]}
+    times = [t for row in rows for t in row["seconds"]]
+    seconds, spread = _median_and_spread(times)
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {
+        "runs": RUNS,
+        "imports": len(times),
+        "seconds": seconds,
+        "seconds_quartiles": [q1, q3],
+        "seconds_spread": spread,
+        "modules": rows[0]["modules"],
+    }
 
 
 def _workload(name: str) -> dict:

@@ -3,8 +3,17 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All outputs are deterministic for a fixed input and seed.
 
-The randomized suites and their oracles, :mod:`idealtda.verify`, load only
-when ``verify`` runs: ``barcodes`` and ``labelled`` never import them.
+Each command compiles only the modules it runs.  ``verify`` imports the
+randomized suites and their oracles, :mod:`idealtda.verify`, inside
+``cmd_verify``.  The labelled framework (:mod:`idealtda.labelled`, and
+through it the ideal algebra of :mod:`idealtda.monomials`) is bound by
+``_bind_labelled``: it imports :mod:`idealtda.labelled` and binds each
+name of ``_LABELLED_NAMES`` into this module's globals.  ``cmd_labelled``
+calls it first, and the module's PEP 562 ``__getattr__`` calls it when one
+of those names is read as a ``cli`` attribute before that.  It never
+replaces a name that is already bound, so a caller that rebinds one as a
+``cli`` attribute (a tracer's wrapper, a test's stand-in, a stage timer)
+keeps its binding through the command.
 """
 
 from __future__ import annotations
@@ -17,20 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .complexes import Filtration, vr_filtration
-from .labelled import (
-    InadmissiblePointError,
-    EvaluationPoint,
-    _slice_degree,
-    _vanishing_vertices,
-    boundary_matrices,
-    chain_condition_check,
-    diag_relation_check,
-    evaluate_chain,
-    fraction_field_ranks,
-    graded_slice,
-    local_subcomplex,
-    slice_iso_check,
-)
 from .linalg import QQ, parse_field
 from .persistence import (
     betti_from_ranks,
@@ -63,6 +58,39 @@ __all__ = ["main", "build_parser"]
 # exponential in n: at the default 20 trials it took 0.08 s at max-n 16,
 # 0.7 s at 18 and 5 s at 20 (CPython 3.11, 2-vCPU VM).
 MAX_VERIFY_N = 16
+
+# the names of idealtda.labelled that cmd_labelled reads, bound on first use
+_LABELLED_NAMES = (
+    "InadmissiblePointError",
+    "EvaluationPoint",
+    "_slice_degree",
+    "_vanishing_vertices",
+    "boundary_matrices",
+    "chain_condition_check",
+    "diag_relation_check",
+    "evaluate_chain",
+    "fraction_field_ranks",
+    "graded_slice",
+    "local_subcomplex",
+    "slice_iso_check",
+)
+
+
+def _bind_labelled() -> None:
+    """Import :mod:`idealtda.labelled` and bind each name of
+    ``_LABELLED_NAMES`` that is not bound yet into this module."""
+    from . import labelled
+
+    namespace = globals()
+    for name in _LABELLED_NAMES:
+        namespace.setdefault(name, getattr(labelled, name))
+
+
+def __getattr__(name: str):
+    if name in _LABELLED_NAMES:
+        _bind_labelled()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,6 +229,7 @@ def _parse_point(text: str) -> EvaluationPoint:
 
 
 def cmd_labelled(args) -> int:
+    _bind_labelled()
     field = parse_field(args.field)
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
     point = _parse_point(args.point) if args.point is not None else None

@@ -4,7 +4,9 @@ Vertices are integers 1..n.  Faces are stored internally as bitmasks
 (bit v-1 set iff vertex v belongs to the face), which makes subset and
 superset queries cheap; the public face representation is the strictly
 increasing tuple of vertices.  A graph is stored the same way, as one
-neighbour mask per vertex.
+neighbour mask per vertex, and so is a :class:`LinearPrime`, the prime
+generated by the variables of a vertex set, which the barcodes label
+their bars with.
 
 Canonical basis order: within each dimension, faces are sorted by their
 bitmask value, i.e. colexicographically; a complex sorts its faces into
@@ -46,6 +48,7 @@ __all__ = [
     "Face",
     "face_mask",
     "mask_face",
+    "LinearPrime",
     "SimplicialComplex",
     "Graph",
     "FaceOrder",
@@ -101,6 +104,38 @@ def mask_face(mask: int) -> Face:
         out.append(bit.bit_length())
         mask ^= bit
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class LinearPrime:
+    """The linear prime ideal generated by the variables x_v whose bit v-1
+    is set in ``mask``.
+
+    The zero mask encodes the zero ideal, which is prime in a domain.
+    """
+
+    mask: int
+
+    @classmethod
+    def of(cls, vertices: Iterable[int]) -> "LinearPrime":
+        """The prime of distinct positive variable indices, in any order."""
+        return cls(face_mask(vertices))
+
+    @property
+    def vars(self) -> tuple[int, ...]:
+        return mask_face(self.mask)
+
+    @property
+    def is_zero_ideal(self) -> bool:
+        return not self.mask
+
+    def sort_key(self) -> tuple[int, tuple[int, ...]]:
+        return (self.mask.bit_count(), self.vars)
+
+    def __str__(self) -> str:
+        if self.is_zero_ideal:
+            return "<0>"
+        return "<" + ",".join(f"x{v}" for v in self.vars) + ">"
 
 
 def _iter_bits(mask: int):

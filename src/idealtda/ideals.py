@@ -10,12 +10,18 @@ test and verification suites.
 Graphs are neighbour masks (see :class:`idealtda.complexes.Graph`):
 ``complement_graph`` is the one complement computation, and the vertex
 covers are the complements of the maximal cliques of the complement.
+
+The barcodes read only the combinatorial routes, which return
+:class:`~idealtda.complexes.LinearPrime` masks, so the ideal algebra of
+:mod:`idealtda.monomials` loads inside the two functions that build
+ideals, ``stanley_reisner`` and ``edge_ideal``, on their first call.
 """
 
 from __future__ import annotations
 
 from .complexes import (
     Graph,
+    LinearPrime,
     SimplicialComplex,
     _check_face_budget,
     _iter_bits,
@@ -23,7 +29,6 @@ from .complexes import (
     maximal_clique_masks,
     minimal_nonfaces,
 )
-from .monomials import AtomTable, FactoredElement, LinearPrime, MonomialIdeal
 
 __all__ = [
     "stanley_reisner",
@@ -42,6 +47,8 @@ def stanley_reisner(K: SimplicialComplex) -> MonomialIdeal:
     The minimal non-faces already form the minimal basis; a simplex over
     the full vertex set yields the zero ideal.
     """
+    from .monomials import AtomTable, FactoredElement, MonomialIdeal
+
     table = AtomTable.for_variables(K.n)
     gens = [FactoredElement.from_support(table, f) for f in minimal_nonfaces(K)]
     return MonomialIdeal.from_generators(table, gens)
@@ -49,6 +56,8 @@ def stanley_reisner(K: SimplicialComplex) -> MonomialIdeal:
 
 def edge_ideal(obj: SimplicialComplex | Graph) -> MonomialIdeal:
     """Ideal generated by x_i*x_j over the edges (1-faces) of the input."""
+    from .monomials import AtomTable, FactoredElement, MonomialIdeal
+
     g = obj if isinstance(obj, Graph) else one_skeleton(obj)
     table = AtomTable.for_variables(g.n)
     gens = [FactoredElement.from_support(table, e) for e in g.edges]

@@ -10,7 +10,9 @@ Prime decomposition is implemented for square-free monomial ideals only:
 the associated primes are the minimal transversals of the generator
 supports, each encoded as a :class:`LinearPrime`.  A linear prime is a
 vertex bitmask like a face: bit v-1 stands for x_v, and its variable
-tuple is derived from the mask on demand.
+tuple is derived from the mask on demand.  So it is defined next to the
+faces, in :mod:`idealtda.complexes`, and re-exported here: the barcode
+pipeline reads linear primes without loading the ideal algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .complexes import _iter_bits, face_mask, mask_face
+from .complexes import LinearPrime, _iter_bits
 from .linalg import Polynomial, power_product
 
 __all__ = [
@@ -171,38 +173,6 @@ class FactoredElement:
 
     def __str__(self) -> str:
         return power_product(self.table.atoms, self.exps) or "1"
-
-
-@dataclass(frozen=True)
-class LinearPrime:
-    """The linear prime ideal generated by the variables x_v whose bit v-1
-    is set in ``mask``.
-
-    The zero mask encodes the zero ideal, which is prime in a domain.
-    """
-
-    mask: int
-
-    @classmethod
-    def of(cls, vertices: Iterable[int]) -> "LinearPrime":
-        """The prime of distinct positive variable indices, in any order."""
-        return cls(face_mask(vertices))
-
-    @property
-    def vars(self) -> tuple[int, ...]:
-        return mask_face(self.mask)
-
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.mask
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.mask.bit_count(), self.vars)
-
-    def __str__(self) -> str:
-        if self.is_zero_ideal:
-            return "<0>"
-        return "<" + ",".join(f"x{v}" for v in self.vars) + ">"
 
 
 def _gen_key(g: FactoredElement) -> tuple:

@@ -63,10 +63,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .complexes import FaceOrder, Filtration, SimplicialComplex, boundary_masks
+from .complexes import FaceOrder, Filtration, LinearPrime, SimplicialComplex, boundary_masks
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
 from .linalg import GF2, QQ, persistence_reduce, rank_dense
-from .monomials import LinearPrime
 
 __all__ = [
     "MAX_EDGE_BARS",

@@ -1,4 +1,4 @@
-"""File formats: distance CSV, complex/ideal/labelled JSON, barcode JSON, SVG.
+"""File formats: distance CSV, complex and labelled JSON, barcode JSON, SVG.
 
 All writers are deterministic: identical inputs produce byte-identical
 output (keys sorted, canonical interval order, no timestamps).
@@ -14,9 +14,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
 from .complexes import SimplicialComplex, mask_face, maximal_faces
-from .labelled import LabelledComplex, make_labelled
 from .linalg import Polynomial
-from .monomials import AtomTable, FactoredElement, MonomialIdeal
 from .persistence import KIND_PH, Barcode
 
 __all__ = [
@@ -27,10 +25,6 @@ __all__ = [
     "parse_points_json",
     "complex_to_dict",
     "complex_from_dict",
-    "factored_to_dict",
-    "factored_from_dict",
-    "ideal_to_dict",
-    "ideal_from_dict",
     "labelled_from_dict",
     "labelled_to_dict",
     "prime_barcode_to_dict",
@@ -47,7 +41,7 @@ __all__ = [
 # 45 MiB at N=512 and 1.3 s and 113 MiB at N=900 (CPython 3.11, 2-vCPU VM).
 MAX_N = 512
 
-# Largest exponent in a label, a factored element or an atom expansion term.
+# Largest exponent in a label or an atom expansion term.
 # Expanding composite atoms costs a power of the exponent: `labelled --point`
 # on one edge labelled (x1+x2)^E took 0.26 s at E=200 and 1.4 s at E=500, and
 # on a triangle with three composite atoms, expansion and label exponents all
@@ -181,10 +175,6 @@ def complex_from_dict(data, origin: str = "<input>") -> SimplicialComplex:
         raise InputError(f"{origin}: {exc}") from None
 
 
-def factored_to_dict(m: FactoredElement) -> dict:
-    return {"atoms": list(m.table.atoms), "exp": list(m.exps)}
-
-
 def _json_atoms(raw, origin: str) -> tuple[str, ...]:
     """The ``atoms`` list of a JSON input; every entry must be a string."""
     if not isinstance(raw, list):
@@ -193,40 +183,6 @@ def _json_atoms(raw, origin: str) -> tuple[str, ...]:
         if not isinstance(atom, str):
             raise InputError(f"{origin}: 'atoms' entry {k} is not a string: {json.dumps(atom)}")
     return tuple(raw)
-
-
-def factored_from_dict(data, table: AtomTable | None = None, origin: str = "<input>") -> FactoredElement:
-    try:
-        atoms_raw = data["atoms"]
-        exps = tuple(
-            _json_int(e, f"exponent {k}", MAX_EXPONENT) for k, e in enumerate(data["exp"], start=1)
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{origin}: malformed factored element ({exc})") from None
-    atoms = _json_atoms(atoms_raw, origin)
-    if table is None:
-        table = AtomTable(atoms)
-    elif table.atoms != atoms:
-        raise InputError(f"{origin}: atom list {atoms} does not match table {table.atoms}")
-    return FactoredElement(table, exps)
-
-
-def ideal_to_dict(I: MonomialIdeal) -> dict:
-    return {
-        "ambient_n": I.ambient_n,
-        "generators": [factored_to_dict(g) for g in I.generators],
-    }
-
-
-def ideal_from_dict(data, origin: str = "<input>") -> MonomialIdeal:
-    try:
-        n = _json_int(data["ambient_n"], "'ambient_n'", MAX_N)
-        gens_raw = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{origin}: malformed ideal JSON ({exc})") from None
-    table = AtomTable.for_variables(n)
-    gens = [factored_from_dict(g, table, origin) for g in gens_raw]
-    return MonomialIdeal.from_generators(table, gens)
 
 
 def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
@@ -267,7 +223,14 @@ def _expansion_to_json(poly: Polynomial) -> list:
 
 
 def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> LabelledComplex:
-    """Labelled complex JSON: n, faces, atoms, labels, optional atom_polys."""
+    """Labelled complex JSON: n, faces, atoms, labels, optional atom_polys.
+
+    The labelled framework loads here, on the first call, so that the
+    barcode pipeline, which reads only distances and complexes, never
+    compiles it."""
+    from .labelled import make_labelled
+    from .monomials import AtomTable, FactoredElement
+
     try:
         n = _json_int(data["n"], "'n'", MAX_N)
         faces = _json_faces(data["faces"])

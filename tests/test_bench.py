@@ -96,10 +96,13 @@ def test_fresh_startup_keys(monkeypatch):
     bench = _bench_module()
     monkeypatch.setattr(bench, "RUNS", 2)
     record = bench.fresh_startup()
-    assert set(record) == {"runs", "seconds", "seconds_spread", "modules"}
-    assert record["runs"] == 2 and record["seconds"] > 0 and record["seconds_spread"] >= 0
-    # the CLI's start-up path: the package, cli and the production modules, not the oracles
+    assert set(record) == {"runs", "imports", "seconds", "seconds_quartiles", "seconds_spread", "modules"}
+    assert record["runs"] == 2 and record["imports"] == 2 * bench.IMPORTS >= 18
+    q1, q3 = record["seconds_quartiles"]
+    assert 0 < q1 <= record["seconds"] <= q3 and record["seconds_spread"] >= q3 - q1
+    # the CLI's start-up path: the package, cli and the barcode modules, not
+    # the oracles and not the labelled framework
     assert {"idealtda", "idealtda.cli", "idealtda.persistence"} <= set(record["modules"])
-    assert "idealtda.verify" not in record["modules"]
+    assert not {"idealtda.verify", "idealtda.labelled", "idealtda.monomials"} & set(record["modules"])
     with pytest.raises(RuntimeError, match="already imported"):
         bench.startup_run()

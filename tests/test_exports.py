@@ -85,6 +85,34 @@ def test_only_cli_imports_the_oracles():
     assert importers["__init__"] == {"__getattr__"}
 
 
+def _load_time_imports(path: Path) -> set[str]:
+    """The idealtda modules a source file imports when it loads: its
+    imports outside every function body, class bodies included."""
+    out = set()
+    stack = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= _imported_modules(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_the_barcode_path_loads_no_labelled_framework():
+    # a barcodes run compiles neither the labelled framework nor the ideal
+    # algebra: the modules on its path import them only inside functions,
+    # cli only in its binder, and the package imports no submodule at all
+    src = Path(idealtda.__file__).parent
+    on_path = ("cli", "persistence", "ideals", "serialize", "complexes")
+    offenders = {stem: _load_time_imports(src / f"{stem}.py") & {"labelled", "monomials"} for stem in on_path}
+    assert not any(offenders.values()), f"module-level imports of the labelled framework: {offenders}"
+    assert _load_time_imports(src / "__init__.py") == set()
+    cli_tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    assert {node.name for node in cli_tree.body if "labelled" in _imported_modules(node)} == {"_bind_labelled"}
+
+
 def test_oracle_routes_left_the_production_modules():
     from idealtda import monomials, persistence, verify
 

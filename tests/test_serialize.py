@@ -10,20 +10,14 @@ from fractions import Fraction
 import pytest
 
 from idealtda.complexes import vr_filtration
-from idealtda.monomials import AtomTable, FactoredElement, MonomialIdeal
 from idealtda.persistence import KIND_PH, Barcode, ph_barcode, prime_barcode
 from idealtda.serialize import (
-    MAX_EXPONENT,
     MAX_N,
     InputError,
     barcodes_svg,
     complex_from_dict,
     complex_to_dict,
     dumps_json,
-    factored_from_dict,
-    factored_to_dict,
-    ideal_from_dict,
-    ideal_to_dict,
     labelled_from_dict,
     labelled_to_dict,
     parse_distance_csv,
@@ -77,47 +71,10 @@ def test_complex_roundtrip_via_maximal_faces(demo_clique_complex):
         complex_from_dict({"n": 2, "faces": [[3]]})
 
 
-def test_factored_and_ideal_roundtrip():
-    table = AtomTable.for_variables(3)
-    m = FactoredElement(table, (1, 0, 2))
-    data = factored_to_dict(m)
-    assert data == {"atoms": ["x1", "x2", "x3"], "exp": [1, 0, 2]}
-    assert factored_from_dict(data, table) == m
-    with pytest.raises(InputError, match="does not match"):
-        factored_from_dict({"atoms": ["y1"], "exp": [1]}, table)
-
-    ideal = MonomialIdeal.from_generators(
-        table, [FactoredElement.from_support(table, (1, 2))]
-    )
-    round_tripped = ideal_from_dict(ideal_to_dict(ideal))
-    assert round_tripped == ideal
-
-
-@pytest.mark.parametrize("value", [1.7, 1.0, True, "1", None])
-def test_factored_and_ideal_from_dict_reject_non_integers(value):
-    table = AtomTable.for_variables(2)
-    with pytest.raises(InputError, match="exponent 2 is not an integer"):
-        factored_from_dict({"atoms": ["x1", "x2"], "exp": [1, value]}, table)
-    with pytest.raises(InputError, match="'ambient_n' is not an integer"):
-        ideal_from_dict({"ambient_n": value, "generators": []})
-    gen = {"atoms": ["x1", "x2"], "exp": [value, 0]}
-    with pytest.raises(InputError, match="exponent 1 is not an integer"):
-        ideal_from_dict({"ambient_n": 2, "generators": [gen]})
-
-
 def test_vertex_count_bound():
     assert complex_from_dict({"n": MAX_N, "faces": [[1, MAX_N]]}).n == MAX_N
     with pytest.raises(InputError, match="'n' exceeds the supported maximum"):
         complex_from_dict({"n": MAX_N + 1, "faces": [[1, 2]]})
-    with pytest.raises(InputError, match="'ambient_n' exceeds the supported maximum"):
-        ideal_from_dict({"ambient_n": MAX_N + 1, "generators": []})
-
-
-def test_factored_exponent_bound():
-    table = AtomTable.for_variables(2)
-    assert factored_from_dict({"atoms": ["x1", "x2"], "exp": [MAX_EXPONENT, 0]}, table).exps == (MAX_EXPONENT, 0)
-    with pytest.raises(InputError, match="exponent 2 exceeds the supported maximum"):
-        factored_from_dict({"atoms": ["x1", "x2"], "exp": [0, MAX_EXPONENT + 1]}, table)
 
 
 def test_labelled_roundtrip_with_expansions(poly_labelled):
@@ -156,9 +113,9 @@ def test_atom_names_must_be_strings(atom, text):
     with pytest.raises(InputError, match=rf"^in.json: 'atoms' entry 2 is not a string: {re.escape(text)}$"):
         labelled_from_dict(labelled, origin="in.json")
     with pytest.raises(InputError, match=rf"^in.json: 'atoms' entry 1 is not a string: {re.escape(text)}$"):
-        factored_from_dict({"atoms": [atom, "y"], "exp": [1, 2]}, origin="in.json")
+        labelled_from_dict(dict(labelled, atoms=[atom, "y"]), origin="in.json")
     with pytest.raises(InputError, match="'atoms' must be a list"):
-        factored_from_dict({"atoms": "xy", "exp": [1, 2]})
+        labelled_from_dict(dict(labelled, atoms="xy"))
 
 
 def test_labelled_from_dict_errors():
