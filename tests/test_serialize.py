@@ -12,6 +12,7 @@ import pytest
 from idealtda.complexes import vr_filtration
 from idealtda.persistence import KIND_PH, Barcode, ph_barcode, prime_barcode
 from idealtda.serialize import (
+    MAX_EXPONENT,
     MAX_N,
     InputError,
     barcodes_svg,
@@ -75,6 +76,39 @@ def test_vertex_count_bound():
     assert complex_from_dict({"n": MAX_N, "faces": [[1, MAX_N]]}).n == MAX_N
     with pytest.raises(InputError, match="'n' exceeds the supported maximum"):
         complex_from_dict({"n": MAX_N + 1, "faces": [[1, 2]]})
+    labelled = {"n": MAX_N + 1, "faces": [[1, 2]], "atoms": ["x1"], "labels": [[1]] * (MAX_N + 1)}
+    with pytest.raises(InputError, match="'n' exceeds the supported maximum"):
+        labelled_from_dict(labelled)
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, True, "1", None])
+def test_labelled_and_complex_from_dict_reject_non_integers(value, poly_labelled):
+    text = re.escape(json.dumps(value))
+    with pytest.raises(InputError, match=rf"'n' is not an integer: {text}\)$"):
+        complex_from_dict({"n": value, "faces": []})
+    data = labelled_to_dict(poly_labelled)
+    with pytest.raises(InputError, match=rf"'n' is not an integer: {text}\)$"):
+        labelled_from_dict(dict(data, n=value))
+    labels = [list(row) for row in data["labels"]]
+    labels[1][2] = value
+    with pytest.raises(InputError, match=rf"vertex 2 \(exponent 3 is not an integer: {text}\)$"):
+        labelled_from_dict(dict(data, labels=labels))
+    expansion = [[1, [0, value]], [1, [1, 0]]]
+    with pytest.raises(InputError, match=rf"term 1 exponent 2 is not an integer: {text}\)$"):
+        labelled_from_dict(dict(data, atom_polys={"x1+x2": expansion}))
+
+
+def test_labelled_exponent_bound(poly_labelled):
+    data = labelled_to_dict(poly_labelled)
+    at_bound = dict(data, labels=[[0, 0, 1], [MAX_EXPONENT, 0, 0], [1, 1, 0]])
+    assert labelled_from_dict(at_bound).vertex_labels[1].exps == (MAX_EXPONENT, 0, 0)
+    with pytest.raises(InputError, match=r"vertex 2 \(exponent 1 exceeds the supported maximum"):
+        labelled_from_dict(dict(data, labels=[[0, 0, 1], [MAX_EXPONENT + 1, 0, 0], [1, 1, 0]]))
+    expansion = [[1, [0, MAX_EXPONENT]], [1, [1, 0]]]
+    assert labelled_from_dict(dict(data, atom_polys={"x1+x2": expansion})).table.expansions
+    expansion = [[1, [0, MAX_EXPONENT + 1]], [1, [1, 0]]]
+    with pytest.raises(InputError, match="term 1 exponent 2 exceeds the supported maximum"):
+        labelled_from_dict(dict(data, atom_polys={"x1+x2": expansion}))
 
 
 def test_labelled_roundtrip_with_expansions(poly_labelled):
