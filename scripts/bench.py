@@ -40,7 +40,12 @@ The file holds the Python version and the platform, then:
   between two runs of the calibration loop, scaled by ``to_reference``
   like the ladder rows.  It records the median, the quartiles and the
   spread of all ``RUNS * IMPORTS`` times, and the idealtda modules the
-  import loaded, which must agree over the imports;
+  import loaded, which must agree over the imports.  Those are re-imports:
+  the standard-library modules that idealtda pulls in (``COLD_MODULES``)
+  stay loaded.  A CLI user also pays for them on the first import, so
+  each interpreter first times one ``import idealtda, idealtda.cli``
+  before any of them is loaded, between two runs of the calibration loop,
+  and ``first_seconds`` is the median of those ``RUNS`` first imports;
 * ``workloads``: the end-to-end metrics of one
   ``perfbench/run.py --seed 0 --seconds S --trace 0`` run per workload,
   where S is the ``run_seconds`` of ``BENCHMARK.json``, with its
@@ -81,6 +86,8 @@ LADDER = ((20, 2), (30, 2), (40, 2), (14, None), (16, None))
 LABELLED_LADDER = (("composite", 7), ("composite", 8), ("composite", 9), ("monomial", 9))
 RUNS = 3  # fresh-interpreter runs of each ladder row
 IMPORTS = 9  # timed imports per fresh interpreter of the startup record, as many as perfbench's setup_s
+# standard-library modules that a first import of idealtda.cli loads, and none of the startup record's code before it
+COLD_MODULES = ("dataclasses", "argparse", "fractions", "json")
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
 
@@ -257,10 +264,13 @@ def _median_and_spread(values: list[float]) -> tuple[float, float]:
     return statistics.median(values), max(values) - min(values)
 
 
-def _fresh_runs(call: str, fixed: tuple[str, ...], src: Path = SRC, env: dict | None = None) -> list[dict]:
+def _fresh_runs(
+    call: str, fixed: tuple[str, ...], src: Path = SRC, env: dict | None = None, prelude: str = ""
+) -> list[dict]:
     """``RUNS`` runs of ``bench.<call>``, each in a fresh interpreter that
-    imports idealtda from ``src``; every run must repeat the ``fixed`` keys."""
-    code = (
+    runs ``prelude`` first and imports idealtda from ``src``; every run must
+    repeat the ``fixed`` keys."""
+    code = prelude + (
         f"import sys, json; sys.path[:0] = [{str(src)!r}, {str(ROOT / 'scripts')!r}]; "
         f"import bench; print(json.dumps(bench.{call}))"
     )
@@ -303,13 +313,45 @@ def _loaded_modules() -> list[str]:
     return sorted(m for m in sys.modules if m == "idealtda" or m.startswith("idealtda."))
 
 
-def startup_run() -> dict:
+def _first_import_code(src: Path) -> str:
+    """The prelude of a fresh startup interpreter: one ``import idealtda,
+    idealtda.cli`` from ``src`` before any module of ``COLD_MODULES`` is
+    loaded, between two runs of ``calibration_time``.  That function is
+    executed from the source of ``perfbench/run.py``, whose own imports
+    would load those modules.  It leaves ``first = (elapsed, before, after,
+    preloaded)``, ``preloaded`` the ``COLD_MODULES`` loaded before the import."""
+    return (
+        "import sys\n"
+        "from time import perf_counter\n"
+        f"sys.path[:0] = [{str(src)!r}]\n"
+        f"text = open({str(RUN)!r}, encoding='utf-8').read()\n"
+        "start = text.index('def calibration_time(')\n"
+        "namespace = {'perf_counter': perf_counter}\n"
+        "exec(text[start:text.index('\\n\\n\\n', start)], namespace)\n"
+        f"preloaded = sorted(set({COLD_MODULES!r}) & sys.modules.keys())\n"
+        "before = namespace['calibration_time']()\n"
+        "start = perf_counter()\n"
+        "import idealtda, idealtda.cli\n"
+        "elapsed = perf_counter() - start\n"
+        "first = (elapsed, before, namespace['calibration_time'](), preloaded)\n"
+    )
+
+
+def startup_run(first: tuple | None = None) -> dict:
     """``IMPORTS`` imports ``import idealtda, idealtda.cli`` in this
     interpreter, each from scratch, in reference-core seconds, and the
-    idealtda modules an import loads, which must agree over the imports."""
-    if _loaded_modules():
-        raise RuntimeError("idealtda is already imported")
+    idealtda modules an import loads, which must agree over the imports.
+    With ``first``, as :func:`_first_import_code` leaves it, the record adds
+    that first import as ``first_seconds``."""
     calibration_time, to_reference = _calibration()
+    out = {}
+    if first is not None:
+        elapsed, before, after, preloaded = first
+        if preloaded:
+            raise RuntimeError(f"{preloaded} were loaded before the first import")
+        out["first_seconds"] = to_reference(elapsed, before, after)
+    elif _loaded_modules():
+        raise RuntimeError("idealtda is already imported")
     seconds = []
     modules = None
     for _ in range(IMPORTS):
@@ -325,7 +367,7 @@ def startup_run() -> dict:
         if modules not in (None, loaded):
             raise RuntimeError(f"an import loaded {loaded}, another {modules}")
         modules = loaded
-    return {"seconds": seconds, "modules": modules}
+    return {**out, "seconds": seconds, "modules": modules}
 
 
 def fresh_startup() -> dict:
@@ -335,7 +377,7 @@ def fresh_startup() -> dict:
         src = Path(work) / "src"
         shutil.copytree(SRC / "idealtda", src / "idealtda", ignore=shutil.ignore_patterns("__pycache__"))
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-        rows = _fresh_runs("startup_run()", ("modules",), src, env)
+        rows = _fresh_runs("startup_run(first)", ("modules",), src, env, _first_import_code(src))
     times = [t for row in rows for t in row["seconds"]]
     seconds, spread = _median_and_spread(times)
     q1, _, q3 = statistics.quantiles(times, n=4)
@@ -345,6 +387,7 @@ def fresh_startup() -> dict:
         "seconds": seconds,
         "seconds_quartiles": [q1, q3],
         "seconds_spread": spread,
+        "first_seconds": statistics.median(row["first_seconds"] for row in rows),
         "modules": rows[0]["modules"],
     }
 
@@ -371,7 +414,7 @@ def main(argv=None) -> int:
         "startup": fresh_startup(),
         "workloads": {},
     }
-    print(f"startup: {record['startup']['seconds']}", file=sys.stderr)
+    print(f"startup: {record['startup']['seconds']}, first {record['startup']['first_seconds']}", file=sys.stderr)
     for n, max_dim in LADDER:
         record["ladder"].append(fresh_ladder_row(n, max_dim))
         print(f"ladder n={n} max_dim={max_dim}: {record['ladder'][-1]['seconds']}", file=sys.stderr)

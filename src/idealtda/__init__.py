@@ -62,12 +62,8 @@ _EXPORTS = {
             "AtomTable",
             "FactoredElement",
             "MonomialIdeal",
-            "divides",
-            "lcm_factored",
-            "membership",
             "minimal_basis",
             "minimal_primes_squarefree",
-            "radical_generators",
         ),
         "persistence": (
             "Barcode",

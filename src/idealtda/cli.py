@@ -110,7 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dist-csv", "points-json", "complex-json"],
         default="dist-csv",
     )
-    b.add_argument("--max-dim", type=int, default=None, help="truncate faces above this dimension")
+    b.add_argument(
+        "--max-dim",
+        type=int,
+        default=None,
+        help="dist-csv and points-json: truncate Vietoris-Rips faces above this dimension; "
+        "complex-json: bound only the PH bar dimensions (SR and EDGE read the whole complex)",
+    )
     b.add_argument("--field", default="f2", help="f2, fp:<p> or q (PH uses a prime field)")
     b.add_argument("--out", required=True, help="output directory")
     b.add_argument("--svg", action="store_true", help="also write barcodes.svg")

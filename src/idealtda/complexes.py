@@ -12,9 +12,8 @@ Canonical basis order: within each dimension, faces are sorted by their
 bitmask value, i.e. colexicographically; a complex sorts its faces into
 that per-dimension index once, on the first ``masks_of_dim`` call, which
 no rips path makes.  All boundary matrices in the package use this
-order; ``boundary_masks`` builds the classical one for every rank and
-labelled boundary, and ``boundary_entries`` again on tuple faces, as the
-checks' oracle.  A filtration's faces are read in its checked order, a
+order; ``boundary_masks`` builds the classical one for every rank,
+labelled boundary and labelled check.  A filtration's faces are read in its checked order, a
 :class:`FaceOrder`, which both SR and PH read: ``vr_filtration`` builds
 it by closed forms as its edges go in, and any other filtration by one
 walk over the facets, which is also the oracle for the VR order.
@@ -60,7 +59,6 @@ __all__ = [
     "vr_filtration",
     "validate_distance_matrix",
     "boundary_masks",
-    "boundary_entries",
     "maximal_clique_masks",
     "MAX_FACES",
 ]
@@ -202,10 +200,6 @@ class SimplicialComplex:
             complex_.validate_closed()
         return complex_
 
-    @classmethod
-    def simplex(cls, n: int, vertices: Iterable[int]) -> "SimplicialComplex":
-        return cls.from_faces(n, [tuple(vertices)], close=True)
-
     def validate_closed(self) -> None:
         for m in self.face_masks:
             if m.bit_count() > 1:
@@ -234,9 +228,6 @@ class SimplicialComplex:
     def vertices(self) -> Face:
         return mask_face(self.vertex_mask)
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        return face_mask(face) in self.face_masks
-
     @cached_property
     def _colex(self) -> tuple[tuple[int, ...], ...]:
         """The k-faces of each dimension k in colex order, from one sort."""
@@ -249,21 +240,8 @@ class SimplicialComplex:
         """The k-face masks in colex order, read from the cached index."""
         return self._colex[k] if 0 <= k <= self.max_dim else ()
 
-    def faces_of_dim(self, k: int) -> list[Face]:
-        return [mask_face(m) for m in self.masks_of_dim(k)]
-
     def faces(self) -> list[Face]:
         return [mask_face(m) for m in sorted(self.face_masks, key=lambda m: (m.bit_count(), m))]
-
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.face_masks <= other.face_masks
-
-    def is_simplex_over(self, vertices: Iterable[int]) -> bool:
-        w = face_mask(vertices)
-        return self.face_masks == _downward_closure([w]) if w else self.is_empty
-
-    def __len__(self) -> int:
-        return len(self.face_masks)
 
 
 @dataclass(frozen=True)
@@ -314,9 +292,6 @@ class Graph:
             for v in range(2, self.n + 1)
             for u in _iter_bits(self.adjacency[v] & ((1 << (v - 1)) - 1))
         )
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i] >> (j - 1) & 1)
 
 
 class FaceOrder:
@@ -731,9 +706,10 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
 
 
 def boundary_masks(K: SimplicialComplex, k: int) -> tuple[Sequence[int], Sequence[int], list[list[tuple[int, int]]]]:
-    """The mask twin of :func:`boundary_entries`: the row masks ((k-1)-faces,
-    or the empty face 0 at k = 0), the column masks (k-faces) and, per column,
-    (row index, sign) per facet, lowest vertex first, sign (-1)^u, u from 1."""
+    """The classical boundary in dimension k on masks: the row masks
+    ((k-1)-faces, or the empty face 0 at k = 0, the augmentation), the column
+    masks (k-faces) and, per column, (row index, sign) per facet, lowest
+    vertex first, sign (-1)^u, u from 1."""
     rows, cols = K.masks_of_dim(k - 1) if k else (0,), K.masks_of_dim(k)
     index = {m: i for i, m in enumerate(rows)}
     columns = []
@@ -746,31 +722,6 @@ def boundary_masks(K: SimplicialComplex, k: int) -> tuple[Sequence[int], Sequenc
             sign = -sign
         columns.append(col)
     return rows, cols, columns
-
-
-def boundary_entries(
-    K: SimplicialComplex, k: int, reduced: bool = False
-) -> tuple[list[Face], list[Face], dict[tuple[int, int], int]]:
-    """Classical boundary matrix data in dimension k under the canonical order.
-
-    Returns (row faces, column faces, entries); entries map (row index,
-    column index) to the sign (-1)^u where u counts the removed vertex's
-    position from 1.  With ``reduced`` and k = 0 the single row is the
-    empty face () and each column carries -1.
-    """
-    cols = K.faces_of_dim(k)
-    if k == 0:
-        if not reduced:
-            return [], cols, {}
-        return [()], cols, {(0, j): -1 for j in range(len(cols))}
-    rows = K.faces_of_dim(k - 1)
-    row_index = {f: i for i, f in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, sigma in enumerate(cols):
-        for u, v in enumerate(sigma, start=1):
-            tau = tuple(w for w in sigma if w != v)
-            entries[(row_index[tau], j)] = -1 if u % 2 else 1
-    return rows, cols, entries
 
 
 def maximal_clique_masks(g: Graph) -> list[int]:

@@ -15,8 +15,8 @@ m_sigma / m_tau): the classical columns of ``complexes.boundary_masks``
 with the label quotients added, built once per labelled complex.  The
 chain and diagonal checks are exponent arithmetic on those entries
 (atoms treated as independent symbols, which is exact for these formal
-identities; the diagonal and slice checks compare with the tuple-face
-builder ``complexes.boundary_entries``); evaluation, fraction-field ranks and
+identities; the diagonal and slice checks compare with the columns of
+``boundary_masks`` itself); evaluation, fraction-field ranks and
 graded slices densify the same columns into the one dense chain record,
 :class:`EvaluatedChain` (a :class:`GradedSlice` is one, with its
 subcomplex and bases added).  An entry, like a label, is written by
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, boundary_entries, boundary_masks, face_mask, full_subcomplex, mask_face
+from .complexes import Face, SimplicialComplex, boundary_masks, face_mask, full_subcomplex, mask_face
 from .linalg import QQ, bareiss_rank, power_product, power_value, rank_dense
 from .monomials import AtomTable, FactoredElement
 from .persistence import betti_from_ranks, classical_betti, classical_boundary_ranks
@@ -230,24 +230,28 @@ def diag_relation_check(LC: LabelledComplex) -> bool:
     """Entrywise identity D~_k = diag(1/m_row) D_k diag(m_col) over Frac(R).
 
     For every entry, D~[t, s] * m_t must equal D[t, s] * m_s, where D is
-    the classical signed boundary matrix built independently: the
-    nonzeros sit at the same positions with the same signs, and each
-    quotient exponent vector plus that of m_t is the one of m_s.
+    the classical signed boundary of ``boundary_masks``: each labelled
+    matrix has its bases, and each column the rows and signs of the
+    classical column, lowest vertex first; and each quotient exponent
+    vector plus that of m_t is the one of m_s.
     """
-    bm = boundary_matrices(LC)
     labels = LC.face_labels
-    for cm in bm.matrices:
-        _, _, classical = boundary_entries(LC.complex, cm.k, reduced=LC.reduced)
-        row_labels = [labels[face_mask(tau)].exps for tau in cm.rows]
-        nonzeros = set()
-        for j, (sigma, col) in enumerate(zip(cm.cols, cm.columns)):
-            m_sigma = labels[face_mask(sigma)].exps
-            for i, sign, exps in col:
-                nonzeros.add((i, j))
-                if classical.get((i, j)) != sign or _add(exps, row_labels[i]) != m_sigma:
-                    return False
-        if nonzeros != classical.keys():
+    for cm in boundary_matrices(LC).matrices:
+        rows, cols, classical = boundary_masks(LC.complex, cm.k)
+        if (
+            cm.rows != tuple(map(mask_face, rows))
+            or cm.cols != tuple(map(mask_face, cols))
+            or len(cm.columns) != len(cols)
+        ):
             return False
+        row_labels = [labels[m].exps for m in rows]
+        for m, col, want in zip(cols, cm.columns, classical):
+            if len(col) != len(want):
+                return False
+            m_sigma = labels[m].exps
+            for (i, sign, exps), (row, s) in zip(col, want):
+                if i != row or sign != s or _add(exps, row_labels[i]) != m_sigma:
+                    return False
     return True
 
 
@@ -463,14 +467,19 @@ def graded_slice(LC: LabelledComplex, alpha: Sequence[int]) -> GradedSlice:
 def slice_iso_check(sl: GradedSlice) -> bool:
     """Verify a slice of :func:`graded_slice` equals the reduced classical
     complex of its divisibility subcomplex, dimension by dimension, on the
-    nose, against the tuple-face boundaries of ``boundary_entries``."""
+    nose: the bases are its faces in colex order, and the matrices are
+    filled from the columns of ``boundary_masks``."""
     sub = sl.subcomplex
     for k, basis in sl.bases.items():
-        if [f for f, _ in basis] != ([()] if k == -1 else sub.faces_of_dim(k)):
+        masks = (0,) if k == -1 else sub.masks_of_dim(k)
+        if tuple(f for f, _ in basis) != tuple(map(mask_face, masks)):
             return False
     for k in range(sub.max_dim + 1):
-        rows, cols, entries = boundary_entries(sub, k, reduced=True)
-        classical = [[entries.get((i, j), 0) for j in range(len(cols))] for i in range(len(rows))]
+        rows, cols, columns = boundary_masks(sub, k)
+        classical = [[0] * len(cols) for _ in rows]
+        for j, col in enumerate(columns):
+            for i, sign in col:
+                classical[i][j] = sign
         if sl.matrices.get(k) != classical:
             return False
     return True

@@ -148,13 +148,16 @@ GF2 = PrimeField(2)
 
 
 def parse_field(spec: str):
-    """Parse a field descriptor: 'q', 'f2', or 'fp:<prime>'."""
+    """Parse a field descriptor: 'q', 'f2', or 'fp:<prime>', the prime in
+    ASCII decimal digits only (``int`` would also read ' 7', '+7', '1_000_003'
+    and other scripts' digits)."""
     if spec == "q":
         return QQ
     if spec == "f2":
         return GF2
-    if spec.startswith("fp:"):
-        return PrimeField(int(spec[3:]))
+    digits = spec[3:] if spec.startswith("fp:") else ""
+    if digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise ValueError(f"unknown field descriptor {spec!r} (expected q, f2 or fp:<p>)")
 
 

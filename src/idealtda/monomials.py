@@ -3,8 +3,9 @@
 Elements of the ambient unique-factorization domain are stored in factored
 form over a declared table of pairwise-coprime irreducible atoms (variable
 names, named irreducible polynomials such as ``x1+x2``, or prime integers).
-Lcm/gcd/divisibility then reduce to componentwise max/min/<= on exponent
-vectors, and no polynomial factorization is ever needed.
+Lcm, divisibility and exact quotients then reduce to componentwise max,
+<= and - on exponent vectors, and no polynomial factorization is ever
+needed.
 
 Prime decomposition is implemented for square-free monomial ideals only:
 the associated primes are the minimal transversals of the generator
@@ -29,15 +30,9 @@ __all__ = [
     "FactoredElement",
     "MonomialIdeal",
     "LinearPrime",
-    "lcm_factored",
-    "divides",
     "minimal_basis",
-    "radical_generators",
-    "membership",
     "minimal_primes_squarefree",
     "minimal_transversals",
-    "ideal_in_prime",
-    "prime_contains",
 ]
 
 
@@ -153,23 +148,12 @@ class FactoredElement:
         self._check(other)
         return FactoredElement(self.table, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
-    def gcd(self, other: "FactoredElement") -> "FactoredElement":
-        self._check(other)
-        return FactoredElement(self.table, tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def times(self, other: "FactoredElement") -> "FactoredElement":
-        self._check(other)
-        return FactoredElement(self.table, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
     def over(self, other: "FactoredElement") -> "FactoredElement":
         """Exact quotient self/other; raises if other does not divide self."""
         self._check(other)
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
         return FactoredElement(self.table, tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def squarefree_part(self) -> "FactoredElement":
-        return FactoredElement(self.table, tuple(1 if e else 0 for e in self.exps))
 
     def __str__(self) -> str:
         return power_product(self.table.atoms, self.exps) or "1"
@@ -206,14 +190,6 @@ class MonomialIdeal:
     def from_generators(cls, table: AtomTable, gens: Iterable[FactoredElement]) -> "MonomialIdeal":
         return cls(table, tuple(gens))
 
-    @classmethod
-    def zero(cls, table: AtomTable) -> "MonomialIdeal":
-        return cls(table, ())
-
-    @property
-    def ambient_n(self) -> int:
-        return len(self.table.atoms)
-
     @property
     def is_zero(self) -> bool:
         return not self.generators
@@ -235,16 +211,6 @@ class MonomialIdeal:
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
 
 
-def lcm_factored(a: FactoredElement, b: FactoredElement) -> FactoredElement:
-    """Least common multiple: componentwise max of exponent vectors."""
-    return a.lcm(b)
-
-
-def divides(a: FactoredElement, b: FactoredElement) -> bool:
-    """True iff a | b, i.e. exponents of a are componentwise <= those of b."""
-    return a.divides(b)
-
-
 def minimal_basis(gens: Iterable[FactoredElement]) -> tuple[FactoredElement, ...]:
     """Divisibility antichain generating the same monomial ideal.
 
@@ -258,18 +224,6 @@ def minimal_basis(gens: Iterable[FactoredElement]) -> tuple[FactoredElement, ...
         if not any(h.divides(g) for h in kept):
             kept.append(g)
     return tuple(kept)
-
-
-def radical_generators(gens: Iterable[FactoredElement]) -> tuple[FactoredElement, ...]:
-    """Generators of the radical: square-free parts, then a minimal basis."""
-    return minimal_basis(g.squarefree_part() for g in gens)
-
-
-def membership(m: FactoredElement, ideal: MonomialIdeal) -> bool:
-    """Monomial membership: m lies in the ideal iff some generator divides m."""
-    if m.table != ideal.table:
-        raise ValueError("mismatched atom tables")
-    return any(g.divides(m) for g in ideal.generators)
 
 
 def _antichain_min(masks: Iterable[int]) -> list[int]:
@@ -322,18 +276,8 @@ def minimal_primes_squarefree(ideal: MonomialIdeal) -> frozenset[LinearPrime]:
     if not ideal.is_proper:
         raise ValueError("the unit ideal has no prime decomposition")
     if not ideal.is_squarefree:
-        raise ValueError("ideal is not square-free; apply radical_generators first")
+        raise ValueError("ideal is not square-free")
     if ideal.is_zero:
         return frozenset({LinearPrime(0)})
     supports = _antichain_min(g.support_mask() for g in ideal.generators)
     return frozenset(LinearPrime(w) for w in minimal_transversals(supports))
-
-
-def prime_contains(prime: LinearPrime, m: FactoredElement) -> bool:
-    """Monomial membership in a linear prime: some supporting atom is in W."""
-    return bool(prime.mask & m.support_mask())
-
-
-def ideal_in_prime(ideal: MonomialIdeal, prime: LinearPrime) -> bool:
-    """Containment I <= P_W: every generator's support must meet W."""
-    return all(prime_contains(prime, g) for g in ideal.generators)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
-from .complexes import SimplicialComplex, mask_face, maximal_faces
+from .complexes import SimplicialComplex, mask_face
 from .linalg import Polynomial
 from .persistence import KIND_PH, Barcode
 
@@ -23,10 +23,8 @@ __all__ = [
     "parse_distance_csv",
     "points_to_distances",
     "parse_points_json",
-    "complex_to_dict",
     "complex_from_dict",
     "labelled_from_dict",
-    "labelled_to_dict",
     "prime_barcode_to_dict",
     "ph_barcode_to_dict",
     "dumps_json",
@@ -157,12 +155,6 @@ def _json_faces(raw) -> list[tuple[int, ...]]:
     ]
 
 
-def complex_to_dict(K: SimplicialComplex) -> dict:
-    """Complexes serialize by their maximal faces; closure restores the rest."""
-    faces = sorted(maximal_faces(K), key=lambda f: (len(f), f))
-    return {"n": K.n, "faces": [list(f) for f in faces]}
-
-
 def complex_from_dict(data, origin: str = "<input>") -> SimplicialComplex:
     try:
         n = _json_int(data["n"], "'n'", MAX_N)
@@ -197,8 +189,8 @@ def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
             )
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: malformed atom expansion term ({exc})") from None
-        # ints and "p/q" strings, as _expansion_to_json writes them: a JSON
-        # float is binary, so 0.1 would stand for 3602879701896397/2^55
+        # ints and "p/q" strings only: a JSON float is binary, so 0.1 would
+        # stand for 3602879701896397/2^55
         try:
             if not (type(coeff) is int or isinstance(coeff, str) and _RATIONAL.fullmatch(coeff)):
                 raise ValueError
@@ -211,15 +203,6 @@ def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
             raise InputError(f"{origin}: expansion term arity {len(exps)} != {nvars}")
         terms[exps] = terms.get(exps, 0) + coeff
     return Polynomial(nvars, terms)
-
-
-def _expansion_to_json(poly: Polynomial) -> list:
-    items = sorted(poly.terms.items())
-    out = []
-    for exps, c in items:
-        coeff = int(c) if c.denominator == 1 else str(c)
-        out.append([coeff, list(exps)])
-    return out
 
 
 def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> LabelledComplex:
@@ -275,20 +258,6 @@ def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> 
             f"more than the supported maximum {MAX_LABELLED_FACES}"
         )
     return LC
-
-
-def labelled_to_dict(LC: LabelledComplex) -> dict:
-    out = {
-        "n": LC.complex.n,
-        "faces": [list(f) for f in sorted(maximal_faces(LC.complex), key=lambda f: (len(f), f))],
-        "atoms": list(LC.table.atoms),
-        "labels": [list(m.exps) for m in LC.vertex_labels],
-    }
-    if LC.table.expansions:
-        out["atom_polys"] = {
-            name: _expansion_to_json(poly) for name, poly in LC.table.expansions
-        }
-    return out
 
 
 def _death_json(death: float | None):

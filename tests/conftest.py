@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from idealtda.complexes import Graph, SimplicialComplex, clique_complex
+from idealtda.complexes import Graph, SimplicialComplex, clique_complex, maximal_faces
 from idealtda.labelled import make_labelled
 from idealtda.linalg import Polynomial
 from idealtda.monomials import AtomTable, FactoredElement, LinearPrime
@@ -36,6 +36,29 @@ def inject_prime_fault(monkeypatch):
         return ass
 
     return lambda: monkeypatch.setattr(verify, "step_associated_primes", faulty)
+
+
+@pytest.fixture
+def labelled_to_dict():
+    """The labelled-complex JSON writer the tests build inputs with: the dict
+    that ``serialize.labelled_from_dict`` reads, by maximal faces, with each
+    expansion term as [coefficient, exponents], an int or a "p/q" string."""
+
+    def write(LC) -> dict:
+        out = {
+            "n": LC.complex.n,
+            "faces": [list(f) for f in sorted(maximal_faces(LC.complex), key=lambda f: (len(f), f))],
+            "atoms": list(LC.table.atoms),
+            "labels": [list(m.exps) for m in LC.vertex_labels],
+        }
+        if LC.table.expansions:
+            out["atom_polys"] = {
+                name: [[int(c) if c.denominator == 1 else str(c), list(e)] for e, c in sorted(poly.terms.items())]
+                for name, poly in LC.table.expansions
+            }
+        return out
+
+    return write
 
 
 @pytest.fixture

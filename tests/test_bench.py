@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,13 +100,31 @@ def test_fresh_startup_keys(monkeypatch):
     bench = _bench_module()
     monkeypatch.setattr(bench, "RUNS", 2)
     record = bench.fresh_startup()
-    assert set(record) == {"runs", "imports", "seconds", "seconds_quartiles", "seconds_spread", "modules"}
+    assert set(record) == {"runs", "imports", "seconds", "seconds_quartiles", "seconds_spread", "first_seconds", "modules"}
     assert record["runs"] == 2 and record["imports"] == 2 * bench.IMPORTS >= 18
     q1, q3 = record["seconds_quartiles"]
     assert 0 < q1 <= record["seconds"] <= q3 and record["seconds_spread"] >= q3 - q1
+    # the first import also loads the standard-library modules idealtda pulls in
+    assert record["first_seconds"] > q1
     # the CLI's start-up path: the package, cli and the barcode modules, not
     # the oracles and not the labelled framework
     assert {"idealtda", "idealtda.cli", "idealtda.persistence"} <= set(record["modules"])
     assert not {"idealtda.verify", "idealtda.labelled", "idealtda.monomials"} & set(record["modules"])
     with pytest.raises(RuntimeError, match="already imported"):
         bench.startup_run()
+    with pytest.raises(RuntimeError, match=r"\['json'\] were loaded before the first import"):
+        bench.startup_run((0.05, 0.0015, 0.0015, ["json"]))
+
+
+def test_first_import_runs_before_the_cold_modules(tmp_path):
+    # the prelude loads none of COLD_MODULES before its timed import, which
+    # then loads all of them, in an interpreter that compiles from source
+    bench = _bench_module()
+    code = bench._first_import_code(bench.SRC) + (
+        "print(repr((first, sorted(set(%r) & sys.modules.keys()))))" % (bench.COLD_MODULES,)
+    )
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, cwd=tmp_path)
+    (elapsed, before, after, preloaded), loaded = ast.literal_eval(out.stdout)
+    assert preloaded == [] and loaded == sorted(bench.COLD_MODULES)
+    assert elapsed > 0 and before > 0 and after > 0

@@ -228,6 +228,14 @@ def test_barcodes_field_modulus_bound(three_csv, tmp_path, capsys):
     assert payload["meta"]["field"] == "fp:1000003"
 
 
+@pytest.mark.parametrize("spec", ["fp:abc", "fp:", "fp:+7", "fp:\u0667"])
+def test_barcodes_field_suffix_is_ascii_digits(three_csv, tmp_path, capsys, spec):
+    argv = ["barcodes", "--input", str(three_csv), "--out", str(tmp_path / "o"), "--field", spec]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: unknown field descriptor {spec!r} (expected q, f2 or fp:<p>)\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["barcodes", "--input", "x", "--format", "nope", "--out", str(tmp_path)])

@@ -13,7 +13,6 @@ from idealtda.complexes import (
     Filtration,
     Graph,
     SimplicialComplex,
-    boundary_entries,
     boundary_masks,
     clique_complex,
     face_mask,
@@ -35,6 +34,35 @@ def random_complex(rng, n):
         size = rng.randint(1, min(4, n))
         gens.append(tuple(sorted(rng.sample(range(1, n + 1), size))))
     return SimplicialComplex.from_faces(n, gens, close=True)
+
+
+def simplex(n, vertices):
+    return SimplicialComplex.from_faces(n, [tuple(vertices)], close=True)
+
+
+def has_face(K, face):
+    return face_mask(face) in K.face_masks
+
+
+def faces_of_dim(K, k):
+    """The k-faces as vertex tuples in colex order (reversed tuples sorted),
+    with no mask index read."""
+    return sorted((f for f in K.faces() if len(f) == k + 1), key=lambda f: f[::-1])
+
+
+def boundary_entries(K, k):
+    """The tuple-face oracle of ``boundary_masks``: the row faces ((k-1)-faces,
+    or the empty face () alone at k = 0), the column faces, and (row index,
+    column index) -> the sign (-1)^u, u the removed vertex's position from 1."""
+    cols = faces_of_dim(K, k)
+    rows = faces_of_dim(K, k - 1) if k else [()]
+    row_index = {f: i for i, f in enumerate(rows)}
+    entries = {}
+    for j, sigma in enumerate(cols):
+        for u, v in enumerate(sigma, start=1):
+            tau = tuple(w for w in sigma if w != v)
+            entries[(row_index[tau], j)] = -1 if u % 2 else 1
+    return rows, cols, entries
 
 
 def test_face_mask_roundtrip_and_validation():
@@ -92,12 +120,12 @@ def test_closure_exhaustive_subface_check():
         for f in K.faces():
             for size in range(1, len(f)):
                 for sub in combinations(f, size):
-                    assert K.has_face(sub)
+                    assert has_face(K, sub)
 
 
 def test_canonical_face_order_is_colex():
     K = SimplicialComplex.from_faces(4, [(1, 2, 3), (1, 4)], close=True)
-    assert K.faces_of_dim(1) == [(1, 2), (1, 3), (2, 3), (1, 4)]
+    assert [mask_face(m) for m in K.masks_of_dim(1)] == [(1, 2), (1, 3), (2, 3), (1, 4)]
 
 
 def test_clique_complex_demo(demo_graph):
@@ -128,8 +156,8 @@ def test_clique_complex_matches_predicate_oracle():
             # oracle: a subset is a face iff every pair is an edge
             for size in range(1, n + 1):
                 for comb in combinations(range(1, n + 1), size):
-                    is_clique = all(g.has_edge(a, b) for a, b in combinations(comb, 2))
-                    assert K.has_face(comb) == (is_clique and size <= top)
+                    is_clique = all(pair in edges for pair in combinations(comb, 2))
+                    assert has_face(K, comb) == (is_clique and size <= top)
 
 
 def test_full_subcomplex_triangle():
@@ -156,7 +184,7 @@ def test_maximal_faces_demo(demo_clique_complex):
 
 
 def test_maximal_faces_simplex_and_path_step():
-    S = SimplicialComplex.simplex(5, (1, 3, 5))
+    S = simplex(5, (1, 3, 5))
     assert maximal_faces(S) == {(1, 3, 5)}
     K = SimplicialComplex.from_faces(3, [(1, 2), (1, 3)], close=True)
     assert maximal_faces(K) == {(1, 2), (1, 3)}
@@ -188,7 +216,7 @@ def test_minimal_nonfaces_demo(demo_clique_complex):
 
 
 def test_minimal_nonfaces_full_simplex_is_empty():
-    S = SimplicialComplex.simplex(4, (1, 2, 3, 4))
+    S = simplex(4, (1, 2, 3, 4))
     assert minimal_nonfaces(S) == frozenset()
 
 
@@ -201,10 +229,10 @@ def test_minimal_nonfaces_exhaustive_oracle():
         want = set()
         for size in range(1, n + 1):
             for comb in combinations(range(1, n + 1), size):
-                if K.has_face(comb):
+                if has_face(K, comb):
                     continue
                 proper = all(
-                    K.has_face(sub)
+                    has_face(K, sub)
                     for k in range(1, size)
                     for sub in combinations(comb, k)
                 )
@@ -252,7 +280,7 @@ def test_vr_filtration_duplicate_points_merge_at_zero():
     dist = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     f = vr_filtration(dist)
     assert f.params == (0.0, 0.5)
-    assert f.steps[0][1].has_face((1, 2))
+    assert has_face(f.steps[0][1], (1, 2))
 
 
 def _oracle_metric(rng, n, kind):
@@ -283,7 +311,7 @@ def test_vr_filtration_brute_force_oracle():
             assert set(K.faces()) == want
         # monotone steps
         for (_, a), (_, b) in zip(f.steps, f.steps[1:]):
-            assert a.is_subcomplex_of(b)
+            assert a.face_masks <= b.face_masks
     # births bit for bit: test_vr_order_is_the_checked_walk_and_the_oracle
 
 
@@ -388,42 +416,32 @@ def test_filtration_helpers(three_point_dist):
     assert single.params == (0.0,)
 
 
-def test_boundary_entries_hollow_triangle_signs():
+def test_boundary_masks_hollow_triangle_signs():
     K = SimplicialComplex.from_faces(3, [(1, 2), (1, 3), (2, 3)], close=True)
-    rows, cols, entries = boundary_entries(K, 1)
-    assert rows == [(1,), (2,), (3,)]
-    assert cols == [(1, 2), (1, 3), (2, 3)]
+    rows, cols, columns = boundary_masks(K, 1)
+    assert [mask_face(m) for m in rows] == [(1,), (2,), (3,)]
+    assert [mask_face(m) for m in cols] == [(1, 2), (1, 3), (2, 3)]
     # removing the smaller vertex carries -1
-    assert entries[(0, 0)] == 1 and entries[(1, 0)] == -1
-    assert entries[(0, 1)] == 1 and entries[(2, 1)] == -1
-    assert entries[(1, 2)] == 1 and entries[(2, 2)] == -1
+    assert columns == [[(1, -1), (0, 1)], [(2, -1), (0, 1)], [(2, -1), (1, 1)]]
 
 
-def test_boundary_entries_reduced_degree_zero():
+def test_boundary_masks_augmentation_at_degree_zero():
     K = SimplicialComplex.from_faces(2, [(1,), (2,)], close=True)
-    rows, cols, entries = boundary_entries(K, 0, reduced=True)
-    assert rows == [()]
-    assert entries == {(0, 0): -1, (0, 1): -1}
-    rows, cols, entries = boundary_entries(K, 0, reduced=False)
-    assert rows == [] and entries == {}
+    assert boundary_masks(K, 0) == ((0,), (0b01, 0b10), [[(0, -1)], [(0, -1)]])
 
 
 def test_boundary_squares_to_zero():
     rng = random.Random(6)
     for _ in range(10):
         K = random_complex(rng, rng.randint(2, 7))
-        for k in range(1, K.max_dim + 1):
-            rows, mids, d_k = boundary_entries(K, k)
-            _, _, d_k1 = boundary_entries(K, k + 1)
-            if not d_k1:
-                continue
-            cols = K.faces_of_dim(k + 1)
-            prod = {}
-            for (i, t), s1 in d_k.items():
-                for (t2, j), s2 in d_k1.items():
-                    if t == t2:
-                        prod[(i, j)] = prod.get((i, j), 0) + s1 * s2
-            assert all(v == 0 for v in prod.values())
+        for k in range(K.max_dim):
+            lower = boundary_masks(K, k)[2]
+            for col in boundary_masks(K, k + 1)[2]:
+                prod = {}
+                for t, s1 in col:
+                    for i, s2 in lower[t]:
+                        prod[i] = prod.get(i, 0) + s1 * s2
+                assert not any(prod.values())
 
 
 def _boundary_cases():
@@ -433,7 +451,7 @@ def _boundary_cases():
         verify.random_complex(rng, rng.randint(1, 8), max_gen=rng.randint(1, 6), max_size=rng.randint(1, 6))
         for _ in range(200)
     ]
-    return cases + [SimplicialComplex.simplex(9, range(1, 10))]
+    return cases + [simplex(9, range(1, 10))]
 
 
 def test_masks_of_dim_reads_one_cached_colex_index():
@@ -444,13 +462,10 @@ def test_masks_of_dim_reads_one_cached_colex_index():
             want = sorted(m for m in K.face_masks if m.bit_count() == k + 1)
             got = K.masks_of_dim(k)
             assert type(got) is tuple and list(got) == want, (K, k)
-            assert K.faces_of_dim(k) == [mask_face(m) for m in want]
         index = K._colex
         assert all(type(dim) is tuple for dim in index)
-        assert sum(map(len, index)) == len(K) and len(index) == K.max_dim + 1
+        assert sum(map(len, index)) == len(K.face_masks) and len(index) == K.max_dim + 1
         assert all(K.masks_of_dim(k) is index[k] for k in range(K.max_dim + 1))
-        K.faces_of_dim(K.max_dim).clear()
-        assert K._colex is index and len(K.faces_of_dim(K.max_dim)) == len(K.masks_of_dim(K.max_dim))
     # the rips paths never build it: a full VR complex would pay a whole sort
     from idealtda.persistence import ph_barcode, prime_barcode
 
@@ -465,7 +480,7 @@ def test_boundary_masks_is_the_mask_twin_of_boundary_entries():
     for K in _boundary_cases():
         for k in range(K.max_dim + 1):
             rows, cols, columns = boundary_masks(K, k)
-            want_rows, want_cols, want = boundary_entries(K, k, reduced=True)
+            want_rows, want_cols, want = boundary_entries(K, k)
             assert [mask_face(m) for m in rows] == want_rows, (K, k)
             assert [mask_face(m) for m in cols] == want_cols, (K, k)
             assert {(i, j): s for j, col in enumerate(columns) for i, s in col} == want, (K, k)
@@ -478,7 +493,7 @@ def test_boundary_dense_is_the_dense_oracle_after_norm():
     for K in _boundary_cases():
         for field in (QQ, GF2, PrimeField(7)):
             for k in range(K.max_dim + 1):
-                rows, cols, entries = boundary_entries(K, k, reduced=True)
+                rows, cols, entries = boundary_entries(K, k)
                 want = [[field.zero] * len(cols) for _ in rows]
                 for (i, j), s in entries.items():
                     want[i][j] = field.norm(s)
@@ -508,7 +523,6 @@ def test_graph_is_neighbour_masks():
     g = Graph.from_edges(4, [(2, 1), (3, 4)])
     assert g.adjacency == (0, 0b0010, 0b0001, 0b1000, 0b0100)
     assert g.edges == frozenset({(1, 2), (3, 4)})
-    assert g.has_edge(2, 1) and not g.has_edge(1, 3)
     assert Graph(3, (0, 0b110, 0b101, 0b011)) == Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     for n, adjacency, message in [
         (2, (0, 0), "n \\+ 1 neighbour masks"),

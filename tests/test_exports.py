@@ -51,14 +51,20 @@ def _imported_names(path: Path) -> set[str]:
 
 
 def test_one_mask_native_classical_boundary():
-    # the classical ranks and the labelled boundaries read boundary_masks;
-    # boundary_entries stays only as the checks' tuple-face oracle
-    from idealtda import persistence
+    # the classical ranks, the labelled boundaries and the labelled checks
+    # read boundary_masks; boundary_entries, on tuple faces, is the tests'
+    # oracle, and no production module defines, imports or calls it
+    from idealtda import complexes, persistence
 
     src = Path(idealtda.__file__).parent
     names = {stem: _imported_names(src / f"{stem}.py") for stem in ("persistence", "labelled")}
     assert "boundary_masks" in names["persistence"] and "boundary_masks" in names["labelled"]
-    assert "boundary_entries" not in names["persistence"]
+    for stem in PRODUCTION + ("cli", "__init__"):
+        text = (src / f"{stem}.py").read_text(encoding="utf-8")
+        assert "boundary_entries" not in _imported_names(src / f"{stem}.py"), stem
+        assert "boundary_entries(" not in text and "faces_of_dim(" not in text, stem
+    assert not hasattr(complexes, "boundary_entries")
+    assert not hasattr(complexes.SimplicialComplex, "faces_of_dim")
     assert not {"_boundary_dense", "_iter_bits"} & names["labelled"]
     assert list(inspect.signature(persistence._boundary_dense).parameters) == ["K", "k", "field"]
 
@@ -178,3 +184,21 @@ def test_the_polynomial_ring_lives_with_its_oracle():
         used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert not used & (ring_calls | {"RingPolynomial"}), (stem, used & ring_calls)
+
+
+def test_production_holds_only_what_a_command_runs():
+    # names that no command, verify oracle, quick tour or named feature used
+    from idealtda import complexes, monomials, serialize
+
+    gone = {
+        serialize: ("complex_to_dict", "labelled_to_dict", "_expansion_to_json"),
+        monomials: ("lcm_factored", "divides", "radical_generators", "membership", "prime_contains", "ideal_in_prime"),
+        monomials.FactoredElement: ("gcd", "times", "squarefree_part"),
+        monomials.MonomialIdeal: ("zero", "ambient_n"),
+        complexes.SimplicialComplex: ("simplex", "has_face", "is_subcomplex_of", "is_simplex_over", "__len__"),
+        complexes.Graph: ("has_edge",),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+            assert name not in getattr(owner, "__all__", ()) and name not in idealtda.__all__, name

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from idealtda.complexes import MAX_FACES, Graph, SimplicialComplex, clique_complex, full_subcomplex
+from idealtda.complexes import MAX_FACES, Graph, SimplicialComplex, clique_complex, face_mask, full_subcomplex
 from idealtda.ideals import (
     complement_graph,
     complex_of_squarefree_ideal,
@@ -21,7 +21,6 @@ from idealtda.monomials import (
     FactoredElement,
     LinearPrime,
     MonomialIdeal,
-    membership,
     minimal_primes_squarefree,
 )
 
@@ -30,6 +29,15 @@ X4 = AtomTable.for_variables(4)
 
 def sf(*support: int) -> FactoredElement:
     return FactoredElement.from_support(X4, support)
+
+
+def simplex(n, vertices):
+    return SimplicialComplex.from_faces(n, [tuple(vertices)], close=True)
+
+
+def membership(m: FactoredElement, ideal: MonomialIdeal) -> bool:
+    """Monomial membership: some generator divides m."""
+    return any(g.divides(m) for g in ideal.generators)
 
 
 def random_complex(rng, n):
@@ -55,7 +63,7 @@ def test_stanley_reisner_demo(demo_clique_complex, demo_hollow_complex):
 
 
 def test_stanley_reisner_full_simplex_is_zero():
-    S = SimplicialComplex.simplex(4, (1, 2, 3, 4))
+    S = simplex(4, (1, 2, 3, 4))
     assert stanley_reisner(S).is_zero
 
 
@@ -79,12 +87,12 @@ def test_complex_of_squarefree_ideal_demo(demo_clique_complex):
     # membership oracle over all 15 nonempty subsets
     for size in range(1, 5):
         for comb in combinations(range(1, 5), size):
-            assert K.has_face(comb) == (not membership(sf(*comb), I))
+            assert (face_mask(comb) in K.face_masks) == (not membership(sf(*comb), I))
 
 
 def test_complex_of_squarefree_ideal_zero_gives_simplex():
-    K = complex_of_squarefree_ideal(MonomialIdeal.zero(X4), 4)
-    assert K == SimplicialComplex.simplex(4, (1, 2, 3, 4))
+    K = complex_of_squarefree_ideal(MonomialIdeal(X4, ()), 4)
+    assert K == simplex(4, (1, 2, 3, 4))
 
 
 def test_complex_of_squarefree_ideal_rejections():
@@ -97,7 +105,7 @@ def test_complex_of_squarefree_ideal_rejections():
             MonomialIdeal.from_generators(X4, [FactoredElement.unit(X4)]), 4
         )
     with pytest.raises(ValueError, match="variables"):
-        complex_of_squarefree_ideal(MonomialIdeal.zero(X4), 5)
+        complex_of_squarefree_ideal(MonomialIdeal(X4, ()), 5)
 
 
 def test_complex_of_squarefree_ideal_walks_only_faces():
@@ -114,7 +122,7 @@ def test_complex_of_squarefree_ideal_walks_only_faces():
 def test_complex_of_squarefree_ideal_face_budget():
     # the zero ideal on 17 variables gives the full simplex, 2^17 - 1 faces
     with pytest.raises(ValueError, match=f"more than {MAX_FACES} faces"):
-        complex_of_squarefree_ideal(MonomialIdeal.zero(AtomTable.for_variables(17)), 17)
+        complex_of_squarefree_ideal(MonomialIdeal(AtomTable.for_variables(17), ()), 17)
 
 
 def test_sr_roundtrip_on_random_complexes():
@@ -135,7 +143,7 @@ def test_sr_associated_primes_demo(demo_clique_complex):
 
 
 def test_sr_associated_primes_simplex_and_path():
-    S = SimplicialComplex.simplex(3, (1, 2, 3))
+    S = simplex(3, (1, 2, 3))
     assert sr_associated_primes(S) == {LinearPrime.of(())}
     path = SimplicialComplex.from_faces(3, [(1, 2), (1, 3)], close=True)
     assert sr_associated_primes(path) == {LinearPrime.of((2,)), LinearPrime.of((3,))}
@@ -219,7 +227,7 @@ def test_ideal_monotonicity_on_nested_pairs():
         keep = [f for f in big.faces() if rng.random() < 0.6]
         keep.append(big.faces()[0])
         small = SimplicialComplex.from_faces(n, keep, close=True)
-        assert small.is_subcomplex_of(big)
+        assert small.face_masks <= big.face_masks
         # smaller complex -> larger face ideal
         I_big, I_small = stanley_reisner(big), stanley_reisner(small)
         assert all(membership(g, I_small) for g in I_big.generators)
@@ -241,7 +249,7 @@ def test_simplex_characterization():
                 linear = MonomialIdeal.from_generators(
                     table, [FactoredElement.from_support(table, (v,)) for v in comp]
                 )
-                assert (I == linear) == K.is_simplex_over(comb)
+                assert (I == linear) == (K == simplex(n, comb))
 
 
 def test_clique_complement_identity_and_counterexample(demo_graph, demo_hollow_complex):
@@ -270,4 +278,4 @@ def test_sr_primes_via_subcomplex_window():
         for prime in sr_associated_primes(K):
             comp = tuple(v for v in range(1, n + 1) if v not in prime.vars)
             window = full_subcomplex(K, comp)
-            assert window.is_simplex_over(comp)
+            assert window == simplex(n, comp)

@@ -29,7 +29,7 @@ from idealtda.labelled import (
 )
 from idealtda.linalg import QQ, Polynomial, PrimeField, power_value
 from idealtda.monomials import AtomTable, FactoredElement
-from idealtda.serialize import labelled_from_dict, labelled_to_dict
+from idealtda.serialize import labelled_from_dict
 from idealtda.verify import (
     RingPolynomial,
     atom_polynomials,
@@ -676,9 +676,26 @@ def _drop_nonzero(col):
     return col[1:]
 
 
-@pytest.mark.parametrize("edit", [_flip_sign, _bump_exponent, _drop_nonzero])
-@pytest.mark.parametrize("k", [1, 2])
-def test_checks_reject_tampered_boundaries(monkeypatch, worked_labelled, edit, k):
+def _move_nonzero(col):
+    # the first nonzero goes, sign and quotient kept, to the lowest row the column misses
+    (i, s, e), *rest = col
+    used = {row for row, _, _ in col}
+    return ((min(set(range(len(col) + 1)) - used), s, e), *rest)
+
+
+# k = 0 is the augmentation row of the reduced complex, which has no other
+# row to move a nonzero to.  A moved nonzero can keep d o d = 0 in general;
+# on this complex both moves break it, as every other edit does.
+_TAMPERED = [
+    pytest.param(k, edit, id=f"{k}-{edit.__name__}")
+    for k in (0, 1, 2)
+    for edit in (_flip_sign, _bump_exponent, _drop_nonzero, _move_nonzero)
+    if k or edit is not _move_nonzero
+]
+
+
+@pytest.mark.parametrize("k, edit", _TAMPERED)
+def test_checks_reject_tampered_boundaries(monkeypatch, worked_labelled, k, edit):
     import idealtda.labelled as labelled
 
     LC = worked_labelled
@@ -714,7 +731,7 @@ def test_render_matches_the_polynomial_writer():
                 assert got == want
 
 
-def test_ring_and_parsed_expansions_give_one_table_and_one_report(tmp_path, monkeypatch):
+def test_ring_and_parsed_expansions_give_one_table_and_one_report(tmp_path, monkeypatch, labelled_to_dict):
     # the same expansions built with the ring and parsed from JSON: equal
     # tables with equal hashes, and byte-identical labelled reports
     rng = random.Random(97)

@@ -30,8 +30,10 @@ def test_parse_field():
     assert parse_field("q") is QQ
     assert parse_field("f2") == PrimeField(2)
     assert parse_field("fp:1000003").p == 1000003
-    with pytest.raises(ValueError):
-        parse_field("f3?")
+    assert parse_field("fp:007").p == 7
+    for spec in ("f3?", "fp:", "fp:abc", "fp: 7", "fp:7 ", "fp:+7", "fp:-7", "fp:1_000_003", "fp:\u0667", "fp:7.0", "FP:7"):
+        with pytest.raises(ValueError, match=r"unknown field descriptor .* \(expected q, f2 or fp:<p>\)$"):
+            parse_field(spec)
 
 
 def test_prime_field_ops():

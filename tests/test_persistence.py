@@ -365,7 +365,7 @@ def _reduce_cases():
         for max_dim in (None, 0, 1, 2, 3):
             for tie_prob in (0.0, 0.5):
                 yield vr_filtration(random_metric(rng, n, tie_prob), max_dim)
-    yield Filtration.single(SimplicialComplex.simplex(6, range(1, 7)))
+    yield Filtration.single(SimplicialComplex.from_faces(6, [range(1, 7)], close=True))
     rp2 = SimplicialComplex.from_faces(6, RP2_TRIANGLES, close=True)
     yield Filtration.from_births(6, {m: float(m.bit_count()) for m in rp2.face_masks})
 

@@ -17,10 +17,8 @@ from idealtda.serialize import (
     InputError,
     barcodes_svg,
     complex_from_dict,
-    complex_to_dict,
     dumps_json,
     labelled_from_dict,
-    labelled_to_dict,
     parse_distance_csv,
     parse_points_json,
     ph_barcode_to_dict,
@@ -63,9 +61,7 @@ def test_parse_points_json_errors():
 
 
 def test_complex_roundtrip_via_maximal_faces(demo_clique_complex):
-    data = complex_to_dict(demo_clique_complex)
-    assert data == {"n": 4, "faces": [[3, 4], [1, 2, 3]]}
-    assert complex_from_dict(data) == demo_clique_complex
+    assert complex_from_dict({"n": 4, "faces": [[3, 4], [1, 2, 3]]}) == demo_clique_complex
     with pytest.raises(InputError):
         complex_from_dict({"n": 3})
     with pytest.raises(InputError):
@@ -82,7 +78,7 @@ def test_vertex_count_bound():
 
 
 @pytest.mark.parametrize("value", [1.7, 1.0, True, "1", None])
-def test_labelled_and_complex_from_dict_reject_non_integers(value, poly_labelled):
+def test_labelled_and_complex_from_dict_reject_non_integers(value, poly_labelled, labelled_to_dict):
     text = re.escape(json.dumps(value))
     with pytest.raises(InputError, match=rf"'n' is not an integer: {text}\)$"):
         complex_from_dict({"n": value, "faces": []})
@@ -98,7 +94,7 @@ def test_labelled_and_complex_from_dict_reject_non_integers(value, poly_labelled
         labelled_from_dict(dict(data, atom_polys={"x1+x2": expansion}))
 
 
-def test_labelled_exponent_bound(poly_labelled):
+def test_labelled_exponent_bound(poly_labelled, labelled_to_dict):
     data = labelled_to_dict(poly_labelled)
     at_bound = dict(data, labels=[[0, 0, 1], [MAX_EXPONENT, 0, 0], [1, 1, 0]])
     assert labelled_from_dict(at_bound).vertex_labels[1].exps == (MAX_EXPONENT, 0, 0)
@@ -111,7 +107,7 @@ def test_labelled_exponent_bound(poly_labelled):
         labelled_from_dict(dict(data, atom_polys={"x1+x2": expansion}))
 
 
-def test_labelled_roundtrip_with_expansions(poly_labelled):
+def test_labelled_roundtrip_with_expansions(poly_labelled, labelled_to_dict):
     data = labelled_to_dict(poly_labelled)
     assert data["atoms"] == ["x1", "x2", "x1+x2"]
     assert data["atom_polys"] == {"x1+x2": [[1, [0, 1]], [1, [1, 0]]]}
@@ -121,7 +117,7 @@ def test_labelled_roundtrip_with_expansions(poly_labelled):
     assert back.table == poly_labelled.table
 
 
-def test_labelled_roundtrip_rational_coefficient():
+def test_labelled_roundtrip_rational_coefficient(labelled_to_dict):
     data = {
         "n": 2,
         "faces": [[1, 2]],
@@ -134,7 +130,7 @@ def test_labelled_roundtrip_rational_coefficient():
     assert labelled_to_dict(LC) == data
 
 
-def test_labelled_roundtrip_plain(worked_labelled):
+def test_labelled_roundtrip_plain(worked_labelled, labelled_to_dict):
     data = labelled_to_dict(worked_labelled)
     assert "atom_polys" not in data
     back = labelled_from_dict(data, reduced=True)
