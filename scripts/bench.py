@@ -6,10 +6,10 @@ Standard library only; it imports idealtda from the ``src/`` next to this
 directory and writes ``BENCH_<LABEL>.json`` at the root of the repository.
 The file holds the Python version and the platform, then:
 
-* ``ladder``: one row per (n, max_dim) of ``LADDER``.  A run of a row
-  runs the command ``barcodes --format dist-csv --max-dim D --svg``
+* ``ladder``: one row per (n, max_dim, tie_prob) of ``LADDER``.  A run of
+  a row runs the command ``barcodes --format dist-csv --max-dim D --svg``
   (without ``--max-dim`` when D is None, so all 2^n - 1 faces) on the
-  random metric ``verify.random_metric(Random(n), n, 0.0)`` through
+  random metric ``verify.random_metric(Random(n), n, tie_prob)`` through
   ``cli.main``, and times the whole command and each stage it calls
   (found by rebinding the ``idealtda.cli`` attributes, as the traced
   benchmark does).  Its seconds are reference-core seconds: the command
@@ -79,9 +79,10 @@ SRC = ROOT / "src"
 PERFBENCH = ROOT / "perfbench"
 RUN = PERFBENCH / "run.py"
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-# (n, max_dim): the truncated rows of the size ladder, then untruncated
-# rows of 16383 and 65535 faces, where vr_filtration and PH dominate
-LADDER = ((20, 2), (30, 2), (40, 2), (14, None), (16, None))
+# (n, max_dim, tie probability): the truncated rows of the size ladder, then
+# untruncated rows of 16383 and 65535 faces, where vr_filtration and PH
+# dominate; the last row has ties, so its filtration order is the checked walk
+LADDER = ((20, 2, 0.0), (30, 2, 0.0), (40, 2, 0.0), (14, None, 0.0), (16, None, 0.0), (16, None, 0.5))
 # (kind, vertices): labelled rows on full simplices of 127, 255 and 511 faces
 LABELLED_LADDER = (("composite", 7), ("composite", 8), ("composite", 9), ("monomial", 9))
 RUNS = 3  # fresh-interpreter runs of each ladder row
@@ -205,13 +206,13 @@ def _timed_command(argv: list[str], inputs: dict[str, str], stages: dict, output
     }
 
 
-def ladder_row(n: int, max_dim: int | None) -> dict:
-    """One run of ``barcodes --svg`` on the seeded n-point metric, up to
-    dimension max_dim (all dimensions when None), in reference-core
-    seconds."""
+def ladder_row(n: int, max_dim: int | None, tie_prob: float) -> dict:
+    """One run of ``barcodes --svg`` on the seeded n-point metric with tie
+    probability tie_prob, up to dimension max_dim (all dimensions when
+    None), in reference-core seconds."""
     from idealtda.verify import random_metric
 
-    dist = random_metric(random.Random(n), n, 0.0)
+    dist = random_metric(random.Random(n), n, tie_prob)
     argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv"]
     if max_dim is not None:
         argv += ["--max-dim", str(max_dim)]
@@ -221,6 +222,7 @@ def ladder_row(n: int, max_dim: int | None) -> dict:
     return {
         "n": n,
         "max_dim": max_dim,
+        "tie_prob": tie_prob,
         "faces": counts["faces"],
         "steps": counts["steps"],
         "bars": {kind: counts[kind] for kind in ("SR", "EDGE", "PH")},
@@ -299,9 +301,10 @@ def _fresh_row(call: str, fixed: tuple[str, ...]) -> dict:
     return out
 
 
-def fresh_ladder_row(n: int, max_dim: int | None) -> dict:
+def fresh_ladder_row(n: int, max_dim: int | None, tie_prob: float) -> dict:
     """``RUNS`` fresh-interpreter runs of one ``ladder`` row, aggregated."""
-    return _fresh_row(f"ladder_row({n}, {max_dim})", ("n", "max_dim", "faces", "steps", "bars", "bytes", "sha256"))
+    fixed = ("n", "max_dim", "tie_prob", "faces", "steps", "bars", "bytes", "sha256")
+    return _fresh_row(f"ladder_row({n}, {max_dim}, {tie_prob!r})", fixed)
 
 
 def fresh_labelled_row(kind: str, vertices: int) -> dict:
@@ -415,9 +418,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     print(f"startup: {record['startup']['seconds']}, first {record['startup']['first_seconds']}", file=sys.stderr)
-    for n, max_dim in LADDER:
-        record["ladder"].append(fresh_ladder_row(n, max_dim))
-        print(f"ladder n={n} max_dim={max_dim}: {record['ladder'][-1]['seconds']}", file=sys.stderr)
+    for n, max_dim, tie_prob in LADDER:
+        record["ladder"].append(fresh_ladder_row(n, max_dim, tie_prob))
+        print(f"ladder n={n} max_dim={max_dim} tie_prob={tie_prob}: {record['ladder'][-1]['seconds']}", file=sys.stderr)
     for kind, vertices in LABELLED_LADDER:
         record["labelled_ladder"].append(fresh_labelled_row(kind, vertices))
         print(f"labelled {kind} {vertices}: {record['labelled_ladder'][-1]['seconds']}", file=sys.stderr)

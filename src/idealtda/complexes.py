@@ -15,18 +15,19 @@ no rips path makes.  All boundary matrices in the package use this
 order; ``boundary_masks`` builds the classical one for every rank,
 labelled boundary and labelled check.  A filtration's faces are read in its checked order, a
 :class:`FaceOrder`, which both SR and PH read: ``vr_filtration`` builds
-it by closed forms as its edges go in, and any other filtration by one
-walk over the facets, which is also the oracle for the VR order.
+it by closed forms as its edges go in when no two edges tie, and any
+other filtration, a tied VR one included, by one walk over the facets,
+which is also the oracle for the closed forms.
 
 Bits are walked lowest first.  ``_iter_bits`` is the one helper for it,
 except in the loops that run once per face or facet: ``mask_face``, the
 facet walks of :class:`FaceOrder` and ``boundary_masks``, the superface
 probe of ``_maximal_masks`` (the SR final check), ``_cliques``,
-``_edge_levels``, ``_tied_fields`` and, in ``persistence``, the EDGE
-maximality test spell the walk inline (``bit = rest & -rest; rest ^=
-bit``), which saves a generator frame per face.  Masks are nonnegative:
-a negative int has infinitely many set bits, so ``mask_face``,
-``SimplicialComplex`` and ``FaceOrder`` refuse one.
+``_edge_levels`` and, in ``persistence``, the EDGE maximality test
+spell the walk inline (``bit = rest & -rest; rest ^= bit``), which saves
+a generator frame per face.  Masks are nonnegative: a negative int has
+infinitely many set bits, so ``mask_face``, ``SimplicialComplex`` and
+``FaceOrder`` refuse one.
 
 ``_cliques`` enumerates the cliques of a graph for ``clique_complex``.
 Vietoris-Rips complexes do not use it: ``vr_filtration`` inserts the
@@ -353,9 +354,10 @@ class Filtration:
     every birth and may add parameters where the complex does not change.
 
     ``order`` is its one checked (birth, dimension, colex) :class:`FaceOrder`;
-    ``vr_filtration`` sets it from closed forms, ``from_births`` walks it
-    at once as its subface check, and the raw constructor and ``single``
-    walk it on first access."""
+    ``vr_filtration`` sets it from closed forms unless two edges tie,
+    ``from_births`` walks it at once as its subface check, and the raw
+    constructor, ``single`` and a tied ``vr_filtration`` walk it on first
+    access."""
 
     n: int
     birth_map: Mapping[int, float]
@@ -532,23 +534,21 @@ def validate_distance_matrix(dist: Sequence[Sequence[float]]) -> int:
     return n
 
 
-def _edge_levels(
-    e: int, common: int, adj: Mapping[int, int], max_size: int, listed: int
-) -> tuple[list[list[tuple[int, int, int]]], int]:
+def _edge_levels(e: int, common: int, adj: Mapping[int, int], max_size: int, listed: int) -> list[list[tuple[int, int]]]:
     """The faces m = e + S with at most max_size vertices, S a clique of
     ``common``, the common neighbours of the ends of edge e in ``adj``, as
-    ``(m, C, X)`` with C the common neighbours of m and X = e, by
-    dimension: level k holds the faces of dimension k + 1, in colex order.
-    Breadth-first, a face grows only below its lowest vertex outside e,
-    and a level lists the faces of each parent in turn, in parent order and
-    then by the added vertex: that is colex order.  The face budget, on the
-    count of faces listed (``listed`` before the call, returned with the
-    levels), is checked at each face that grows."""
-    level, cands = [(e, common, e)], [common]
+    ``(m, C)`` with C the common neighbours of m, by dimension: level k
+    holds the faces of dimension k + 1, in colex order.  Breadth-first, a
+    face grows only below its lowest vertex outside e, and a level lists
+    the faces of each parent in turn, in parent order and then by the added
+    vertex: that is colex order.  The face budget, on the count of faces
+    listed (``listed`` before the call), is checked at each face that
+    grows."""
+    level, cands = [(e, common)], [common]
     levels = [level]
     while len(levels) + 2 <= max_size:
         grown, below = [], []
-        for (m, C, _), cand in zip(level, cands):
+        for (m, C), cand in zip(level, cands):
             if cand:
                 listed += cand.bit_count()
                 _check_face_budget(listed)
@@ -556,28 +556,13 @@ def _edge_levels(
                 u = cand & -cand
                 cand ^= u
                 C_u = C & adj[u]
-                grown.append((m | u, C_u, e))
+                grown.append((m | u, C_u))
                 below.append(C_u & (u - 1))
         if not grown:
             break
         levels.append(grown)
         level, cands = grown, below
-    return levels, listed
-
-
-def _tied_fields(m: int, adj: Mapping[int, int], tied: Mapping[int, int], full: int) -> tuple[int, int, int]:
-    """``(m, C, X)`` for a face m born in a tie group: C the common
-    neighbours of m and X the intersection of m's edges in ``tied``, the
-    group's, by one walk over m (the edges at v meet in v and, if there is
-    only one, its other end)."""
-    C, X, rest = full, m, m
-    while rest:
-        v = rest & -rest
-        rest ^= v
-        C &= adj[v]
-        if w := tied[v] & m:
-            X &= v | w if w & (w - 1) == 0 else v
-    return m, C, X
+    return levels
 
 
 def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -> Filtration:
@@ -588,21 +573,21 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
     truncated to faces of dimension <= max_dim.  Critical parameters are
     exactly {0} union {dist[i][j]/2 : i < j}.
 
-    The edges go in by (parameter, mask), one group per parameter t
-    (Zomorodian 2010).  Edge e lists the new faces e + S, S a clique of the
-    common neighbours of its ends, of at most max_dim + 1 vertices, so a
-    face born in a tie is listed once, by its last edge in.  The faces of a
-    group come out in (dimension, colex) order, the filtration order: one
-    edge lists them so, and a tie group sorts what its edges list.  Let
-    X(m) be the intersection of the edges of m born at t (e alone without
-    ties): the facets m - v with v in X(m) are older and the others are
-    born at t.  So the order's fields follow in closed form: a face's
-    youngest facet drops its lowest vertex outside X(m) (an edge drops its
-    lowest vertex), a new face's first cofacet adds the lowest of its
-    common neighbours at t, and each older facet takes the first face that
-    lists it as its first cofacet, unless it has one.  Births are t, except
+    The edges go in one at a time, by (parameter, mask) (Zomorodian 2010).
+    Edge e lists the new faces e + S, S a clique of the common neighbours
+    of its ends, of at most max_dim + 1 vertices, so each face is listed
+    once, by its last edge in, and born at that edge's parameter t, except
     that a face born at 0 takes the half-distance of its two lowest
-    vertices, so a -0.0 stays as it is.
+    vertices, so a -0.0 stays as it is.  When no two edges share a
+    parameter, e's faces come out in (dimension, colex) order, the
+    filtration order, and the order's fields follow in closed form: the
+    facets m - v with v in e are older and the others are born with m, so
+    a face's youngest facet drops its lowest vertex outside e (an edge
+    drops its lowest vertex), a new face's first cofacet adds the lowest of
+    its common neighbours, and each older facet takes the first face that
+    lists it as its first cofacet, unless it has one.  With a tie (a -0.0
+    and a 0.0 are one), ``order`` is the checked walk, made on first
+    access.
     """
     n = validate_distance_matrix(dist)
     if max_dim is None:
@@ -617,91 +602,52 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
     lows: dict[int, tuple[list[int], list[int]]] = {}
     params = [0.0]
     adj = dict.fromkeys(faces, 0)  # vertex bit -> its neighbours so far
-    full = (1 << n) - 1
     edges = sorted((dist[i][j] / 2.0, (1 << i) | (1 << j)) for j in range(n) for i in range(j))
-    k, stop = 0, len(edges)
-    while k < stop:
-        t, e = edges[k]
-        start, k = k, k + 1
-        while k < stop and edges[k][0] == t:
-            k += 1
-        if t:  # a zero is the 0.0 of the vertices
+    tied = any(a[0] == b[0] for a, b in zip(edges, edges[1:]))
+    for t, e in edges:
+        if t != params[-1]:  # a zero is the 0.0 of the vertices
             params.append(t)
         if not max_dim:
             continue
-        if k == start + 1:  # no tie
-            lo = e & -e
-            hi = e ^ lo
-            adj[lo] |= hi
-            adj[hi] |= lo
-            common = adj[lo] & adj[hi] if max_dim > 1 else 0
-            if not common:  # e closes no triangle: it is the one new face
-                p = len(faces)
-                faces.append(e)
-                index[e] = p
-                births[e] = t
-                first.append(None)
-                positions, youngest = lows.get(1) or lows.setdefault(1, ([], []))
-                positions.append(p)
-                youngest.append(index[hi])
-                for i in (index[lo], index[hi]):
-                    if first[i] is None:
-                        first[i] = p
-                if p >= MAX_FACES:
-                    _check_face_budget(p + 1)
-                continue
-            levels, _ = _edge_levels(e, common, adj, max_dim + 1, len(faces) + 1)
-        else:  # the general rule
-            tied = dict.fromkeys(adj, 0)  # vertex bit -> its neighbours by edges born at t
-            levels = []
-            listed = len(faces)
-            for _, e in edges[start:k]:
-                lo = e & -e
-                hi = e ^ lo
-                adj[lo] |= hi
-                adj[hi] |= lo
-                tied[lo] |= hi
-                tied[hi] |= lo
-                listed += 1
-                if max_dim > 1 and (common := adj[lo] & adj[hi]):
-                    more, listed = _edge_levels(e, common, adj, max_dim + 1, listed)
-                else:
-                    more = [[(e, 0, e)]]
-                    _check_face_budget(listed)
-                for level, add in zip(levels, more):
-                    level += add
-                levels += more[len(levels):]
-            # C and X at the end of the group, in colex order
-            levels = [sorted(_tied_fields(m, adj, tied, full) for m, _, _ in level) for level in levels]
+        lo = e & -e
+        hi = e ^ lo
+        adj[lo] |= hi
+        adj[hi] |= lo
         p = len(faces)
-        new = [m for level in levels for m, _, _ in level]
+        if max_dim > 1 and (common := adj[lo] & adj[hi]):
+            levels = _edge_levels(e, common, adj, max_dim + 1, p + 1)
+            new = [m for level in levels for m, _ in level]
+        else:  # e closes no triangle: it is the one new face
+            _check_face_budget(p + 1)
+            levels, new = [[(e, 0)]], [e]
         faces += new
-        index.update(zip(new, range(p, len(faces))))
         if t:
             births.update(dict.fromkeys(new, t))
         else:
             for m in new:
-                lo = m & -m
-                second = (m ^ lo) & -(m ^ lo)
-                births[m] = dist[lo.bit_length() - 1][second.bit_length() - 1] / 2.0
+                v = m & -m
+                second = (m ^ v) & -(m ^ v)
+                births[m] = dist[v.bit_length() - 1][second.bit_length() - 1] / 2.0
+        if tied:
+            continue
+        index.update(zip(new, range(p, len(faces))))
         for dim, level in enumerate(levels, 1):
             positions, youngest = lows.get(dim) or lows.setdefault(dim, ([], []))
             grows = dim < max_dim
-            for m, C, X in level:
-                x = m & ~X or m
+            for m, C in level:
+                x = m & ~e or m
                 positions.append(p)
                 youngest.append(index[m ^ (x & -x)])
                 first.append(index[m | (C & -C)] if grows and C else None)
-                if X:  # at most two vertices, the ends of an edge
-                    v = X & -X
-                    if first[i := index[m ^ v]] is None:
-                        first[i] = p
-                    if (X := X ^ v) and first[i := index[m ^ X]] is None:
-                        first[i] = p
+                if first[i := index[m ^ lo]] is None:
+                    first[i] = p
+                if first[i := index[m ^ hi]] is None:
+                    first[i] = p
                 p += 1
     f = Filtration(n, births, tuple(params))
     f.final()  # the complex is checked here, as from_births checks it
-    f.__dict__["order"] = FaceOrder._built(faces, index, lows, first)
+    if not tied:
+        f.__dict__["order"] = FaceOrder._built(faces, index, lows, first)
     return f
 
 

@@ -150,13 +150,18 @@ GF2 = PrimeField(2)
 def parse_field(spec: str):
     """Parse a field descriptor: 'q', 'f2', or 'fp:<prime>', the prime in
     ASCII decimal digits only (``int`` would also read ' 7', '+7', '1_000_003'
-    and other scripts' digits)."""
+    and other scripts' digits).  Past its leading zeros, a prime with more
+    digits than ``MAX_MODULUS`` is refused by its length, before ``int``,
+    which refuses more than 4300 digits."""
     if spec == "q":
         return QQ
     if spec == "f2":
         return GF2
     digits = spec[3:] if spec.startswith("fp:") else ""
     if digits.isascii() and digits.isdigit():
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_MODULUS)):
+            raise ValueError(f"modulus of {len(digits)} digits exceeds the largest supported modulus {MAX_MODULUS}")
         return PrimeField(int(digits))
     raise ValueError(f"unknown field descriptor {spec!r} (expected q, f2 or fp:<p>)")
 

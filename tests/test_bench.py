@@ -28,18 +28,19 @@ def _bench_module():
 
 
 @pytest.mark.parametrize(
-    "n, max_dim, faces, flags",
-    [(6, 2, 6 + 15 + 20, ["--max-dim", "2"]), (5, None, 2**5 - 1, [])],
-    ids=["truncated", "untruncated"],
+    "n, max_dim, tie_prob, faces, flags",
+    [(6, 2, 0.0, 6 + 15 + 20, ["--max-dim", "2"]), (5, None, 0.0, 2**5 - 1, []), (6, None, 0.5, 2**6 - 1, [])],
+    ids=["truncated", "untruncated", "tied"],
 )
-def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, faces, flags):
+def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, tie_prob, faces, flags):
     bench = _bench_module()
-    assert all(len(rung) == 2 for rung in bench.LADDER)
+    assert all(len(rung) == 3 for rung in bench.LADDER)
+    assert (16, None, 0.5) in bench.LADDER  # one row takes the walk of a tied filtration
     bound = {attr: getattr(cli, attr) for attr in bench.STAGES}
-    row = bench.ladder_row(n, max_dim)
+    row = bench.ladder_row(n, max_dim, tie_prob)
     assert {attr: getattr(cli, attr) for attr in bench.STAGES} == bound
-    assert set(row) == {"n", "max_dim", "faces", "steps", "bars", "seconds", "bytes", "sha256", "peak_rss_mib"}
-    assert (row["n"], row["max_dim"], row["faces"]) == (n, max_dim, faces)
+    assert set(row) == {"n", "max_dim", "tie_prob", "faces", "steps", "bars", "seconds", "bytes", "sha256", "peak_rss_mib"}
+    assert (row["n"], row["max_dim"], row["tie_prob"], row["faces"]) == (n, max_dim, tie_prob, faces)
     assert set(row["bars"]) == {"SR", "EDGE", "PH"} and all(v > 0 for v in row["bars"].values())
     assert set(row["seconds"]) == {
         "command", "parse", "vr_filtration", "sr", "edge", "ph_barcode",
@@ -49,7 +50,9 @@ def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, faces, flags):
     assert all(v > 0 for v in row["bytes"].values()) and row["peak_rss_mib"] > 0
     # the row digests the files the command itself writes
     monkeypatch.chdir(tmp_path)
-    dist = random_metric(random.Random(n), n, 0.0)
+    dist = random_metric(random.Random(n), n, tie_prob)
+    halves = [x for j, r in enumerate(dist) for x in r[:j]]
+    assert (len(set(halves)) < len(halves)) == bool(tie_prob)
     Path(f"n{n}.csv").write_text("".join(",".join(map(repr, r)) + "\n" for r in dist))
     argv = ["barcodes", "--input", f"n{n}.csv", "--format", "dist-csv", *flags, "--out", "out", "--svg"]
     assert cli.main(argv) == 0
@@ -63,12 +66,12 @@ def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, faces, flags):
 def test_fresh_ladder_row_aggregates_its_runs(monkeypatch):
     bench = _bench_module()
     monkeypatch.setattr(bench, "RUNS", 2)
-    row = bench.fresh_ladder_row(6, 2)
+    row = bench.fresh_ladder_row(6, 2, 0.5)
     assert set(row) == {
-        "n", "max_dim", "faces", "steps", "bars", "bytes", "sha256", "runs",
+        "n", "max_dim", "tie_prob", "faces", "steps", "bars", "bytes", "sha256", "runs",
         "seconds", "seconds_spread", "peak_rss_mib", "peak_rss_mib_spread",
     }
-    assert (row["n"], row["max_dim"], row["faces"], row["runs"]) == (6, 2, 6 + 15 + 20, 2)
+    assert (row["n"], row["max_dim"], row["tie_prob"], row["faces"], row["runs"]) == (6, 2, 0.5, 6 + 15 + 20, 2)
     assert set(row["seconds"]) == set(row["seconds_spread"]) and "command" in row["seconds"]
     assert all(v >= 0 for v in row["seconds_spread"].values()) and row["peak_rss_mib_spread"] >= 0
 

@@ -228,6 +228,16 @@ def test_barcodes_field_modulus_bound(three_csv, tmp_path, capsys):
     assert payload["meta"]["field"] == "fp:1000003"
 
 
+@pytest.mark.parametrize("count", [4301, 5000])
+def test_barcodes_field_refuses_a_long_modulus_by_its_length(three_csv, tmp_path, capsys, count):
+    # more digits than int() converts: the modulus bound refuses them first
+    argv = ["barcodes", "--input", str(three_csv), "--out", str(tmp_path / "o"), "--field", "fp:" + "1" * count]
+    assert main(argv) == 2
+    want = f"error: modulus of {count} digits exceeds the largest supported modulus {MAX_MODULUS}\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("spec", ["fp:abc", "fp:", "fp:+7", "fp:\u0667"])
 def test_barcodes_field_suffix_is_ascii_digits(three_csv, tmp_path, capsys, spec):
     argv = ["barcodes", "--input", str(three_csv), "--out", str(tmp_path / "o"), "--field", spec]
@@ -689,8 +699,8 @@ def test_json_decode_errors_keep_their_position(tmp_path, capsys):
 )
 def test_face_budget_exits_2(tmp_path, capsys, command, fmt, text):
     # 2^25 and 2^40 faces: the VR edge insertions and the closure stop at
-    # MAX_FACES.  At equal distances, or all at distance 0, one tie group
-    # holds the whole complex, so the budget trips while its faces are listed
+    # MAX_FACES.  At equal distances, or all at distance 0, every edge ties,
+    # and the budget trips while the edges list their faces
     path = tmp_path / "in"
     path.write_text(text)
     start = time.perf_counter()

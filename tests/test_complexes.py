@@ -624,9 +624,10 @@ def test_face_order_and_maximal_faces_match_brute_force_oracles():
 
 
 def test_vr_order_is_the_checked_walk_and_the_oracle():
-    # vr_filtration finds its order's fields by closed forms, without the
-    # walk: they must be what FaceOrder's walk and the definitions find,
-    # with births and params bit for bit and the faces in (birth, dim, colex)
+    # a tie-free vr_filtration finds its order's fields by closed forms,
+    # without the walk, and a tied one walks: either way they must be what
+    # FaceOrder's walk and the definitions find, with births and params bit
+    # for bit and the faces in (birth, dim, colex)
     bits = struct.Struct(">d").pack
     rng = random.Random(29)
     cases = 0

@@ -31,6 +31,7 @@ def test_parse_field():
     assert parse_field("f2") == PrimeField(2)
     assert parse_field("fp:1000003").p == 1000003
     assert parse_field("fp:007").p == 7
+    assert parse_field("fp:" + "0" * 4999 + "7").p == 7  # more digits than int() reads, all but one zeros
     for spec in ("f3?", "fp:", "fp:abc", "fp: 7", "fp:7 ", "fp:+7", "fp:-7", "fp:1_000_003", "fp:\u0667", "fp:7.0", "FP:7"):
         with pytest.raises(ValueError, match=r"unknown field descriptor .* \(expected q, f2 or fp:<p>\)$"):
             parse_field(spec)
@@ -67,6 +68,10 @@ def test_prime_field_refuses_moduli_over_the_bound():
             PrimeField(p)
     with pytest.raises(ValueError, match=str(MAX_MODULUS)):
         parse_field("fp:1000000000000000003")
+    # refused by length, before int() reads the digits
+    for digits in ("9" * 11, "1" * 4301, "0" * 9 + "1" * 5000):
+        with pytest.raises(ValueError, match=rf"^modulus of {len(digits.lstrip('0'))} digits exceeds .* {MAX_MODULUS}$"):
+            parse_field("fp:" + digits)
 
 
 def test_polynomial_basic_arithmetic():

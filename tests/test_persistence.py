@@ -424,9 +424,10 @@ def test_persistence_reduce_takes_a_face_order_or_masks(field):
         assert persistence.persistence_reduce(FaceOrder(masks), field) == want
 
 
-def test_vr_filtrations_make_no_checked_walk(monkeypatch, tmp_path):
-    # vr_filtration builds its order by closed forms; only a truncating PH
-    # and a complex's single-step filtration walk their faces, once each
+def test_tie_free_vr_filtrations_make_no_checked_walk(monkeypatch, tmp_path):
+    # a tie-free vr_filtration builds its order by closed forms and a tied
+    # one walks all its faces once, on first access; a truncating PH and a
+    # complex's single-step filtration walk their faces, once each
     built = []
     init = FaceOrder.__init__
 
@@ -434,25 +435,44 @@ def test_vr_filtrations_make_no_checked_walk(monkeypatch, tmp_path):
         built.append(len(faces))
         init(self, faces)
 
+    def tie_count(dist):
+        halves = [x for j, row in enumerate(dist) for x in row[:j]]
+        return len(halves) - len(set(halves))
+
     monkeypatch.setattr(FaceOrder, "__init__", counting_init)
-    f = vr_filtration(random_metric(random.Random(8), 7), max_dim=2)
-    prime_barcode(f, "SR")
-    prime_barcode(f, "EDGE")
+    for tie_prob, want in ((0.0, 0), (0.5, 1)):
+        dist = random_metric(random.Random(8), 7, tie_prob)
+        assert bool(tie_count(dist)) == bool(want)
+        built.clear()
+        f = vr_filtration(dist, max_dim=2)
+        prime_barcode(f, "SR")
+        prime_barcode(f, "EDGE")
+        ph_barcode(f)
+        assert built == [len(f.birth_map)] * want
+    # a -0.0 and a 0.0 half-distance tie too
+    built.clear()
+    f = vr_filtration([[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     ph_barcode(f)
-    assert built == []
+    assert built == [7]
     # a max_dim that drops faces checks and indexes their subsequence anew
-    f = vr_filtration(random_metric(random.Random(8), 5))
+    built.clear()
+    f = vr_filtration(random_metric(random.Random(8), 5, 0.0))
     prime_barcode(f, "SR")
     ph_barcode(f, GF2, 1)
     assert built == [25]
     # the CLI: vr_filtration truncates itself, a complex is truncated by PH
-    csv = tmp_path / "d.csv"
-    csv.write_text("\n".join(",".join(map(str, row)) for row in random_metric(random.Random(3), 6)) + "\n")
     cx = tmp_path / "c.json"
     cx.write_text('{"n": 4, "faces": [[1, 2, 3, 4]]}')
-    for path, fmt, want in ((csv, "dist-csv", []), (cx, "complex-json", [15, 14])):
+    cases = [(cx, "complex-json", [15, 14])]
+    for name, tie_prob, want in (("free", 0.0, []), ("tied", 0.25, [6 + 15])):
+        dist = random_metric(random.Random(3), 6, tie_prob)
+        assert bool(tie_count(dist)) == bool(want)
+        csv = tmp_path / f"{name}.csv"
+        csv.write_text("\n".join(",".join(map(str, row)) for row in dist) + "\n")
+        cases.append((csv, "dist-csv", want))
+    for path, fmt, want in cases:
         built.clear()
-        argv = ["barcodes", "--input", str(path), "--format", fmt, "--max-dim", "1", "--out", str(tmp_path / fmt)]
+        argv = ["barcodes", "--input", str(path), "--format", fmt, "--max-dim", "1", "--out", str(tmp_path / path.stem)]
         assert cli.main(argv) == 0
         assert built == want
 
