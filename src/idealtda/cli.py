@@ -200,11 +200,12 @@ def _barcodes_payload(args) -> tuple[dict, dict]:
 def cmd_barcodes(args) -> int:
     payload, report = _barcodes_payload(args)
     out = _outdir(args.out)
-    (out / "barcodes.json").write_text(dumps_json(payload), encoding="utf-8")
+    with open(out / "barcodes.json", "w", encoding="utf-8") as fh:
+        dumps_json(payload, fh)  # a chunk of bars at a time
     (out / "report.json").write_text(dumps_json(report), encoding="utf-8")
     if args.svg:
-        svg = barcodes_svg(payload["barcodes"])
-        (out / "barcodes.svg").write_text(svg, encoding="utf-8")
+        with open(out / "barcodes.svg", "w", encoding="utf-8") as fh:
+            barcodes_svg(payload["barcodes"], fh)
     return 0
 
 

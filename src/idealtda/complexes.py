@@ -354,10 +354,10 @@ class Filtration:
     every birth and may add parameters where the complex does not change.
 
     ``order`` is its one checked (birth, dimension, colex) :class:`FaceOrder`;
-    ``vr_filtration`` sets it from closed forms unless two edges tie,
-    ``from_births`` walks it at once as its subface check, and the raw
-    constructor, ``single`` and a tied ``vr_filtration`` walk it on first
-    access."""
+    ``vr_filtration`` sets it from closed forms unless two edges tie and
+    walks it before it returns if they do, ``from_births`` walks it at once
+    as its subface check, and the raw constructor and ``single`` walk it on
+    first access."""
 
     n: int
     birth_map: Mapping[int, float]
@@ -586,8 +586,8 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
     drops its lowest vertex), a new face's first cofacet adds the lowest of
     its common neighbours, and each older facet takes the first face that
     lists it as its first cofacet, unless it has one.  With a tie (a -0.0
-    and a 0.0 are one), ``order`` is the checked walk, made on first
-    access.
+    and a 0.0 are one), ``order`` is the checked walk, made before this
+    returns.
     """
     n = validate_distance_matrix(dist)
     if max_dim is None:
@@ -646,7 +646,9 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
                 p += 1
     f = Filtration(n, births, tuple(params))
     f.final()  # the complex is checked here, as from_births checks it
-    if not tied:
+    if tied:
+        f.order  # the checked walk, made here so that it is timed with the filtration
+    else:
         f.__dict__["order"] = FaceOrder._built(faces, index, lows, first)
     return f
 

@@ -32,6 +32,7 @@ __all__ = [
     "MAX_N",
     "MAX_EXPONENT",
     "MAX_LABELLED_FACES",
+    "CHUNK",
 ]
 
 # Largest vertex count a JSON input may declare.  Cost grows fast with n even
@@ -55,6 +56,10 @@ MAX_EXPONENT = 32
 # at 511 and 0.45 s / 35 MiB at 1023 (reference-core seconds, median of three
 # fresh runs; CPython 3.11, 2-vCPU VM).
 MAX_LABELLED_FACES = 512
+
+# Bars a barcode writer formats at a time: given an open file, dumps_json
+# and barcodes_svg build no text of more than one chunk of bars.
+CHUNK = 256
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -324,17 +329,7 @@ def _vertex_text(sep: str):
     return text
 
 
-def _labelled_bars(barcode: Barcode, prime_label, dim_label):
-    """``(label, birth, death)`` per bar, in the order of the barcode's
-    interval dicts: ``dim_label(dim)``, once per dimension, labels the bars
-    of kind PH and ``prime_label(mask)`` those of any other kind."""
-    if barcode.kind == KIND_PH:
-        labels = {dim: dim_label(dim) for dim in {bar[0] for bar in barcode.bars}}
-        return ((labels[dim], birth, death) for dim, birth, death in barcode.bars)
-    return ((prime_label(mask), birth, death) for mask, birth, death in barcode.bars)
-
-
-def dumps_json(obj) -> str:
+def dumps_json(obj, file=None) -> str | None:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
     Byte for byte ``json.dumps(obj, indent=2, sort_keys=True,
@@ -347,11 +342,19 @@ def dumps_json(obj) -> str:
     A :class:`~idealtda.persistence.Barcode`, anywhere in ``obj``, is
     written straight from its bars as the text of its interval dict,
     :func:`ph_barcode_to_dict` for kind PH and :func:`prime_barcode_to_dict`
-    for any other kind, which stay the oracle of this writer.
+    for any other kind, which stay the oracle of this writer.  The rest of
+    ``obj`` is written first, with a NUL where each barcode goes (a NUL in
+    a string is written ``\\u0000``, so no other one occurs), and each
+    barcode is then written at its NUL, ``CHUNK`` bars at a time.
+
+    Given an open text ``file``, the pieces go to it one at a time and None
+    is returned; without one they are joined and returned, and that text
+    is the oracle of the written one.
     """
     floats: dict[float, str] = {}
     keys: dict[str, str] = {}  # key -> its quoted text and ": "
     vertex_texts: dict[str, object] = {}  # separator -> its _vertex_text
+    barcodes: list[tuple[Barcode, str]] = []  # the barcode at each NUL, with its pad
 
     def text(o, pad: str) -> str:
         t = type(o)
@@ -374,7 +377,8 @@ def dumps_json(obj) -> str:
             if isinstance(o, float):
                 return _json_float(o)
             if isinstance(o, Barcode):
-                return barcode_text(o, pad)
+                barcodes.append((o, pad))
+                return "\0"
             if not isinstance(o, (list, tuple, dict)):
                 raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if not o:
@@ -390,16 +394,14 @@ def dumps_json(obj) -> str:
                     if type(k) is str:
                         keys[k] = kt
                 parts.append(kt + text(v, inner))
-            body = sep.join(parts)
-            del parts  # freed before the copy below, as a comprehension's list would be
-            return "".join(("{\n", inner, body, "\n", pad, "}"))
+            return "".join(("{\n", inner, sep.join(parts), "\n", pad, "}"))
         if all(type(v) is int for v in o):
             body = sep.join(map(int.__repr__, o))
         else:
             body = sep.join([text(v, inner) for v in o])
         return "".join(("[\n", inner, body, "\n", pad, "]"))
 
-    def barcode_text(barcode, pad: str) -> str:
+    def barcode_pieces(barcode: Barcode, pad: str):
         # pads of the dict, the interval list, an interval and a prime's vertices
         p1, p2, p3, p4 = (pad + "  " * k for k in range(1, 5))
         vertices = vertex_texts.get(p4)
@@ -408,42 +410,44 @@ def dumps_json(obj) -> str:
         head, mid = f'{{\n{p3}"birth": ', f',\n{p3}"death": '
         prime_open, prime_close = f',\n{p3}"dim": null,\n{p3}"prime": [\n{p4}', f"\n{p3}]\n{p2}}}"
         zero = f',\n{p3}"dim": null,\n{p3}"prime": []\n{p2}}}'
-        parts = []
-        for tail, b, d in _labelled_bars(
-            barcode,
-            lambda m: prime_open + vertices(m) + prime_close if m else zero,
-            lambda dim: f',\n{p3}"dim": {text(dim, p3)},\n{p3}"prime": null\n{p2}}}',
-        ):
-            if type(b) is float and b:
-                bt = floats.get(b) or floats.setdefault(b, _json_float(b))
-            else:
-                bt = text(b, p3)
-            if d is None:
-                dt = '"inf"'
-            elif type(d) is float and d:
-                dt = floats.get(d) or floats.setdefault(d, _json_float(d))
-            else:
-                dt = text(d, p3)
-            parts.append(f"{head}{bt}{mid}{dt}{tail}")
-        if not parts:
-            intervals = "[]"
-        else:
-            body = (",\n" + p2).join(parts)
-            del parts
-            intervals = "".join(("[\n", p2, body, "\n", p1, "]"))
-            del body
-        return "".join(
-            ("{\n", p1, '"intervals": ', intervals, ",\n", p1, '"kind": ', text(barcode.kind, p1), "\n", pad, "}")
-        )
+        bars = barcode.bars
+        dims = None  # kind PH: dimension -> the tail of its bars
+        if barcode.kind == KIND_PH:
+            dims = {dim: f',\n{p3}"dim": {text(dim, p3)},\n{p3}"prime": null\n{p2}}}' for dim in {b[0] for b in bars}}
+        yield f'{{\n{p1}"intervals": ['
+        lead, sep = "\n" + p2, ",\n" + p2
+        for start in range(0, len(bars), CHUNK):
+            parts = []
+            for key, b, d in bars[start : start + CHUNK]:
+                bt = type(b) is float and b and floats.get(b) or text(b, p3)
+                dt = '"inf"' if d is None else type(d) is float and d and floats.get(d) or text(d, p3)
+                if dims is not None:
+                    parts.append(f"{head}{bt}{mid}{dt}{dims[key]}")
+                elif key:
+                    parts.append(f"{head}{bt}{mid}{dt}{prime_open}{vertices(key)}{prime_close}")
+                else:
+                    parts.append(f"{head}{bt}{mid}{dt}{zero}")
+            yield lead + sep.join(parts)
+            lead = sep
+        close = f"\n{p1}]" if bars else "]"
+        yield f'{close},\n{p1}"kind": {text(barcode.kind, p1)}\n{pad}}}'
 
-    return text(obj, "") + "\n"
+    out: list[str] = []
+    write = out.append if file is None else file.write
+    rest = (text(obj, "") + "\n").split("\0")
+    write(rest[0])
+    for (barcode, pad), after in zip(barcodes, rest[1:]):
+        for piece in barcode_pieces(barcode, pad):
+            write(piece)
+        write(after)
+    return "".join(out) if file is None else None
 
 
 def _svg_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def barcodes_svg(barcodes: Sequence[Barcode]) -> str:
+def barcodes_svg(barcodes: Sequence[Barcode], file=None) -> str | None:
     """Static SVG rendering: one horizontal bar per interval, grouped by kind.
 
     ``barcodes`` holds :class:`~idealtda.persistence.Barcode` objects, prime
@@ -452,6 +456,10 @@ def barcodes_svg(barcodes: Sequence[Barcode]) -> str:
     head.  Each bar is one string; a prime's vertices are ints, so its
     label is written already escaped.  Every ``y`` is an integer (30, then
     24 per group and 20 per bar), written as ``{y}.0``.
+
+    Given an open text ``file``, the text goes to it, ``CHUNK`` bars at a
+    time, and None is returned; without one the same pieces are joined and
+    returned, and that text is the oracle of the written one.
     """
     bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
     span = 520.0
@@ -461,12 +469,14 @@ def barcodes_svg(barcodes: Sequence[Barcode]) -> str:
         tmax = 1.0
     height = top * 2 + total * (bar_h + gap) + len(barcodes) * 24
     width = left + span + right_pad
-    lines = [
+    out: list[str] = []
+    write = out.append if file is None else file.write
+    write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
         f'<line x1="{left}" y1="{top - 10}" x2="{left}" y2="{height - 10}" '
-        'stroke="#888" stroke-width="1"/>',
-    ]
+        'stroke="#888" stroke-width="1"/>\n'
+    )
     ax = left + span + right_pad / 2  # infinite bars end here, at their arrow
     ax_s, ax9_s = f"{ax:.1f}", f"{ax + 9:.1f}"
     # (birth, death) -> x and width texts; a signed zero draws like 0.0,
@@ -476,41 +486,40 @@ def barcodes_svg(barcodes: Sequence[Barcode]) -> str:
     y = 30
     palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
     for barcode in barcodes:
-        kind = barcode.kind
-        color = palette.get(kind, "#555555")
-        rect_tail = f'" height="{bar_h:.1f}" fill="{color}"/>'
-        arrow_tail = f' Z" fill="{color}"/>'
-        lines.append(f'<g id="group-{_svg_escape(kind)}">')
-        lines.append(
-            f'<text x="8" y="{y + 10}.0" font-size="13" font-family="monospace">'
-            f"{_svg_escape(kind)}</text>"
+        kind = _svg_escape(barcode.kind)
+        color = palette.get(barcode.kind, "#555555")
+        rect_tail = f'" height="{bar_h:.1f}" fill="{color}"/>\n'
+        arrow_tail = f' Z" fill="{color}"/>\n'
+        write(
+            f'<g id="group-{kind}">\n'
+            f'<text x="8" y="{y + 10}.0" font-size="13" font-family="monospace">{kind}</text>\n'
         )
         y += 24
-        for label, birth, death in _labelled_bars(
-            barcode, lambda m: "&lt;x" + vertices(m) + "&gt;" if m else "&lt;0&gt;", lambda dim: f"dim {dim}"
-        ):
-            xw = geometry.get((birth, death))
-            if xw is None:
-                x0 = left + span * birth / tmax
-                w = ax - x0 if death is None else left + span * death / tmax - x0
-                xw = geometry[birth, death] = (f"{x0:.3f}", f"{max(w, 1.0):.3f}")
-            if death is None:
-                ay = y + 7
-                arrow = f'\n<path d="M {ax_s} {ay - 5}.0 L {ax9_s} {ay}.0 L {ax_s} {ay + 5}.0{arrow_tail}'
-            else:
-                arrow = ""
-            lines.append(
-                f'<text x="12" y="{y + 11}.0" font-size="11" font-family="monospace">{label}</text>\n'
-                f'<rect class="bar" x="{xw[0]}" y="{y}.0" width="{xw[1]}{rect_tail}{arrow}'
-            )
-            y += 20
-        lines.append("</g>")
-    lines.append(
-        f'<text x="{left}" y="{height - 2:.0f}" font-size="10" font-family="monospace">0</text>'
-    )
-    lines.append(
+        bars = barcode.bars
+        dims = None  # kind PH: dimension -> its label
+        if barcode.kind == KIND_PH:
+            dims = {dim: f"dim {dim}" for dim in {bar[0] for bar in bars}}
+        for start in range(0, len(bars), CHUNK):
+            parts = []
+            for key, birth, death in bars[start : start + CHUNK]:
+                xw = geometry.get((birth, death))
+                if xw is None:
+                    x0 = left + span * birth / tmax
+                    w = ax - x0 if death is None else left + span * death / tmax - x0
+                    xw = geometry[birth, death] = (f"{x0:.3f}", f"{max(w, 1.0):.3f}")
+                label = dims[key] if dims is not None else f"&lt;x{vertices(key)}&gt;" if key else "&lt;0&gt;"
+                parts.append(
+                    f'<text x="12" y="{y + 11}.0" font-size="11" font-family="monospace">{label}</text>\n'
+                    f'<rect class="bar" x="{xw[0]}" y="{y}.0" width="{xw[1]}{rect_tail}'
+                )
+                if death is None:  # the arrow head, 5 above and below the middle of the bar
+                    parts.append(f'<path d="M {ax_s} {y + 2}.0 L {ax9_s} {y + 7}.0 L {ax_s} {y + 12}.0{arrow_tail}')
+                y += 20
+            write("".join(parts))
+        write("</g>\n")
+    write(
+        f'<text x="{left}" y="{height - 2:.0f}" font-size="10" font-family="monospace">0</text>\n'
         f'<text x="{left + span - 20:.0f}" y="{height - 2:.0f}" font-size="10" '
-        f'font-family="monospace">{tmax:.4g}</text>'
+        f'font-family="monospace">{tmax:.4g}</text>\n</svg>\n'
     )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return "".join(out) if file is None else None

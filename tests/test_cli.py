@@ -159,12 +159,13 @@ def test_barcodes_drops_the_filtration_and_writes_from_the_bars(three_csv, tmp_p
 
         return wrapper
 
-    def dumps_after_compute(obj):
+    def dumps_after_compute(obj, file=None):
         gc.collect()
         assert filtrations and all(ref() is None for ref in filtrations)
-        if "barcodes" in obj:  # the barcodes themselves, not their interval dicts
+        if "barcodes" in obj:  # the barcodes themselves, not their interval dicts, to the open file
             assert all(a is b for a, b in zip(obj["barcodes"], barcodes, strict=True))
-        return dumps_json(obj)
+            assert file is not None
+        return dumps_json(obj, file)
 
     def no_dicts(barcode):
         raise AssertionError("interval dicts built on the production path")

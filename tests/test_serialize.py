@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 from idealtda.complexes import vr_filtration
 from idealtda.persistence import KIND_PH, Barcode, ph_barcode, prime_barcode
 from idealtda.serialize import (
+    CHUNK,
     MAX_EXPONENT,
     MAX_N,
     InputError,
@@ -384,15 +387,39 @@ def _to_dict(barcode) -> dict:
     return ph_barcode_to_dict(barcode) if barcode.kind == KIND_PH else prime_barcode_to_dict(barcode)
 
 
+class _Pieces(io.StringIO):
+    """An open text file that keeps each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, piece):
+        self.pieces.append(piece)
+        return super().write(piece)
+
+
+def _streamed(writer, obj, mark: str) -> str:
+    """What ``writer(obj, file)`` writes, checked to come a chunk of bars
+    at a time: no piece holds more than CHUNK bars, counted by ``mark``."""
+    fh = _Pieces()
+    assert writer(obj, fh) is None
+    assert max((piece.count(mark) for piece in fh.pieces), default=0) <= CHUNK
+    return fh.getvalue()
+
+
 def _assert_writers_match_their_oracles(barcodes) -> None:
     """dumps_json and barcodes_svg read the bars; the interval dicts, the
-    standard library and _svg_oracle are their oracles."""
+    standard library and _svg_oracle are their oracles, of the returned
+    text and of the text written to an open file alike."""
     dicts = [_to_dict(bc) for bc in barcodes]
     for bc, d in zip(barcodes, dicts):
         assert dumps_json(bc) == dumps_json(d) == _stdlib_json(d)
-    payload = {"meta": {"seed": 0}, "barcodes": barcodes}
-    assert dumps_json(payload) == _stdlib_json(dict(payload, barcodes=dicts))
-    assert barcodes_svg(barcodes) == _svg_oracle([(d["kind"], d["intervals"]) for d in dicts])
+    payload = {"meta": {"seed": 0, "note": "a\x00b"}, "barcodes": barcodes}
+    want = _stdlib_json(dict(payload, barcodes=dicts))
+    assert dumps_json(payload) == _streamed(dumps_json, payload, '"birth"') == want
+    want = _svg_oracle([(d["kind"], d["intervals"]) for d in dicts])
+    assert barcodes_svg(barcodes) == _streamed(barcodes_svg, barcodes, "<rect") == want
 
 
 def test_barcode_writers_match_their_oracles_on_seeded_filtrations():
@@ -474,3 +501,51 @@ def test_writers_refuse_what_the_dict_route_refuses():
                 dumps_json(_to_dict(bc) if obj is bc else [_to_dict(bc)])
             with pytest.raises(want.type, match=re.escape(str(want.value))):
                 dumps_json(obj)
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+@pytest.mark.parametrize("kind", ["SR", "EDGE", "PH"])
+def test_streamed_files_match_their_oracles_at_chunk_boundaries(kind, count, tmp_path):
+    # a count that is a multiple of CHUNK ends a chunk at the last bar,
+    # where no separator may follow; SR opens with the zero prime
+    rng = random.Random(count)
+    values = [0.0, -0.0, 0.5, 1.25]
+    if kind == "PH":
+        keys = sorted(rng.randrange(3) for _ in range(count))
+    else:
+        keys = [rng.randrange(1, 1 << 12) for _ in range(count)]
+        if kind == "SR" and keys:
+            keys[0] = 0
+    bars = [(key, rng.choice(values), rng.choice(values + [None])) for key in keys]
+    if bars:  # the first bar is born at -0.0 and never dies
+        bars[0] = (keys[0], -0.0, None)
+    bars = tuple(bars)
+    barcodes = [Barcode(kind, bars)]
+    _assert_writers_match_their_oracles(barcodes)
+    payload = {"meta": {"seed": 0}, "barcodes": barcodes}
+    for name, writer, obj in (("barcodes.json", dumps_json, payload), ("barcodes.svg", barcodes_svg, barcodes)):
+        path = tmp_path / name
+        with open(path, "w", encoding="utf-8") as fh:
+            writer(obj, fh)
+        assert path.read_bytes() == writer(obj).encode()
+
+
+def test_streamed_barcodes_json_holds_far_less_than_its_text(tmp_path):
+    # the whole text, its joins and its UTF-8 copy took about twice the
+    # file's size; a chunk of bars at a time takes a small fraction of it
+    f = vr_filtration(random_metric(random.Random(28), 28, 0.0), 2)
+    payload = {"meta": {"seed": 0}, "barcodes": [prime_barcode(f, "SR"), prime_barcode(f, "EDGE"), ph_barcode(f)]}
+    del f
+    path = tmp_path / "barcodes.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dumps_json(payload, fh)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 4, (peak, size)
