@@ -12,7 +12,9 @@ The file holds the Python version and the platform, then:
   random metric ``verify.random_metric(Random(n), n, tie_prob)`` through
   ``cli.main``, and times the whole command and each stage it calls
   (found by rebinding the ``idealtda.cli`` attributes, as the traced
-  benchmark does).  Its seconds are reference-core seconds: the command
+  benchmark does).  The ``dumps_json`` stage writes ``barcodes.json`` and
+  ``barcodes.svg`` in one walk over the bars, and ``report.json``; no
+  stage of its own draws the SVG.  Its seconds are reference-core seconds: the command
   runs between two runs of the calibration loop of ``perfbench/run.py``
   and is scaled by its ``to_reference``.  Each row is run ``RUNS`` times,
   each in a fresh interpreter so that its peak RSS is its own, and records
@@ -92,7 +94,8 @@ COLD_MODULES = ("dataclasses", "argparse", "fractions", "json")
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
 
-# idealtda.cli attribute -> stage; prime_barcode is split by its kind
+# idealtda.cli attribute -> stage; prime_barcode is split by its kind, and
+# dumps_json writes barcodes.json and barcodes.svg in one walk over the bars
 STAGES = {
     "load_distance_csv": "parse",
     "vr_filtration": "vr_filtration",
@@ -100,7 +103,6 @@ STAGES = {
     "ph_barcode": "ph_barcode",
     "dumps_json": "dumps_json",
     "coverage_report": "coverage_report",
-    "barcodes_svg": "barcodes_svg",
 }
 # idealtda.cli attributes timed on the labelled rows, each its own stage
 LABELLED_STAGES = {

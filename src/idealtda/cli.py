@@ -19,6 +19,7 @@ keeps its binding through the command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -38,7 +39,6 @@ from .persistence import (
 from .serialize import (
     _RATIONAL,
     InputError,
-    barcodes_svg,
     complex_from_dict,
     dumps_json,
     labelled_from_dict,
@@ -47,8 +47,8 @@ from .serialize import (
     points_to_distances,
 )
 
-# unused here (the writers read the bars); perfbench/tracing.py binds these names
-from .serialize import ph_barcode_to_dict, prime_barcode_to_dict
+# unused here (dumps_json reads the bars and draws the SVG); perfbench/tracing.py binds these names
+from .serialize import barcodes_svg, ph_barcode_to_dict, prime_barcode_to_dict
 
 __all__ = ["main", "build_parser"]
 
@@ -200,12 +200,11 @@ def _barcodes_payload(args) -> tuple[dict, dict]:
 def cmd_barcodes(args) -> int:
     payload, report = _barcodes_payload(args)
     out = _outdir(args.out)
-    with open(out / "barcodes.json", "w", encoding="utf-8") as fh:
-        dumps_json(payload, fh)  # a chunk of bars at a time
+    with open(out / "barcodes.json", "w", encoding="utf-8") as fh, (
+        open(out / "barcodes.svg", "w", encoding="utf-8") if args.svg else contextlib.nullcontext()
+    ) as sh:
+        dumps_json(payload, fh, svg=sh)  # one walk over the bars, a chunk at a time, writes both files
     (out / "report.json").write_text(dumps_json(report), encoding="utf-8")
-    if args.svg:
-        with open(out / "barcodes.svg", "w", encoding="utf-8") as fh:
-            barcodes_svg(payload["barcodes"], fh)
     return 0
 
 

@@ -57,8 +57,8 @@ MAX_EXPONENT = 32
 # fresh runs; CPython 3.11, 2-vCPU VM).
 MAX_LABELLED_FACES = 512
 
-# Bars a barcode writer formats at a time: given an open file, dumps_json
-# and barcodes_svg build no text of more than one chunk of bars.
+# Bars the barcode walk formats at a time: given open files, dumps_json
+# builds no text of more than one chunk of bars.
 CHUNK = 256
 
 
@@ -305,31 +305,57 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _vertex_text(sep: str):
-    """The vertices of a nonzero mask joined by ``sep``.  The text of each
-    8-bit chunk of a mask is built once, by ``mask_face``, and a mask's
-    text joins the texts of its nonzero chunks."""
-    chunks: dict[int, str] = {}  # chunk mask -> its vertices joined by sep
+def _write_bars(barcodes: Sequence[Barcode], sides) -> None:
+    """Write ``barcodes`` to every side in one walk over their bars,
+    ``CHUNK`` bars at a time.
 
-    def text(mask: int) -> str:
+    A side is ``(write, head, group, tail)``: ``head`` and ``tail`` open and
+    close its file, and ``group`` maps each barcode, in order, to the text
+    before its bars, the formatter of a chunk of them and the text after
+    them.  A formatter takes the chunk and, bar for bar, the vertices of its
+    prime as strings (None for a PH bar).  These are found once for all
+    sides, each side joining them as its file writes them: the list of each
+    byte value at each byte position of a mask is built once per call, by
+    ``mask_face``, and a mask's list joins the lists of its bytes.
+    """
+    tables: list[list] = []  # byte position -> byte value -> its vertices, or None
+
+    def names(mask: int) -> list[str]:
         if mask < 0:
             raise ValueError(f"mask {mask} is negative")
-        parts = []
-        base = 0
-        for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
-            if byte:
-                chunk = byte << base
-                s = chunks.get(chunk)
-                if s is None:
-                    s = chunks[chunk] = sep.join(map(str, mask_face(chunk)))
-                parts.append(s)
-            base += 8
-        return sep.join(parts)
+        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        while len(tables) < len(data):
+            tables.append([None] * 256)
+        out: list[str] = []
+        pos = 0
+        for byte in data:
+            s = tables[pos][byte]
+            if s is None:
+                s = tables[pos][byte] = list(map(str, mask_face(byte << 8 * pos)))
+            out += s
+            pos += 1
+        return out
 
-    return text
+    for write, head, _, _ in sides:
+        write(head)
+    for barcode in barcodes:
+        texts = [(write, *group(barcode)) for write, _, group, _ in sides]
+        for write, head, _, _ in texts:
+            write(head)
+        bars = barcode.bars
+        prime = barcode.kind != KIND_PH
+        for start in range(0, len(bars), CHUNK):
+            chunk = bars[start : start + CHUNK]
+            vertices = [names(bar[0]) for bar in chunk] if prime else [None] * len(chunk)
+            for write, _, formatter, _ in texts:
+                write(formatter(chunk, vertices))
+        for write, _, _, tail in texts:
+            write(tail)
+    for write, _, _, tail in sides:
+        write(tail)
 
 
-def dumps_json(obj, file=None) -> str | None:
+def dumps_json(obj, file=None, svg=None) -> str | None:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
     Byte for byte ``json.dumps(obj, indent=2, sort_keys=True,
@@ -349,12 +375,16 @@ def dumps_json(obj, file=None) -> str | None:
 
     Given an open text ``file``, the pieces go to it one at a time and None
     is returned; without one they are joined and returned, and that text
-    is the oracle of the written one.
+    is the oracle of the written one.  Given an open text ``svg`` file too,
+    the same walk over the bars draws the barcodes of ``obj``, in the order
+    of its text, to that file as :func:`barcodes_svg` draws them, whose
+    text is the oracle of that file: the vertices of each prime are found
+    once for both files.
     """
     floats: dict[float, str] = {}
     keys: dict[str, str] = {}  # key -> its quoted text and ": "
-    vertex_texts: dict[str, object] = {}  # separator -> its _vertex_text
-    barcodes: list[tuple[Barcode, str]] = []  # the barcode at each NUL, with its pad
+    barcodes: list[Barcode] = []  # the barcode at each NUL
+    pads: list[str] = []  # and its pad
 
     def text(o, pad: str) -> str:
         t = type(o)
@@ -377,7 +407,8 @@ def dumps_json(obj, file=None) -> str | None:
             if isinstance(o, float):
                 return _json_float(o)
             if isinstance(o, Barcode):
-                barcodes.append((o, pad))
+                barcodes.append(o)
+                pads.append(pad)
                 return "\0"
             if not isinstance(o, (list, tuple, dict)):
                 raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -401,45 +432,47 @@ def dumps_json(obj, file=None) -> str | None:
             body = sep.join([text(v, inner) for v in o])
         return "".join(("[\n", inner, body, "\n", pad, "]"))
 
-    def barcode_pieces(barcode: Barcode, pad: str):
+    def group(barcode: Barcode):
+        pad, after = next(places)  # called once per barcode, in the order of its NUL
         # pads of the dict, the interval list, an interval and a prime's vertices
         p1, p2, p3, p4 = (pad + "  " * k for k in range(1, 5))
-        vertices = vertex_texts.get(p4)
-        if vertices is None:
-            vertices = vertex_texts[p4] = _vertex_text(",\n" + p4)
+        vsep = ",\n" + p4
         head, mid = f'{{\n{p3}"birth": ', f',\n{p3}"death": '
         prime_open, prime_close = f',\n{p3}"dim": null,\n{p3}"prime": [\n{p4}', f"\n{p3}]\n{p2}}}"
         zero = f',\n{p3}"dim": null,\n{p3}"prime": []\n{p2}}}'
-        bars = barcode.bars
         dims = None  # kind PH: dimension -> the tail of its bars
         if barcode.kind == KIND_PH:
-            dims = {dim: f',\n{p3}"dim": {text(dim, p3)},\n{p3}"prime": null\n{p2}}}' for dim in {b[0] for b in bars}}
-        yield f'{{\n{p1}"intervals": ['
+            dims = {dim: f',\n{p3}"dim": {text(dim, p3)},\n{p3}"prime": null\n{p2}}}' for dim in {b[0] for b in barcode.bars}}
         lead, sep = "\n" + p2, ",\n" + p2
-        for start in range(0, len(bars), CHUNK):
+
+        def formatter(bars, vertices) -> str:
+            nonlocal lead
             parts = []
-            for key, b, d in bars[start : start + CHUNK]:
-                bt = type(b) is float and b and floats.get(b) or text(b, p3)
-                dt = '"inf"' if d is None else type(d) is float and d and floats.get(d) or text(d, p3)
-                if dims is not None:
-                    parts.append(f"{head}{bt}{mid}{dt}{dims[key]}")
-                elif key:
-                    parts.append(f"{head}{bt}{mid}{dt}{prime_open}{vertices(key)}{prime_close}")
+            # bars come sorted by birth and death, so a run of bars shares
+            # their objects and its text; identity keeps -0.0 and 0.0 apart
+            pb = pd = object()
+            for (key, b, d), v in zip(bars, vertices):
+                if b is not pb or d is not pd:
+                    pb, pd = b, d
+                    ends = head + text(b, p3) + mid + ('"inf"' if d is None else text(d, p3))
+                    opened = ends + prime_open
+                if v:
+                    parts.append(f"{opened}{vsep.join(v)}{prime_close}")
                 else:
-                    parts.append(f"{head}{bt}{mid}{dt}{zero}")
-            yield lead + sep.join(parts)
-            lead = sep
-        close = f"\n{p1}]" if bars else "]"
-        yield f'{close},\n{p1}"kind": {text(barcode.kind, p1)}\n{pad}}}'
+                    parts.append(ends + (zero if v is not None else dims[key]))
+            out, lead = lead + sep.join(parts), sep
+            return out
+
+        close = f"\n{p1}]" if barcode.bars else "]"
+        return f'{{\n{p1}"intervals": [', formatter, f'{close},\n{p1}"kind": {text(barcode.kind, p1)}\n{pad}}}{after}'
 
     out: list[str] = []
-    write = out.append if file is None else file.write
     rest = (text(obj, "") + "\n").split("\0")
-    write(rest[0])
-    for (barcode, pad), after in zip(barcodes, rest[1:]):
-        for piece in barcode_pieces(barcode, pad):
-            write(piece)
-        write(after)
+    places = zip(pads, rest[1:])
+    sides = [(out.append if file is None else file.write, rest[0], group, "")]
+    if svg is not None:
+        sides.append((svg.write, *_svg_drawing(barcodes)))
+    _write_bars(barcodes, sides)
     return "".join(out) if file is None else None
 
 
@@ -447,7 +480,74 @@ def _svg_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def barcodes_svg(barcodes: Sequence[Barcode], file=None) -> str | None:
+def _svg_drawing(barcodes: Sequence[Barcode]) -> tuple:
+    """The head, the group function and the tail of the SVG drawing of
+    ``barcodes``, a side of :func:`_write_bars` once given its write."""
+    bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
+    span = 520.0
+    total = sum(len(bc.bars) for bc in barcodes)
+    tmax = max((t for bc in barcodes for t in bc.finite_endpoints()), default=1.0)
+    if tmax <= 0:
+        tmax = 1.0
+    height = top * 2 + total * (bar_h + gap) + len(barcodes) * 24
+    width = left + span + right_pad
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
+        f'<line x1="{left}" y1="{top - 10}" x2="{left}" y2="{height - 10}" '
+        'stroke="#888" stroke-width="1"/>\n'
+    )
+    tail = (
+        f'<text x="{left}" y="{height - 2:.0f}" font-size="10" font-family="monospace">0</text>\n'
+        f'<text x="{left + span - 20:.0f}" y="{height - 2:.0f}" font-size="10" '
+        f'font-family="monospace">{tmax:.4g}</text>\n</svg>\n'
+    )
+    ax = left + span + right_pad / 2  # infinite bars end here, at their arrow
+    ax_s, ax9_s = f"{ax:.1f}", f"{ax + 9:.1f}"
+    palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
+    y = 30
+
+    def group(barcode: Barcode):
+        nonlocal y
+        kind = _svg_escape(barcode.kind)
+        color = palette.get(barcode.kind, "#555555")
+        rect_tail = f'" height="{bar_h:.1f}" fill="{color}"/>\n'
+        arrow_tail = f' Z" fill="{color}"/>\n'
+        opening = (
+            f'<g id="group-{kind}">\n'
+            f'<text x="8" y="{y + 10}.0" font-size="13" font-family="monospace">{kind}</text>\n'
+        )
+        y += 24
+        dims = None  # kind PH: dimension -> its label
+        if barcode.kind == KIND_PH:
+            dims = {dim: f"dim {dim}" for dim in {bar[0] for bar in barcode.bars}}
+
+        def formatter(bars, vertices) -> str:
+            nonlocal y
+            parts = []
+            pb = pd = object()  # the previous bar's birth and death, as in dumps_json
+            for (key, birth, death), v in zip(bars, vertices):
+                if birth is not pb or death is not pd:
+                    pb, pd = birth, death
+                    x0 = left + span * birth / tmax
+                    w = ax - x0 if death is None else left + span * death / tmax - x0
+                    xw = (f"{x0:.3f}", f"{max(w, 1.0):.3f}")
+                label = f"&lt;x{',x'.join(v)}&gt;" if v else "&lt;0&gt;" if v is not None else dims[key]
+                parts.append(
+                    f'<text x="12" y="{y + 11}.0" font-size="11" font-family="monospace">{label}</text>\n'
+                    f'<rect class="bar" x="{xw[0]}" y="{y}.0" width="{xw[1]}{rect_tail}'
+                )
+                if death is None:  # the arrow head, 5 above and below the middle of the bar
+                    parts.append(f'<path d="M {ax_s} {y + 2}.0 L {ax9_s} {y + 7}.0 L {ax_s} {y + 12}.0{arrow_tail}')
+                y += 20
+            return "".join(parts)
+
+        return opening, formatter, "</g>\n"
+
+    return head, group, tail
+
+
+def barcodes_svg(barcodes: Sequence[Barcode]) -> str:
     """Static SVG rendering: one horizontal bar per interval, grouped by kind.
 
     ``barcodes`` holds :class:`~idealtda.persistence.Barcode` objects, prime
@@ -457,69 +557,9 @@ def barcodes_svg(barcodes: Sequence[Barcode], file=None) -> str | None:
     label is written already escaped.  Every ``y`` is an integer (30, then
     24 per group and 20 per bar), written as ``{y}.0``.
 
-    Given an open text ``file``, the text goes to it, ``CHUNK`` bars at a
-    time, and None is returned; without one the same pieces are joined and
-    returned, and that text is the oracle of the written one.
+    The whole text is returned; it is the oracle of the file that
+    ``dumps_json(obj, file, svg=...)`` draws in its walk over the bars.
     """
-    bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
-    span = 520.0
-    total = sum(len(bc.bars) for bc in barcodes)
-    tmax = max((t for bc in barcodes for t in bc.finite_endpoints()), default=1.0)
-    if tmax <= 0:
-        tmax = 1.0
-    height = top * 2 + total * (bar_h + gap) + len(barcodes) * 24
-    width = left + span + right_pad
     out: list[str] = []
-    write = out.append if file is None else file.write
-    write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n'
-        f'<line x1="{left}" y1="{top - 10}" x2="{left}" y2="{height - 10}" '
-        'stroke="#888" stroke-width="1"/>\n'
-    )
-    ax = left + span + right_pad / 2  # infinite bars end here, at their arrow
-    ax_s, ax9_s = f"{ax:.1f}", f"{ax + 9:.1f}"
-    # (birth, death) -> x and width texts; a signed zero draws like 0.0,
-    # as left + span * -0.0 / tmax == left, so the two may share an entry
-    geometry: dict[tuple, tuple[str, str]] = {}
-    vertices = _vertex_text(",x")
-    y = 30
-    palette = {"SR": "#1f77b4", "EDGE": "#2ca02c", "PH": "#d62728"}
-    for barcode in barcodes:
-        kind = _svg_escape(barcode.kind)
-        color = palette.get(barcode.kind, "#555555")
-        rect_tail = f'" height="{bar_h:.1f}" fill="{color}"/>\n'
-        arrow_tail = f' Z" fill="{color}"/>\n'
-        write(
-            f'<g id="group-{kind}">\n'
-            f'<text x="8" y="{y + 10}.0" font-size="13" font-family="monospace">{kind}</text>\n'
-        )
-        y += 24
-        bars = barcode.bars
-        dims = None  # kind PH: dimension -> its label
-        if barcode.kind == KIND_PH:
-            dims = {dim: f"dim {dim}" for dim in {bar[0] for bar in bars}}
-        for start in range(0, len(bars), CHUNK):
-            parts = []
-            for key, birth, death in bars[start : start + CHUNK]:
-                xw = geometry.get((birth, death))
-                if xw is None:
-                    x0 = left + span * birth / tmax
-                    w = ax - x0 if death is None else left + span * death / tmax - x0
-                    xw = geometry[birth, death] = (f"{x0:.3f}", f"{max(w, 1.0):.3f}")
-                label = dims[key] if dims is not None else f"&lt;x{vertices(key)}&gt;" if key else "&lt;0&gt;"
-                parts.append(
-                    f'<text x="12" y="{y + 11}.0" font-size="11" font-family="monospace">{label}</text>\n'
-                    f'<rect class="bar" x="{xw[0]}" y="{y}.0" width="{xw[1]}{rect_tail}'
-                )
-                if death is None:  # the arrow head, 5 above and below the middle of the bar
-                    parts.append(f'<path d="M {ax_s} {y + 2}.0 L {ax9_s} {y + 7}.0 L {ax_s} {y + 12}.0{arrow_tail}')
-                y += 20
-            write("".join(parts))
-        write("</g>\n")
-    write(
-        f'<text x="{left}" y="{height - 2:.0f}" font-size="10" font-family="monospace">0</text>\n'
-        f'<text x="{left + span - 20:.0f}" y="{height - 2:.0f}" font-size="10" '
-        f'font-family="monospace">{tmax:.4g}</text>\n</svg>\n'
-    )
-    return "".join(out) if file is None else None
+    _write_bars(barcodes, [(out.append, *_svg_drawing(barcodes))])
+    return "".join(out)

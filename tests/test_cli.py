@@ -159,13 +159,14 @@ def test_barcodes_drops_the_filtration_and_writes_from_the_bars(three_csv, tmp_p
 
         return wrapper
 
-    def dumps_after_compute(obj, file=None):
+    def dumps_after_compute(obj, file=None, svg=None):
         gc.collect()
         assert filtrations and all(ref() is None for ref in filtrations)
-        if "barcodes" in obj:  # the barcodes themselves, not their interval dicts, to the open file
+        if "barcodes" in obj:  # the barcodes themselves, not their interval dicts, to both open files
             assert all(a is b for a, b in zip(obj["barcodes"], barcodes, strict=True))
-            assert file is not None
-        return dumps_json(obj, file)
+            assert file is not None and svg is not None
+            assert file.name.endswith("barcodes.json") and svg.name.endswith("barcodes.svg")
+        return dumps_json(obj, file, svg=svg)
 
     def no_dicts(barcode):
         raise AssertionError("interval dicts built on the production path")

@@ -399,27 +399,33 @@ class _Pieces(io.StringIO):
         return super().write(piece)
 
 
-def _streamed(writer, obj, mark: str) -> str:
-    """What ``writer(obj, file)`` writes, checked to come a chunk of bars
-    at a time: no piece holds more than CHUNK bars, counted by ``mark``."""
-    fh = _Pieces()
-    assert writer(obj, fh) is None
-    assert max((piece.count(mark) for piece in fh.pieces), default=0) <= CHUNK
-    return fh.getvalue()
+def _streamed(payload, draw: bool) -> tuple[str, str | None]:
+    """What ``dumps_json(payload, file, svg=...)`` writes to the two files
+    (None for the SVG file when ``draw`` is false), checked to come a chunk
+    of bars at a time: no piece holds more than CHUNK bars, counted by
+    ``"birth"`` and ``<rect``."""
+    fh, sh = _Pieces(), _Pieces() if draw else None
+    assert dumps_json(payload, fh, svg=sh) is None
+    for file, mark in ((fh, '"birth"'), (sh, "<rect")):
+        if file is not None:
+            assert max((piece.count(mark) for piece in file.pieces), default=0) <= CHUNK
+    return fh.getvalue(), sh and sh.getvalue()
 
 
 def _assert_writers_match_their_oracles(barcodes) -> None:
     """dumps_json and barcodes_svg read the bars; the interval dicts, the
     standard library and _svg_oracle are their oracles, of the returned
-    text and of the text written to an open file alike."""
+    texts and of the two files that one walk over the bars writes alike,
+    and the JSON file is the same without the SVG one."""
     dicts = [_to_dict(bc) for bc in barcodes]
     for bc, d in zip(barcodes, dicts):
         assert dumps_json(bc) == dumps_json(d) == _stdlib_json(d)
     payload = {"meta": {"seed": 0, "note": "a\x00b"}, "barcodes": barcodes}
     want = _stdlib_json(dict(payload, barcodes=dicts))
-    assert dumps_json(payload) == _streamed(dumps_json, payload, '"birth"') == want
-    want = _svg_oracle([(d["kind"], d["intervals"]) for d in dicts])
-    assert barcodes_svg(barcodes) == _streamed(barcodes_svg, barcodes, "<rect") == want
+    want_svg = _svg_oracle([(d["kind"], d["intervals"]) for d in dicts])
+    assert dumps_json(payload) == want and barcodes_svg(barcodes) == want_svg
+    assert _streamed(payload, True) == (want, want_svg)
+    assert _streamed(payload, False) == (want, None)
 
 
 def test_barcode_writers_match_their_oracles_on_seeded_filtrations():
@@ -503,11 +509,9 @@ def test_writers_refuse_what_the_dict_route_refuses():
                 dumps_json(obj)
 
 
-@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
-@pytest.mark.parametrize("kind", ["SR", "EDGE", "PH"])
-def test_streamed_files_match_their_oracles_at_chunk_boundaries(kind, count, tmp_path):
-    # a count that is a multiple of CHUNK ends a chunk at the last bar,
-    # where no separator may follow; SR opens with the zero prime
+def _chunk_barcode(kind: str, count: int) -> Barcode:
+    """``count`` seeded bars of ``kind``: SR opens with the zero prime, and
+    the first bar is born at -0.0 and never dies."""
     rng = random.Random(count)
     values = [0.0, -0.0, 0.5, 1.25]
     if kind == "PH":
@@ -517,32 +521,50 @@ def test_streamed_files_match_their_oracles_at_chunk_boundaries(kind, count, tmp
         if kind == "SR" and keys:
             keys[0] = 0
     bars = [(key, rng.choice(values), rng.choice(values + [None])) for key in keys]
-    if bars:  # the first bar is born at -0.0 and never dies
+    if bars:
         bars[0] = (keys[0], -0.0, None)
-    bars = tuple(bars)
-    barcodes = [Barcode(kind, bars)]
+    return Barcode(kind, tuple(bars))
+
+
+_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK]
+
+
+# each kind at each count, then one payload of all three kinds whose chunk
+# boundaries fall at other bars of the drawing than those of any one kind
+@pytest.mark.parametrize(
+    "kind, count", [(kind, count) for kind in ("EDGE", "PH", "SR") for count in _COUNTS] + [("SR+EDGE+PH", CHUNK + 45)]
+)
+def test_streamed_files_match_their_oracles_at_chunk_boundaries(kind, count, tmp_path):
+    # a count that is a multiple of CHUNK ends a chunk at the last bar,
+    # where no separator may follow
+    barcodes = [_chunk_barcode(k, count + 83 * i) for i, k in enumerate(kind.split("+"))]
     _assert_writers_match_their_oracles(barcodes)
     payload = {"meta": {"seed": 0}, "barcodes": barcodes}
-    for name, writer, obj in (("barcodes.json", dumps_json, payload), ("barcodes.svg", barcodes_svg, barcodes)):
-        path = tmp_path / name
-        with open(path, "w", encoding="utf-8") as fh:
-            writer(obj, fh)
-        assert path.read_bytes() == writer(obj).encode()
+    json_path, svg_path = tmp_path / "barcodes.json", tmp_path / "barcodes.svg"
+    with open(json_path, "w", encoding="utf-8") as fh, open(svg_path, "w", encoding="utf-8") as sh:
+        assert dumps_json(payload, fh, svg=sh) is None
+    want = dumps_json(payload).encode()
+    assert json_path.read_bytes() == want and svg_path.read_bytes() == barcodes_svg(barcodes).encode()
+    # a run without --svg writes the same barcodes.json
+    with open(json_path, "w", encoding="utf-8") as fh:
+        dumps_json(payload, fh)
+    assert json_path.read_bytes() == want
 
 
 def test_streamed_barcodes_json_holds_far_less_than_its_text(tmp_path):
     # the whole text, its joins and its UTF-8 copy took about twice the
-    # file's size; a chunk of bars at a time takes a small fraction of it
+    # file's size; one walk writing both files a chunk of bars at a time
+    # takes a small fraction of it
     f = vr_filtration(random_metric(random.Random(28), 28, 0.0), 2)
     payload = {"meta": {"seed": 0}, "barcodes": [prime_barcode(f, "SR"), prime_barcode(f, "EDGE"), ph_barcode(f)]}
     del f
     path = tmp_path / "barcodes.json"
     tracemalloc.start()
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh, open(tmp_path / "barcodes.svg", "w", encoding="utf-8") as sh:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            dumps_json(payload, fh)
+            dumps_json(payload, fh, svg=sh)
             peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
