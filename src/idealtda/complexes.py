@@ -217,7 +217,7 @@ class SimplicialComplex:
 
     @cached_property
     def max_dim(self) -> int:
-        return max((m.bit_count() for m in self.face_masks), default=0) - 1
+        return max(map(int.bit_count, self.face_masks), default=0) - 1
 
     @cached_property
     def vertex_mask(self) -> int:

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import Face, SimplicialComplex, boundary_masks, face_mask, full_subcomplex, mask_face
@@ -138,8 +139,8 @@ class LabelledComplex:
             rows, cols, columns = boundary_masks(self.complex, k)
             below = [labels[m].exps for m in rows]
             entries = tuple(
-                tuple((i, sign, tuple(a - b for a, b in zip(labels[m].exps, below[i]))) for i, sign in col)
-                for m, col in zip(cols, columns)
+                tuple((i, sign, tuple(map(sub, top, below[i]))) for i, sign in col)
+                for top, col in zip([labels[m].exps for m in cols], columns)
             )
             out.append(ChainMatrix(k, tuple(map(mask_face, rows)), tuple(map(mask_face, cols)), entries))
         return BoundaryMatrices(tuple(out))
@@ -180,7 +181,11 @@ class ChainMatrix:
         return out
 
     def render(self, names: Sequence[str]) -> list[list[str]]:
-        return self.dense(lambda s, e: ("-" if s < 0 else "") + (power_product(names, e) or "1"), "0")
+        @cache  # one text per distinct entry, for this call's names only
+        def entry(sign: int, exps: tuple[int, ...]) -> str:
+            return ("-" if sign < 0 else "") + (power_product(names, exps) or "1")
+
+        return self.dense(entry, "0")
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ def boundary_matrices(LC: LabelledComplex) -> BoundaryMatrices:
 
 
 def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def chain_condition_check(LC: LabelledComplex) -> bool:

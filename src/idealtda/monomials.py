@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import le, sub
 from typing import Iterable, Sequence
 
 from .complexes import LinearPrime, _iter_bits
@@ -95,7 +96,7 @@ class FactoredElement:
     def __post_init__(self):
         if len(self.exps) != len(self.table.atoms):
             raise ValueError("exponent vector length does not match atom table")
-        if any(e < 0 for e in self.exps):
+        if min(self.exps, default=0) < 0:
             raise ValueError("exponents must be nonnegative")
 
     @classmethod
@@ -142,18 +143,18 @@ class FactoredElement:
 
     def divides(self, other: "FactoredElement") -> bool:
         self._check(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def lcm(self, other: "FactoredElement") -> "FactoredElement":
         self._check(other)
-        return FactoredElement(self.table, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return FactoredElement(self.table, tuple(map(max, self.exps, other.exps)))
 
     def over(self, other: "FactoredElement") -> "FactoredElement":
         """Exact quotient self/other; raises if other does not divide self."""
         self._check(other)
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return FactoredElement(self.table, tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return FactoredElement(self.table, tuple(map(sub, self.exps, other.exps)))
 
     def __str__(self) -> str:
         return power_product(self.table.atoms, self.exps) or "1"

@@ -10,7 +10,9 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import Sequence
 
 from .complexes import SimplicialComplex, mask_face
@@ -153,11 +155,19 @@ def _json_int(value, where: str, most: int | None = None) -> int:
     return value
 
 
+def _json_ints(raw, template: str, *where, most: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple, each read by :func:`_json_int` and
+    named ``template.format(*where, k)`` at its position k from 1.  A list of
+    exact ints, at most ``most`` if given, passes by C-level builtins: a name
+    is built only to name a refused value."""
+    t = tuple(raw)
+    if {int}.issuperset(map(type, t)) and (most is None or max(t, default=0) <= most):
+        return t
+    return tuple(_json_int(v, template.format(*where, k), most) for k, v in enumerate(t, start=1))
+
+
 def _json_faces(raw) -> list[tuple[int, ...]]:
-    return [
-        tuple(_json_int(v, f"face {i} vertex {j}") for j, v in enumerate(face, start=1))
-        for i, face in enumerate(raw, start=1)
-    ]
+    return [_json_ints(face, "face {} vertex {}", i) for i, face in enumerate(raw, start=1)]
 
 
 def complex_from_dict(data, origin: str = "<input>") -> SimplicialComplex:
@@ -189,9 +199,7 @@ def _expansion_from_json(raw, nvars: int, origin: str) -> Polynomial:
     for t, item in enumerate(raw, start=1):
         try:
             coeff, exps = item
-            exps = tuple(
-                _json_int(e, f"term {t} exponent {k}", MAX_EXPONENT) for k, e in enumerate(exps, start=1)
-            )
+            exps = _json_ints(exps, "term {} exponent {}", t, most=MAX_EXPONENT)
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: malformed atom expansion term ({exc})") from None
         # ints and "p/q" strings only: a JSON float is binary, so 0.1 would
@@ -248,8 +256,7 @@ def labelled_from_dict(data, reduced: bool = False, origin: str = "<input>") -> 
     labels = []
     for i, exps in enumerate(labels_raw, start=1):
         try:
-            exps = tuple(_json_int(e, f"exponent {k}", MAX_EXPONENT) for k, e in enumerate(exps, start=1))
-            labels.append(FactoredElement(table, exps))
+            labels.append(FactoredElement(table, _json_ints(exps, "exponent {}", most=MAX_EXPONENT)))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{origin}: bad label for vertex {i} ({exc})") from None
     try:
@@ -361,7 +368,8 @@ def dumps_json(obj, file=None, svg=None) -> str | None:
     Byte for byte ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"``, with the same exceptions, built directly:
     with an indent the standard library runs its pure-Python encoder.
-    Values dispatch on their exact type first; each distinct nonzero float
+    Values dispatch on their exact type first, and a list of exact ints or
+    exact strings is written in one join; each distinct nonzero float
     and each string key is formatted once per call (zeros every time, as
     0.0 == -0.0 would merge their texts).
 
@@ -426,8 +434,11 @@ def dumps_json(obj, file=None, svg=None) -> str | None:
                         keys[k] = kt
                 parts.append(kt + text(v, inner))
             return "".join(("{\n", inner, sep.join(parts), "\n", pad, "}"))
-        if all(type(v) is int for v in o):
+        types = set(map(type, o))
+        if types == {int}:
             body = sep.join(map(int.__repr__, o))
+        elif types == {str}:
+            body = sep.join(map(_json_str, o))
         else:
             body = sep.join([text(v, inner) for v in o])
         return "".join(("[\n", inner, body, "\n", pad, "]"))
@@ -486,7 +497,11 @@ def _svg_drawing(barcodes: Sequence[Barcode]) -> tuple:
     bar_h, gap, left, right_pad, top = 14.0, 6.0, 150.0, 40.0, 30.0
     span = 520.0
     total = sum(len(bc.bars) for bc in barcodes)
-    tmax = max((t for bc in barcodes for t in bc.finite_endpoints()), default=1.0)
+    # the largest finite birth or death, read from the bars without a list;
+    # filter(None) drops the zeros with the Nones: a zero is the max only when
+    # no endpoint is positive, and tmax is then 1.0 anyway
+    ends = chain.from_iterable(chain(map(itemgetter(1), bc.bars), map(itemgetter(2), bc.bars)) for bc in barcodes)
+    tmax = max(filter(None, ends), default=1.0)
     if tmax <= 0:
         tmax = 1.0
     height = top * 2 + total * (bar_h + gap) + len(barcodes) * 24

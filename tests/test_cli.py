@@ -659,6 +659,58 @@ def test_json_inputs_reject_non_integers(tmp_path, capsys, fmt, text, message):
     assert message in capsys.readouterr().err
 
 
+_TWO_LABELS = '"atoms": ["x1", "x2"], "labels": [[1, 0], [0, 1]]'
+_NOT_ITERABLE = "'int' object is not iterable"
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [
+        ("complex-json", '{"n": 3, "faces": [[1, 2], 5]}', f"malformed complex JSON ({_NOT_ITERABLE})"),
+        (
+            "complex-json",
+            '{"n": 3, "faces": [[1, 2, false]]}',
+            "malformed complex JSON (face 1 vertex 3 is not an integer: false)",
+        ),
+        (
+            "labelled-json",
+            '{"n": 2, "faces": [[1, 2], 5], %s}' % _TWO_LABELS,
+            f"malformed labelled-complex JSON ({_NOT_ITERABLE})",
+        ),
+        (
+            "labelled-json",
+            '{"n": 2, "faces": [[1, 2, false]], %s}' % _TWO_LABELS,
+            "malformed labelled-complex JSON (face 1 vertex 3 is not an integer: false)",
+        ),
+        (
+            "labelled-json",
+            '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2"], "labels": [[1, 0], [32, 33]]}',
+            "bad label for vertex 2 (exponent 2 exceeds the supported maximum of 32)",
+        ),
+        (
+            "labelled-json",
+            '{"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2"], "labels": [[1, 0], 5]}',
+            f"bad label for vertex 2 ({_NOT_ITERABLE})",
+        ),
+        (
+            "labelled-json",
+            _EXPANDED % '"atom_polys": {"s": [[1, [1, 0]], [1, [0, 33]]]}',
+            "atom s: malformed atom expansion term (term 2 exponent 2 exceeds the supported maximum of 32)",
+        ),
+    ],
+    ids=["complex-face-5", "complex-face-false", "labelled-face-5", "labelled-face-false",
+         "label-exponent-33", "label-5", "expansion-exponent-33"],
+)
+def test_json_inputs_refuse_with_the_exact_message(tmp_path, capsys, fmt, text, message):
+    # a face, label or exponent list of exact ints passes at C speed; any other
+    # one is read value by value and named as before
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    command = "labelled" if fmt == "labelled-json" else "barcodes"
+    assert main([command, "--input", str(path), "--format", fmt, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("fmt", ["complex-json", "labelled-json"])
 def test_json_inputs_reject_overlong_integers(tmp_path, capsys, fmt):
     # beyond 4300 digits json.load raises a plain ValueError, not a JSONDecodeError

@@ -731,6 +731,23 @@ def test_render_matches_the_polynomial_writer():
                 assert got == want
 
 
+def _uncached_render(cm, names) -> list[list[str]]:
+    return cm.dense(lambda s, e: ("-" if s < 0 else "") + (linalg.power_product(names, e) or "1"), "0")
+
+
+def test_render_memo_lives_one_call(worked_labelled, poly_labelled):
+    # the worked fixtures of acceptance test 06, entry for entry
+    for LC in (worked_labelled, poly_labelled):
+        for cm in boundary_matrices(LC).matrices:
+            assert cm.render(LC.table.atoms) == _uncached_render(cm, LC.table.atoms)
+    # one matrix, two tuples of atom names: each call writes its own names
+    cm = boundary_matrices(worked_labelled).matrix(1)
+    names, other = worked_labelled.table.atoms, ("a", "b", "c", "d")
+    first, second, again = cm.render(names), cm.render(other), cm.render(names)
+    assert second == _uncached_render(cm, other) and second[0][0] == "b*c"
+    assert first == again == _uncached_render(cm, names) and first[0][0] == "x2*x3"
+
+
 def test_ring_and_parsed_expansions_give_one_table_and_one_report(tmp_path, monkeypatch, labelled_to_dict):
     # the same expansions built with the ring and parsed from JSON: equal
     # tables with equal hashes, and byte-identical labelled reports

@@ -212,6 +212,7 @@ _SCALARS = [
     "", "a", "inf", "<x1,x2>", 'say "hi"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f",
     "café ☃ \U0001f600",
 ]
+_STRINGS = [t for t in _SCALARS if type(t) is str] + ["-x1^2*s", "\u2603\x00", "\"\\"]
 _KEYS = {
     "str": ["a", "b", "birth", "", 'q"uote', "\\", "\n", "üß", "\U0001f600"],
     "num": [0, 1, -3, 10**20, 0.5, -2.25, 1e16, 5e-324, True, False],
@@ -223,8 +224,10 @@ def _payload(rng: random.Random, depth: int):
     r = rng.random()
     if depth == 0 or r < 0.35:
         return rng.choice(_SCALARS)
-    if r < 0.5:  # all ints, as a prime's vertices
+    if r < 0.45:  # all ints, as a prime's vertices
         return [rng.randrange(-(10 ** rng.randrange(1, 31)), 10 ** rng.randrange(1, 31)) for _ in range(rng.randrange(6))]
+    if r < 0.55:  # all strings, as a rendered boundary row
+        return [rng.choice(_STRINGS) for _ in range(rng.randrange(6))]
     if r < 0.75:
         items = [_payload(rng, depth - 1) for _ in range(rng.randrange(5))]
         return items if rng.random() < 0.7 else tuple(items)
@@ -269,7 +272,10 @@ def test_dumps_json_matches_the_standard_library_on_random_payloads():
         _Dict({_Str("k"): _Float(2.5), "j": _Dict()}),
         {"a": _List([_Dict({"b": 1.5}), _Float(1.5)]), "b": (_Int(-7), True, None)},
     )
-    for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [1, [2, [3]]], ([1, 2], (3,)), _SCALARS, _KEYS) + subclassed:
+    # lists of exact ints or exact strings are joined in one call; any other
+    # item, a bool or a subclass among them, sends the list item by item
+    mixed = ([1, True, 2], [_Int(1), 2], ["a", _Str("b")], ("a", "b"), [[1, 2], [], ["x"]], _STRINGS)
+    for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [1, [2, [3]]], ([1, 2], (3,)), _SCALARS, _KEYS) + subclassed + mixed:
         assert dumps_json(obj) == _stdlib_json(obj), obj
 
 
