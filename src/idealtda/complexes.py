@@ -22,12 +22,13 @@ which is also the oracle for the closed forms.
 Bits are walked lowest first.  ``_iter_bits`` is the one helper for it,
 except in the loops that run once per face or facet: ``mask_face``, the
 facet walks of :class:`FaceOrder` and ``boundary_masks``, the superface
-probe of ``_maximal_masks`` (the SR final check), ``_cliques``,
-``_edge_levels`` and, in ``persistence``, the EDGE maximality test
-spell the walk inline (``bit = rest & -rest; rest ^= bit``), which saves
-a generator frame per face.  Masks are nonnegative: a negative int has
-infinitely many set bits, so ``mask_face``, ``SimplicialComplex`` and
-``FaceOrder`` refuse one.
+probe of ``_maximal_masks`` (the SR final check, which a simplex skips),
+``_cliques``, ``_edge_levels`` and, in ``persistence``, the EDGE
+maximality test spell the walk inline
+(``bit = rest & -rest; rest ^= bit``), which saves a generator frame
+per face.  Masks are nonnegative: a negative int has infinitely many set
+bits, so ``mask_face``, ``SimplicialComplex`` and ``FaceOrder`` refuse
+one.
 
 ``_cliques`` enumerates the cliques of a graph for ``clique_complex``.
 Vietoris-Rips complexes do not use it: ``vr_filtration`` inserts the
@@ -469,10 +470,16 @@ def full_subcomplex(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex
 def _maximal_masks(K: SimplicialComplex) -> list[int]:
     """Masks of the faces of K that no vertex of K extends to a face.
 
-    A face with as many vertices as the largest face of K is maximal
-    unprobed.  Otherwise the probe stops at the first superface, which in a
-    dense complex is almost always the lowest vertex outside the face."""
-    faces, vertices, top = K.face_masks, K.vertex_mask, K.max_dim + 1
+    Both answers rest on K being downward closed.  A nonempty K with
+    2^k - 1 faces, k the size of its largest face, is the simplex on that
+    face: the face's 2^k - 1 subfaces fill K, and its mask is the largest,
+    so it is returned unprobed.  Otherwise a face with k vertices is
+    maximal unprobed, and the probe stops at the first superface, which in
+    a dense complex is almost always the lowest vertex outside the face."""
+    faces, top = K.face_masks, K.max_dim + 1
+    if faces and len(faces) == (1 << top) - 1:
+        return [max(faces)]
+    vertices = K.vertex_mask
     out = []
     for m in faces:
         if m.bit_count() == top:
@@ -542,16 +549,15 @@ def _edge_levels(e: int, common: int, adj: Mapping[int, int], max_size: int, lis
     face grows only below its lowest vertex outside e, and a level lists
     the faces of each parent in turn, in parent order and then by the added
     vertex: that is colex order.  The face budget, on the count of faces
-    listed (``listed`` before the call), is checked at each face that
-    grows."""
+    listed (``listed`` before the call), is checked once per level, on
+    the level's whole size, before the level is built."""
     level, cands = [(e, common)], [common]
     levels = [level]
     while len(levels) + 2 <= max_size:
+        listed += sum(map(int.bit_count, cands))
+        _check_face_budget(listed)
         grown, below = [], []
         for (m, C), cand in zip(level, cands):
-            if cand:
-                listed += cand.bit_count()
-                _check_face_budget(listed)
             while cand:
                 u = cand & -cand
                 cand ^= u

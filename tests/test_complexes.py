@@ -316,18 +316,26 @@ def test_vr_filtration_brute_force_oracle():
 
 
 def test_face_budget(monkeypatch):
+    # each build passes with the budget at its exact face count and refuses
+    # one below it; the five-point VR filtrations check the budget once per
+    # level of each edge's new faces, tie-free and tied, whole and at max_dim 2
     triangle = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    distinct = [[abs(i - j) + (i + j) / 16 if i != j else 0.0 for j in range(5)] for i in range(5)]
+    tied = [[float(i != j) for j in range(5)] for i in range(5)]
     builds = (
-        lambda: vr_filtration(triangle).birth_map,
-        lambda: clique_complex(Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])).face_masks,
-        lambda: SimplicialComplex.from_faces(3, [(1, 2, 3)], close=True).face_masks,
+        (7, lambda: vr_filtration(triangle).birth_map),
+        (7, lambda: clique_complex(Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])).face_masks),
+        (7, lambda: SimplicialComplex.from_faces(3, [(1, 2, 3)], close=True).face_masks),
+        (31, lambda: vr_filtration(distinct).birth_map),
+        (31, lambda: vr_filtration(tied).birth_map),
+        (25, lambda: vr_filtration(distinct, max_dim=2).birth_map),
+        (25, lambda: vr_filtration(tied, max_dim=2).birth_map),
     )
-    monkeypatch.setattr(complexes, "MAX_FACES", 7)
-    for build in builds:
-        assert len(build()) == 7
-    monkeypatch.setattr(complexes, "MAX_FACES", 6)
-    for build in builds:
-        with pytest.raises(ValueError, match="more than 6 faces"):
+    for count, build in builds:
+        monkeypatch.setattr(complexes, "MAX_FACES", count)
+        assert len(build()) == count
+        monkeypatch.setattr(complexes, "MAX_FACES", count - 1)
+        with pytest.raises(ValueError, match=f"more than {count - 1} faces"):
             build()
 
 
@@ -679,3 +687,33 @@ def test_maximal_masks_match_brute_force_on_truncated_complexes():
         assert sorted(complexes._maximal_masks(K)) == want
         smaller += sum(m.bit_count() <= K.max_dim for m in want)
     assert smaller  # some maximal faces were found by the probe
+
+
+def test_maximal_masks_match_brute_force_on_simplices_and_near_simplices():
+    # a nonempty complex with 2^k - 1 faces, k the size of its largest face,
+    # is a simplex and gets its one maximal face unprobed (the vertex mask is
+    # never read); the near misses around that count take the probe
+    rng = random.Random(37)
+    cases = [(SimplicialComplex(12, frozenset()), False)]
+    for k in range(1, 11):
+        cases.append((simplex(12, sorted(rng.sample(range(1, 13), k))), True))
+    for k in range(2, 8):
+        top = sorted(rng.sample(range(1, 13), k))
+        boundary = SimplicialComplex.from_faces(12, combinations(top, k - 1), close=True)
+        assert len(boundary.face_masks) == (1 << k) - 2
+        cases.append((boundary, False))
+        rest = sorted(set(range(1, 13)) - set(top))
+        cases.append((SimplicialComplex.from_faces(12, [top, (rng.choice(rest),)], close=True), False))
+        other = rng.sample(rest, rng.randint(1, min(k, len(rest))))
+        cases.append((SimplicialComplex.from_faces(12, [top, other], close=True), False))
+    whole = simplex(6, range(1, 7))
+    for dim in range(6):
+        skeleton = frozenset(m for m in whole.face_masks if m.bit_count() <= dim + 1)
+        cases.append((SimplicialComplex(6, skeleton), dim == 5))
+    for K, is_simplex in cases:
+        want = sorted(m for m in K.face_masks if not any(o != m and o & m == m for o in K.face_masks))
+        assert sorted(complexes._maximal_masks(K)) == want
+        assert maximal_faces(K) == {mask_face(m) for m in want}
+        assert (len(want) == 1) == is_simplex
+        if is_simplex:
+            assert "vertex_mask" not in K.__dict__

@@ -226,6 +226,35 @@ def test_prime_barcode_final_step_assertion(three_point_filtration, monkeypatch)
             prime_barcode(three_point_filtration, kind)
 
 
+def test_final_check_still_fires_on_untruncated_vr(monkeypatch):
+    # the final complex of an untruncated VR filtration is the full simplex,
+    # whose one maximal face the final check finds without a probe; the check
+    # still runs on every call and refuses endless SR bars that differ from it
+    rng = random.Random(37)
+    real_intervals, real_steps = persistence._sr_intervals, persistence.step_associated_primes
+    calls = []
+    monkeypatch.setattr(
+        persistence, "step_associated_primes", lambda f, kind: calls.append(kind) or real_steps(f, kind)
+    )
+    corruptions = (
+        # the top face's bar (the zero prime) dies after all
+        lambda bars: [(m, b, b + 1.0 if m == 0 else d) for m, b, d in bars],
+        # the face without vertex 1 never dies: prime P_{1} is endless too
+        lambda bars: [*bars, (0b1, bars[0][1], None)],
+    )
+    for n in range(3, 9):
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        f = vr_filtration([[math.dist(p, q) for q in points] for p in points])
+        assert f.final().face_masks == frozenset(range(1, 1 << n))
+        assert {m for m, _, d in prime_barcode(f, "SR").bars if d is None} == {0}
+        for corrupt in corruptions:
+            with monkeypatch.context() as patch:
+                patch.setattr(persistence, "_sr_intervals", lambda f, corrupt=corrupt: corrupt(real_intervals(f)))
+                with pytest.raises(AssertionError, match="final decomposition"):
+                    prime_barcode(f, "SR")
+    assert calls == ["SR"] * 18
+
+
 def test_custom_ideal_family_recipe(three_point_filtration):
     # the bars of any monotone square-free family: decompose every step and
     # read off the runs; on the face ideals they are the SR closed form
