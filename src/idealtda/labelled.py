@@ -16,22 +16,23 @@ with the label quotients added, built once per labelled complex.  The
 chain and diagonal checks are exponent arithmetic on those entries
 (atoms treated as independent symbols, which is exact for these formal
 identities; the diagonal and slice checks compare with the columns of
-``boundary_masks`` itself); evaluation, fraction-field ranks and
-graded slices densify the same columns into the one dense chain record,
-:class:`EvaluatedChain` (a :class:`GradedSlice` is one, with its
-subcomplex and bases added).  An entry, like a label, is written by
-``linalg.power_product`` and evaluated by ``linalg.power_value``, the
-one writer and the one evaluator of an atom monomial;
+``boundary_masks`` itself); evaluation and graded slices densify the
+same columns into the one dense chain record, :class:`EvaluatedChain` (a
+:class:`GradedSlice` is one, with its subcomplex and bases added).  An
+entry, like a label, is written by ``linalg.power_product`` and
+evaluated by ``linalg.power_value``, the one writer and the one
+evaluator of an atom monomial;
 ``_vanishing_vertices`` is the one scan for the vertex labels that
 vanish at a point, read by :func:`evaluate_chain` and by the window of
 :func:`local_subcomplex`.
 
 The entries make each boundary a diagonal similarity of the classical
 one: D_k = L_{k-1}^{-1} d_k L_k, with L_j the diagonal of the j-face
-labels.  So the fraction-field rank is the rank of D_k evaluated at any
-point where no vertex label vanishes; it is read off the chain evaluated
-at one such integer point, found variable by variable over the composite
-atoms' expansions alone, by fraction-free elimination.  No rank is
+labels.  So the fraction-field rank of D_k is rank_Q d_k, and
+:func:`fraction_field_ranks` ranks the signs of the cached columns, which
+are d_k (``diag_relation_check`` checks it), by fraction-free
+elimination: it searches no point and evaluates no atom.  The route
+through an admissible point is ``verify``'s oracle.  No rank is
 probabilistic and no entry or variable atom is expanded into a polynomial.
 """
 
@@ -61,7 +62,6 @@ __all__ = [
     "chain_condition_check",
     "diag_relation_check",
     "evaluate_chain",
-    "admissible_point",
     "fraction_field_ranks",
     "classical_boundary_ranks",
     "classical_betti",
@@ -350,45 +350,17 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
     return EvaluatedChain(field, ncells, matrices)
 
 
-def admissible_point(LC: LabelledComplex) -> EvaluationPoint:
-    """The admissible integer point that :func:`fraction_field_ranks` uses.
-
-    Coordinates are fixed one variable at a time, in table order: each is
-    the smallest positive integer that keeps the expansion of every composite
-    atom used by a vertex label of the complex a nonzero polynomial in the
-    remaining variables.  Only those expansions are searched, as a variable
-    atom is nonzero at any positive coordinate.  Setting x = a zeroes a
-    nonzero f exactly when (x - a) divides f, so a variable needs at most
-    (the sum of those expansions' degrees in it) + 1 tries.  The all-ones
-    point comes out whenever it is admissible.
-    """
-    table = LC.table
-    used = {table.atoms[i - 1] for v in LC.complex.vertices() for i in LC.vertex_labels[v - 1].support()}
-    atoms = [poly for name, poly in table.expansion_map.items() if name in used]
-    coords = {}
-    for x, name in enumerate(table.variables):
-        a = 1
-        while not all(f.specialize(x, a) for f in atoms):
-            a += 1
-        atoms = [f.specialize(x, a) for f in atoms]
-        coords[name] = a
-    return EvaluationPoint.of(coords)
-
-
 def fraction_field_ranks(LC: LabelledComplex) -> dict[int, int]:
     """Rank of every boundary matrix over the fraction field of the ring.
 
     Every labelled boundary is the similarity D_k = L_{k-1}^{-1} d_k L_k,
     with L_j the diagonal of the j-face labels and d_k the classical
-    boundary.  At a point a where no vertex label vanishes, D_k(a) is the
-    same similarity over Q, so rank_Q D_k(a) is the fraction-field rank,
-    exactly and for every such a.  The matrices are those of
-    :func:`evaluate_chain` at :func:`admissible_point`, ranked by
-    ``linalg.bareiss_rank`` on ints, each row scaled by the lcm of its
-    denominators where an atom value is not an integer.
+    boundary, so its fraction-field rank is rank_Q d_k, exactly.  The
+    signs of the cached columns of :func:`boundary_matrices` are d_k, as
+    :func:`diag_relation_check` checks, and ``linalg.bareiss_rank`` ranks
+    them on ints.
     """
-    ev = evaluate_chain(LC, admissible_point(LC))
-    return {k: bareiss_rank(m) for k, m in ev.matrices.items()}
+    return {cm.k: bareiss_rank(cm.dense(lambda s, e: s, 0)) for cm in boundary_matrices(LC).matrices}
 
 
 def local_subcomplex(

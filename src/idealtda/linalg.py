@@ -19,8 +19,9 @@ Every dense rank is lazy one-step fraction-free (Bareiss) elimination,
 the lcm of their denominators and the ints divide exactly as ints.
 :func:`rank_dense` is that rank over Q and, over GF(p), divides by
 multiplying with an inverse.  A :class:`Polynomial` is a parsed atom
-expansion, only read, evaluated and specialized here; the polynomial
-ring lives in :mod:`idealtda.verify`, beside the oracle that uses it.
+expansion, only read here and evaluated at the point of an evaluation;
+the polynomial ring, with the specialization that searches an admissible
+point, lives in :mod:`idealtda.verify`, beside the oracles that use it.
 
 :func:`persistence_reduce` pairs a checked face order, a
 :class:`~idealtda.complexes.FaceOrder` (a mask sequence is checked as one),
@@ -229,14 +230,6 @@ class Polynomial:
             raise ValueError("variable arity mismatch")
         vals = [Fraction(v) for v in values]
         return sum((c * power_value(vals, exps) for exps, c in self.terms.items()), Fraction(0))
-
-    def specialize(self, i: int, value) -> "Polynomial":
-        """Set variable i to a constant; the arity stays the same."""
-        out: dict[tuple, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[:i] + (0,) + exps[i + 1 :]
-            out[e] = out.get(e, 0) + c * value ** exps[i]
-        return type(self)(self.nvars, out)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.nvars}, {self.terms!r})"

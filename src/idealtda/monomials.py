@@ -66,10 +66,6 @@ class AtomTable:
     def for_variables(cls, n: int, prefix: str = "x") -> "AtomTable":
         return cls(tuple(f"{prefix}{i}" for i in range(1, n + 1)))
 
-    @property
-    def expansion_map(self) -> dict[str, Polynomial]:
-        return dict(self.expansions)
-
     @cached_property
     def variables(self) -> tuple[str, ...]:
         expanded = {name for name, _ in self.expansions}

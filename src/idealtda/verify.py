@@ -11,7 +11,9 @@ transversals) live only here: no production module imports this one.
 The polynomial ring lives here too: :class:`RingPolynomial` adds the ring
 operations to the library's parsed expansion, ``linalg.Polynomial``, and
 :func:`polynomial_ranks` ranks the substituted boundaries with
-:func:`polynomial_bareiss_rank`, fraction-free with exact division.
+:func:`polynomial_bareiss_rank`, fraction-free with exact division.  The
+fraction-field ranks have two oracles beside it: that route, and the
+boundaries evaluated at :func:`admissible_point`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ __all__ = [
     "random_metric",
     "random_monomial_labelled",
     "random_admissible_point",
+    "admissible_point",
     "RingPolynomial",
     "polynomial_bareiss_rank",
     "atom_polynomials",
@@ -200,6 +203,31 @@ def random_admissible_point(rng: random.Random, LC: LabelledComplex) -> Evaluati
     for v in LC.table.variables:
         q = Fraction(rng.randint(1, 9), rng.randint(1, 5))
         coords[v] = -q if rng.random() < 0.5 else q
+    return EvaluationPoint.of(coords)
+
+
+def admissible_point(LC: LabelledComplex) -> EvaluationPoint:
+    """An integer point where no vertex label of the complex vanishes.
+
+    Coordinates are fixed one variable at a time, in table order: each is
+    the smallest positive integer that keeps the expansion of every composite
+    atom used by a vertex label of the complex a nonzero polynomial in the
+    remaining variables.  Only those expansions are searched, as a variable
+    atom is nonzero at any positive coordinate.  Setting x = a zeroes a
+    nonzero f exactly when (x - a) divides f, so a variable needs at most
+    (the sum of those expansions' degrees in it) + 1 tries.  The all-ones
+    point comes out whenever it is admissible.
+    """
+    table = LC.table
+    used = {table.atoms[i - 1] for v in LC.complex.vertices() for i in LC.vertex_labels[v - 1].support()}
+    atoms = [RingPolynomial(p.nvars, p.terms) for name, p in table.expansions if name in used]
+    coords = {}
+    for x, name in enumerate(table.variables):
+        a = 1
+        while not all(f.specialize(x, a) for f in atoms):
+            a += 1
+        atoms = [f.specialize(x, a) for f in atoms]
+        coords[name] = a
     return EvaluationPoint.of(coords)
 
 
@@ -380,6 +408,14 @@ class RingPolynomial(Polynomial):
             k >>= 1
         return out
 
+    def specialize(self, i: int, value) -> "RingPolynomial":
+        """Set variable i to a constant; the arity stays the same."""
+        out: dict[tuple, Fraction] = {}
+        for exps, c in self.terms.items():
+            e = exps[:i] + (0,) + exps[i + 1 :]
+            out[e] = out.get(e, 0) + c * value ** exps[i]
+        return RingPolynomial(self.nvars, out)
+
     def substitute(self, targets: Sequence["RingPolynomial"], nvars_out: int) -> "RingPolynomial":
         """Ring homomorphism sending variable i to ``targets[i]``."""
         if len(targets) != self.nvars:
@@ -481,18 +517,19 @@ def polynomial_ranks(LC: LabelledComplex) -> dict[int, int]:
 def suite_fraction_field_ranks(
     rng: random.Random, trials: int, nmax: int = 7, tvars: int = 4
 ) -> SuiteResult:
-    """Fraction-field ranks at an admissible point equal the polynomial-ring
-    ranks and the classical ranks."""
+    """The fraction-field ranks of the similarity equal the ranks at an
+    admissible point, the polynomial-ring ranks and the classical ranks."""
     res = SuiteResult("fraction-field rank equality", trials)
     for t in range(trials):
         n = rng.randint(1, nmax)
         reduced = rng.random() < 0.5
         LC = random_monomial_labelled(rng, n, rng.randint(1, tvars), reduced=reduced)
         ff = fraction_field_ranks(LC)
+        at_point = evaluate_chain(LC, admissible_point(LC)).ranks()
         poly = polynomial_ranks(LC)
         cl = classical_boundary_ranks(LC.complex, QQ, reduced=reduced)
-        if not ff == poly == cl:
-            res.note(f"trial {t}: fraction-field ranks {ff}, polynomial {poly}, classical {cl}")
+        if not ff == at_point == poly == cl:
+            res.note(f"trial {t}: fraction-field ranks {ff}, at a point {at_point}, polynomial {poly}, classical {cl}")
     return res
 
 

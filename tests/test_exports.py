@@ -167,23 +167,26 @@ PRODUCTION = ("complexes", "ideals", "labelled", "linalg", "monomials", "persist
 
 
 def test_the_polynomial_ring_lives_with_its_oracle():
-    # production reads, evaluates and specializes parsed expansions; the ring
-    # operations and the exact polynomial division live with the oracle in verify
-    from idealtda import linalg, verify
+    # production reads and evaluates parsed expansions; the ring operations,
+    # the exact polynomial division and the specialization that searches an
+    # admissible point live with the oracles in verify
+    from idealtda import labelled, linalg, monomials, verify
 
-    for name in ("__add__", "__mul__", "__pow__", "exact_div", "substitute", "render", "total_degree"):
+    for name in ("__add__", "__mul__", "__pow__", "exact_div", "substitute", "specialize", "render", "total_degree"):
         assert not hasattr(linalg.Polynomial, name), f"Polynomial.{name}"
     assert not hasattr(linalg, "_domain_exact_div")
+    assert not hasattr(monomials.AtomTable, "expansion_map")
+    assert not hasattr(labelled, "admissible_point") and "admissible_point" not in labelled.__all__
     assert issubclass(verify.RingPolynomial, linalg.Polynomial)
-    assert {"RingPolynomial", "polynomial_bareiss_rank"} <= set(verify.__all__)
+    assert {"RingPolynomial", "polynomial_bareiss_rank", "admissible_point"} <= set(verify.__all__)
     src = Path(idealtda.__file__).parent
     assert "_integral_rows" not in _imported_names(src / "labelled.py")
-    ring_calls = {"exact_div", "substitute", "leading_term"}
-    for stem in PRODUCTION:
+    oracle_names = {"exact_div", "substitute", "specialize", "expansion_map", "leading_term", "RingPolynomial", "admissible_point"}
+    for stem in PRODUCTION + ("cli", "__init__"):
         tree = ast.parse((src / f"{stem}.py").read_text(encoding="utf-8"))
         used = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        assert not used & (ring_calls | {"RingPolynomial"}), (stem, used & ring_calls)
+        assert not used & oracle_names, (stem, used & oracle_names)
 
 
 def test_production_holds_only_what_a_command_runs():

@@ -14,7 +14,6 @@ from idealtda.labelled import (
     EvaluationPoint,
     InadmissiblePointError,
     LabelledComplex,
-    admissible_point,
     boundary_matrices,
     chain_condition_check,
     classical_betti,
@@ -32,6 +31,7 @@ from idealtda.monomials import AtomTable, FactoredElement
 from idealtda.serialize import labelled_from_dict
 from idealtda.verify import (
     RingPolynomial,
+    admissible_point,
     atom_polynomials,
     polynomial_ranks,
     random_admissible_point,
@@ -278,7 +278,14 @@ def _rational_table(rng: random.Random) -> AtomTable:
     return AtomTable(("x1", "x2") + tuple(expansions), tuple(expansions.items()))
 
 
+def _at_admissible_point(LC: LabelledComplex) -> dict[int, int]:
+    """The fraction-field ranks by the evaluation oracle."""
+    return evaluate_chain(LC, admissible_point(LC)).ranks()
+
+
 def test_fraction_field_ranks_with_rational_atoms_rank_ints(monkeypatch):
+    # the evaluation oracle meets Fraction atom values, and its rank kernel
+    # still divides ints only
     calls = []
 
     def recording_div(num, den):
@@ -286,7 +293,6 @@ def test_fraction_field_ranks_with_rational_atoms_rank_ints(monkeypatch):
         return exact(num, den)
 
     exact = linalg._int_exact_div
-    monkeypatch.setattr(linalg, "_int_exact_div", recording_div)
     rng = random.Random(14)
     for t in range(30):
         table = _rational_table(rng)
@@ -294,10 +300,36 @@ def test_fraction_field_ranks_with_rational_atoms_rank_ints(monkeypatch):
         labels = [FactoredElement(table, tuple(rng.choice((0, 0, 1, 2)) for _ in table.atoms)) for _ in range(n)]
         reduced = t % 2 == 1
         LC = make_labelled(random_complex(rng, n), labels, reduced=reduced)
-        assert fraction_field_ranks(LC) == polynomial_ranks(LC) == classical_boundary_ranks(
-            LC.complex, QQ, reduced=reduced
-        )
+        want = polynomial_ranks(LC)
+        assert fraction_field_ranks(LC) == want == classical_boundary_ranks(LC.complex, QQ, reduced=reduced)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_int_exact_div", recording_div)
+            assert _at_admissible_point(LC) == want
     assert calls and set(calls) == {(int, int)}
+
+
+def test_fraction_field_ranks_build_no_polynomial_and_evaluate_nothing(monkeypatch):
+    # the closed form ranks the signs of the cached boundary: on composite
+    # and rational atoms it builds no Polynomial and evaluates no atom
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fraction-field ranks built or evaluated a polynomial")
+
+    rng = random.Random(31)
+    cases = []
+    for t in range(40):
+        table = _composite_table() if t % 2 else _rational_table(rng)
+        n = rng.randint(1, 6)
+        labels = [FactoredElement(table, tuple(rng.choice((0, 0, 1, 2)) for _ in table.atoms)) for _ in range(n)]
+        K = random_complex(rng, n)
+        LC = make_labelled(K, labels, reduced=t % 4 < 2)
+        want = polynomial_ranks(LC)
+        assert want == classical_boundary_ranks(K, QQ, reduced=LC.reduced)
+        cases.append((make_labelled(K, labels, reduced=LC.reduced), want))
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    monkeypatch.setattr(EvaluationPoint, "atom_values", refuse)
+    for LC, want in cases:
+        assert fraction_field_ranks(LC) == want
 
 
 def _simplex_with_atom(constant, n: int) -> LabelledComplex:
@@ -308,20 +340,20 @@ def _simplex_with_atom(constant, n: int) -> LabelledComplex:
 
 
 def test_fraction_field_ranks_cost_no_more_with_a_rational_coefficient():
-    # the 1023-face simplex with a = x1^2 - x2 + c, a(1, 1) = c: ranked on
-    # Fractions, c = 1/2 took about 5.5 times as long as c = 1 (0.21 s
-    # against 0.038 s); on ints it takes about 1.5 times as long.  Runs
-    # alternate, so a slow spell of the machine slows both sides, and each
-    # side keeps its fastest of five.
+    # the evaluation oracle on the 1023-face simplex with a = x1^2 - x2 + c,
+    # a(1, 1) = c: ranked on Fractions, c = 1/2 took about 5.5 times as long
+    # as c = 1 (0.21 s against 0.038 s); on ints it takes about 1.5 times as
+    # long.  Runs alternate, so a slow spell of the machine slows both
+    # sides, and each side keeps its fastest of five.
     complexes = {c: _simplex_with_atom(c, 10) for c in (Fraction(1, 2), 1)}
     times = {c: [] for c in complexes}
     ranks = {}
     for _ in range(5):
         for c, LC in complexes.items():
             start = time.perf_counter()
-            ranks[c] = fraction_field_ranks(LC)
+            ranks[c] = _at_admissible_point(LC)
             times[c].append(time.perf_counter() - start)
-    assert ranks[Fraction(1, 2)] == ranks[1]
+    assert ranks[Fraction(1, 2)] == ranks[1] == fraction_field_ranks(complexes[1])
     assert min(times[Fraction(1, 2)]) < 3 * min(times[1]), times
 
 
@@ -332,7 +364,7 @@ def test_admissible_point_skips_vanishing_atoms():
     labels = [FactoredElement(table, e) for e in ((0, 0, 1), (1, 0, 1), (0, 1, 0))]
     LC = make_labelled(K, labels)
     assert admissible_point(LC).coords == (("x1", Fraction(1)), ("x2", Fraction(2)))
-    assert fraction_field_ranks(LC) == classical_boundary_ranks(K, QQ) == {1: 2, 2: 1}
+    assert _at_admissible_point(LC) == fraction_field_ranks(LC) == classical_boundary_ranks(K, QQ) == {1: 2, 2: 1}
     # unused atoms do not constrain the point, and all ones comes out when admissible
     assert admissible_point(LC.restrict((2, 3))).coords == (("x1", Fraction(1)), ("x2", Fraction(2)))
     assert admissible_point(LC.restrict((3,))).coords == (("x1", Fraction(1)), ("x2", Fraction(1)))
@@ -353,15 +385,16 @@ def test_admissible_point_search_is_bounded():
     LC = make_labelled(K, labels)
     start = time.perf_counter()
     point = admissible_point(LC)
-    ranks = fraction_field_ranks(LC)
+    ranks = evaluate_chain(LC, point).ranks()
     assert time.perf_counter() - start < 5
     assert point.coord_map["x1"] == 31 and set(point.coord_map.values()) == {1, 31}
-    assert ranks == classical_boundary_ranks(K, QQ) == {1: 29}
+    assert ranks == fraction_field_ranks(LC) == classical_boundary_ranks(K, QQ) == {1: 29}
 
 
 def test_pure_variable_tables_build_no_polynomial(monkeypatch):
-    # a variable atom takes its coordinate and is never searched, so the
-    # labelled path of a table without composite atoms builds no Polynomial
+    # a variable atom takes its coordinate and is never searched, so neither
+    # the labelled path nor the point search of the evaluation oracle builds
+    # a Polynomial for a table without composite atoms
     def refuse(self, *args, **kwargs):
         raise AssertionError("a Polynomial was built")
 
@@ -376,7 +409,8 @@ def test_pure_variable_tables_build_no_polynomial(monkeypatch):
         K, reduced = LC.complex, LC.reduced
         point = admissible_point(LC)
         assert point.coords == tuple((x, Fraction(1)) for x in LC.table.variables)
-        assert fraction_field_ranks(LC) == classical_boundary_ranks(K, QQ, reduced=reduced)
+        want = classical_boundary_ranks(K, QQ, reduced=reduced)
+        assert evaluate_chain(LC, point).ranks() == fraction_field_ranks(LC) == want
         for field in (QQ, PrimeField(5)):
             assert evaluate_chain(LC, point, field).betti() == classical_betti(K, field, reduced=reduced)
         zero = {LC.table.index(x) + 1 for x, c in window_point.coords if c == 0}
@@ -429,7 +463,8 @@ def test_expansion_search_and_values_match_the_all_atom_route():
         point = admissible_point(LC)
         assert point == _all_atom_point(LC), (table.atoms, LC.vertex_labels)
         moved += any(c != 1 for _, c in point.coords)
-        assert fraction_field_ranks(LC) == classical_boundary_ranks(LC.complex, QQ, reduced=LC.reduced)
+        want = classical_boundary_ranks(LC.complex, QQ, reduced=LC.reduced)
+        assert evaluate_chain(LC, point).ranks() == fraction_field_ranks(LC) == want
         other = EvaluationPoint.of({x: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for x in table.variables})
         for p in (point, other):
             coords = p.coord_map

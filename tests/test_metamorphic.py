@@ -17,6 +17,18 @@ At the same sizes the closed-form order equals the walk over its faces.
 One more relation crosses the input formats: a ``points-json`` cloud and the
 ``dist-csv`` of its distances give the same outputs, apart from the input
 recorded in the metadata.
+
+Two relations cover the labelled chain complexes at the sizes of the
+labelled ladder of ``scripts/bench.py``: full simplices of 127, 255 and
+511 faces with monomial and composite labels, seeded as there, and a
+168-face complex with three 2-dimensional holes, reduced and not:
+
+- multiply every vertex label by one common atom: each face label gains
+  that atom once, so every entry m_sigma / m_tau of the k >= 1 matrices
+  stays the same, only the augmentation row gains the atom, and the
+  fraction-field ranks stay the same, as the evaluation oracle's do;
+- relabel the vertices by a seeded permutation: the ranks, the Betti
+  numbers and the verdicts of the chain and diagonal checks stay the same.
 """
 
 from __future__ import annotations
@@ -28,10 +40,19 @@ import random
 import pytest
 
 from idealtda import cli
-from idealtda.complexes import FaceOrder, vr_filtration
-from idealtda.linalg import GF2
-from idealtda.persistence import ph_barcode, prime_barcode
-from idealtda.verify import random_metric
+from idealtda.complexes import FaceOrder, SimplicialComplex, vr_filtration
+from idealtda.labelled import (
+    boundary_matrices,
+    chain_condition_check,
+    diag_relation_check,
+    evaluate_chain,
+    fraction_field_ranks,
+    make_labelled,
+)
+from idealtda.linalg import GF2, QQ
+from idealtda.monomials import AtomTable, FactoredElement
+from idealtda.persistence import betti_from_ranks, classical_boundary_ranks, ph_barcode, prime_barcode
+from idealtda.verify import RingPolynomial, admissible_point, random_metric
 
 # (n, max_dim, tie probability)
 SIZES = [
@@ -133,3 +154,87 @@ def test_points_and_their_distances_give_the_same_outputs(tmp_path, monkeypatch,
     assert bars == want_bars
     assert json.loads(meta[:-2]) == {**json.loads(want_meta[:-2]), "input": "points-json", "format": "points-json"}
     assert sum(len(bc["intervals"]) for bc in json.loads(got["barcodes.json"])["barcodes"]) > len(points)
+
+
+def _labelled_table(kind):
+    """The atoms of the labelled ladder's rows of this kind."""
+    if kind == "monomial":
+        return AtomTable.for_variables(4)
+    x1, x2 = RingPolynomial.variable(2, 0), RingPolynomial.variable(2, 1)
+    expansions = {"x1+x2": x1 + x2, "x1-x2+1": x1 - x2 + 1}
+    return AtomTable(("x1", "x2") + tuple(expansions), tuple(expansions.items()))
+
+
+def _ladder_complex(shape, n):
+    if shape == "simplex":
+        return SimplicialComplex.from_faces(n, [tuple(range(1, n + 1))], close=True)
+    rng = random.Random(0)
+    return SimplicialComplex.from_faces(n, [sorted(rng.sample(range(1, n + 1), 5)) for _ in range(10)], close=True)
+
+
+# (label kind, shape, vertices): 127, 255 and 511 faces, and 168 with holes
+LABELLED_SIZES = [
+    pytest.param(kind, shape, n, id=f"{kind}-{shape}-{n}")
+    for kind, shape, n in (
+        ("composite", "simplex", 7),
+        ("composite", "simplex", 8),
+        ("composite", "simplex", 9),
+        ("monomial", "simplex", 9),
+        ("composite", "holes", 9),
+        ("monomial", "holes", 9),
+    )
+]
+
+
+def _labelled_pair(kind, shape, n):
+    """The complex and its labels, exponents 0..2 seeded by Random(n) as
+    the labelled ladder seeds them."""
+    table = _labelled_table(kind)
+    rng = random.Random(n)
+    labels = [FactoredElement(table, tuple(rng.randint(0, 2) for _ in table.atoms)) for _ in range(n)]
+    return _ladder_complex(shape, n), labels
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["unreduced", "reduced"])
+@pytest.mark.parametrize("kind, shape, n", LABELLED_SIZES)
+def test_a_common_atom_leaves_the_label_quotients(kind, shape, n, reduced):
+    K, labels = _labelled_pair(kind, shape, n)
+    LC = make_labelled(K, labels, reduced=reduced)
+    common = FactoredElement.from_support(LC.table, (3,)).exps  # x3, or the composite x1+x2
+
+    def times_common(exps):
+        return tuple(a + b for a, b in zip(exps, common))
+
+    scaled = make_labelled(K, [FactoredElement(LC.table, times_common(m.exps)) for m in labels], reduced=reduced)
+    for cm, cm2 in zip(boundary_matrices(LC).matrices, boundary_matrices(scaled).matrices, strict=True):
+        if cm.k:
+            assert cm2 == cm
+        else:  # the augmentation row: d({v}) = -m_v * (), and m_v gains the atom
+            assert cm2.columns == tuple(tuple((i, s, times_common(e)) for i, s, e in col) for col in cm.columns)
+    ranks = fraction_field_ranks(LC)
+    assert fraction_field_ranks(scaled) == ranks == classical_boundary_ranks(K, QQ, reduced=reduced)
+    assert evaluate_chain(scaled, admissible_point(scaled)).ranks() == ranks  # the evaluation oracle
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["unreduced", "reduced"])
+@pytest.mark.parametrize("kind, shape, n", LABELLED_SIZES)
+def test_relabelled_vertices_keep_the_labelled_ranks_and_verdicts(kind, shape, n, reduced):
+    K, labels = _labelled_pair(kind, shape, n)
+    perm = list(range(1, n + 1))
+    random.Random(n + 1).shuffle(perm)  # vertex v becomes vertex perm[v - 1]
+    moved_labels = [None] * n
+    for v, label in zip(perm, labels):
+        moved_labels[v - 1] = label
+    moved = SimplicialComplex.from_faces(n, [[perm[v - 1] for v in face] for face in K.faces()])
+    results = []
+    for LC in (make_labelled(K, labels, reduced=reduced), make_labelled(moved, moved_labels, reduced=reduced)):
+        ranks = fraction_field_ranks(LC)
+        betti = betti_from_ranks({k: LC.ncells(k) for k in LC.dims()}, ranks)
+        results.append((ranks, betti, chain_condition_check(LC), diag_relation_check(LC)))
+    assert results[1] == results[0]
+    ranks, betti, chain, diag = results[0]
+    assert chain and diag and ranks == classical_boundary_ranks(K, QQ, reduced=reduced)
+    assert sum(betti.values()) == (4 if shape == "holes" else 1) - reduced
+    # the labels moved with their vertices, so the labelled matrices differ
+    LC, LC2 = make_labelled(K, labels), make_labelled(moved, moved_labels)
+    assert any(a != b for a, b in zip(boundary_matrices(LC).matrices, boundary_matrices(LC2).matrices))

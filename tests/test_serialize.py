@@ -129,7 +129,7 @@ def test_labelled_roundtrip_rational_coefficient(labelled_to_dict):
         "labels": [[1, 0, 0], [0, 0, 1]],
     }
     LC = labelled_from_dict(data)
-    assert LC.table.expansion_map["s"].terms == {(0, 1): Fraction(-1, 2), (1, 0): 3}
+    assert dict(LC.table.expansions)["s"].terms == {(0, 1): Fraction(-1, 2), (1, 0): 3}
     assert labelled_to_dict(LC) == data
 
 
