@@ -10,29 +10,28 @@ The file holds the Python version and the platform, then:
   a row runs the command ``barcodes --format dist-csv --max-dim D --svg``
   (without ``--max-dim`` when D is None, so all 2^n - 1 faces) on the
   random metric ``verify.random_metric(Random(n), n, tie_prob)`` through
-  ``cli.main``, and times the whole command and each stage it calls
-  (found by rebinding the ``idealtda.cli`` attributes, as the traced
-  benchmark does).  The ``dumps_json`` stage writes ``barcodes.json`` and
-  ``barcodes.svg`` in one walk over the bars, and ``report.json``; no
-  stage of its own draws the SVG.  Its seconds are reference-core seconds: the command
-  runs between two runs of the calibration loop of ``perfbench/run.py``
-  and is scaled by its ``to_reference``.  Each row is run ``RUNS`` times,
-  each in a fresh interpreter so that its peak RSS is its own, and records
-  the faces, steps and bars (read off the ``vr_filtration``,
-  ``prime_barcode`` and ``ph_barcode`` returns), the size and SHA-256
-  digest of each output file, which must agree over the runs, and the
-  median and the spread (largest minus smallest) of the seconds and of
-  the peak RSS;
+  ``cli.main``, under the tracer of ``perfbench/tracing.py``: the command
+  is its root span, and each layer of its ``LAYERS`` that records a call
+  is timed on its own, by its inclusive seconds, under its ``LAYERS`` name
+  (``serialize.write`` writes ``barcodes.json`` and ``barcodes.svg`` in
+  one walk over the bars, and ``report.json``).  The seconds are
+  reference-core seconds: the command runs between two runs of the
+  calibration loop of ``perfbench/run.py`` and is scaled by its
+  ``to_reference``.  Each row is run ``RUNS`` times, each in a fresh
+  interpreter so that its peak RSS is its own, and records the faces,
+  steps and bars (read off the traced filtration and barcodes as they are
+  returned), the size and SHA-256 digest of each output file, which must
+  agree over the runs, and the median and the spread (largest minus
+  smallest) of the seconds and of the peak RSS;
 * ``labelled_ladder``: one row per (kind, vertices) of ``LABELLED_LADDER``,
-  run, calibrated and aggregated like the ``ladder`` rows.  A run of a row
-  runs ``labelled`` on the full simplex on that many vertices (127, 255
-  or 511 faces) with labels seeded by ``Random(vertices)``: kind
+  run, traced, calibrated and aggregated like the ``ladder`` rows.  A run
+  of a row runs ``labelled`` on the full simplex on that many vertices
+  (127, 255 or 511 faces) with labels seeded by ``Random(vertices)``: kind
   ``composite`` over two variables and two composite atoms with
   ``--point``, kind ``monomial`` over four variable atoms with ``--point``
   and ``--alpha`` at the lcm of the labels, so the graded slice is the
-  whole reduced complex.  It times the command and each ``idealtda.cli``
-  attribute of ``LABELLED_STAGES`` and records the size and SHA-256
-  digest of ``report.json``;
+  whole reduced complex.  It records the size and SHA-256 digest of
+  ``report.json``;
 * ``startup``: ``RUNS`` fresh interpreters, each under
   ``PYTHONDONTWRITEBYTECODE=1`` and on a copy of ``src/idealtda`` with no
   bytecode cache, so that idealtda compiles from source as in a fresh
@@ -53,9 +52,10 @@ The file holds the Python version and the platform, then:
   where S is the ``run_seconds`` of ``BENCHMARK.json``, with its
   pass/fail count.
 
-Nothing under ``perfbench/`` is edited: ``calibration_time`` and
-``to_reference`` are imported from ``perfbench/run.py``, which stays as it
-is.  Runs go in a temporary directory.
+Nothing under ``perfbench/`` is edited: ``calibration_time``,
+``to_reference`` and the tracer are loaded from ``perfbench/run.py``,
+which stays as it is, so the list of timed layers lives only in
+``perfbench/tracing.py``.  Runs go in a temporary directory.
 """
 
 from __future__ import annotations
@@ -94,50 +94,16 @@ COLD_MODULES = ("dataclasses", "argparse", "fractions", "json")
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
 
-# idealtda.cli attribute -> stage; prime_barcode is split by its kind, and
-# dumps_json writes barcodes.json and barcodes.svg in one walk over the bars
-STAGES = {
-    "load_distance_csv": "parse",
-    "vr_filtration": "vr_filtration",
-    "prime_barcode": None,
-    "ph_barcode": "ph_barcode",
-    "dumps_json": "dumps_json",
-    "coverage_report": "coverage_report",
-}
-# idealtda.cli attributes timed on the labelled rows, each its own stage
-LABELLED_STAGES = {
-    attr: attr
-    for attr in (
-        "boundary_matrices",
-        "chain_condition_check",
-        "diag_relation_check",
-        "fraction_field_ranks",
-        "classical_boundary_ranks",
-        "evaluate_chain",
-        "graded_slice",
-        "dumps_json",
-    )
-}
 
-
-def _counts(attr: str, out) -> dict[str, int]:
-    """The sizes a row records, read off one stage's return value, which
-    is not kept: faces and steps of the filtration, bars per kind."""
-    if attr == "vr_filtration":
-        return {"faces": len(out.birth_map), "steps": len(out.params)}
-    if attr in ("prime_barcode", "ph_barcode"):
-        return {out.kind: len(out.bars)}
-    return {}
-
-
-def _calibration():
-    """``calibration_time`` and ``to_reference`` of perfbench/run.py."""
+def _perfbench():
+    """perfbench/run.py, loaded from its file: its calibration loop and,
+    as ``.tracing``, the tracer of its traced pass."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))  # run.py imports its sibling modules
     spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    return run.calibration_time, run.to_reference
+    return run
 
 
 def _peak_rss_mib() -> float:
@@ -153,56 +119,55 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _timed_command(argv: list[str], inputs: dict[str, str], stages: dict, outputs: tuple[str, ...]) -> dict:
+def _timed_command(argv: list[str], inputs: dict[str, str], outputs: tuple[str, ...]) -> dict:
     """One ``cli.main(argv + ["--out", "out"])`` in a temporary directory
-    holding ``inputs`` (file name -> text), with each ``idealtda.cli``
-    attribute of ``stages`` timed under its stage name (None: split
-    ``prime_barcode`` by kind).  Returns the seconds, in reference-core
-    seconds, the counts of :func:`_counts`, and the size and the digest of
-    each output file."""
-    from idealtda import cli
+    holding ``inputs`` (file name -> text), traced as the root span of the
+    tracer of ``perfbench/tracing.py``.  Returns the inclusive seconds of
+    the command and of each layer that recorded a call, in reference-core
+    seconds; the sizes read off the traced returns, the faces and steps of
+    a filtration and the bars of each barcode, by kind; and the size and
+    the digest of each output file."""
+    import idealtda
+    from idealtda.complexes import Filtration
+    from idealtda.persistence import Barcode
 
-    calibration_time, to_reference = _calibration()
-    seconds: dict[str, float] = {}
+    run = _perfbench()
+    tracing = run.tracing
     counts: dict[str, int] = {}
 
-    def timed(attr, fn):
-        def wrapper(*args, **kwargs):
-            start = perf_counter()
-            out = fn(*args, **kwargs)
-            stage = stages[attr] or str(args[1]).lower()
-            seconds[stage] = seconds.get(stage, 0.0) + perf_counter() - start
-            counts.update(_counts(attr, out))
+    class CountingTracer(tracing.Tracer):
+        def call(self, name, fn, *args, **kwargs):
+            out = super().call(name, fn, *args, **kwargs)
+            if isinstance(out, Filtration):
+                counts.update(faces=len(out.birth_map), steps=len(out.params))
+            elif isinstance(out, Barcode):
+                counts[out.kind] = len(out.bars)
             return out
 
-        return wrapper
-
-    saved = {attr: getattr(cli, attr) for attr in stages}
+    tracer = CountingTracer()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         try:
             os.chdir(work)
             for name, text in inputs.items():
                 Path(name).write_text(text)
-            for attr, fn in saved.items():
-                setattr(cli, attr, timed(attr, fn))
-            before = calibration_time()
-            start = perf_counter()
-            code = cli.main(argv + ["--out", "out"])
-            seconds["command"] = perf_counter() - start
-            after = calibration_time()
+            tracer.install(idealtda)
+            before = run.calibration_time()
+            code = tracer.call(tracing.ROOT, idealtda.cli.main, argv + ["--out", "out"])
+            after = run.calibration_time()
         finally:
-            for attr, fn in saved.items():
-                setattr(cli, attr, fn)
+            tracer.uninstall()
             os.chdir(cwd)
         if code != 0:
             raise RuntimeError(f"{' '.join(argv)} exited {code}")
         files = [Path(work) / "out" / name for name in outputs]
         sizes = {f.name: f.stat().st_size for f in files}
         digests = {f.name: _sha256(f) for f in files}
+    summary = tracing.summarise(tracer.spans)
+    summary["command"] = summary.pop(tracing.ROOT)
     return {
         "counts": counts,
-        "seconds": {stage: to_reference(t, before, after) for stage, t in seconds.items()},
+        "seconds": {name: run.to_reference(row["inclusive_s"], before, after) for name, row in summary.items()},
         "bytes": sizes,
         "sha256": digests,
     }
@@ -219,7 +184,7 @@ def ladder_row(n: int, max_dim: int | None, tie_prob: float) -> dict:
     if max_dim is not None:
         argv += ["--max-dim", str(max_dim)]
     csv = "".join(",".join(map(repr, row)) + "\n" for row in dist)
-    run = _timed_command(argv + ["--svg"], {f"n{n}.csv": csv}, STAGES, OUTPUTS)
+    run = _timed_command(argv + ["--svg"], {f"n{n}.csv": csv}, OUTPUTS)
     counts = run.pop("counts")
     return {
         "n": n,
@@ -259,7 +224,7 @@ def labelled_row(kind: str, vertices: int) -> dict:
     reference-core seconds."""
     data, flags = labelled_input(kind, vertices)
     argv = ["labelled", "--input", "in.json", *flags]
-    run = _timed_command(argv, {"in.json": json.dumps(data)}, LABELLED_STAGES, ("report.json",))
+    run = _timed_command(argv, {"in.json": json.dumps(data)}, ("report.json",))
     del run["counts"]
     return {"kind": kind, "vertices": vertices, "faces": 2**vertices - 1, **run, "peak_rss_mib": _peak_rss_mib()}
 
@@ -348,13 +313,13 @@ def startup_run(first: tuple | None = None) -> dict:
     idealtda modules an import loads, which must agree over the imports.
     With ``first``, as :func:`_first_import_code` leaves it, the record adds
     that first import as ``first_seconds``."""
-    calibration_time, to_reference = _calibration()
+    run = _perfbench()
     out = {}
     if first is not None:
         elapsed, before, after, preloaded = first
         if preloaded:
             raise RuntimeError(f"{preloaded} were loaded before the first import")
-        out["first_seconds"] = to_reference(elapsed, before, after)
+        out["first_seconds"] = run.to_reference(elapsed, before, after)
     elif _loaded_modules():
         raise RuntimeError("idealtda is already imported")
     seconds = []
@@ -362,12 +327,12 @@ def startup_run(first: tuple | None = None) -> dict:
     for _ in range(IMPORTS):
         for name in _loaded_modules():
             del sys.modules[name]
-        before = calibration_time()
+        before = run.calibration_time()
         start = perf_counter()
         importlib.import_module("idealtda")
         importlib.import_module("idealtda.cli")
         elapsed = perf_counter() - start
-        seconds.append(to_reference(elapsed, before, calibration_time()))
+        seconds.append(run.to_reference(elapsed, before, run.calibration_time()))
         loaded = _loaded_modules()
         if modules not in (None, loaded):
             raise RuntimeError(f"an import loaded {loaded}, another {modules}")

@@ -167,7 +167,7 @@ def _barcodes_payload(args) -> tuple[dict, dict]:
         dist = load_distance_csv(args.input)
         filtration = vr_filtration(dist, args.max_dim)
     elif args.format == "points-json":
-        dist = points_to_distances(parse_points_json(_load_json(args.input), args.input))
+        dist = points_to_distances(parse_points_json(_load_json(args.input), args.input), args.input)
         filtration = vr_filtration(dist, args.max_dim)
     else:
         K = complex_from_dict(_load_json(args.input), args.input)

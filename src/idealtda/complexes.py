@@ -23,18 +23,18 @@ Bits are walked lowest first.  ``_iter_bits`` is the one helper for it,
 except in the loops that run once per face or facet: ``mask_face``, the
 facet walks of :class:`FaceOrder` and ``boundary_masks``, the superface
 probe of ``_maximal_masks`` (the SR final check, which a simplex skips),
-``_cliques``, ``_edge_levels`` and, in ``persistence``, the EDGE
-maximality test spell the walk inline
-(``bit = rest & -rest; rest ^= bit``), which saves a generator frame
-per face.  Masks are nonnegative: a negative int has infinitely many set
+the edge walk of ``clique_complex``, ``_edge_levels`` and, in
+``persistence``, the EDGE maximality test spell the walk inline
+(``bit = rest & -rest; rest ^= bit``), which saves a generator frame per
+face.  Masks are nonnegative: a negative int has infinitely many set
 bits, so ``mask_face``, ``SimplicialComplex`` and ``FaceOrder`` refuse
 one.
 
-``_cliques`` enumerates the cliques of a graph for ``clique_complex``.
-Vietoris-Rips complexes do not use it: ``vr_filtration`` inserts the
-edges in filtration order and lists, at each edge, the cliques that it
-closes (``_edge_levels``).  Both walks and the downward closure of input
-faces stop with a ``ValueError`` beyond ``MAX_FACES`` faces.
+``clique_complex`` and ``vr_filtration`` list cliques by one walk
+(Zomorodian 2010): they insert the edges one at a time, by mask and in
+filtration order, and list at each edge the cliques that it closes
+(``_edge_levels``).  The walk and the downward closure of input faces
+stop with a ``ValueError`` beyond ``MAX_FACES`` faces.
 """
 
 from __future__ import annotations
@@ -432,33 +432,31 @@ class Filtration:
         return SimplicialComplex(self.n, frozenset(m for m, b in self.birth_map.items() if b <= t))
 
 
-def _cliques(g: Graph, max_size: int) -> list[int]:
-    """Cliques of g with at most max_size vertices, depth-first on a stack
-    of (clique, common neighbours above its top vertex).  A clique is listed
-    after the clique without its top vertex and after that clique's other
-    extensions."""
-    adj = g.adjacency
-    out: list[int] = []
-    stack = [(0, (1 << g.n) - 1)]
-    while stack:
-        mask, cand = stack.pop()
-        grow = mask.bit_count() + 1 < max_size
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            out.append(mask | bit)
-            if grow and (common := cand & adj[bit.bit_length()]):
-                stack.append((mask | bit, common))
-        _check_face_budget(len(out))
-    return out
-
-
 def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
-    """Complex of all cliques of g with dimension <= max_dim (default n-1)."""
+    """Complex of all cliques of g with dimension <= max_dim (default n-1),
+    listed as ``vr_filtration`` lists them: the vertices, then g's edges one
+    at a time, by mask, each with the cliques that it closes
+    (``_edge_levels``).  In mask order an edge closes the cliques whose top
+    two vertices it holds, so their other vertices are its ends' common
+    neighbours below its lower end."""
     max_size = g.n if max_dim is None else max_dim + 1
     if max_size < 1:
         raise ValueError("max_dim must be nonnegative")
-    return SimplicialComplex(g.n, frozenset(_cliques(g, max_size)))
+    _check_face_budget(g.n)
+    faces = [1 << v for v in range(g.n)]
+    adj = {bit: g.adjacency[bit.bit_length()] for bit in faces}  # vertex bit -> its neighbours
+    for hi in adj if max_size > 1 else ():
+        below = adj[hi] & (hi - 1)
+        while below:
+            lo = below & -below
+            below ^= lo
+            if max_size > 2 and (common := adj[lo] & adj[hi] & (lo - 1)):
+                levels = _edge_levels(lo | hi, common, adj, max_size, len(faces) + 1)
+                faces += [m for level in levels for m, _ in level]
+            else:
+                _check_face_budget(len(faces) + 1)
+                faces.append(lo | hi)
+    return SimplicialComplex(g.n, frozenset(faces))
 
 
 def full_subcomplex(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex:

@@ -100,17 +100,24 @@ def parse_distance_csv(text: str, origin: str = "<input>") -> list[list[float]]:
 
 
 def load_distance_csv(path) -> list[list[float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_distance_csv(fh.read(), origin=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return parse_distance_csv(text, origin=str(path))
 
 
-def points_to_distances(points: Sequence[Sequence[float]]) -> list[list[float]]:
-    """Euclidean distance matrix of a coordinate list."""
+def points_to_distances(points: Sequence[Sequence[float]], origin: str = "<input>") -> list[list[float]]:
+    """Euclidean distance matrix of a coordinate list; finite coordinates
+    can still be too far apart for a float, and ``origin`` names them."""
     n = len(points)
     out = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             d = math.dist(points[i], points[j])
+            if d == math.inf:
+                raise InputError(f"{origin}: points {i + 1} and {j + 1} are too far apart for a float distance")
             out[i][j] = out[j][i] = d
     return out
 
@@ -544,8 +551,8 @@ def _svg_drawing(barcodes: Sequence[Barcode]) -> tuple:
             for (key, birth, death), v in zip(bars, vertices):
                 if birth is not pb or death is not pd:
                     pb, pd = birth, death
-                    x0 = left + span * birth / tmax
-                    w = ax - x0 if death is None else left + span * death / tmax - x0
+                    x0 = left + span * (birth / tmax)  # birth / tmax <= 1, so no product overflows
+                    w = ax - x0 if death is None else left + span * (death / tmax) - x0
                     xw = (f"{x0:.3f}", f"{max(w, 1.0):.3f}")
                 label = f"&lt;x{',x'.join(v)}&gt;" if v else "&lt;0&gt;" if v is not None else dims[key]
                 parts.append(

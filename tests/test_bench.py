@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import idealtda
 from idealtda import cli
 from idealtda.verify import random_metric
 
@@ -27,6 +28,15 @@ def _bench_module():
     return module
 
 
+def _bound(tracing) -> dict:
+    """Every attribute that the tracer binds, as it is bound now."""
+    return {(mod, attr): getattr(getattr(idealtda, mod), attr) for mod, attr, _ in tracing.BINDINGS}
+
+
+def _layers(tracing, workload: str) -> set[str]:
+    return {name for name, (_, on) in tracing.LAYERS.items() if workload in on}
+
+
 @pytest.mark.parametrize(
     "n, max_dim, tie_prob, faces, flags",
     [(6, 2, 0.0, 6 + 15 + 20, ["--max-dim", "2"]), (5, None, 0.0, 2**5 - 1, []), (6, None, 0.5, 2**6 - 1, [])],
@@ -36,16 +46,17 @@ def test_ladder_row_keys(tmp_path, monkeypatch, n, max_dim, tie_prob, faces, fla
     bench = _bench_module()
     assert all(len(rung) == 3 for rung in bench.LADDER)
     assert (16, None, 0.5) in bench.LADDER  # one row takes the walk of a tied filtration
-    bound = {attr: getattr(cli, attr) for attr in bench.STAGES}
+    tracing = bench._perfbench().tracing
+    bound = _bound(tracing)
     row = bench.ladder_row(n, max_dim, tie_prob)
-    assert {attr: getattr(cli, attr) for attr in bench.STAGES} == bound
+    assert _bound(tracing) == bound  # the tracer is uninstalled
     assert set(row) == {"n", "max_dim", "tie_prob", "faces", "steps", "bars", "seconds", "bytes", "sha256", "peak_rss_mib"}
     assert (row["n"], row["max_dim"], row["tie_prob"], row["faces"]) == (n, max_dim, tie_prob, faces)
     assert set(row["bars"]) == {"SR", "EDGE", "PH"} and all(v > 0 for v in row["bars"].values())
-    # dumps_json writes barcodes.json and barcodes.svg in one walk, so no stage draws the SVG alone
-    assert set(row["seconds"]) == {
-        "command", "parse", "vr_filtration", "sr", "edge", "ph_barcode", "dumps_json", "coverage_report",
-    }
+    # the command and each layer the traced rips_trunc workload reaches; serialize.write
+    # writes barcodes.json and barcodes.svg in one walk, so no layer draws the SVG alone
+    assert set(row["seconds"]) == {"command"} | _layers(tracing, "rips_trunc")
+    assert all(0 < t <= row["seconds"]["command"] for t in row["seconds"].values())
     assert set(row["bytes"]) == set(row["sha256"]) == set(bench.OUTPUTS)
     assert all(v > 0 for v in row["bytes"].values()) and row["peak_rss_mib"] > 0
     # the row digests the files the command itself writes
@@ -80,13 +91,18 @@ def test_fresh_ladder_row_aggregates_its_runs(monkeypatch):
 def test_labelled_row_keys(tmp_path, monkeypatch, kind):
     bench = _bench_module()
     assert all(vertices <= 9 for _, vertices in bench.LABELLED_LADDER)  # MAX_LABELLED_FACES
-    bound = {attr: getattr(cli, attr) for attr in bench.LABELLED_STAGES}
+    tracing = bench._perfbench().tracing
+    bound = _bound(tracing)
     row = bench.labelled_row(kind, 4)
-    assert {attr: getattr(cli, attr) for attr in bench.LABELLED_STAGES} == bound
+    assert _bound(tracing) == bound  # the tracer is uninstalled
     assert set(row) == {"kind", "vertices", "faces", "seconds", "bytes", "sha256", "peak_rss_mib"}
     assert (row["kind"], row["vertices"], row["faces"]) == (kind, 4, 15)
-    slice_stage = {"graded_slice"} if kind == "monomial" else set()
-    assert set(row["seconds"]) == {"command", *bench.LABELLED_STAGES} - {"graded_slice"} | slice_stage
+    # the point is admissible, so no window is taken; only --alpha takes the
+    # graded slice, whose check is the one classical_betti call over QQ
+    unused = {"labelled.local_subcomplex"}
+    if kind == "composite":
+        unused |= {"labelled.graded_slice", "labelled.slice_iso_check", "labelled.classical_betti"}
+    assert set(row["seconds"]) == {"command"} | _layers(tracing, "labelled") - unused
     assert set(row["bytes"]) == set(row["sha256"]) == {"report.json"}
     # the row digests the report the command itself writes
     monkeypatch.chdir(tmp_path)

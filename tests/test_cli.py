@@ -587,6 +587,40 @@ def test_barcodes_rejects_non_finite_points(tmp_path, capsys, token):
     assert "point 2 coordinate 2 is not finite" in capsys.readouterr().err
 
 
+def test_barcodes_names_a_csv_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff,1\n1,0\n")
+    assert main(["barcodes", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
+def test_barcodes_names_points_too_far_apart(tmp_path, capsys):
+    # each coordinate is finite, but their distance overflows a float
+    path = tmp_path / "far.json"
+    path.write_text('{"points": [[0, 0], [1e308, 0], [-1e308, 0]]}')
+    argv = ["barcodes", "--input", str(path), "--format", "points-json", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: points 2 and 3 are too far apart for a float distance\n"
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e308])
+def test_barcodes_svg_coordinates_stay_finite(tmp_path, scale):
+    # a coordinate scaled as span * birth / tmax overflows on such cells
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(",".join(repr(abs(i - j) * (scale / 2)) for j in range(3)) for i in range(3)))
+    assert main(["barcodes", "--input", str(path), "--out", str(tmp_path / "o"), "--svg"]) == 0
+    root = ET.fromstring((tmp_path / "o" / "barcodes.svg").read_text())
+    numbers = [
+        float(token)
+        for element in root.iter()
+        for name, value in element.attrib.items()
+        if name in ("x", "y", "width", "height", "viewBox", "d", "x1", "x2", "y1", "y2")
+        for token in value.split()
+        if token not in ("M", "L", "Z")
+    ]
+    assert len(numbers) > 20 and all(map(math.isfinite, numbers))
+
+
 _LABELLED = '"atoms": ["x1"], "labels": [[1], [1]]'
 _HUGE = "1" + "0" * 20
 _TOO_MANY = "'n' exceeds the supported maximum of 512"

@@ -146,18 +146,21 @@ def test_clique_complex_edgeless_and_k4():
 
 def test_clique_complex_matches_predicate_oracle():
     rng = random.Random(1)
-    for _ in range(25):
-        n = rng.randint(1, 7)
-        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5]
+    graphs = [(rng.randint(1, 9), density) for density in (0.0, 0.25, 0.5, 0.75, 1.0) for _ in range(8)]
+    for n, density in graphs:
+        edges = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < density}
         g = Graph.from_edges(n, edges)
-        for max_dim in (None, 0, 1):
+        for max_dim in (None, 0, 1, 2):
             K = clique_complex(g, max_dim)
             top = n if max_dim is None else max_dim + 1
             # oracle: a subset is a face iff every pair is an edge
-            for size in range(1, n + 1):
-                for comb in combinations(range(1, n + 1), size):
-                    is_clique = all(pair in edges for pair in combinations(comb, 2))
-                    assert has_face(K, comb) == (is_clique and size <= top)
+            want = [
+                comb
+                for size in range(1, top + 1)
+                for comb in combinations(range(1, n + 1), size)
+                if all(pair in edges for pair in combinations(comb, 2))
+            ]
+            assert sorted(K.faces()) == sorted(want)
 
 
 def test_full_subcomplex_triangle():
@@ -318,13 +321,16 @@ def test_vr_filtration_brute_force_oracle():
 def test_face_budget(monkeypatch):
     # each build passes with the budget at its exact face count and refuses
     # one below it; the five-point VR filtrations check the budget once per
-    # level of each edge's new faces, tie-free and tied, whole and at max_dim 2
+    # level of each edge's new faces, tie-free and tied, whole and at max_dim 2,
+    # and the clique complex counts every face, also at max_dim 1 and 0
     triangle = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     distinct = [[abs(i - j) + (i + j) / 16 if i != j else 0.0 for j in range(5)] for i in range(5)]
     tied = [[float(i != j) for j in range(5)] for i in range(5)]
     builds = (
         (7, lambda: vr_filtration(triangle).birth_map),
         (7, lambda: clique_complex(Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])).face_masks),
+        (6, lambda: clique_complex(Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)]), max_dim=1).face_masks),
+        (3, lambda: clique_complex(Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)]), max_dim=0).face_masks),
         (7, lambda: SimplicialComplex.from_faces(3, [(1, 2, 3)], close=True).face_masks),
         (31, lambda: vr_filtration(distinct).birth_map),
         (31, lambda: vr_filtration(tied).birth_map),

@@ -255,6 +255,58 @@ def test_final_check_still_fires_on_untruncated_vr(monkeypatch):
     assert calls == ["SR"] * 18
 
 
+def _alive(barcode, t):
+    return [key for key, birth, death in barcode.bars if birth <= t and (death is None or t < death)]
+
+
+def _assert_bars_recover_the_steps(f, ph=None):
+    """At every parameter t the bars alive at t give back K_t and G_t: the
+    complements of the live SR primes are the facets of K_t, found by
+    probing each face's facets, and a vertex pair lies in no live EDGE set
+    (the complement of an EDGE prime) exactly when it is an edge of G_t,
+    the 1-skeleton of K_t.  With ``ph`` (the PH barcode of ``f``), the PH
+    bars alive at t also count the Betti numbers of K_t, by the rank
+    route."""
+    universe = (1 << f.n) - 1
+    sr, edge = prime_barcode(f, "SR"), prime_barcode(f, "EDGE")
+    for t in f.params:
+        K = [m for m, birth in f.birth_map.items() if birth <= t]
+        covered = {m ^ bit for m in K for bit in _iter_bits(m)}
+        assert sorted(universe ^ m for m in _alive(sr, t)) == sorted(set(K) - covered), t
+        neighbours = [0] * f.n
+        for m in K:
+            if m.bit_count() == 2:
+                lo = m & -m
+                neighbours[lo.bit_length() - 1] |= m ^ lo
+                neighbours[(m ^ lo).bit_length() - 1] |= lo
+        # the union of the live sets that contain v is v and its non-neighbours
+        union = [0] * f.n
+        for I in (universe ^ m for m in _alive(edge, t)):
+            for bit in _iter_bits(I):
+                union[bit.bit_length() - 1] |= I
+        assert union == [universe ^ adj for adj in neighbours], t
+        if ph is not None:
+            betti = persistence.classical_betti(SimplicialComplex(f.n, frozenset(K)), GF2)
+            assert [ph.count_at(t, k) for k in betti] == list(betti.values()), t
+
+
+def test_bars_recover_the_complex_the_graph_and_the_betti_numbers():
+    # seeded VR filtrations on at most 8 points, with and without ties
+    rng = random.Random(40)
+    for tie_prob in (0.0, 0.5):
+        for _ in range(40):
+            n, max_dim = rng.randint(1, 8), rng.choice([None, 0, 1, 2])
+            f = vr_filtration(random_metric(rng, n, tie_prob), max_dim)
+            _assert_bars_recover_the_steps(f, ph_barcode(f))
+
+
+def test_bars_recover_the_complex_and_the_graph_at_ladder_size():
+    # the n=30 row of the scripts/bench.py ladder: 4525 faces over 436 steps
+    f = vr_filtration(random_metric(random.Random(30), 30, 0.0), 2)
+    assert (len(f.birth_map), len(f.params)) == (4525, 436)
+    _assert_bars_recover_the_steps(f)
+
+
 def test_custom_ideal_family_recipe(three_point_filtration):
     # the bars of any monotone square-free family: decompose every step and
     # read off the runs; on the face ideals they are the SR closed form
