@@ -10,21 +10,25 @@ The file holds the Python version and the platform, then:
   a row runs the command ``barcodes --format dist-csv --max-dim D --svg``
   (without ``--max-dim`` when D is None, so all 2^n - 1 faces) on the
   random metric ``verify.random_metric(Random(n), n, tie_prob)`` through
-  ``cli.main``, under the tracer of ``perfbench/tracing.py``: the command
-  is its root span, and each layer of its ``LAYERS`` that records a call
-  is timed on its own, by its inclusive seconds, under its ``LAYERS`` name
-  (``serialize.write`` writes ``barcodes.json`` and ``barcodes.svg`` in
-  one walk over the bars, and ``report.json``).  The seconds are
+  ``cli.main``.  A traced run runs it under the tracer of
+  ``perfbench/tracing.py``: the command is its root span, and each layer
+  of its ``LAYERS`` that records a call is timed on its own, by its
+  inclusive seconds, under its ``LAYERS`` name (``serialize.write`` writes
+  ``barcodes.json`` and ``barcodes.svg`` in one walk over the bars, and
+  ``report.json``).  An untraced run times the command alone, so that its
+  seconds carry no cost of the tracer's wrappers.  The seconds are
   reference-core seconds: the command runs between two runs of the
   calibration loop of ``perfbench/run.py`` and is scaled by its
-  ``to_reference``.  Each row is run ``RUNS`` times, each in a fresh
-  interpreter so that its peak RSS is its own, and records the faces,
-  steps and bars (read off the traced filtration and barcodes as they are
-  returned), the size and SHA-256 digest of each output file, which must
-  agree over the runs, and the median and the spread (largest minus
-  smallest) of the seconds and of the peak RSS;
+  ``to_reference``.  Each row is run ``RUNS`` times traced and ``RUNS``
+  times untraced, each in a fresh interpreter so that its peak RSS is its
+  own, and records the faces, steps and bars (read off the traced
+  filtration and barcodes as they are returned), the size and SHA-256
+  digest of each output file, which must agree over all the runs, and the
+  median and the spread (largest minus smallest) of the seconds and of
+  the peak RSS: ``command`` and the peak RSS from the untraced runs, each
+  layer from the traced ones;
 * ``labelled_ladder``: one row per (kind, vertices) of ``LABELLED_LADDER``,
-  run, traced, calibrated and aggregated like the ``ladder`` rows.  A run
+  run, traced, timed, calibrated and aggregated like the ``ladder`` rows.  A run
   of a row runs ``labelled`` on the full simplex on that many vertices
   (127, 255 or 511 faces) with labels seeded by ``Random(vertices)``: kind
   ``composite`` over two variables and two composite atoms with
@@ -61,6 +65,7 @@ which stays as it is, so the list of timed layers lives only in
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.util
 import json
@@ -119,14 +124,14 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _timed_command(argv: list[str], inputs: dict[str, str], outputs: tuple[str, ...]) -> dict:
+def _timed_command(argv: list[str], inputs: dict[str, str], outputs: tuple[str, ...], traced: bool = True) -> dict:
     """One ``cli.main(argv + ["--out", "out"])`` in a temporary directory
     holding ``inputs`` (file name -> text), traced as the root span of the
-    tracer of ``perfbench/tracing.py``.  Returns the inclusive seconds of
-    the command and of each layer that recorded a call, in reference-core
-    seconds; the sizes read off the traced returns, the faces and steps of
-    a filtration and the bars of each barcode, by kind; and the size and
-    the digest of each output file."""
+    tracer of ``perfbench/tracing.py`` when ``traced``.  Returns the
+    inclusive seconds of the command and, when traced, of each layer that
+    recorded a call, in reference-core seconds; the sizes read off the
+    traced returns, the faces and steps of a filtration and the bars of
+    each barcode, by kind; and the size and the digest of each output file."""
     import idealtda
     from idealtda.complexes import Filtration
     from idealtda.persistence import Barcode
@@ -151,9 +156,14 @@ def _timed_command(argv: list[str], inputs: dict[str, str], outputs: tuple[str, 
             os.chdir(work)
             for name, text in inputs.items():
                 Path(name).write_text(text)
-            tracer.install(idealtda)
+            main = idealtda.cli.main
+            if traced:
+                tracer.install(idealtda)
+                main = functools.partial(tracer.call, tracing.ROOT, main)
             before = run.calibration_time()
-            code = tracer.call(tracing.ROOT, idealtda.cli.main, argv + ["--out", "out"])
+            start = perf_counter()
+            code = main(argv + ["--out", "out"])
+            elapsed = perf_counter() - start
             after = run.calibration_time()
         finally:
             tracer.uninstall()
@@ -163,20 +173,23 @@ def _timed_command(argv: list[str], inputs: dict[str, str], outputs: tuple[str, 
         files = [Path(work) / "out" / name for name in outputs]
         sizes = {f.name: f.stat().st_size for f in files}
         digests = {f.name: _sha256(f) for f in files}
-    summary = tracing.summarise(tracer.spans)
-    summary["command"] = summary.pop(tracing.ROOT)
+    seconds = {tracing.ROOT: elapsed}
+    if traced:
+        seconds = {name: row["inclusive_s"] for name, row in tracing.summarise(tracer.spans).items()}
+    seconds["command"] = seconds.pop(tracing.ROOT)
     return {
         "counts": counts,
-        "seconds": {name: run.to_reference(row["inclusive_s"], before, after) for name, row in summary.items()},
+        "seconds": {name: run.to_reference(t, before, after) for name, t in seconds.items()},
         "bytes": sizes,
         "sha256": digests,
     }
 
 
-def ladder_row(n: int, max_dim: int | None, tie_prob: float) -> dict:
+def ladder_row(n: int, max_dim: int | None, tie_prob: float, traced: bool = True) -> dict:
     """One run of ``barcodes --svg`` on the seeded n-point metric with tie
     probability tie_prob, up to dimension max_dim (all dimensions when
-    None), in reference-core seconds."""
+    None), in reference-core seconds; untraced, only the command's seconds,
+    the output files and the peak RSS."""
     from idealtda.verify import random_metric
 
     dist = random_metric(random.Random(n), n, tie_prob)
@@ -184,8 +197,10 @@ def ladder_row(n: int, max_dim: int | None, tie_prob: float) -> dict:
     if max_dim is not None:
         argv += ["--max-dim", str(max_dim)]
     csv = "".join(",".join(map(repr, row)) + "\n" for row in dist)
-    run = _timed_command(argv + ["--svg"], {f"n{n}.csv": csv}, OUTPUTS)
+    run = _timed_command(argv + ["--svg"], {f"n{n}.csv": csv}, OUTPUTS, traced)
     counts = run.pop("counts")
+    if not traced:
+        return {**run, "peak_rss_mib": _peak_rss_mib()}
     return {
         "n": n,
         "max_dim": max_dim,
@@ -219,12 +234,12 @@ def labelled_input(kind: str, vertices: int) -> tuple[dict, list[str]]:
     return data, flags
 
 
-def labelled_row(kind: str, vertices: int) -> dict:
+def labelled_row(kind: str, vertices: int, traced: bool = True) -> dict:
     """One run of ``labelled`` on the input of :func:`labelled_input`, in
-    reference-core seconds."""
+    reference-core seconds; untraced, only the command's seconds."""
     data, flags = labelled_input(kind, vertices)
     argv = ["labelled", "--input", "in.json", *flags]
-    run = _timed_command(argv, {"in.json": json.dumps(data)}, ("report.json",))
+    run = _timed_command(argv, {"in.json": json.dumps(data)}, ("report.json",), traced)
     del run["counts"]
     return {"kind": kind, "vertices": vertices, "faces": 2**vertices - 1, **run, "peak_rss_mib": _peak_rss_mib()}
 
@@ -254,29 +269,38 @@ def _fresh_runs(
     return rows
 
 
-def _fresh_row(call: str, fixed: tuple[str, ...]) -> dict:
-    """``RUNS`` runs of ``bench.<call>``, each in a fresh interpreter: the
-    ``fixed`` keys, which every run must repeat, and the median and the
-    spread of the seconds of each stage and of the peak RSS."""
-    rows = _fresh_runs(call, fixed)
+def _fresh_row(call: str, args: str, fixed: tuple[str, ...]) -> dict:
+    """``RUNS`` traced and ``RUNS`` untraced runs of ``bench.<call>(<args>)``,
+    each in a fresh interpreter: the ``fixed`` keys, which every traced run
+    must repeat, and the median and the spread of the seconds of each
+    stage, the command's from the untraced runs, and of their peak RSS.
+    Every run must write the same files."""
+    rows = _fresh_runs(f"{call}({args})", fixed)
+    timed = _fresh_runs(f"{call}({args}, traced=False)", ("bytes", "sha256"))
+    if timed[0]["sha256"] != rows[0]["sha256"]:
+        raise RuntimeError(f"{call}({args}) writes other files untraced")
     out = {key: rows[0][key] for key in fixed}
     out["runs"] = RUNS
-    stages = {stage: _median_and_spread([row["seconds"][stage] for row in rows]) for stage in rows[0]["seconds"]}
+    seconds = {stage: [row["seconds"][stage] for row in rows] for stage in rows[0]["seconds"]}
+    seconds["command"] = [row["seconds"]["command"] for row in timed]
+    stages = {stage: _median_and_spread(values) for stage, values in seconds.items()}
     out["seconds"] = {stage: m for stage, (m, _) in stages.items()}
     out["seconds_spread"] = {stage: s for stage, (_, s) in stages.items()}
-    out["peak_rss_mib"], out["peak_rss_mib_spread"] = _median_and_spread([row["peak_rss_mib"] for row in rows])
+    out["peak_rss_mib"], out["peak_rss_mib_spread"] = _median_and_spread([row["peak_rss_mib"] for row in timed])
     return out
 
 
 def fresh_ladder_row(n: int, max_dim: int | None, tie_prob: float) -> dict:
-    """``RUNS`` fresh-interpreter runs of one ``ladder`` row, aggregated."""
+    """``RUNS`` traced and ``RUNS`` untraced fresh-interpreter runs of one
+    ``ladder`` row, aggregated."""
     fixed = ("n", "max_dim", "tie_prob", "faces", "steps", "bars", "bytes", "sha256")
-    return _fresh_row(f"ladder_row({n}, {max_dim}, {tie_prob!r})", fixed)
+    return _fresh_row("ladder_row", f"{n}, {max_dim}, {tie_prob!r}", fixed)
 
 
 def fresh_labelled_row(kind: str, vertices: int) -> dict:
-    """``RUNS`` fresh-interpreter runs of one ``labelled_ladder`` row, aggregated."""
-    return _fresh_row(f"labelled_row({kind!r}, {vertices})", ("kind", "vertices", "faces", "bytes", "sha256"))
+    """``RUNS`` traced and ``RUNS`` untraced fresh-interpreter runs of one
+    ``labelled_ladder`` row, aggregated."""
+    return _fresh_row("labelled_row", f"{kind!r}, {vertices}", ("kind", "vertices", "faces", "bytes", "sha256"))
 
 
 def _loaded_modules() -> list[str]:

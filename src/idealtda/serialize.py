@@ -88,6 +88,8 @@ def parse_distance_csv(text: str, origin: str = "<input>") -> list[list[float]]:
                 raise InputError(
                     f"{origin}:{lineno}:{colno}: not a finite number: {cell.strip()!r}"
                 )
+            if value / 2 * 2 != value:  # a subnormal with an odd significand: the edge parameter would round
+                raise InputError(f"{origin}:{lineno}:{colno}: {cell.strip()!r} has no exact half as a float")
             row.append(value)
         rows.append(row)
     if not rows:
@@ -110,7 +112,8 @@ def load_distance_csv(path) -> list[list[float]]:
 
 def points_to_distances(points: Sequence[Sequence[float]], origin: str = "<input>") -> list[list[float]]:
     """Euclidean distance matrix of a coordinate list; finite coordinates
-    can still be too far apart for a float, and ``origin`` names them."""
+    can still be too far apart for a float, or at a subnormal distance with
+    no exact half, and ``origin`` names them."""
     n = len(points)
     out = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -118,6 +121,8 @@ def points_to_distances(points: Sequence[Sequence[float]], origin: str = "<input
             d = math.dist(points[i], points[j])
             if d == math.inf:
                 raise InputError(f"{origin}: points {i + 1} and {j + 1} are too far apart for a float distance")
+            if d / 2 * 2 != d:
+                raise InputError(f"{origin}: points {i + 1} and {j + 1} are {d!r} apart, which has no exact half as a float")
             out[i][j] = out[j][i] = d
     return out
 

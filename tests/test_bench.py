@@ -97,11 +97,12 @@ def test_labelled_row_keys(tmp_path, monkeypatch, kind):
     assert _bound(tracing) == bound  # the tracer is uninstalled
     assert set(row) == {"kind", "vertices", "faces", "seconds", "bytes", "sha256", "peak_rss_mib"}
     assert (row["kind"], row["vertices"], row["faces"]) == (kind, 4, 15)
-    # the point is admissible, so no window is taken; only --alpha takes the
-    # graded slice, whose check is the one classical_betti call over QQ
-    unused = {"labelled.local_subcomplex"}
+    # the point is admissible and diag_relation holds, so no window is taken and
+    # the evaluation's ranks are the classical QQ ones; only --alpha takes the
+    # graded slice, whose subcomplex is the whole complex, ranked by them too
+    unused = {"labelled.local_subcomplex", "labelled.evaluate_chain", "labelled.classical_betti"}
     if kind == "composite":
-        unused |= {"labelled.graded_slice", "labelled.slice_iso_check", "labelled.classical_betti"}
+        unused |= {"labelled.graded_slice", "labelled.slice_iso_check"}
     assert set(row["seconds"]) == {"command"} | _layers(tracing, "labelled") - unused
     assert set(row["bytes"]) == set(row["sha256"]) == {"report.json"}
     # the row digests the report the command itself writes
@@ -113,6 +114,19 @@ def test_labelled_row_keys(tmp_path, monkeypatch, kind):
     assert hashlib.sha256(report).hexdigest() == row["sha256"]["report.json"]
     assert json.loads(report)["evaluation"]["admissible"] is True
     assert ("slice" in json.loads(report)) == (kind == "monomial")
+
+
+def test_untraced_rows_time_the_command_alone():
+    bench = _bench_module()
+    tracing = bench._perfbench().tracing
+    bound = _bound(tracing)
+    row = bench.labelled_row("composite", 4, traced=False)
+    assert _bound(tracing) == bound  # no tracer was installed
+    assert set(row["seconds"]) == {"command"} and row["seconds"]["command"] > 0
+    assert row["sha256"] == bench.labelled_row("composite", 4)["sha256"]
+    row = bench.ladder_row(5, None, 0.0, traced=False)
+    assert set(row) == {"seconds", "bytes", "sha256", "peak_rss_mib"} and set(row["seconds"]) == {"command"}
+    assert row["sha256"] == bench.ladder_row(5, None, 0.0)["sha256"]
 
 
 def test_fresh_startup_keys(monkeypatch):

@@ -11,13 +11,14 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from idealtda import cli, serialize
+from idealtda import cli, labelled, serialize
 from idealtda.cli import MAX_VERIFY_N, main
 from idealtda.complexes import MAX_FACES
-from idealtda.linalg import MAX_MODULUS
-from idealtda.persistence import MAX_EDGE_BARS
+from idealtda.labelled import BoundaryMatrices, ChainMatrix, InadmissiblePointError
+from idealtda.linalg import MAX_MODULUS, QQ, parse_field
+from idealtda.persistence import MAX_EDGE_BARS, betti_from_ranks, classical_betti, classical_boundary_ranks
 from idealtda.serialize import MAX_EXPONENT, MAX_LABELLED_FACES, dumps_json
-from idealtda.verify import random_metric
+from idealtda.verify import random_complex as verify_random_complex, random_metric
 
 
 @pytest.fixture
@@ -469,6 +470,215 @@ def test_labelled_early_point_check_is_no_stricter_than_evaluation(tmp_path):
     assert json.loads((out / "report.json").read_text())["evaluation"]["admissible"] is True
 
 
+_HOLLOW_TRIANGLE = {"n": 3, "faces": [[1, 2], [1, 3], [2, 3]], "atoms": ["x1"], "labels": [[1], [0], [2]]}
+
+
+def _labelled_report(tmp_path, data, flags) -> dict:
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main(["labelled", "--input", str(path), "--out", str(tmp_path / "o")] + flags) == 0
+    return json.loads((tmp_path / "o" / "report.json").read_text())
+
+
+def test_labelled_admissible_point_ranks_nothing_twice(tmp_path, worked_json, monkeypatch):
+    # diag_relation holds and the point is admissible, so the evaluation's
+    # Betti numbers are the classical ones; the slice is the reduced complex
+    # of its subcomplex, so its Betti numbers are the subcomplex's
+    def unused(*args):
+        raise AssertionError("a rank the report already has was computed again")
+
+    monkeypatch.setattr(cli, "evaluate_chain", unused)
+    monkeypatch.setattr(labelled.EvaluatedChain, "betti", unused)
+    flags = ["--alpha", "0,1,1,1", "--point", "x1=1,x2=2,x3=1/2,x4=-3"]
+    report = _labelled_report(tmp_path, json.loads(worked_json.read_text()), flags)
+    assert report["diag_relation"] is True and report["evaluation"]["equal"] is True
+    assert report["slice"]["iso"] is True
+    assert report["slice"]["betti"] == report["slice"]["subcomplex_betti"] == {"-1": 0, "0": 1, "1": 0}
+
+
+def test_labelled_broken_entry_is_reported_from_the_evaluated_ranks(tmp_path, monkeypatch):
+    # one flipped sign makes d_1 of the hollow triangle invertible: the
+    # evaluation must rank its own matrices, not reuse the classical ranks
+    tampered = []
+
+    def load(data, **kwargs):
+        LC = serialize.labelled_from_dict(data, **kwargs)
+        bm = labelled.boundary_matrices(LC)
+        cm = bm.matrix(1)
+        (i, sign, exps), *rest = cm.columns[0]
+        columns = (((i, -sign, exps), *rest), *cm.columns[1:])
+        flipped = ChainMatrix(cm.k, cm.rows, cm.cols, columns)
+        LC.__dict__["_boundary"] = BoundaryMatrices(tuple(flipped if m is cm else m for m in bm.matrices))
+        tampered.append(LC)
+        return LC
+
+    calls = []
+
+    def evaluate(*args):
+        calls.append(args)
+        return labelled.evaluate_chain(*args)
+
+    monkeypatch.setattr(cli, "labelled_from_dict", load)
+    monkeypatch.setattr(cli, "evaluate_chain", evaluate)
+    report = _labelled_report(tmp_path, _HOLLOW_TRIANGLE, ["--point", "x1=2"])
+    assert report["diag_relation"] is False and len(calls) == 1
+    (LC,) = tampered
+    got = labelled.evaluate_chain(LC, cli._parse_point("x1=2"), QQ).betti()
+    assert got == {0: 0, 1: 0}
+    ev = report["evaluation"]
+    assert ev["betti"] == {str(k): v for k, v in got.items()}
+    assert ev["classical_betti"] == {"0": 1, "1": 1} and ev["equal"] is False
+
+
+def test_labelled_perturbed_slice_is_reported_from_its_own_ranks(tmp_path, worked_json, monkeypatch):
+    # a zeroed d_1 breaks the isomorphism with the subcomplex: the slice must
+    # rank its own matrices
+    calls = []
+
+    def perturbed(LC, alpha):
+        sl = labelled.graded_slice(LC, alpha)
+        sl.matrices[1] = [[0] * len(row) for row in sl.matrices[1]]
+        calls.append(sl)
+        return sl
+
+    betti = labelled.EvaluatedChain.betti
+
+    def spy(self):
+        calls.append(self)
+        return betti(self)
+
+    monkeypatch.setattr(cli, "graded_slice", perturbed)
+    monkeypatch.setattr(labelled.EvaluatedChain, "betti", spy)
+    report = _labelled_report(tmp_path, json.loads(worked_json.read_text()), ["--alpha", "0,1,1,1"])
+    sl, ranked = calls
+    assert ranked is sl and report["slice"]["iso"] is False
+    assert report["slice"]["betti"] == {str(k): v for k, v in betti(sl).items()} == {"-1": 0, "0": 2, "1": 1}
+    assert report["slice"]["subcomplex_betti"] == {"-1": 0, "0": 1, "1": 0}
+
+
+def test_labelled_prime_field_point_needs_unit_atoms(tmp_path, capsys):
+    # over GF(3) at x1 = 3, x2 = 1/3 the labels x1*x2 and x2*x3 are 1, but the
+    # edge label x1*x2*x3 and both label quotients, x3 and x1, vanish (x3 = 3),
+    # or are not in the field (x3 = 1/3): the labels' diagonal is not
+    # invertible, so the evaluated ranks are not the classical ones
+    data = {"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "x3"], "labels": [[1, 1, 0], [0, 1, 1]]}
+    flags = ["--field", "fp:3", "--point", "x1=3,x2=1/3,x3=3"]
+    ev = _labelled_report(tmp_path, data, flags)["evaluation"]
+    assert ev == {"admissible": True, "betti": {"0": 2, "1": 1}, "classical_betti": {"0": 1, "1": 0}, "equal": False}
+    data["labels"] = [[1, 1, 0], [1, 0, 1]]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    argv = ["labelled", "--input", str(path), "--field", "fp:3", "--point", "x1=3,x2=1/3,x3=1/3", "--out", str(tmp_path / "p")]
+    assert main(argv) == 2
+    assert "coordinate denominators are not invertible in fp:3" in capsys.readouterr().err
+
+
+def _ranked_sections(LC, field, point, alpha) -> dict:
+    """The evaluation and slice sections of the report, each Betti number
+    from its own rank route: the evaluated or sliced matrices, and the
+    classical ranks of the complex or subcomplex."""
+    out = {}
+    cl = classical_boundary_ranks(LC.complex, QQ, reduced=LC.reduced)
+    if point is not None:
+        try:
+            ev = labelled.evaluate_chain(LC, point, field)
+            got = ev.betti()
+            want = betti_from_ranks(ev.ncells, cl) if field is QQ else classical_betti(LC.complex, field, LC.reduced)
+            out["evaluation"] = {
+                "admissible": True,
+                "betti": {str(k): v for k, v in sorted(got.items())},
+                "classical_betti": {str(k): v for k, v in sorted(want.items())},
+                "equal": got == want,
+            }
+        except InadmissiblePointError as exc:
+            W, restricted = labelled.local_subcomplex(LC, point=point, field=field)
+            got = labelled.evaluate_chain(restricted, point, field).betti()
+            want = classical_betti(restricted.complex, field, reduced=LC.reduced)
+            out["evaluation"] = {
+                "admissible": False,
+                "vanishing": [[v, label] for v, label in exc.vanishing],
+                "window": list(W),
+                "window_betti": {str(k): v for k, v in sorted(got.items())},
+                "window_classical_betti": {str(k): v for k, v in sorted(want.items())},
+                "window_equal": got == want,
+            }
+    if alpha is not None:
+        sl = labelled.graded_slice(LC, alpha)
+        got = sl.betti()
+        want = classical_betti(sl.subcomplex, QQ, reduced=True)
+        out["slice"] = {
+            "alpha": list(alpha),
+            "window": [list(f) for f in sl.subcomplex.faces()],
+            "bases": {
+                str(k): [[list(face), str(cof)] for face, cof in basis] for k, basis in sl.bases.items()
+            },
+            "matrices": {str(k): [[str(e) for e in row] for row in mat] for k, mat in sl.matrices.items()},
+            "iso": labelled.slice_iso_check(sl),
+            "betti": {str(k): v for k, v in sorted(got.items())},
+            "subcomplex_betti": {str(k): want.get(k, 0) for k in sorted(got)},
+        }
+    return out
+
+
+def test_labelled_report_bytes_match_the_ranked_sections(tmp_path):
+    # seeded labelled inputs over variable and composite atoms, at points
+    # that may kill a label, put a denominator or a multiple of p into an
+    # atom, with and without --alpha (at times the lcm of the labels, so the
+    # slice is the whole complex): the report is byte for byte the one built
+    # from the ranked sections, or both refuse the point
+    rng = random.Random(41)
+    seen = set()
+    for t in range(80):
+        n = rng.randint(2, 6)
+        K = verify_random_complex(rng, n)
+        # t % 3 == 1: over GF(3) at x1 = 3, x2 = 1/3, labels that are units
+        # whose lcm, and so some label quotient, need not be
+        valued = t % 3 == 1
+        composite = t % 4 == 3 and not valued
+        atoms = ["x1", "x2", "x3"] + (["x1+x2"] if composite else [])
+        labels = [[rng.randint(0, 2) for _ in range(3)] + ([rng.randint(0, 1)] if composite else []) for _ in range(n)]
+        data = {"n": n, "faces": [list(f) for f in K.faces()], "atoms": atoms, "labels": labels}
+        if composite:
+            data["atom_polys"] = {"x1+x2": [[1, [1, 0, 0]], [1, [0, 1, 0]]]}
+        field_text = rng.choice(("q", "fp:2", "fp:3", "fp:5"))
+        choices = ("1", "2", "-1", "3", "5", "1/2", "1/3", "3/5", "0")
+        point_text = ",".join(f"x{j}={rng.choice(choices)}" for j in (1, 2, 3)) if rng.random() < 0.8 else None
+        if valued:
+            x3 = rng.choice(("3", "1/3"))
+            units = [[1, 1, 0], [2, 2, 0], [0, 0, 0]] + ([[0, 1, 1], [1, 2, 1]] if x3 == "3" else [[1, 0, 1], [2, 1, 1]])
+            labels[:] = [list(rng.choice(units)) for _ in range(n)]
+            field_text, point_text = "fp:3", f"x1=3,x2=1/3,x3={x3}"
+        alpha = None
+        if not composite and t % 2 == 0:
+            lcm = [max(col) for col in zip(*labels)]
+            alpha = lcm if rng.random() < 0.3 else [rng.randint(0, 2) for _ in range(3)]
+        flags = ["--field", field_text]
+        flags += ["--point", point_text] if point_text is not None else []
+        flags += ["--alpha", ",".join(map(str, alpha))] if alpha is not None else []
+        path = tmp_path / f"in{t}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / f"o{t}"
+        code = main(["labelled", "--input", str(path), "--out", str(out)] + flags)
+        LC = serialize.labelled_from_dict(data, reduced=alpha is not None)
+        point = cli._parse_point(point_text) if point_text is not None else None
+        if code == 2:
+            with pytest.raises(ValueError):
+                _ranked_sections(LC, parse_field(field_text), point, alpha)
+            seen.add("refused")
+            continue
+        assert code == 0
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
+        sections = _ranked_sections(LC, parse_field(field_text), point, alpha)
+        assert dumps_json({**report, **sections}) == text, (t, data, flags)
+        ev = sections.get("evaluation", {})
+        seen.add(("admissible", ev.get("admissible"), ev.get("equal")))
+        if alpha is not None:
+            seen.add(("whole", LC.complex == labelled.graded_slice(LC, alpha).subcomplex))
+    assert {"refused", ("admissible", True, True), ("admissible", True, False), ("admissible", False, None)} <= seen
+    assert {("whole", True), ("whole", False)} <= seen
+
+
 def test_labelled_atom_with_a_space_is_written_alike(tmp_path):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"n": 2, "faces": [[1, 2]], "atoms": ["a b", "c"], "labels": [[2, 0], [1, 1]]}))
@@ -601,6 +811,23 @@ def test_barcodes_names_points_too_far_apart(tmp_path, capsys):
     argv = ["barcodes", "--input", str(path), "--format", "points-json", "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}: points 2 and 3 are too far apart for a float distance\n"
+
+
+def test_barcodes_refuses_a_distance_without_an_exact_half(tmp_path, capsys):
+    # 5e-324 / 2 rounds to 0.0, which would give edge {1, 2} the birth of its
+    # vertices; 1e-323 = 2 * 5e-324 halves exactly
+    path = tmp_path / "tiny.csv"
+    path.write_text("0,5e-324,1\n5e-324,0,1\n1,1,0\n")
+    assert main(["barcodes", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1:2: '5e-324' has no exact half as a float\n"
+    path.write_text("0,1e-323,1\n1e-323,0,1\n1,1,0\n")
+    assert main(["barcodes", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["params"] == [0.0, 5e-324, 0.5]
+    path = tmp_path / "tiny.json"
+    path.write_text('{"points": [[0], [1], [1.5e-323]]}')
+    assert main(["barcodes", "--input", str(path), "--format", "points-json", "--out", str(tmp_path / "p")]) == 2
+    want = f"error: {path}: points 1 and 3 are 1.5e-323 apart, which has no exact half as a float\n"
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("scale", [1e306, 1e308])

@@ -11,7 +11,8 @@ checked walk, and on a tie-free one, whose order is the closed form of
 - relabel the vertices by a seeded permutation: the SR and EDGE bars map by
   it, as sets, and the PH bars are equal;
 - double every distance: every birth and death doubles exactly (a float
-  doubles without rounding), and the bars keep their order.
+  doubles without rounding), and the bars keep their order; also on
+  subnormal metrics whose halves are exact.
 
 At the same sizes the closed-form order equals the walk over its faces.
 One more relation crosses the input formats: a ``points-json`` cloud and the
@@ -103,6 +104,23 @@ def test_relabelled_vertices_relabel_the_prime_bars(n, max_dim, tie_prob):
 def test_doubled_distances_double_every_endpoint(n, max_dim, tie_prob):
     dist = _metric(n, tie_prob)
     doubled = [[2 * x for x in row] for row in dist]
+    for bc, bc2 in zip(_barcodes(dist, max_dim), _barcodes(doubled, max_dim)):
+        want = tuple((key, 2 * b, None if d is None else 2 * d) for key, b, d in bc.bars)
+        assert bc2.bars == want, bc.kind
+
+
+@pytest.mark.parametrize("n, max_dim", [(10, None), (16, 2)])
+def test_doubled_subnormal_distances_double_every_endpoint(n, max_dim):
+    # even multiples of the least subnormal 5e-324 halve exactly, and so do
+    # their doubles, so each distinct distance is a step of its own
+    rng = random.Random(n)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = 2 * rng.randint(1, 40) * 5e-324
+    doubled = [[2 * x for x in row] for row in dist]
+    assert all(x / 2 * 2 == x for row in dist + doubled for x in row)
+    assert len(vr_filtration(dist, max_dim).params) == len({x for row in dist for x in row})
     for bc, bc2 in zip(_barcodes(dist, max_dim), _barcodes(doubled, max_dim)):
         want = tuple((key, 2 * b, None if d is None else 2 * d) for key, b, d in bc.bars)
         assert bc2.bars == want, bc.kind

@@ -330,7 +330,7 @@ def _svg_oracle(groups) -> str:
         tmax = 1.0
 
     def x(t: float) -> float:
-        return left + span * t / tmax
+        return left + span * (t / tmax)  # t / tmax <= 1, as in barcodes_svg: no product overflows
 
     def escape(text: str) -> str:
         return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -455,6 +455,21 @@ def test_barcode_writers_match_their_oracles_on_seeded_filtrations():
                 seen["tmax <= 0"] |= all(t == "inf" or t <= 0 for iv in bars for t in (iv["birth"], iv["death"]))
     assert all(seen.values()), seen
     assert barcodes_svg([]) == _svg_oracle([])
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e307, 1e308])
+def test_barcode_writers_match_their_oracles_near_the_float_limit(scale):
+    # every distance lies in [0.7, 1] * scale: a coordinate scaled as
+    # span * t / tmax overflows at the largest ends, span * (t / tmax) does not
+    rng = random.Random(int(math.log10(scale)))
+    for n, max_dim in ((5, None), (7, 2)):
+        dist = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i][j] = dist[j][i] = rng.uniform(0.7, 1.0) * scale
+        f = vr_filtration(dist, max_dim)
+        assert 520.0 * max(f.params) == math.inf
+        _assert_writers_match_their_oracles([prime_barcode(f, "SR"), prime_barcode(f, "EDGE"), ph_barcode(f)])
 
 
 def _repeated_value_barcodes(rng: random.Random, values, masks) -> list:
