@@ -306,19 +306,6 @@ def _vanishing_vertices(LC: LabelledComplex, vertices: Iterable[int], values: Se
     return [v for v in vertices if not _to_field(field, power_value(values, labels[v - 1].exps))]
 
 
-def _unit_atoms(LC: LabelledComplex, values: Sequence, field) -> bool:
-    """Whether every atom of a vertex label is a unit of ``field`` at the atom
-    values, so that every face label and label quotient is one too and the
-    diagonals L(p) of the labels are invertible.  Over QQ a point that kills
-    no vertex label passes; over GF(p) a label can survive while an atom of
-    it is 0 or has a denominator p, as x*y at x = p, y = 1/p."""
-    atoms = {i for label in LC.vertex_labels for i in label.support()}
-    try:
-        return all(_to_field(field, values[i - 1]) for i in atoms)
-    except ValueError:
-        return False
-
-
 @dataclass(frozen=True)
 class EvaluatedChain:
     """Dense field matrices of a chain complex: the one dense chain record.

@@ -556,11 +556,12 @@ def test_labelled_perturbed_slice_is_reported_from_its_own_ranks(tmp_path, worke
     assert report["slice"]["subcomplex_betti"] == {"-1": 0, "0": 1, "1": 0}
 
 
-def test_labelled_prime_field_point_needs_unit_atoms(tmp_path, capsys):
+def test_labelled_prime_field_point_is_evaluated(tmp_path, capsys):
     # over GF(3) at x1 = 3, x2 = 1/3 the labels x1*x2 and x2*x3 are 1, but the
     # edge label x1*x2*x3 and both label quotients, x3 and x1, vanish (x3 = 3),
     # or are not in the field (x3 = 1/3): the labels' diagonal is not
-    # invertible, so the evaluated ranks are not the classical ones
+    # invertible, so with diag_relation true the evaluated ranks are still
+    # not the classical ones, and a prime-field run ranks the evaluated matrices
     data = {"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "x3"], "labels": [[1, 1, 0], [0, 1, 1]]}
     flags = ["--field", "fp:3", "--point", "x1=3,x2=1/3,x3=3"]
     ev = _labelled_report(tmp_path, data, flags)["evaluation"]
