@@ -262,8 +262,9 @@ def cmd_labelled(args) -> int:
     names = LC.table.atoms
     bm = boundary_matrices(LC)
     ff = fraction_field_ranks(LC)
-    cl = classical_boundary_ranks(LC.complex, QQ, reduced=LC.reduced)
     diag = diag_relation_check(LC)
+    # diag: the signs of the cached columns are d_k, which ff has ranked over QQ
+    cl = ff if diag else classical_boundary_ranks(LC.complex, QQ, reduced=LC.reduced)
     ncells = {k: LC.ncells(k) for k in LC.dims()}
     report: dict = {
         "atoms": list(names),
@@ -312,7 +313,7 @@ def cmd_labelled(args) -> int:
         sl = graded_slice(LC, alpha)
         iso = slice_iso_check(sl)
         sub = sl.subcomplex  # when it is the whole complex, its ranks are cl
-        want = betti_from_ranks(ncells, cl) if sub == LC.complex else classical_betti(sub, QQ, reduced=True)
+        want = betti_from_ranks(sl.ncells, cl if sub == LC.complex else classical_boundary_ranks(sub, QQ, reduced=True))
         # iso: the slice is the reduced chain complex of its subcomplex, on the nose
         got = {k: want.get(k, 0) for k in sl.ncells} if iso else sl.betti()
         want = {k: want.get(k, 0) for k in got}

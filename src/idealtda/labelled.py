@@ -265,8 +265,8 @@ class EvaluationPoint:
     """Rational coordinates for the variable atoms of a table.
 
     Composite atoms evaluate through their polynomial expansions; the
-    point is admissible for a labelled complex when no vertex label
-    evaluates to zero.
+    point is admissible for a labelled complex, in a field, when every atom
+    of its vertex labels lies in the field and no vertex label is zero there.
     """
 
     coords: tuple[tuple[str, Fraction], ...]
@@ -292,18 +292,28 @@ class EvaluationPoint:
         return [QQ.from_fraction(values[a]) for a in table.atoms]
 
 
-def _to_field(field, q: Fraction):
-    try:
-        return field.from_fraction(q)
-    except ZeroDivisionError:
-        raise ValueError(f"coordinate denominators are not invertible in {field.name}") from None
-
-
 def _vanishing_vertices(LC: LabelledComplex, vertices: Iterable[int], values: Sequence, field) -> list[int]:
     """The vertices, in the given order, whose label is zero in ``field`` at
-    the atom values; a denominator the field cannot invert is a ValueError."""
-    labels = LC.vertex_labels
-    return [v for v in vertices if not _to_field(field, power_value(values, labels[v - 1].exps))]
+    the atom values.
+
+    Every atom of a scanned label must lie in the field: a value whose
+    denominator the field cannot invert is a ValueError naming the atom.  A
+    label then vanishes exactly when one of its atoms does; when no scanned
+    label vanishes, every face label over those vertices is a unit, so the
+    labels' diagonal L(p) is invertible."""
+    atoms, labels = LC.table.atoms, LC.vertex_labels
+
+    @cache
+    def vanishes(i: int) -> bool:  # i: a 1-based atom index
+        try:
+            return not field.from_fraction(values[i - 1])
+        except ZeroDivisionError:
+            raise ValueError(
+                f"coordinate denominators are not invertible in {field.name}: atom {atoms[i - 1]} = {values[i - 1]}"
+            ) from None
+
+    # a list, not a generator: every atom is mapped, also past a vanishing one
+    return [v for v in vertices if any([vanishes(i) for i in labels[v - 1].support()])]
 
 
 @dataclass(frozen=True)
@@ -333,7 +343,8 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
     """Evaluate every boundary entry at an admissible point.
 
     Admissibility is checked in the target field (a label may evaluate
-    nonzero over the rationals yet vanish in a prime field); an
+    nonzero over the rationals yet vanish in a prime field, and an atom
+    outside the field is a ValueError); an
     :class:`InadmissiblePointError` lists the vanishing vertex labels.
     """
     values = point.atom_values(LC.table)
@@ -344,7 +355,7 @@ def evaluate_chain(LC: LabelledComplex, point: EvaluationPoint, field=QQ) -> Eva
 
     @cache
     def entry(sign: int, exps: tuple[int, ...]):
-        return _to_field(field, sign * power_value(values, exps))
+        return field.from_fraction(sign * power_value(values, exps))  # the scan put every atom in the field
 
     matrices = {cm.k: cm.dense(entry, field.zero) for cm in boundary_matrices(LC).matrices}
     return EvaluatedChain(field, ncells, matrices)

@@ -99,8 +99,11 @@ def test_labelled_row_keys(tmp_path, monkeypatch, kind):
     assert (row["kind"], row["vertices"], row["faces"]) == (kind, 4, 15)
     # the point is admissible and diag_relation holds, so no window is taken and
     # the evaluation's ranks are the classical QQ ones; only --alpha takes the
-    # graded slice, whose subcomplex is the whole complex, ranked by them too
+    # graded slice, whose subcomplex is the whole complex, ranked by them too;
+    # diag_relation also makes the classical ranks the fraction-field ones, so
+    # neither classical_boundary_ranks nor rank_dense runs
     unused = {"labelled.local_subcomplex", "labelled.evaluate_chain", "labelled.classical_betti"}
+    unused |= {"labelled.classical_boundary_ranks", "linalg.rank_dense"}
     if kind == "composite":
         unused |= {"labelled.graded_slice", "labelled.slice_iso_check"}
     assert set(row["seconds"]) == {"command"} | _layers(tracing, "labelled") - unused

@@ -13,7 +13,7 @@ import pytest
 
 from idealtda import cli, labelled, serialize
 from idealtda.cli import MAX_VERIFY_N, main
-from idealtda.complexes import MAX_FACES
+from idealtda.complexes import MAX_FACES, Graph, clique_complex
 from idealtda.labelled import BoundaryMatrices, ChainMatrix, InadmissiblePointError
 from idealtda.linalg import MAX_MODULUS, QQ, parse_field
 from idealtda.persistence import MAX_EDGE_BARS, betti_from_ranks, classical_betti, classical_boundary_ranks
@@ -496,22 +496,37 @@ def test_labelled_admissible_point_ranks_nothing_twice(tmp_path, worked_json, mo
     assert report["slice"]["betti"] == report["slice"]["subcomplex_betti"] == {"-1": 0, "0": 1, "1": 0}
 
 
-def test_labelled_broken_entry_is_reported_from_the_evaluated_ranks(tmp_path, monkeypatch):
-    # one flipped sign makes d_1 of the hollow triangle invertible: the
-    # evaluation must rank its own matrices, not reuse the classical ranks
-    tampered = []
+def _flip_first_sign(col):
+    (i, sign, exps), *rest = col
+    return ((i, -sign, exps), *rest)
+
+
+def _bump_first_exponent(col):
+    (i, sign, (e, *exps)), *rest = col
+    return ((i, sign, (e + 1, *exps)), *rest)
+
+
+def _tampering_loader(edit, tampered: list):
+    """``labelled_from_dict`` with ``edit`` applied to the first column of the
+    cached d_1 of each complex it loads, which it appends to ``tampered``."""
 
     def load(data, **kwargs):
         LC = serialize.labelled_from_dict(data, **kwargs)
         bm = labelled.boundary_matrices(LC)
         cm = bm.matrix(1)
-        (i, sign, exps), *rest = cm.columns[0]
-        columns = (((i, -sign, exps), *rest), *cm.columns[1:])
-        flipped = ChainMatrix(cm.k, cm.rows, cm.cols, columns)
-        LC.__dict__["_boundary"] = BoundaryMatrices(tuple(flipped if m is cm else m for m in bm.matrices))
+        edited = ChainMatrix(cm.k, cm.rows, cm.cols, (edit(cm.columns[0]), *cm.columns[1:]))
+        LC.__dict__["_boundary"] = BoundaryMatrices(tuple(edited if m is cm else m for m in bm.matrices))
         tampered.append(LC)
         return LC
 
+    return load
+
+
+def test_labelled_broken_entry_is_reported_from_the_evaluated_ranks(tmp_path, monkeypatch):
+    # one flipped sign makes d_1 of the hollow triangle invertible: the
+    # evaluation must rank its own matrices, not reuse the classical ranks
+    tampered = []
+    load = _tampering_loader(_flip_first_sign, tampered)
     calls = []
 
     def evaluate(*args):
@@ -528,6 +543,27 @@ def test_labelled_broken_entry_is_reported_from_the_evaluated_ranks(tmp_path, mo
     ev = report["evaluation"]
     assert ev["betti"] == {str(k): v for k, v in got.items()}
     assert ev["classical_betti"] == {"0": 1, "1": 1} and ev["equal"] is False
+
+
+@pytest.mark.parametrize(
+    "edit, fraction_field", [(_flip_first_sign, {"1": 3}), (_bump_first_exponent, {"1": 2})], ids=["flip", "bump"]
+)
+def test_labelled_broken_entry_keeps_the_classical_ranks(tmp_path, monkeypatch, edit, fraction_field):
+    # diag_relation fails, so the signs of the cached columns need not be
+    # d_k: the classical ranks are ranked from the complex, not taken from the
+    # fraction-field ranks, and equal compares the two.  A flipped sign makes
+    # d_1 of the hollow triangle invertible; a bumped exponent keeps the signs
+    tampered = []
+    monkeypatch.setattr(cli, "labelled_from_dict", _tampering_loader(edit, tampered))
+    report = _labelled_report(tmp_path, _HOLLOW_TRIANGLE, [])
+    (LC,) = tampered
+    classical = {str(k): r for k, r in classical_boundary_ranks(LC.complex, QQ).items()}
+    assert report["diag_relation"] is False and classical == {"1": 2}
+    assert report["ranks"] == {
+        "fraction_field": fraction_field,
+        "classical": classical,
+        "equal": fraction_field == classical,
+    }
 
 
 def test_labelled_perturbed_slice_is_reported_from_its_own_ranks(tmp_path, worked_json, monkeypatch):
@@ -556,22 +592,37 @@ def test_labelled_perturbed_slice_is_reported_from_its_own_ranks(tmp_path, worke
     assert report["slice"]["subcomplex_betti"] == {"-1": 0, "0": 1, "1": 0}
 
 
-def test_labelled_prime_field_point_is_evaluated(tmp_path, capsys):
+def test_labelled_prime_field_point_is_evaluated(tmp_path, capsys, monkeypatch):
     # over GF(3) at x1 = 3, x2 = 1/3 the labels x1*x2 and x2*x3 are 1, but the
     # edge label x1*x2*x3 and both label quotients, x3 and x1, vanish (x3 = 3),
-    # or are not in the field (x3 = 1/3): the labels' diagonal is not
-    # invertible, so with diag_relation true the evaluated ranks are still
-    # not the classical ones, and a prime-field run ranks the evaluated matrices
+    # or are not in the field (x3 = 1/3): the labels' diagonal would not be
+    # invertible.  The atom x2 is not in GF(3), so the point is refused before
+    # any rank work; at a point in the field the evaluated ranks are ranked
     data = {"n": 2, "faces": [[1, 2]], "atoms": ["x1", "x2", "x3"], "labels": [[1, 1, 0], [0, 1, 1]]}
-    flags = ["--field", "fp:3", "--point", "x1=3,x2=1/3,x3=3"]
-    ev = _labelled_report(tmp_path, data, flags)["evaluation"]
-    assert ev == {"admissible": True, "betti": {"0": 2, "1": 1}, "classical_betti": {"0": 1, "1": 0}, "equal": False}
-    data["labels"] = [[1, 1, 0], [1, 0, 1]]
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(data))
-    argv = ["labelled", "--input", str(path), "--field", "fp:3", "--point", "x1=3,x2=1/3,x3=1/3", "--out", str(tmp_path / "p")]
-    assert main(argv) == 2
-    assert "coordinate denominators are not invertible in fp:3" in capsys.readouterr().err
+
+    def no_rank_work(LC):
+        raise AssertionError("rank work started before the point was checked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "boundary_matrices", no_rank_work)
+        for labels, x3 in (([[1, 1, 0], [0, 1, 1]], "3"), ([[1, 1, 0], [1, 0, 1]], "1/3")):
+            path.write_text(json.dumps({**data, "labels": labels}))
+            point = f"x1=3,x2=1/3,x3={x3}"
+            argv = ["labelled", "--input", str(path), "--field", "fp:3", "--point", point, "--out", str(tmp_path / "p")]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"bad --point {point!r}: coordinate denominators are not invertible in fp:3: atom x2 = 1/3" in err
+    calls = []
+
+    def evaluate(*args):
+        calls.append(args)
+        return labelled.evaluate_chain(*args)
+
+    monkeypatch.setattr(cli, "evaluate_chain", evaluate)
+    ev = _labelled_report(tmp_path, data, ["--field", "fp:3", "--point", "x1=1,x2=2,x3=4"])["evaluation"]
+    assert ev == {"admissible": True, "betti": {"0": 1, "1": 0}, "classical_betti": {"0": 1, "1": 0}, "equal": True}
+    assert len(calls) == 1
 
 
 def _ranked_sections(LC, field, point, alpha) -> dict:
@@ -632,8 +683,9 @@ def test_labelled_report_bytes_match_the_ranked_sections(tmp_path):
     for t in range(80):
         n = rng.randint(2, 6)
         K = verify_random_complex(rng, n)
-        # t % 3 == 1: over GF(3) at x1 = 3, x2 = 1/3, labels that are units
-        # whose lcm, and so some label quotient, need not be
+        # t % 3 == 1: over GF(3) at x1 = 3, x2 = 1/3, labels that would be
+        # units whose lcm, and so some label quotient, need not be; x2 is not
+        # in GF(3), so a label that has it refuses the point
         valued = t % 3 == 1
         composite = t % 4 == 3 and not valued
         atoms = ["x1", "x2", "x3"] + (["x1+x2"] if composite else [])
@@ -676,8 +728,65 @@ def test_labelled_report_bytes_match_the_ranked_sections(tmp_path):
         seen.add(("admissible", ev.get("admissible"), ev.get("equal")))
         if alpha is not None:
             seen.add(("whole", LC.complex == labelled.graded_slice(LC, alpha).subcomplex))
-    assert {"refused", ("admissible", True, True), ("admissible", True, False), ("admissible", False, None)} <= seen
+    assert {"refused", ("admissible", True, True), ("admissible", False, None)} <= seen
+    # every atom of an admissible point's labels lies in the field, so L(p) is invertible
+    assert ("admissible", True, False) not in seen
     assert {("whole", True), ("whole", False)} <= seen
+
+
+def _workload_like_input(rng: random.Random, kind: str) -> tuple[dict, str, list[int] | None]:
+    """A labelled input shaped like those of the ``labelled`` benchmark
+    workload, its --point and its --alpha: the cliques of at most 4 vertices
+    of a random graph on 11 or 12 vertices and labels over x1..x4 with
+    exponents 0..2; a monomial input has an --alpha, a composite one the
+    atom x1+x2 on two vertices, exponents 0 and 1, and at times a point that
+    kills x1+x2."""
+    n = rng.randint(11, 12)
+    p = rng.uniform(0.35, 0.6)
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p]
+    K = clique_complex(Graph.from_edges(n, edges), 3)
+    atoms = ["x1", "x2", "x3", "x4"]
+    labels = [[rng.randint(0, 2) for _ in atoms] for _ in range(n)]
+    point = {x: rng.choice((1, 2, 3, 5, 7)) * rng.choice((1, -1)) for x in atoms}
+    data = {"n": n, "faces": [list(f) for f in K.faces()], "atoms": atoms, "labels": labels}
+    alpha = None
+    if kind == "composite":
+        data["atoms"] = atoms + ["x1+x2"]
+        data["atom_polys"] = {"x1+x2": [[1, [1, 0, 0, 0]], [1, [0, 1, 0, 0]]]}
+        carriers = rng.sample(range(n), 2)
+        for v, label in enumerate(labels):
+            label[:] = [min(e, 1) for e in label] + [int(v in carriers)]
+        if rng.random() < 0.5:
+            point["x2"] = -point["x1"]
+    else:
+        alpha = [rng.randint(1, 2) for _ in atoms]
+    return data, ",".join(f"{x}={v}" for x, v in sorted(point.items())), alpha
+
+
+def test_labelled_ranks_are_the_classical_ranks_on_workload_like_inputs(tmp_path):
+    # the report's classical ranks, which diag_relation lets it take from the
+    # fraction-field ranks, are those of an independent rank of the complex;
+    # the evaluation and slice sections match their own rank routes too
+    rng = random.Random(42)
+    seen = set()
+    for t in range(12):
+        kind = ("monomial", "composite")[t % 2]
+        data, point_text, alpha = _workload_like_input(rng, kind)
+        flags = ["--point", point_text] + (["--alpha", ",".join(map(str, alpha))] if alpha is not None else [])
+        path = tmp_path / f"in{t}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / f"o{t}"
+        assert main(["labelled", "--input", str(path), "--out", str(out)] + flags) == 0
+        text = (out / "report.json").read_text()
+        report = json.loads(text)
+        LC = serialize.labelled_from_dict(data, reduced=alpha is not None)
+        want = {str(k): r for k, r in classical_boundary_ranks(LC.complex, QQ, reduced=LC.reduced).items()}
+        assert report["diag_relation"] is True, t
+        assert report["ranks"] == {"fraction_field": want, "classical": want, "equal": True}, t
+        sections = _ranked_sections(LC, QQ, cli._parse_point(point_text), alpha)
+        assert dumps_json({**report, **sections}) == text, t
+        seen.add((kind, report["evaluation"]["admissible"]))
+    assert seen == {("monomial", True), ("composite", True), ("composite", False)}
 
 
 def test_labelled_atom_with_a_space_is_written_alike(tmp_path):

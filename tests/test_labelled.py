@@ -39,6 +39,7 @@ from idealtda.verify import (
     random_monomial_labelled,
 )
 
+X3 = AtomTable.for_variables(3)
 X4 = AtomTable.for_variables(4)
 
 
@@ -817,14 +818,17 @@ def test_ring_and_parsed_expansions_give_one_table_and_one_report(tmp_path, monk
 
 def _brute_label_status(LC: LabelledComplex, v: int, point: EvaluationPoint, field) -> str:
     """'zero', 'nonzero' or 'error' for the label of v, by expanding it into
-    a polynomial over the variables and evaluating that."""
+    a polynomial over the variables and evaluating that; 'error' when the
+    expansion of one of its atoms takes a value outside the field."""
     table = LC.table
+    atoms = atom_polynomials(table)
+    coords = [point.coord_map[x] for x in table.variables]
     label = RingPolynomial.monomial(len(table.atoms), LC.vertex_labels[v - 1].exps)
-    poly = label.substitute(atom_polynomials(table), len(table.variables))
-    q = poly.evaluate([point.coord_map[x] for x in table.variables])
+    q = label.substitute(atoms, len(table.variables)).evaluate(coords)
     if field == QQ:
         return "zero" if q == 0 else "nonzero"
-    if q.denominator % field.p == 0:
+    used = [atoms[i - 1].evaluate(coords) for i in LC.vertex_labels[v - 1].support()]
+    if any(a.denominator % field.p == 0 for a in used):
         return "error"
     return "zero" if q.numerator % field.p == 0 else "nonzero"
 
@@ -881,6 +885,61 @@ def test_vanishing_scan_and_window_match_brute_force():
             assert W == tuple(v for v in everyone if v not in dead)
             assert restricted.complex == full_subcomplex(LC.complex, W)
     assert all(seen.values()), seen
+
+
+def _valued_labelled(rng: random.Random, p: int) -> tuple[LabelledComplex, EvaluationPoint]:
+    """Monomial labels over x1..x3, each a unit at a point where the atoms
+    have p-adic valuations s, s and -s in some order, s = 1 or -1: x = r / p
+    or p * r with r prime to p.  A label's exponents weigh the valuations to
+    0, as x1*x2 and x2*x3 at x1 = x3 = p, x2 = 1/p, so each label is a unit
+    while its atoms are not, and an lcm of two labels need not be one."""
+    sign = rng.choice((1, -1))
+    valuations = rng.sample((sign, sign, -sign), 3)
+    coords = {}
+    for j, val in enumerate(valuations, start=1):
+        r = rng.randint(1, p - 1) * rng.choice((1, -1))
+        coords[f"x{j}"] = Fraction(r, p) if val < 0 else r * p
+    n = rng.randint(2, 6)
+    labels = []
+    while len(labels) < n:
+        exps = tuple(rng.randint(0, 2) for _ in range(3))
+        if sum(e * val for e, val in zip(exps, valuations)) == 0:
+            labels.append(FactoredElement(X3, exps))
+    return make_labelled(random_complex(rng, n), labels, reduced=rng.random() < 0.5), EvaluationPoint.of(coords)
+
+
+def test_admissible_prime_field_points_keep_the_betti_numbers():
+    # every atom of a label the scan admits lies in the field, so the labels'
+    # diagonal L(p) is invertible and the evaluated complex has the classical
+    # Betti numbers over GF(p): on random labels and points, and on unit
+    # labels whose atoms are not units, which the scan must refuse
+    rng = random.Random(42)
+    seen = {"admissible": 0, "inadmissible": 0, "refused": 0}
+    for t in range(150):
+        field = PrimeField((3, 5, 7)[t % 3])
+        p = field.p
+        if t % 2 == 0:
+            LC, point = _valued_labelled(rng, p)
+        else:
+            if t % 4 == 3:
+                LC = _random_composite_labelled(rng, _composite_table())
+            else:
+                LC = random_monomial_labelled(rng, rng.randint(1, 6), 3, reduced=rng.random() < 0.5)
+            choices = (1, 2, -1, -2, Fraction(1, 2), p, Fraction(1, p), 0)
+            point = EvaluationPoint.of({x: rng.choice(choices) for x in LC.table.variables})
+        values = point.atom_values(LC.table)
+        try:
+            vanishing = labelled._vanishing_vertices(LC, sorted(LC.complex.vertices()), values, field)
+        except ValueError:
+            seen["refused"] += 1
+            continue
+        if vanishing:
+            seen["inadmissible"] += 1
+            continue
+        seen["admissible"] += 1
+        got = evaluate_chain(LC, point, field).betti()
+        assert got == classical_betti(LC.complex, field, reduced=LC.reduced), (t, LC, point)
+    assert min(seen.values()) >= 10, seen
 
 
 def _entries(matrices):

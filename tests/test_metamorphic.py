@@ -14,10 +14,15 @@ checked walk, and on a tie-free one, whose order is the closed form of
   doubles without rounding), and the bars keep their order; also on
   subnormal metrics whose halves are exact.
 
+The relabelling relation also runs on metrics at both ends of the floats,
+every half exact (even multiples of the least subnormal, or values near
+1e308), with -0.0 distances tied with the vertices' 0.0.
+
 At the same sizes the closed-form order equals the walk over its faces.
 One more relation crosses the input formats: a ``points-json`` cloud and the
 ``dist-csv`` of its distances give the same outputs, apart from the input
-recorded in the metadata.
+recorded in the metadata; also for clouds at both ends of the floats with a
+pair of points that differ only in the sign of a zero coordinate.
 
 Two relations cover the labelled chain complexes at the sizes of the
 labelled ladder of ``scripts/bench.py``: full simplices of 127, 255 and
@@ -82,9 +87,8 @@ def _relabel(mask, perm):
     return out
 
 
-@pytest.mark.parametrize("n, max_dim, tie_prob", SIZES)
-def test_relabelled_vertices_relabel_the_prime_bars(n, max_dim, tie_prob):
-    dist = _metric(n, tie_prob)
+def _assert_relabelled_bars(dist, max_dim):
+    n = len(dist)
     perm = list(range(n))
     random.Random(n + 1).shuffle(perm)  # vertex i + 1 becomes vertex perm[i] + 1
     moved = [[0.0] * n for _ in range(n)]
@@ -98,6 +102,45 @@ def test_relabelled_vertices_relabel_the_prime_bars(n, max_dim, tie_prob):
         assert {(_relabel(m, perm), b, d) for m, b, d in bc.bars} == set(bc2.bars), bc.kind
     assert ph2.bars == ph.bars
     assert len(edge.bars) > n and len(ph.bars) > n  # the relation compares real work
+
+
+@pytest.mark.parametrize("n, max_dim, tie_prob", SIZES)
+def test_relabelled_vertices_relabel_the_prime_bars(n, max_dim, tie_prob):
+    _assert_relabelled_bars(_metric(n, tie_prob), max_dim)
+
+
+def _boundary_metric(n, scale):
+    """A seeded metric at one end of the floats, every half exact: even
+    multiples of the least subnormal 5e-324, or hundredths of 1e308 in
+    [0.7, 1]; about one distance in ten is -0.0 and ties with the vertices' 0.0."""
+    rng = random.Random(n)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.1:
+                d = -0.0
+            elif scale == "subnormal":
+                d = 2 * rng.randint(1, 40) * 5e-324
+            else:
+                d = rng.randint(70, 100) / 100 * 1e308
+            dist[i][j] = dist[j][i] = d
+    assert all(x / 2 * 2 == x for row in dist for x in row)
+    return dist
+
+
+BOUNDARY = [
+    pytest.param(scale, n, max_dim, id=f"{scale}-n{n}-{'full' if max_dim is None else f'max-dim-{max_dim}'}")
+    for scale in ("subnormal", "near-limit")
+    for n, max_dim in ((14, None), (16, 2))
+]
+
+
+@pytest.mark.parametrize("scale, n, max_dim", BOUNDARY)
+def test_relabelled_boundary_metrics_relabel_the_prime_bars(scale, n, max_dim):
+    # -0.0 == 0.0, so a bar born at -0.0 maps to one born at 0.0 and back
+    dist = _boundary_metric(n, scale)
+    assert any(math.copysign(1.0, x) < 0 for row in dist for x in row)
+    _assert_relabelled_bars(dist, max_dim)
 
 
 @pytest.mark.parametrize("n, max_dim, tie_prob", SIZES)
@@ -147,13 +190,31 @@ GRID = [[i, j] for i in range(4) for j in range(4)]
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
 
 
-@pytest.mark.parametrize("points", [_gaussian_cloud(), GRID], ids=["n13-gaussian", "grid-4x4"])
-def test_points_and_their_distances_give_the_same_outputs(tmp_path, monkeypatch, points):
-    # the grid has ties, so its order is the walk; the cloud has none
+def _boundary_cloud(scale):
+    """A seeded cloud on a line at one end of the floats, with exact
+    distances and halves: 14 points at even multiples of 5e-324, or at tenths
+    of 1e308 in [0, 1.5], second coordinate 0.0 or -0.0.  Two points share
+    their first coordinate and differ only in the sign of the zero, so they
+    lie at distance 0.0, tied with the vertices."""
+    rng = random.Random(14)
+    unit = 2 * 5e-324 if scale == "subnormal" else 1e307
+    xs = [rng.randint(0, 15) for _ in range(13)]
+    xs.append(xs[0])
+    return [[x * unit, 0.0 if i % 2 else -0.0] for i, x in enumerate(xs)]
+
+
+@pytest.mark.parametrize(
+    "points, tied",
+    [(_gaussian_cloud(), False), (GRID, True), (_boundary_cloud("subnormal"), True), (_boundary_cloud("near-limit"), True)],
+    ids=["n13-gaussian", "grid-4x4", "n14-subnormal", "n14-near-limit"],
+)
+def test_points_and_their_distances_give_the_same_outputs(tmp_path, monkeypatch, points, tied):
+    # a tied cloud's order is the walk; the gaussian cloud has no ties
     monkeypatch.chdir(tmp_path)
     dist = [[math.dist(p, q) for q in points] for p in points]
     halves = [d for j, row in enumerate(dist) for d in row[:j]]
-    assert (len(set(halves)) < len(halves)) == (points is GRID)
+    assert (len(set(halves)) < len(halves)) == tied
+    assert all(d / 2 * 2 == d for d in halves)
     inputs = {
         "points-json": json.dumps({"points": points}),
         "dist-csv": "".join(",".join(map(repr, row)) + "\n" for row in dist),

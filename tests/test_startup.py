@@ -150,4 +150,7 @@ seen.append(hasattr(cli, "no_such_name"))
         False,
     ]
     report = json.loads((tmp_path / "lab" / "report.json").read_text())
-    assert report["ranks"]["equal"] is False
+    # diag_relation holds, so the stub's ranks are reported as both rank routes
+    stub = {str(k): 0 for k in range(-1, 3)}
+    assert report["diag_relation"] is True
+    assert report["ranks"] == {"fraction_field": stub, "classical": stub, "equal": True}
