@@ -95,7 +95,7 @@ LABELLED_LADDER = (("composite", 7), ("composite", 8), ("composite", 9), ("monom
 RUNS = 3  # fresh-interpreter runs of each ladder row
 IMPORTS = 9  # timed imports per fresh interpreter of the startup record, as many as perfbench's setup_s
 # standard-library modules that a first import of idealtda.cli loads, and none of the startup record's code before it
-COLD_MODULES = ("dataclasses", "argparse", "fractions", "json")
+COLD_MODULES = ("argparse", "fractions", "json")
 WORKLOADS = ("rips_trunc", "rips_full", "labelled", "verify")
 OUTPUTS = ("barcodes.json", "barcodes.svg", "report.json")
 

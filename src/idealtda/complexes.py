@@ -40,10 +40,10 @@ stop with a ``ValueError`` beyond ``MAX_FACES`` faces.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Face",
@@ -106,8 +106,7 @@ def mask_face(mask: int) -> Face:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LinearPrime:
+class LinearPrime(NamedTuple):
     """The linear prime ideal generated by the variables x_v whose bit v-1
     is set in ``mask``.
 
@@ -148,6 +147,28 @@ def _iter_bits(mask: int):
         mask ^= bit
 
 
+class _Value:
+    """Base of the package's plain value classes: equal by class and by the
+    tuple of the fields named in ``_fields``, hashed as that tuple, and shown
+    as ``Name(field=value, ...)``, like a frozen record.  Each subclass reads
+    the tuple with its own ``_key`` getter; instances are treated as
+    immutable."""
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
 def _check_face_budget(count: int) -> None:
     if count > MAX_FACES:
         raise ValueError(f"the complex has more than {MAX_FACES} faces, the supported maximum")
@@ -170,26 +191,25 @@ def _downward_closure(masks: Iterable[int]) -> frozenset[int]:
     return frozenset(closed)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Downward-closed family of nonempty faces over the vertex universe [n]."""
+class SimplicialComplex(_Value):
+    """Downward-closed family of nonempty faces over the vertex universe [n],
+    stored as the frozenset ``face_masks``."""
 
-    n: int
-    face_masks: frozenset[int]
+    _fields = ("n", "face_masks")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, face_masks: frozenset[int]):
+        self.n, self.face_masks = n, face_masks
+        if n < 0:
             raise ValueError("vertex universe size must be nonnegative")
-        universe = (1 << self.n) - 1
-        masks = self.face_masks
-        if masks and (min(masks) < 1 or max(masks) > universe):  # find the culprit only when there is one
-            for m in masks:
+        universe = (1 << n) - 1
+        if face_masks and (min(face_masks) < 1 or max(face_masks) > universe):  # find the culprit only when there is one
+            for m in face_masks:
                 if m == 0:
                     raise ValueError("the empty face is never stored in a complex")
                 if m < 0:
                     raise ValueError(f"face mask {m} is negative")
                 if m & ~universe:
-                    raise ValueError(f"face {mask_face(m)} has vertices outside 1..{self.n}")
+                    raise ValueError(f"face {mask_face(m)} has vertices outside 1..{n}")
 
     @classmethod
     def from_faces(cls, n: int, faces: Iterable[Iterable[int]], close: bool = False) -> "SimplicialComplex":
@@ -246,17 +266,16 @@ class SimplicialComplex:
         return [mask_face(m) for m in sorted(self.face_masks, key=lambda m: (m.bit_count(), m))]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Simple undirected graph on vertices 1..n, stored as neighbour masks
     like faces and primes: adjacency[v] has bit u-1 set iff {u, v} is an
     edge, and adjacency[0] is 0."""
 
-    n: int
-    adjacency: tuple[int, ...]
+    _fields = ("n", "adjacency")
 
-    def __post_init__(self):
-        adj, n = self.adjacency, self.n
+    def __init__(self, n: int, adjacency: tuple[int, ...]):
+        self.n, self.adjacency = n, adjacency
+        adj = adjacency
         if n < 0 or len(adj) != n + 1 or adj[0]:
             raise ValueError(f"a graph on 1..{n} needs n + 1 neighbour masks, the first 0")
         universe = (1 << n) - 1
@@ -348,8 +367,7 @@ class FaceOrder:
         return order
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(_Value):
     """Filtered complex: the birth of every face (face mask -> parameter)
     and the strictly increasing, finite critical parameters, which contain
     every birth and may add parameters where the complex does not change.
@@ -360,21 +378,20 @@ class Filtration:
     as its subface check, and the raw constructor and ``single`` walk it on
     first access."""
 
-    n: int
-    birth_map: Mapping[int, float]
-    params: tuple[float, ...]
+    _fields = ("n", "birth_map", "params")
 
-    def __post_init__(self):
-        if not self.params:
+    def __init__(self, n: int, birth_map: Mapping[int, float], params: tuple[float, ...]):
+        self.n, self.birth_map, self.params = n, birth_map, params
+        if not params:
             raise ValueError("a filtration needs at least one step")
-        if not all(-inf < t < inf for t in self.params):  # NaN breaks every order, inf means "never ends"
-            bad = [(m, t) for m, t in self.birth_map.items() if not -inf < t < inf]
-            m, t = bad[0] if bad else (0, next(t for t in self.params if not -inf < t < inf))
+        if not all(-inf < t < inf for t in params):  # NaN breaks every order, inf means "never ends"
+            bad = [(m, t) for m, t in birth_map.items() if not -inf < t < inf]
+            m, t = bad[0] if bad else (0, next(t for t in params if not -inf < t < inf))
             what = f"face {mask_face(m)} is born at" if bad else "a filtration parameter is"
             raise ValueError(f"{what} {'NaN' if t != t else t}")
-        if any(b <= a for a, b in zip(self.params, self.params[1:])):
+        if any(b <= a for a, b in zip(params, params[1:])):
             raise ValueError("filtration parameters must be strictly increasing")
-        if not set(self.birth_map.values()) <= set(self.params):
+        if not set(birth_map.values()) <= set(params):
             raise ValueError("every birth must be a critical parameter")
 
     @classmethod
@@ -580,10 +597,9 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
     The edges go in one at a time, by (parameter, mask) (Zomorodian 2010).
     Edge e lists the new faces e + S, S a clique of the common neighbours
     of its ends, of at most max_dim + 1 vertices, so each face is listed
-    once, by its last edge in, and born at that edge's parameter t, except
-    that a face born at 0 takes the half-distance of its two lowest
-    vertices, so a -0.0 stays as it is.  When no two edges share a
-    parameter, e's faces come out in (dimension, colex) order, the
+    once, by its last edge in, and born at that edge's parameter t; a zero
+    t, a -0.0 included, is the 0.0 of the vertices.  When no two edges
+    share a parameter, e's faces come out in (dimension, colex) order, the
     filtration order, and the order's fields follow in closed form: the
     facets m - v with v in e are older and the others are born with m, so
     a face's youngest facet drops its lowest vertex outside e (an edge
@@ -625,13 +641,7 @@ def vr_filtration(dist: Sequence[Sequence[float]], max_dim: int | None = None) -
             _check_face_budget(p + 1)
             levels, new = [[(e, 0)]], [e]
         faces += new
-        if t:
-            births.update(dict.fromkeys(new, t))
-        else:
-            for m in new:
-                v = m & -m
-                second = (m ^ v) & -(m ^ v)
-                births[m] = dist[v.bit_length() - 1][second.bit_length() - 1] / 2.0
+        births.update(dict.fromkeys(new, t or 0.0))
         if tied:
             continue
         index.update(zip(new, range(p, len(faces))))

@@ -38,13 +38,12 @@ probabilistic and no entry or variable atom is expanded into a polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import add, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .complexes import Face, SimplicialComplex, boundary_masks, face_mask, full_subcomplex, mask_face
+from .complexes import Face, SimplicialComplex, _Value, boundary_masks, full_subcomplex, mask_face
 from .linalg import QQ, bareiss_rank, power_product, power_value, rank_dense
 from .monomials import AtomTable, FactoredElement
 from .persistence import betti_from_ranks, classical_betti, classical_boundary_ranks
@@ -80,22 +79,19 @@ class InadmissiblePointError(ValueError):
         super().__init__(f"evaluation point kills vertex labels: {detail}")
 
 
-@dataclass(frozen=True)
-class LabelledComplex:
+class LabelledComplex(_Value):
     """A complex together with one nonzero factored label per vertex."""
 
-    complex: SimplicialComplex
-    table: AtomTable
-    vertex_labels: tuple[FactoredElement, ...]
-    reduced: bool = False
+    _fields = ("complex", "table", "vertex_labels", "reduced")
 
-    def __post_init__(self):
-        if len(self.vertex_labels) != self.complex.n:
+    def __init__(self, complex: SimplicialComplex, table: AtomTable, vertex_labels: tuple, reduced: bool = False):
+        self.complex, self.table, self.vertex_labels, self.reduced = complex, table, vertex_labels, reduced
+        if len(vertex_labels) != complex.n:
             raise ValueError("need exactly one label per vertex in 1..n")
-        for v, label in enumerate(self.vertex_labels, start=1):
+        for v, label in enumerate(vertex_labels, start=1):
             if label is None:
                 raise ValueError(f"vertex {v} has a zero label")
-            if label.table != self.table:
+            if label.table != table:
                 raise ValueError(f"label of vertex {v} lives over a different atom table")
 
     @cached_property
@@ -109,9 +105,6 @@ class LabelledComplex:
             else:
                 labels[m] = labels[m ^ low].lcm(labels[low])
         return labels
-
-    def label_of(self, face: Iterable[int]) -> FactoredElement:
-        return self.face_labels[face_mask(face)]
 
     def dims(self) -> list[int]:
         out = [-1] if self.reduced else []
@@ -157,8 +150,7 @@ def make_labelled(
     return LabelledComplex(K, labels[0].table, tuple(labels), reduced)
 
 
-@dataclass(frozen=True)
-class ChainMatrix:
+class ChainMatrix(NamedTuple):
     """Matrix of the boundary map in one dimension, canonical bases.
 
     Rows are the (k-1)-faces, columns the k-faces, both in colex order;
@@ -188,8 +180,7 @@ class ChainMatrix:
         return self.dense(entry, "0")
 
 
-@dataclass(frozen=True)
-class BoundaryMatrices:
+class BoundaryMatrices(NamedTuple):
     matrices: tuple[ChainMatrix, ...]
 
     def matrix(self, k: int) -> ChainMatrix | None:
@@ -260,8 +251,7 @@ def diag_relation_check(LC: LabelledComplex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EvaluationPoint:
+class EvaluationPoint(NamedTuple):
     """Rational coordinates for the variable atoms of a table.
 
     Composite atoms evaluate through their polynomial expansions; the
@@ -316,8 +306,7 @@ def _vanishing_vertices(LC: LabelledComplex, vertices: Iterable[int], values: Se
     return [v for v in vertices if any([vanishes(i) for i in labels[v - 1].support()])]
 
 
-@dataclass(frozen=True)
-class EvaluatedChain:
+class EvaluatedChain(_Value):
     """Dense field matrices of a chain complex: the one dense chain record.
 
     ``ncells[k]`` counts the k-cells and ``matrices[k]`` is the boundary
@@ -325,9 +314,10 @@ class EvaluatedChain:
     a point and :func:`graded_slice` one over QQ with entries in {0, +-1}.
     """
 
-    field: object
-    ncells: dict[int, int]
-    matrices: dict[int, list[list]]
+    _fields = ("field", "ncells", "matrices")
+
+    def __init__(self, field, ncells: dict[int, int], matrices: dict[int, list[list]]):
+        self.field, self.ncells, self.matrices = field, ncells, matrices
 
     def ranks(self) -> dict[int, int]:
         out = {}
@@ -403,7 +393,6 @@ def local_subcomplex(
     return tuple(W), LC.restrict(W)
 
 
-@dataclass(frozen=True)
 class GradedSlice(EvaluatedChain):
     """Degree-alpha homogeneous part of a reduced labelled chain complex.
 
@@ -414,8 +403,11 @@ class GradedSlice(EvaluatedChain):
     classical reduced matrices of that subcomplex.
     """
 
-    subcomplex: SimplicialComplex
-    bases: dict[int, tuple[tuple[Face, FactoredElement], ...]]
+    _fields = EvaluatedChain._fields + ("subcomplex", "bases")
+
+    def __init__(self, field, ncells, matrices, subcomplex: SimplicialComplex, bases: dict[int, tuple]):
+        super().__init__(field, ncells, matrices)
+        self.subcomplex, self.bases = subcomplex, bases
 
 
 def _slice_degree(LC: LabelledComplex, alpha: Sequence[int]) -> FactoredElement:

@@ -18,12 +18,11 @@ pipeline reads linear primes without loading the ideal algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import le, sub
 from typing import Iterable, Sequence
 
-from .complexes import LinearPrime, _iter_bits
+from .complexes import LinearPrime, _Value, _iter_bits
 from .linalg import Polynomial, power_product
 
 __all__ = [
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AtomTable:
+class AtomTable(_Value):
     """Ordered table of symbolic irreducible atoms.
 
     Atoms without an expansion are independent variables of the ambient
@@ -47,14 +45,14 @@ class AtomTable:
     table order.
     """
 
-    atoms: tuple[str, ...]
-    expansions: tuple[tuple[str, Polynomial], ...] = field(default=())
+    _fields = ("atoms", "expansions")
 
-    def __post_init__(self):
-        if len(set(self.atoms)) != len(self.atoms):
+    def __init__(self, atoms: tuple[str, ...], expansions: tuple[tuple[str, Polynomial], ...] = ()):
+        self.atoms, self.expansions = atoms, expansions
+        if len(set(atoms)) != len(atoms):
             raise ValueError("atoms must be pairwise distinct")
-        names = set(self.atoms)
-        for name, poly in self.expansions:
+        names = set(atoms)
+        for name, poly in expansions:
             if name not in names:
                 raise ValueError(f"expansion given for unknown atom {name!r}")
             if poly.nvars != len(self.variables):
@@ -79,20 +77,19 @@ class AtomTable:
         return self.atoms.index(atom)
 
 
-@dataclass(frozen=True)
-class FactoredElement:
+class FactoredElement(_Value):
     """Nonzero UFD element as an exponent vector over an atom table.
 
     The unit 1 is the all-zero vector; zero is not representable.
     """
 
-    table: AtomTable
-    exps: tuple[int, ...]
+    _fields = ("table", "exps")
 
-    def __post_init__(self):
-        if len(self.exps) != len(self.table.atoms):
+    def __init__(self, table: AtomTable, exps: tuple[int, ...]):
+        self.table, self.exps = table, exps
+        if len(exps) != len(table.atoms):
             raise ValueError("exponent vector length does not match atom table")
-        if min(self.exps, default=0) < 0:
+        if min(exps, default=0) < 0:
             raise ValueError("exponents must be nonnegative")
 
     @classmethod
@@ -165,8 +162,7 @@ def _canonical_gens(gens: Iterable[FactoredElement]) -> tuple[FactoredElement, .
     return tuple(sorted(uniq.values(), key=_gen_key))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """Finitely generated monomial ideal over the variable atoms.
 
     Generators are canonicalized (sorted, deduplicated) so that structural
@@ -174,14 +170,13 @@ class MonomialIdeal:
     means the zero ideal.
     """
 
-    table: AtomTable
-    generators: tuple[FactoredElement, ...]
+    _fields = ("table", "generators")
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.table != self.table:
+    def __init__(self, table: AtomTable, generators: tuple[FactoredElement, ...]):
+        for g in generators:
+            if g.table != table:
                 raise ValueError("generator lives over a different atom table")
-        object.__setattr__(self, "generators", _canonical_gens(self.generators))
+        self.table, self.generators = table, _canonical_gens(generators)
 
     @classmethod
     def from_generators(cls, table: AtomTable, gens: Iterable[FactoredElement]) -> "MonomialIdeal":

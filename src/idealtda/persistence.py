@@ -59,9 +59,8 @@ profile.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import FaceOrder, Filtration, LinearPrime, SimplicialComplex, boundary_masks
 from .ideals import minimal_vertex_covers, one_skeleton, sr_associated_primes
@@ -100,8 +99,7 @@ MAX_EDGE_BARS = 1 << 18
 Bar = tuple[int, float, float | None]
 
 
-@dataclass(frozen=True)
-class Barcode:
+class Barcode(NamedTuple):
     """The bars of one kind, each ``(key, birth, death)`` with death None
     for +infinity.  A prime bar (kinds ``SR`` and ``EDGE``) is keyed by the
     prime's vertex mask and sorted by :func:`_sorted_bars`; a PH bar (kind
@@ -124,8 +122,7 @@ class Barcode:
         return out
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(NamedTuple):
     """Per-step Betti vectors b_0..b_maxdim (b_{-1} first when reduced)."""
 
     params: tuple[float, ...]
@@ -143,8 +140,7 @@ class BettiProfile:
         return row[pos] if pos < len(row) else 0
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Which half-distances appear among the barcode endpoints."""
 
     pairs_checked: int

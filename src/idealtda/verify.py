@@ -19,12 +19,11 @@ boundaries evaluated at :func:`admissible_point`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .complexes import MAX_FACES, Filtration, Graph, SimplicialComplex, clique_complex, vr_filtration
+from .complexes import MAX_FACES, Filtration, Graph, SimplicialComplex, _Value, clique_complex, vr_filtration
 from .ideals import (
     complement_graph,
     edge_ideal,
@@ -137,12 +136,15 @@ def minimal_transversals_exhaustive(supports: Sequence[int], n: int) -> list[int
     return _antichain_min(hits)
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int
-    failures: int = 0
-    detail: list[str] = field(default_factory=list)
+class SuiteResult(_Value):
+    """One suite's trial count, failure count and first failure notes; the
+    one value class that changes, as :meth:`note` counts a failure."""
+
+    _fields = ("name", "trials", "failures", "detail")
+
+    def __init__(self, name: str, trials: int, failures: int = 0, detail: list[str] | None = None):
+        self.name, self.trials, self.failures = name, trials, failures
+        self.detail = [] if detail is None else detail
 
     @property
     def passed(self) -> bool:

@@ -67,8 +67,8 @@ def test_barcodes_deterministic(three_csv, tmp_path):
     assert (a / "barcodes.json").read_bytes() == (b / "barcodes.json").read_bytes()
 
 
-# six points in four places (1 = 3 and 2 = 6), integer ties, and -0 cells that
-# reach barcodes.json as -0.0 births
+# six points in four places (1 = 3 and 2 = 6), integer ties, and -0 cells,
+# whose edges are born at the +0.0 of the vertices
 _TIED_CSV = "0,1,-0,2,1,1\n1,0,1,2,2,-0\n0,1,0,2,1,1\n2,2,2,0,1,2\n1,2,1,1,0,2\n1,-0,1,2,2,0\n"
 _SEVEN_POINTS = '{"points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0.5], [0.5, 2], [1.5, 1.5]]}'
 
@@ -92,7 +92,7 @@ def _seeded_csv(n: int, seed: int) -> str:
             "dist-csv",
             [],
             (
-                "9738c21822789ce80d0890895fa9594ba1441ba2a009236e8b2ce980d717b283",
+                "4095ff9ca64f2c7e9f5956b531a07c26b53c9f66c04a5078b4e7999cb7ee9c3a",  # zero births at +0.0
                 "8994d94741327a0749ab73c43533329486b608ef0cd5c5b2774a3472e9cb373a",
                 "b13570325989c057ca305467e156e20cd9485d117c89ef26ce86b94867d8a4c4",
             ),
@@ -142,6 +142,28 @@ def test_barcodes_output_bytes(tmp_path, monkeypatch, name, text, fmt, flags, di
     assert main(["barcodes", "--input", name, "--format", fmt, "--out", "out", "--svg"] + flags) == 0
     for file, digest in zip(("barcodes.json", "report.json", "barcodes.svg"), digests):
         assert hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() == digest, file
+
+
+def test_barcodes_writes_no_negative_zero(tmp_path):
+    # a zero half-distance, -0.0 included, is born at the +0.0 of the
+    # vertices, so seeded metrics with -0 cells write no -0.0 anywhere
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        rows = [["0"] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    rows[i][j], rows[j][i] = rng.choice(["-0", "0", "-0.0"]), rng.choice(["-0", "0"])
+                else:
+                    rows[i][j] = rows[j][i] = str(rng.randint(1, 4))
+        i, j = rng.sample(range(n), 2)
+        rows[i][j], rows[j][i] = "-0", rng.choice(["-0", "0"])  # at least one
+        (tmp_path / "in.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / f"out{seed}"
+        assert main(["barcodes", "--input", str(tmp_path / "in.csv"), "--out", str(out), "--svg"]) == 0
+        for file in ("barcodes.json", "report.json", "barcodes.svg"):
+            assert b"-0.0" not in (out / file).read_bytes(), (seed, file)
 
 
 def test_barcodes_drops_the_filtration_and_writes_from_the_bars(three_csv, tmp_path, monkeypatch):

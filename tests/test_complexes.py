@@ -658,14 +658,14 @@ def test_vr_order_is_the_checked_walk_and_the_oracle():
                 assert (order.index, order.first_cofacet, order.lows) == want, (dist, max_dim)
                 walk = FaceOrder(order.faces)
                 assert (walk.index, walk.first_cofacet, walk.lows) == want
-                # births bit for bit, -0.0 included: the first maximum over
-                # the pairs in lexicographic order, read from the upper triangle
+                # births bit for bit: the largest half-distance of the pairs,
+                # and +0.0 when it is zero, a -0.0 included
                 top = n if max_dim is None else min(max_dim + 1, n)
                 births = {}
                 for size in range(1, top + 1):
                     for face in combinations(range(1, n + 1), size):
                         pairs = [halves[face_mask(pair)] for pair in combinations(face, 2)]
-                        births[face_mask(face)] = max(pairs) if pairs else 0.0
+                        births[face_mask(face)] = max(pairs, default=0.0) or 0.0
                 assert {m: bits(t) for m, t in f.birth_map.items()} == {m: bits(t) for m, t in births.items()}
                 assert list(map(bits, f.params)) == list(map(bits, want_params))
                 assert list(order.faces) == sorted(births, key=lambda m: (births[m], m.bit_count(), m))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -147,8 +146,8 @@ def test_one_barcode_type():
     f = vr_filtration([[0.0, 1.0], [1.0, 0.0]])
     for bc in (persistence.prime_barcode(f, "SR"), persistence.prime_barcode(f, "EDGE"), persistence.ph_barcode(f)):
         assert type(bc) is idealtda.Barcode
-    assert tuple(fld.name for fld in dataclasses.fields(idealtda.Barcode)) == ("kind", "bars")
-    assert tuple(fld.name for fld in dataclasses.fields(idealtda.BettiProfile)) == ("params", "betti", "reduced")
+    assert idealtda.Barcode._fields == ("kind", "bars")
+    assert idealtda.BettiProfile._fields == ("params", "betti", "reduced")
 
 
 def test_one_dense_chain_record():
@@ -156,8 +155,7 @@ def test_one_dense_chain_record():
     from idealtda.monomials import MonomialIdeal
 
     assert issubclass(labelled.GradedSlice, labelled.EvaluatedChain)
-    fields = tuple(fld.name for fld in dataclasses.fields(labelled.GradedSlice))
-    assert fields == ("field", "ncells", "matrices", "subcomplex", "bases")
+    assert labelled.GradedSlice._fields == ("field", "ncells", "matrices", "subcomplex", "bases")
     assert not hasattr(labelled, "evaluation_ranks")
     for name in ("contains", "radical"):
         assert not hasattr(MonomialIdeal, name), f"MonomialIdeal.{name}"
@@ -191,7 +189,7 @@ def test_the_polynomial_ring_lives_with_its_oracle():
 
 def test_production_holds_only_what_a_command_runs():
     # names that no command, verify oracle, quick tour or named feature used
-    from idealtda import complexes, monomials, serialize
+    from idealtda import complexes, labelled, monomials, serialize
 
     gone = {
         serialize: ("complex_to_dict", "labelled_to_dict", "_expansion_to_json"),
@@ -200,8 +198,108 @@ def test_production_holds_only_what_a_command_runs():
         monomials.MonomialIdeal: ("zero", "ambient_n"),
         complexes.SimplicialComplex: ("simplex", "has_face", "is_subcomplex_of", "is_simplex_over", "__len__"),
         complexes.Graph: ("has_edge",),
+        labelled.LabelledComplex: ("label_of",),
     }
     for owner, names in gone.items():
         for name in names:
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
             assert name not in getattr(owner, "__all__", ()) and name not in idealtda.__all__, name
+
+
+def _values() -> dict:
+    """One instance of each value class of the package, by class name."""
+    from idealtda import complexes, labelled, persistence, verify
+    from idealtda.monomials import AtomTable, FactoredElement, MonomialIdeal
+
+    f = complexes.vr_filtration([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    table = AtomTable.for_variables(3)
+    x = [FactoredElement.from_support(table, [v]) for v in (1, 2, 3)]
+    LC = labelled.make_labelled(f.final(), x, reduced=True)
+    bm = labelled.boundary_matrices(LC)
+    point = labelled.EvaluationPoint.of({"x1": 1, "x2": 2, "x3": "1/2"})
+    values = [
+        complexes.LinearPrime.of([1, 3]),
+        f.final(),
+        complexes.Graph.from_edges(3, [(1, 2), (2, 3)]),
+        f,
+        persistence.prime_barcode(f, "SR"),
+        persistence.betti_profile(f),
+        persistence.coverage_report([[0.0, 1.0], [1.0, 0.0]], persistence.prime_barcode(f, "SR")),
+        table,
+        x[0].lcm(x[1]),
+        MonomialIdeal.from_generators(table, x[:2]),
+        LC,
+        bm.matrices[0],
+        bm,
+        point,
+        labelled.evaluate_chain(LC, point),
+        labelled.graded_slice(LC, (1, 1, 0)),
+        verify.SuiteResult("suite", 3, 1, ["note"]),
+    ]
+    return {type(v).__name__: v for v in values}
+
+
+FIELDS = {
+    "LinearPrime": ("mask",),
+    "SimplicialComplex": ("n", "face_masks"),
+    "Graph": ("n", "adjacency"),
+    "Filtration": ("n", "birth_map", "params"),
+    "Barcode": ("kind", "bars"),
+    "BettiProfile": ("params", "betti", "reduced"),
+    "CoverageReport": ("pairs_checked", "violations"),
+    "AtomTable": ("atoms", "expansions"),
+    "FactoredElement": ("table", "exps"),
+    "MonomialIdeal": ("table", "generators"),
+    "LabelledComplex": ("complex", "table", "vertex_labels", "reduced"),
+    "ChainMatrix": ("k", "rows", "cols", "columns"),
+    "BoundaryMatrices": ("matrices",),
+    "EvaluationPoint": ("coords",),
+    "EvaluatedChain": ("field", "ncells", "matrices"),
+    "GradedSlice": ("field", "ncells", "matrices", "subcomplex", "bases"),
+    "SuiteResult": ("name", "trials", "failures", "detail"),
+}
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_value_classes_compare_and_hash_by_their_fields(name):
+    # every value class is equal by its fields, in the order that _fields
+    # pins, and hashed as the tuple of them (unhashable when a field is); a
+    # plain class is also equal only to its own class, while a named tuple
+    # is a tuple
+    from idealtda.complexes import _Value
+
+    value = _values()[name]
+    cls = type(value)
+    assert cls._fields == FIELDS[name]
+    key = tuple(getattr(value, f) for f in cls._fields)
+    twin = cls(*key)
+    assert twin == value and not twin != value and twin is not value
+    try:
+        want = hash(key)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin) == want
+    assert repr(value) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, key)) + ")"
+    if issubclass(cls, tuple):
+        other = value._replace(**{cls._fields[-1]: "other"})
+        assert value == key
+    else:
+        assert issubclass(cls, _Value) and value != key
+        other = cls.__new__(cls)
+        other.__dict__.update(zip(cls._fields, key[:-1] + ("other",)))
+    assert other != value and not other == value
+    for third in _values().values():
+        if type(third) is not cls:
+            assert third != value
+
+
+def test_no_module_imports_dataclasses():
+    src = Path(idealtda.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name

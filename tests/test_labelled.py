@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
@@ -9,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from idealtda import cli, labelled, linalg
-from idealtda.complexes import SimplicialComplex, full_subcomplex
+from idealtda.complexes import SimplicialComplex, face_mask, full_subcomplex
 from idealtda.labelled import (
     EvaluationPoint,
+    GradedSlice,
     InadmissiblePointError,
     LabelledComplex,
     boundary_matrices,
@@ -45,23 +45,23 @@ X4 = AtomTable.for_variables(4)
 
 def test_face_labels_worked(worked_labelled):
     LC = worked_labelled
-    assert str(LC.label_of((1, 2))) == "x1*x2*x3"
-    assert str(LC.label_of((2, 3))) == "x2*x3*x4"
-    assert str(LC.label_of((1, 2, 3))) == "x1*x2*x3*x4"
-    assert str(LC.label_of(())) == "1"
+    assert str(LC.face_labels[face_mask((1, 2))]) == "x1*x2*x3"
+    assert str(LC.face_labels[face_mask((2, 3))]) == "x2*x3*x4"
+    assert str(LC.face_labels[face_mask((1, 2, 3))]) == "x1*x2*x3*x4"
+    assert str(LC.face_labels[face_mask(())]) == "1"
     # divisibility invariant: m_tau | m_sigma for tau <= sigma
     for sigma in LC.complex.faces():
         for v in sigma:
             tau = tuple(w for w in sigma if w != v)
             if tau:
-                assert LC.label_of(tau).divides(LC.label_of(sigma))
+                assert LC.face_labels[face_mask(tau)].divides(LC.face_labels[face_mask(sigma)])
 
 
 def test_face_labels_poly(poly_labelled):
     LC = poly_labelled
-    assert str(LC.label_of((1, 2))) == "x1*(x1+x2)"
-    assert str(LC.label_of((2, 3))) == "x1*x2"
-    assert str(LC.label_of((1, 3))) == "x1*x2*(x1+x2)"
+    assert str(LC.face_labels[face_mask((1, 2))]) == "x1*(x1+x2)"
+    assert str(LC.face_labels[face_mask((2, 3))]) == "x1*x2"
+    assert str(LC.face_labels[face_mask((1, 3))]) == "x1*x2*(x1+x2)"
 
 
 def test_unit_labels_recover_classical_complex():
@@ -590,7 +590,7 @@ def _perturbed_slices(sl, rng):
             mats[k].append([0] * len(mats[k][0]))
         else:
             mats[k][i][j] = -mats[k][i][j] if change == "flip" else 0
-        out.append(dataclasses.replace(sl, matrices=mats))
+        out.append(GradedSlice(sl.field, sl.ncells, mats, sl.subcomplex, sl.bases))
     return out
 
 
@@ -693,9 +693,9 @@ def _tampered(bm, k, j, edit):
         if cm.k == k:
             columns = list(cm.columns)
             columns[j] = edit(columns[j])
-            cm = dataclasses.replace(cm, columns=tuple(columns))
+            cm = cm._replace(columns=tuple(columns))
         mats.append(cm)
-    return dataclasses.replace(bm, matrices=tuple(mats))
+    return bm._replace(matrices=tuple(mats))
 
 
 def _flip_sign(col):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import time
@@ -330,7 +329,7 @@ def test_interval_suite_checks_closed_forms_against_runs(monkeypatch, inject_pri
 
     real = verify.prime_barcode
     monkeypatch.setattr(
-        verify, "prime_barcode", lambda f, kind: dataclasses.replace(real(f, kind), bars=())
+        verify, "prime_barcode", lambda f, kind: real(f, kind)._replace(bars=())
     )
     res = verify.suite_prime_interval_uniqueness(random.Random(0), 3)
     assert res.failures == 6

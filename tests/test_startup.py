@@ -154,3 +154,22 @@ seen.append(hasattr(cli, "no_such_name"))
     stub = {str(k): 0 for k in range(-1, 3)}
     assert report["diag_relation"] is True
     assert report["ranks"] == {"fraction_field": stub, "classical": stub, "equal": True}
+
+
+def test_commands_leave_the_dataclass_generator_unloaded(tmp_path):
+    # the value classes are named tuples and plain classes, so no command
+    # loads dataclasses or, through it, inspect
+    (tmp_path / "four.csv").write_text("0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n")
+    (tmp_path / "worked.json").write_text(json.dumps(_LABELLED_JSON))
+    commands = {
+        "barcodes": ["barcodes", "--input", "four.csv", "--out", "bars", "--svg"],
+        "labelled": ["labelled", "--input", "worked.json", "--alpha", "0,1,1,1", "--out", "lab"],
+        "verify": ["verify", "--trials", "1", "--max-n", "4"],
+    }
+    for name, argv in commands.items():
+        code = f"""
+from idealtda.cli import main
+seen.append(main({argv!r}))
+seen.append(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+        assert _fresh(code, tmp_path) == [0, []], name
